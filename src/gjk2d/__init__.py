@@ -3,8 +3,9 @@
 The distance query runs a GJK loop whose subdistance step classifies the
 origin against the working simplex with a 3-bit barycentric region code;
 the binary collision query adds two cheap early exits. A separating-axis
-baseline, a brute-force distance oracle, a deterministic dataset
-generator, and a benchmark CLI round out the package.
+baseline, a linear-time Minkowski-difference distance oracle, a
+deterministic dataset generator, and a benchmark CLI round out the
+package.
 """
 
 from .baseline import (
@@ -24,7 +25,6 @@ from .datasets import (
     PolygonGenerationFailed,
     Regime,
     RegimeConstructionFailed,
-    convex_hull,
     derive_case_seed,
     generate_dataset,
     make_pair,

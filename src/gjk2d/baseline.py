@@ -1,9 +1,13 @@
 """Independently coded correctness oracles and the SAT baseline.
 
-Nothing here touches the GJK or subdistance modules; equivalence tests
-between the two paths are only meaningful if they share no code. These
-routines are O(n*m) or worse on purpose and, except for ``sat_intersects``
-(which is also a benchmarked algorithm), intended for test-time use.
+Nothing here touches the GJK, subdistance or support modules; equivalence
+tests between the two paths are only meaningful if they share no code.
+The oracles build the Minkowski difference P - Q as an explicit convex
+polygon in O(n + m) by merging the edge sequences of P and -Q by angle,
+then test or measure the origin against it. ``sat_intersects`` is also a
+benchmarked algorithm. The brute-force O(n*m) references these oracles
+replaced (all-pairs difference hull, vertex-edge scan) live in the test
+suite's ``oracle_utils`` and cross-check them there.
 """
 
 from __future__ import annotations
@@ -80,107 +84,121 @@ def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleReport:
-    """Ground-truth distance: SAT for overlap, else vertex-edge scan.
+def _difference_polygon(p_poly: ConvexPolygon, q_poly: ConvexPolygon):
+    """CCW vertices of P - Q as ``(x, y, i, j)`` with ``(x, y) = P[i] - Q[j]``.
 
-    For disjoint convex polygons the minimum distance is realized between
-    a vertex of one and an edge (possibly an endpoint) of the other, so
-    scanning all such pairs both ways is exact.
+    The edges of P and of -Q, each started from its lowest (min y, then
+    min x) vertex, are merged by angle in one pass; an exactly parallel
+    pair is taken in one step, leaving no vertex inside the merged edge.
+    Two valid polygons always give at least 3 vertices.
     """
-    if sat_intersects(p_poly, q_poly):
-        return OracleReport(0.0, ClosestFeature.OVERLAP)
+    pxs, pys = p_poly.xs, p_poly.ys
+    qxs, qys = q_poly.xs, q_poly.ys
+    n = len(pxs)
+    m = len(qxs)
+    i = min(zip(pys, pxs, range(n)))[2]
+    # the lowest vertex of -Q is the highest of Q
+    j = max(zip(qys, qxs, range(m)))[2]
+    verts = []
+    taken_p = taken_q = 0
+    while taken_p < n or taken_q < m:
+        verts.append((pxs[i] - qxs[j], pys[i] - qys[j], i, j))
+        i1 = i + 1 if i + 1 < n else 0
+        j1 = j + 1 if j + 1 < m else 0
+        if taken_p == n:
+            turn = -1.0
+        elif taken_q == m:
+            turn = 1.0
+        else:
+            # cross of P's edge i with -Q's edge j: > 0 means P's turns first
+            turn = (pxs[i1] - pxs[i]) * (qys[j] - qys[j1]) - (pys[i1] - pys[i]) * (
+                qxs[j] - qxs[j1]
+            )
+        if turn >= 0.0:
+            i = i1
+            taken_p += 1
+        if turn <= 0.0:
+            j = j1
+            taken_q += 1
+    return verts
+
+
+def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleReport:
+    """Ground-truth distance: the origin against the difference polygon.
+
+    The origin inside P - Q (boundary included) means overlap. Otherwise
+    the distance is the minimum over the polygon's edges of the origin's
+    distance to the edge, and it is realized between a vertex of one
+    polygon and an edge of the other (``VERTEX_EDGE``) unless the closest
+    point is a vertex pair (``VERTEX_VERTEX``).
+    """
+    verts = _difference_polygon(p_poly, q_poly)
     best_sq = math.inf
-    at_endpoint = True
-    for vxs, vys, exs, eys in (
-        (p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys),
-        (q_poly.xs, q_poly.ys, p_poly.xs, p_poly.ys),
-    ):
-        ne = len(exs)
-        for i in range(ne):
-            j = i + 1 if i + 1 < ne else 0
-            ax = exs[i]
-            ay = eys[i]
-            ux = exs[j] - ax
-            uy = eys[j] - ay
+    best_k = -1
+    at_vertex = True
+    ax, ay = verts[-1][0], verts[-1][1]
+    for k, (bx, by, _, _) in enumerate(verts):
+        ux = bx - ax
+        uy = by - ay
+        # Only an edge with the origin strictly outside its line can hold
+        # the closest point; none means the origin is inside (closed).
+        if ax * uy - ay * ux < 0.0:
+            t = -(ax * ux + ay * uy)
             den = ux * ux + uy * uy
-            for px, py in zip(vxs, vys):
-                t = ((px - ax) * ux + (py - ay) * uy) / den
-                clamped = False
-                if t <= 0.0:
-                    t = 0.0
-                    clamped = True
-                elif t >= 1.0:
-                    t = 1.0
-                    clamped = True
-                dx = px - (ax + t * ux)
-                dy = py - (ay + t * uy)
+            if t <= 0.0:
+                d_sq = ax * ax + ay * ay
+                clamped = True
+            elif t >= den:
+                d_sq = bx * bx + by * by
+                clamped = True
+            else:
+                t /= den
+                dx = ax + t * ux
+                dy = ay + t * uy
                 d_sq = dx * dx + dy * dy
-                if d_sq < best_sq:
-                    best_sq = d_sq
-                    at_endpoint = clamped
-    feature = ClosestFeature.VERTEX_VERTEX if at_endpoint else ClosestFeature.VERTEX_EDGE
+                clamped = False
+            if d_sq < best_sq:
+                best_sq = d_sq
+                best_k = k
+                at_vertex = clamped
+        ax = bx
+        ay = by
+    if best_k < 0:
+        return OracleReport(0.0, ClosestFeature.OVERLAP)
+    if not at_vertex:
+        _, _, i0, j0 = verts[best_k - 1]
+        _, _, i1, j1 = verts[best_k]
+        if i0 != i1 and j0 != j1:
+            # A merged pair of parallel edges hides the vertex pairs
+            # P[i1] - Q[j0] and P[i0] - Q[j1]. When they coincide and hold
+            # the closest point, every realizing pair is vertex-vertex.
+            pxs, pys = p_poly.xs, p_poly.ys
+            qxs, qys = q_poly.xs, q_poly.ys
+            wx = pxs[i1] - qxs[j0]
+            wy = pys[i1] - qys[j0]
+            at_vertex = (
+                wx == pxs[i0] - qxs[j1]
+                and wy == pys[i0] - qys[j1]
+                and wx * wx + wy * wy <= best_sq
+            )
+    feature = ClosestFeature.VERTEX_VERTEX if at_vertex else ClosestFeature.VERTEX_EDGE
     return OracleReport(math.sqrt(best_sq), feature)
-
-
-def _hull(points):
-    """Andrew's monotone chain; strict turns, CCW output."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and (
-            (lower[-1][0] - lower[-2][0]) * (p[1] - lower[-2][1])
-            - (lower[-1][1] - lower[-2][1]) * (p[0] - lower[-2][0])
-        ) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and (
-            (upper[-1][0] - upper[-2][0]) * (p[1] - upper[-2][1])
-            - (upper[-1][1] - upper[-2][1]) * (p[0] - upper[-2][0])
-        ) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def cso_contains_origin(
     p_poly: ConvexPolygon, q_poly: ConvexPolygon, strict: bool = False
 ) -> bool:
-    """Origin-in-Minkowski-difference test via the explicit difference hull.
+    """Origin-in-Minkowski-difference test via the explicit difference polygon.
 
-    Builds the convex hull of all pairwise vertex differences, making the
-    configuration-space obstacle explicit, and half-plane-tests the
-    origin against it. O(n*m log(n*m)); test-time use only.
+    Half-plane-tests the origin against every edge of P - Q, built in
+    O(n + m). ``strict`` excludes the boundary.
     """
-    diffs = [
-        (px - qx, py - qy)
-        for px, py in zip(p_poly.xs, p_poly.ys)
-        for qx, qy in zip(q_poly.xs, q_poly.ys)
-    ]
-    hull = _hull(diffs)
-    if len(hull) < 3:
-        # Degenerate difference set: a point or a segment.
-        if strict:
+    verts = _difference_polygon(p_poly, q_poly)
+    ax, ay = verts[-1][0], verts[-1][1]
+    for bx, by, _, _ in verts:
+        side = ax * (by - ay) - ay * (bx - ax)
+        if side < 0.0 or (strict and side == 0.0):
             return False
-        if len(hull) == 1:
-            return hull[0][0] == 0.0 and hull[0][1] == 0.0
-        (ax, ay), (bx, by) = hull
-        ux, uy = bx - ax, by - ay
-        if ux * (0.0 - ay) - uy * (0.0 - ax) != 0.0:
-            return False
-        t = (-ax * ux - ay * uy)
-        return 0.0 <= t <= ux * ux + uy * uy
-    n = len(hull)
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        side = (bx - ax) * (0.0 - ay) - (by - ay) * (0.0 - ax)
-        if strict:
-            if side <= 0.0:
-                return False
-        elif side < 0.0:
-            return False
+        ax = bx
+        ay = by
     return True

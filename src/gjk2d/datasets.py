@@ -102,28 +102,6 @@ class RegimeConstructionFailed(RuntimeError):
     pass
 
 
-def convex_hull(points: Iterable[Tuple[float, float]]) -> List[Vec2]:
-    """Convex hull of arbitrary points (monotone chain), CCW, no collinear."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return [Vec2(*p) for p in pts]
-
-    def build(seq):
-        chain: List[Tuple[float, float]] = []
-        for p in seq:
-            while len(chain) >= 2 and (
-                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
-                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
-            ) <= 0.0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return [Vec2(*p) for p in lower[:-1] + upper[:-1]]
-
-
 def _valtr_points(rng: random.Random, n: int) -> List[Tuple[float, float]]:
     """Random convex position of exactly n points (Valtr's construction).
 

@@ -4,7 +4,9 @@ These deliberately avoid the library's solver routines: segments are
 handled by a dense parameter grid plus analytic refinement inside the
 bracketing cell, triangles by a closed inside test plus the segment
 oracle per edge, and barycentric coordinates by a Cramer solve of the
-edge-dot linear system.
+edge-dot linear system. The brute-force Minkowski-difference references
+(monotone-chain hull of all n*m vertex differences, all-pairs vertex-edge
+scan) cross-check the linear-time oracles of ``gjk2d.baseline``.
 """
 
 from __future__ import annotations
@@ -84,23 +86,110 @@ def barycentric_of_origin(a, b, c):
     return 1.0 - v - w, v, w
 
 
-def cso_origin_clearance(p_poly, q_poly) -> float:
-    """Signed distance from the origin to the Minkowski-difference hull.
-
-    Positive inside the hull, negative outside. Built from the library's
-    data-plumbing helpers only (hull + point-segment distance), not its
-    solvers.
-    """
-    from gjk2d.baseline import point_segment_distance
-    from gjk2d.datasets import convex_hull
+def convex_hull(points):
+    """Convex hull of arbitrary points (monotone chain), CCW, no collinear."""
     from gjk2d.geometry import Vec2
 
-    diffs = [
+    pts = sorted(set((float(x), float(y)) for x, y in points))
+    if len(pts) <= 2:
+        return [Vec2(*p) for p in pts]
+
+    def build(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = build(pts)
+    upper = build(reversed(pts))
+    return [Vec2(*p) for p in lower[:-1] + upper[:-1]]
+
+
+def difference_hull(p_poly, q_poly):
+    """Hull of all n*m vertex differences P[i] - Q[j]."""
+    return convex_hull(
         (px - qx, py - qy)
         for px, py in zip(p_poly.xs, p_poly.ys)
         for qx, qy in zip(q_poly.xs, q_poly.ys)
-    ]
-    hull = convex_hull(diffs)
+    )
+
+
+def brute_cso_contains_origin(p_poly, q_poly, strict: bool = False) -> bool:
+    """Half-plane test of the origin against the brute difference hull.
+
+    The hull of two valid polygons' differences always has 3+ vertices.
+    """
+    hull = difference_hull(p_poly, q_poly)
+    n = len(hull)
+    for i in range(n):
+        ax, ay = hull[i]
+        bx, by = hull[(i + 1) % n]
+        side = (bx - ax) * (0.0 - ay) - (by - ay) * (0.0 - ax)
+        if side < 0.0 or (strict and side == 0.0):
+            return False
+    return True
+
+
+def brute_oracle_distance(p_poly, q_poly):
+    """SAT for overlap, else the all-pairs vertex-edge scan, as an OracleReport.
+
+    For disjoint convex polygons the minimum distance is realized between
+    a vertex of one and an edge (possibly an endpoint) of the other, so
+    scanning all such pairs both ways is exact.
+    """
+    from gjk2d.baseline import ClosestFeature, OracleReport, sat_intersects
+
+    if sat_intersects(p_poly, q_poly):
+        return OracleReport(0.0, ClosestFeature.OVERLAP)
+    best_sq = math.inf
+    at_endpoint = True
+    for vxs, vys, exs, eys in (
+        (p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys),
+        (q_poly.xs, q_poly.ys, p_poly.xs, p_poly.ys),
+    ):
+        ne = len(exs)
+        for i in range(ne):
+            j = i + 1 if i + 1 < ne else 0
+            ax = exs[i]
+            ay = eys[i]
+            ux = exs[j] - ax
+            uy = eys[j] - ay
+            den = ux * ux + uy * uy
+            for px, py in zip(vxs, vys):
+                t = ((px - ax) * ux + (py - ay) * uy) / den
+                clamped = False
+                if t <= 0.0:
+                    t = 0.0
+                    clamped = True
+                elif t >= 1.0:
+                    t = 1.0
+                    clamped = True
+                dx = px - (ax + t * ux)
+                dy = py - (ay + t * uy)
+                d_sq = dx * dx + dy * dy
+                if d_sq < best_sq:
+                    best_sq = d_sq
+                    at_endpoint = clamped
+    feature = ClosestFeature.VERTEX_VERTEX if at_endpoint else ClosestFeature.VERTEX_EDGE
+    return OracleReport(math.sqrt(best_sq), feature)
+
+
+def cso_origin_clearance(p_poly, q_poly) -> float:
+    """Signed distance from the origin to the Minkowski-difference hull.
+
+    Positive inside the hull, negative outside. Built from the brute
+    difference hull above and the library's point-segment distance, not
+    its solvers.
+    """
+    from gjk2d.baseline import point_segment_distance
+    from gjk2d.geometry import Vec2
+
+    hull = difference_hull(p_poly, q_poly)
     n = len(hull)
     origin = Vec2(0.0, 0.0)
     dist = min(

@@ -1,8 +1,13 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gjk2d.baseline
 from gjk2d.baseline import (
     ClosestFeature,
     cso_contains_origin,
@@ -10,8 +15,19 @@ from gjk2d.baseline import (
     point_segment_distance,
     sat_intersects,
 )
-from gjk2d.datasets import convex_hull, random_convex_polygon
+from gjk2d.datasets import (
+    DatasetSpec,
+    Regime,
+    derive_case_seed,
+    make_pair,
+    random_convex_polygon,
+)
 from gjk2d.geometry import ConvexPolygon, Transform2, Vec2, apply_transform
+from oracle_utils import (
+    brute_cso_contains_origin,
+    brute_oracle_distance,
+    convex_hull,
+)
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
@@ -135,3 +151,125 @@ class TestConvexHullHelper:
                 from gjk2d.geometry import contains_point
 
                 assert contains_point(poly, Vec2(x, y), tolerance=1e-9)
+
+
+def lattice_polygon(points):
+    """Hull of integer points as a polygon, or None when it is degenerate."""
+    hull = convex_hull(points)
+    return ConvexPolygon(hull) if len(hull) >= 3 else None
+
+
+def assert_matches_brute(p, q):
+    """The linear oracles agree with the brute O(n*m) references.
+
+    Returns the linear and the brute ``OracleReport``.
+    """
+    for strict in (False, True):
+        assert cso_contains_origin(p, q, strict) == brute_cso_contains_origin(
+            p, q, strict
+        )
+    report = oracle_distance(p, q)
+    assert (report.closest_feature is ClosestFeature.OVERLAP) == (
+        brute_cso_contains_origin(p, q)
+    )
+    brute = brute_oracle_distance(p, q)
+    d = report.distance
+    assert abs(d - brute.distance) <= 1e-12 * max(1.0, brute.distance)
+    assert oracle_distance(q, p).distance == d
+    return report, brute
+
+
+class TestAgainstBruteReferences:
+    SIZES = (3, 4, 5, 8, 24, 64)
+
+    def test_random_pairs_of_every_size(self):
+        rng = random.Random(55)
+        overlaps = []
+        for n in self.SIZES:
+            for m in self.SIZES:
+                for _ in range(6 if max(n, m) == 64 else 25):
+                    p = random_placed(rng, n, 1.5)
+                    q = random_placed(rng, m, 1.5)
+                    report, brute = assert_matches_brute(p, q)
+                    # generic pairs have one realizing feature pair
+                    assert report.closest_feature is brute.closest_feature
+                    overlaps.append(report.distance == 0.0)
+        assert any(overlaps) and not all(overlaps)
+
+    def test_identical_translated_and_reflected_copies(self):
+        rng = random.Random(56)
+        for n in self.SIZES:
+            for _ in range(5):
+                p = random_placed(rng, n, 1.0)
+                shift = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                reflected = ConvexPolygon([(-x, -y) for x, y in p.vertices])
+                for q in (
+                    p,
+                    apply_transform(Transform2(0.0, shift), p),
+                    reflected,
+                    apply_transform(Transform2(0.0, shift), reflected),
+                ):
+                    assert_matches_brute(p, q)
+                assert cso_contains_origin(p, p, strict=True)
+
+    def test_lattice_pairs_with_exact_ties_and_contacts(self):
+        # Integer coordinates keep every difference exact, so parallel edge
+        # pairs tie exactly and shared edges or vertices touch exactly.
+        rng = random.Random(57)
+        for _ in range(300):
+            p = lattice_polygon(
+                [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(3, 12))]
+            )
+            if p is None:
+                continue
+            dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+            for q in (
+                ConvexPolygon([(x + dx, y + dy) for x, y in p.vertices]),
+                ConvexPolygon([(dx - x, dy - y) for x, y in p.vertices]),
+            ):
+                assert_matches_brute(p, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=20),
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=3, max_size=20),
+    )
+    def test_hypothesis_lattice_pairs(self, p_points, q_points):
+        p = lattice_polygon(p_points)
+        q = lattice_polygon(q_points)
+        if p is not None and q is not None:
+            assert_matches_brute(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(SIZES),
+        st.sampled_from(SIZES),
+        st.floats(0.0, 3.0),
+    )
+    def test_hypothesis_random_pairs(self, seed, n, m, span):
+        rng = random.Random(seed)
+        assert_matches_brute(random_placed(rng, n, span), random_placed(rng, m, span))
+
+    def test_touching_cases(self):
+        for n in self.SIZES:
+            spec = DatasetSpec(vertex_count=n, cases_per_regime=4, seed=58)
+            for index in range(4 if n < 64 else 2):
+                seed = derive_case_seed(spec.seed, n, Regime.TOUCHING, index)
+                case = make_pair(spec, Regime.TOUCHING, seed)
+                assert_matches_brute(case.p, case.q)
+
+
+def test_oracles_are_independent_of_the_gjk_modules():
+    tree = ast.parse(Path(gjk2d.baseline.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    forbidden = {"gjk", "subdistance", "support"}
+    for name in imported:
+        assert not forbidden & set(name.split(".")), name

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,21 @@ class TestGen:
         assert "touching: 3 cases" in out
         assert "overlap: 3 cases" in out
         assert len(path.read_text().splitlines()) == 10  # header + 9 cases
+
+    @pytest.mark.parametrize(
+        "vertices,cases,digest",
+        [
+            (4, 20, "2f2a3ef4ae8437140bfa74a6b44688f88151a977b2d105ee403e4946f4c76c44"),
+            (24, 20, "32321a5c3f2bded51d04df932f54e1bf86ba87e27f5341c17f2b047017ea3e85"),
+            (64, 5, "bf2cab528bedc5ded650a584c5cdd68fe0a61f659c6309429895d08964343158"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, vertices, cases, digest):
+        # Any oracle change that flips an accept/retry decision changes these.
+        path = tmp_path / "pinned.jsonl"
+        argv = ["gen", "--vertices", str(vertices), "--cases", str(cases), "--seed", "5"]
+        assert main(argv + [str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_three_vertices_is_legal(self, tmp_path):
         path = tmp_path / "tri.jsonl"
