@@ -2,7 +2,7 @@
 
 The distance query runs a GJK loop whose subdistance step classifies the
 origin against the working simplex with a 3-bit barycentric region code;
-the binary collision query adds two cheap early exits. A separating-axis
+the binary collision query runs the same loop with two cheap early exits. A separating-axis
 baseline, a linear-time Minkowski-difference distance oracle, a
 deterministic dataset generator, and a benchmark CLI round out the
 package.
@@ -48,7 +48,6 @@ from .geometry import (
     dot,
     polygon_from_jsonable,
     polygon_to_jsonable,
-    validate_polygon,
 )
 from .gjk import (
     CollisionExit,
@@ -58,19 +57,16 @@ from .gjk import (
     Termination,
     distance,
     intersects,
-    touching_or_overlapping,
     witness_points,
 )
 from .subdistance import (
     DegenerateTriangle,
-    Simplex,
     SubdistanceResult,
     compute_barycode,
     cone_region,
     point_in_triangle,
     s1d,
     s2d,
-    subdistance,
 )
 from .support import (
     SimplexVertex,

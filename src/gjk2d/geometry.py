@@ -36,9 +36,6 @@ class Vec2(NamedTuple):
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def norm_squared(self) -> float:
-        return self.x * self.x + self.y * self.y
-
 
 def dot(a: Vec2, b: Vec2) -> float:
     return a.x * b.x + a.y * b.y
@@ -143,11 +140,6 @@ class ConvexPolygon:
         return f"ConvexPolygon({list(self.vertices)!r})"
 
 
-def validate_polygon(vertices: Iterable) -> ConvexPolygon:
-    """Validate a vertex list, returning the polygon or raising PolygonError."""
-    return ConvexPolygon(vertices)
-
-
 @dataclass(frozen=True)
 class Transform2:
     """Rigid planar motion: rotation (radians) about the origin, then translation."""
@@ -164,14 +156,6 @@ class Transform2:
             math.isfinite(self.translation.x) and math.isfinite(self.translation.y)
         ):
             raise ValueError("translation must be finite")
-
-    def apply(self, point: Vec2) -> Vec2:
-        c = math.cos(self.rotation)
-        s = math.sin(self.rotation)
-        return Vec2(
-            point.x * c - point.y * s + self.translation.x,
-            point.x * s + point.y * c + self.translation.y,
-        )
 
 
 def apply_transform(transform: Transform2, poly: ConvexPolygon) -> ConvexPolygon:

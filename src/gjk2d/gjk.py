@@ -1,15 +1,14 @@
-"""GJK main loops: distance query with witness extraction, and a binary
-collision subroutine with two extra early exits.
+"""GJK: distance query with witness extraction, and a binary collision
+subroutine with two extra early exits, both run by one loop.
 
-Both loops share the same skeleton: start from a heuristic direction,
-pull Minkowski-difference support points toward the origin, and shrink
-the working simplex with the subdistance solver. The binary variant adds
-two exits that skip the remaining work as soon as the answer is decided:
-a separating-hyperplane test (the new support point stays on the far
-side of the origin, so the shapes cannot intersect) and a vertical-angle
-test (the new support point lands in the angle vertically opposite the
-current 2-simplex as seen from the origin, so the new triangle must
-enclose the origin).
+The loop starts from a heuristic direction, pulls Minkowski-difference
+support points toward the origin, and shrinks the working simplex with
+the subdistance solver. Its binary mode only adds two exits, tested
+before the shared ones: a separating-hyperplane test (the new support
+point stays on the far side of the origin, so the shapes cannot
+intersect) and a vertical-angle test (the new support point lands in the
+angle vertically opposite the current 2-simplex as seen from the origin,
+so the new triangle must enclose the origin).
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import ConvexPolygon, Vec2
-from .subdistance import Simplex, s1d, s2d
+from .subdistance import s1d, s2d
 from .support import SimplexVertex, _cso_support_xy, initial_direction
 
 # Squared proximity under which a new support point counts as a repeat.
@@ -84,19 +83,12 @@ class CollisionResult:
     exit: CollisionExit
 
 
-def touching_or_overlapping(result: "DistanceResult", band: float = 1e-9) -> bool:
-    """Convenience classifier over a distance result.
-
-    The distance query reports a scalar; anything within ``band`` of zero
-    is indistinguishable from contact at query precision.
-    """
-    return result.distance <= band
-
-
-def witness_points(simplex: Simplex) -> Tuple[Vec2, Vec2]:
+def witness_points(
+    verts: Sequence[SimplexVertex], lambdas: Sequence[float]
+) -> Tuple[Vec2, Vec2]:
     """Witness pair (sum lambda_i * p_i, sum lambda_i * q_i) of a solved simplex."""
     px = py = qx = qy = 0.0
-    for sv, lam in zip(simplex.verts, simplex.lambdas):
+    for sv, lam in zip(verts, lambdas):
         px += lam * sv.p.x
         py += lam * sv.p.y
         qx += lam * sv.q.x
@@ -114,6 +106,94 @@ def _is_duplicate(verts: List[SimplexVertex], w: SimplexVertex) -> bool:
         if dx * dx + dy * dy < _DUPLICATE_EPS_SQ:
             return True
     return False
+
+
+def _gjk(
+    p_poly: ConvexPolygon,
+    q_poly: ConvexPolygon,
+    options: QueryOptions,
+    binary: bool,
+    norm_trace: Optional[List[float]],
+) -> tuple:
+    """The loop behind ``distance`` and ``intersects``.
+
+    Returns ``(exit, iterations, support_calls, verts, lambdas, vx, vy)``:
+    the final simplex, its barycentric coordinates and closest point v.
+    ``binary`` only adds the SeparatingHyperplane and VerticalAngleEnclosure
+    exits; every other exit is a ``Termination``.
+    """
+    eps = options.epsilon
+    eps_sq = eps * eps
+    hcs = options.use_hill_climbing
+    # Layers are looked up per call, not bound at import, so they can be rebound.
+    support = _cso_support_xy
+    solve_segment = s1d
+    solve_triangle = s2d
+
+    d0 = initial_direction(p_poly, q_poly)
+    first = support(p_poly, q_poly, -d0.x, -d0.y, None)
+    support_calls = 1
+    warm = (first.ip, first.iq) if hcs else None
+    verts = [first]
+    lambdas = [1.0]
+    vx, vy = first.w
+    v_sq = vx * vx + vy * vy
+    if norm_trace is not None:
+        norm_trace.append(math.sqrt(v_sq))
+
+    k = 0
+    while k < options.max_iterations:
+        k += 1
+        w = support(p_poly, q_poly, -vx, -vy, warm)
+        support_calls += 1
+        if hcs:
+            warm = (w.ip, w.iq)
+        wx, wy = w.w
+        v_dot_w = vx * wx + vy * wy
+        if binary:
+            if v_dot_w > 0.0:
+                # A hyperplane through the origin perpendicular to v separates
+                # the origin from the whole Minkowski difference.
+                exit = CollisionExit.SEPARATING_HYPERPLANE
+                break
+            if len(verts) == 2:
+                a = verts[0].w
+                b = verts[1].w
+                if (a.x * wy - a.y * wx) * (b.x * wy - b.y * wx) <= 0.0:
+                    # w lies in the vertical angle opposite cone(a, b), so
+                    # triangle (a, b, w) encloses the origin.
+                    exit = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
+                    break
+        if v_sq - v_dot_w <= eps_sq * v_sq or _is_duplicate(verts, w):
+            exit = Termination.CONVERGED
+            break
+        if len(verts) == 1:
+            verts, lambdas, (vx, vy) = solve_segment(w, verts[0])
+        else:
+            verts, lambdas, (vx, vy) = solve_triangle(w, verts[0], verts[1])
+        v_sq = vx * vx + vy * vy
+        if norm_trace is not None:
+            norm_trace.append(math.sqrt(v_sq))
+        if v_sq <= eps_sq:
+            exit = Termination.CONTAINS_ORIGIN
+            break
+        if len(verts) == 3:
+            exit = Termination.SIMPLEX_FULL
+            break
+    else:
+        exit = Termination.MAX_ITERATIONS
+    return exit, k, support_calls, verts, lambdas, vx, vy
+
+
+# Binary-query exit and verdict for each loop exit; None: |v| < epsilon decides.
+_COLLISION = {
+    Termination.CONVERGED: (CollisionExit.CONVERGED, None),
+    Termination.MAX_ITERATIONS: (CollisionExit.MAX_ITERATIONS, None),
+    Termination.CONTAINS_ORIGIN: (CollisionExit.SUBDISTANCE_ENCLOSURE, True),
+    Termination.SIMPLEX_FULL: (CollisionExit.SUBDISTANCE_ENCLOSURE, True),
+    CollisionExit.SEPARATING_HYPERPLANE: (CollisionExit.SEPARATING_HYPERPLANE, False),
+    CollisionExit.VERTICAL_ANGLE_ENCLOSURE: (CollisionExit.VERTICAL_ANGLE_ENCLOSURE, True),
+}
 
 
 def distance(
@@ -134,63 +214,14 @@ def distance(
     support evaluations. ``norm_trace``, when given, receives the
     closest-point norm after every solve.
     """
-    eps = options.epsilon
-    eps_sq = eps * eps
-    hcs = options.use_hill_climbing
-    support = _cso_support_xy
-    solve_segment = s1d
-    solve_triangle = s2d
-
-    d0 = initial_direction(p_poly, q_poly)
-    first = support(p_poly, q_poly, -d0.x, -d0.y, None)
-    support_calls = 1
-    warm = (first.ip, first.iq) if hcs else None
-    verts = [first]
-    lambdas = [1.0]
-    vx, vy = first.w
-    if norm_trace is not None:
-        norm_trace.append(math.sqrt(vx * vx + vy * vy))
-
-    k = 0
-    termination = Termination.MAX_ITERATIONS
-    while k < options.max_iterations:
-        k += 1
-        w = support(p_poly, q_poly, -vx, -vy, warm)
-        support_calls += 1
-        if hcs:
-            warm = (w.ip, w.iq)
-        v_sq = vx * vx + vy * vy
-        v_dot_w = vx * w.w.x + vy * w.w.y
-        if v_sq - v_dot_w <= eps_sq * v_sq:
-            termination = Termination.CONVERGED
-            break
-        if _is_duplicate(verts, w):
-            termination = Termination.CONVERGED
-            break
-        if len(verts) == 1:
-            res = solve_segment(w, verts[0])
-        else:
-            res = solve_triangle(w, verts[0], verts[1])
-        verts = res.simplex.verts
-        lambdas = res.simplex.lambdas
-        vx, vy = res.v
-        if norm_trace is not None:
-            norm_trace.append(math.sqrt(vx * vx + vy * vy))
-        if vx * vx + vy * vy <= eps_sq:
-            termination = Termination.CONTAINS_ORIGIN
-            break
-        if len(verts) == 3:
-            termination = Termination.SIMPLEX_FULL
-            break
-
+    termination, k, support_calls, verts, lambdas, vx, vy = _gjk(
+        p_poly, q_poly, options, False, norm_trace
+    )
     if termination in (Termination.CONTAINS_ORIGIN, Termination.SIMPLEX_FULL):
-        dist = 0.0
-        sep = Vec2(0.0, 0.0)
-    else:
-        dist = math.sqrt(vx * vx + vy * vy)
-        sep = Vec2(vx, vy)
-    wp, wq = witness_points(Simplex(verts, lambdas))
-    return DistanceResult(dist, wp, wq, sep, k, support_calls, termination)
+        vx = vy = 0.0
+    wp, wq = witness_points(verts, lambdas)
+    dist = math.sqrt(vx * vx + vy * vy)
+    return DistanceResult(dist, wp, wq, Vec2(vx, vy), k, support_calls, termination)
 
 
 def intersects(
@@ -198,67 +229,14 @@ def intersects(
     q_poly: ConvexPolygon,
     options: QueryOptions = DEFAULT_OPTIONS,
 ) -> CollisionResult:
-    """Binary collision test; same loop as ``distance`` plus two early exits.
+    """Binary collision test: the ``distance`` loop plus two early exits.
 
-    Never performs more support evaluations than ``distance`` on the same
-    input and options: the loops visit identical states and every binary
-    exit fires no later than the corresponding distance exit.
+    All other exits are shared with ``distance``, so this never performs
+    more support evaluations than ``distance`` on the same input and options.
     """
-    eps = options.epsilon
-    eps_sq = eps * eps
-    hcs = options.use_hill_climbing
-    support = _cso_support_xy
-    solve_segment = s1d
-    solve_triangle = s2d
-
-    d0 = initial_direction(p_poly, q_poly)
-    first = support(p_poly, q_poly, -d0.x, -d0.y, None)
-    support_calls = 1
-    warm = (first.ip, first.iq) if hcs else None
-    verts = [first]
-    vx, vy = first.w
-
-    k = 0
-    while k < options.max_iterations:
-        k += 1
-        w = support(p_poly, q_poly, -vx, -vy, warm)
-        support_calls += 1
-        if hcs:
-            warm = (w.ip, w.iq)
-        wx, wy = w.w
-        if vx * wx + vy * wy > 0.0:
-            # A hyperplane through the origin perpendicular to v separates
-            # the origin from the whole Minkowski difference.
-            return CollisionResult(
-                False, k, support_calls, CollisionExit.SEPARATING_HYPERPLANE
-            )
-        if len(verts) == 2:
-            a = verts[0].w
-            b = verts[1].w
-            if (a.x * wy - a.y * wx) * (b.x * wy - b.y * wx) <= 0.0:
-                # w lies in the vertical angle opposite cone(a, b), so
-                # triangle (a, b, w) encloses the origin.
-                return CollisionResult(
-                    True, k, support_calls, CollisionExit.VERTICAL_ANGLE_ENCLOSURE
-                )
-        if _is_duplicate(verts, w):
-            return CollisionResult(
-                vx * vx + vy * vy < eps_sq, k, support_calls, CollisionExit.CONVERGED
-            )
-        if len(verts) == 1:
-            res = solve_segment(w, verts[0])
-        else:
-            res = solve_triangle(w, verts[0], verts[1])
-        verts = res.simplex.verts
-        vx, vy = res.v
-        if vx * vx + vy * vy <= eps_sq:
-            return CollisionResult(
-                True, k, support_calls, CollisionExit.SUBDISTANCE_ENCLOSURE
-            )
-        if len(verts) == 3:
-            return CollisionResult(
-                True, k, support_calls, CollisionExit.SUBDISTANCE_ENCLOSURE
-            )
-    return CollisionResult(
-        vx * vx + vy * vy < eps_sq, k, support_calls, CollisionExit.MAX_ITERATIONS
-    )
+    exit, k, support_calls, _, _, vx, vy = _gjk(p_poly, q_poly, options, True, None)
+    exit, colliding = _COLLISION[exit]
+    if colliding is None:
+        eps = options.epsilon
+        colliding = vx * vx + vy * vy < eps * eps
+    return CollisionResult(colliding, k, support_calls, exit)

@@ -13,7 +13,6 @@ encloses the origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .geometry import Vec2
@@ -25,16 +24,11 @@ _COINCIDENT_EPS_SQ = 1e-24
 _DEGENERATE_REL = 1e-12
 
 
-@dataclass
-class Simplex:
-    """1 to 3 Minkowski-difference vertices with barycentric coordinates."""
+class SubdistanceResult(NamedTuple):
+    """Supporting sub-simplex, its barycentric coordinates, closest point v."""
 
     verts: List[SimplexVertex]
     lambdas: List[float]
-
-
-class SubdistanceResult(NamedTuple):
-    simplex: Simplex
     v: Vec2
 
 
@@ -55,19 +49,17 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> SubdistanceResult:
     bx, by = b.w
     ux = bx - ax
     uy = by - ay
-    if ux * ux + uy * uy < _COINCIDENT_EPS_SQ:
-        return SubdistanceResult(Simplex([a], [1.0]), a.w)
     oa_ab = ax * ux + ay * uy
-    if oa_ab >= 0.0:
-        return SubdistanceResult(Simplex([a], [1.0]), a.w)
+    if ux * ux + uy * uy < _COINCIDENT_EPS_SQ or oa_ab >= 0.0:
+        return SubdistanceResult([a], [1.0], a.w)
     ob_ab = bx * ux + by * uy
     if ob_ab <= 0.0:
-        return SubdistanceResult(Simplex([b], [1.0]), b.w)
+        return SubdistanceResult([b], [1.0], b.w)
     total = oa_ab - ob_ab  # equals -|AB|^2, strictly negative here
     lam_u = -ob_ab / total
     lam_v = oa_ab / total
     v = Vec2(lam_u * ax + lam_v * bx, lam_u * ay + lam_v * by)
-    return SubdistanceResult(Simplex([a, b], [lam_u, lam_v]), v)
+    return SubdistanceResult([a, b], [lam_u, lam_v], v)
 
 
 def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, float, float]:
@@ -79,15 +71,16 @@ def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, floa
     Bit 2/1/0 of the code is set iff sigma_u/sigma_v/sigma_w has the same
     strict positivity as ``total``, which encodes the sign of the
     origin's barycentric coordinate tied to vertex a/b/c. Raises
-    ``DegenerateTriangle`` when ``total`` is negligible relative to the
-    largest sub-area, i.e. the points are collinear.
+    ``DegenerateTriangle`` when ``|total|`` is at most a fixed fraction of
+    the largest sub-area, i.e. the points are collinear. The threshold has
+    no absolute floor, so the test reads the same at every scale.
     """
     su = b.x * c.y - b.y * c.x
     sv = c.x * a.y - c.y * a.x
     sw = a.x * b.y - a.y * b.x
     total = su + sv + sw
-    scale = max(abs(su), abs(sv), abs(sw), 1.0)
-    if abs(total) < _DEGENERATE_REL * scale:
+    scale = max(abs(su), abs(sv), abs(sw))
+    if abs(total) <= _DEGENERATE_REL * scale:
         raise DegenerateTriangle(
             f"collinear simplex points (area sum {total!r} below threshold)"
         )
@@ -119,12 +112,12 @@ def cone_region(tau: Sequence[SimplexVertex], v_index: int) -> SubdistanceResult
     nvx = vx - n.w.x
     nvy = vy - n.w.y
     if mvx * nvx + mvy * nvy >= 0.0:
-        return SubdistanceResult(Simplex([v], [1.0]), v.w)
+        return SubdistanceResult([v], [1.0], v.w)
     if vx * mvx + vy * mvy > 0.0:
         return s1d(v, m)
     if vx * nvx + vy * nvy > 0.0:
         return s1d(v, n)
-    return SubdistanceResult(Simplex([v], [1.0]), v.w)
+    return SubdistanceResult([v], [1.0], v.w)
 
 
 def _best_edge(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResult:
@@ -164,7 +157,7 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
             lam_u * a.w.x + lam_v * b.w.x + lam_w * c.w.x,
             lam_u * a.w.y + lam_v * b.w.y + lam_w * c.w.y,
         )
-        return SubdistanceResult(Simplex([a, b, c], [lam_u, lam_v, lam_w]), v)
+        return SubdistanceResult([a, b, c], [lam_u, lam_v, lam_w], v)
     if code == 6:
         return s1d(a, b)
     if code == 5:
@@ -176,19 +169,6 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
     if code == 2:
         return cone_region((a, b, c), 1)
     return cone_region((a, b, c), 2)  # code 1
-
-
-def subdistance(tau: Simplex) -> SubdistanceResult:
-    """Dispatch on simplex cardinality: 3 -> s2d, 2 -> s1d, 1 -> identity."""
-    verts = tau.verts
-    count = len(verts)
-    if count == 3:
-        return s2d(verts[0], verts[1], verts[2])
-    if count == 2:
-        return s1d(verts[0], verts[1])
-    if count == 1:
-        return SubdistanceResult(Simplex([verts[0]], [1.0]), verts[0].w)
-    raise ValueError(f"simplex must hold 1 to 3 vertices, got {count}")
 
 
 def point_in_triangle(point: Vec2, a: Vec2, b: Vec2, c: Vec2) -> bool:

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gjk2d.geometry import (
+    ConvexPolygon,
     FewerThanThreeVertices,
     NonFiniteCoordinate,
     NotCounterClockwise,
@@ -18,7 +19,6 @@ from gjk2d.geometry import (
     dot,
     polygon_from_jsonable,
     polygon_to_jsonable,
-    validate_polygon,
 )
 
 UNIT_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
@@ -59,38 +59,38 @@ class TestVectorOps:
 
 class TestValidatePolygon:
     def test_accepts_ccw_triangle(self):
-        poly = validate_polygon(UNIT_TRIANGLE)
+        poly = ConvexPolygon(UNIT_TRIANGLE)
         assert len(poly) == 3
         assert poly.signed_area == pytest.approx(0.5)
 
     def test_rejects_reversed_orientation(self):
         with pytest.raises(NotCounterClockwise):
-            validate_polygon([(0, 0), (0, 1), (1, 0)])
+            ConvexPolygon([(0, 0), (0, 1), (1, 0)])
 
     def test_rejects_collinear_triple_with_index(self):
         with pytest.raises(NotStrictlyConvex) as exc:
-            validate_polygon([(0, 0), (1, 0), (2, 0), (0, 1)])
+            ConvexPolygon([(0, 0), (1, 0), (2, 0), (0, 1)])
         assert exc.value.index == 1
 
     def test_rejects_too_few_vertices(self):
         with pytest.raises(FewerThanThreeVertices):
-            validate_polygon([(0, 0), (1, 0)])
+            ConvexPolygon([(0, 0), (1, 0)])
 
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteCoordinate) as exc:
-            validate_polygon([(0, 0), (1, 0), (float("nan"), 1)])
+            ConvexPolygon([(0, 0), (1, 0), (float("nan"), 1)])
         assert exc.value.index == 2
 
     def test_rejects_reflex_vertex(self):
         with pytest.raises(NotStrictlyConvex):
-            validate_polygon([(0, 0), (2, 0), (1, 0.1), (2, 2), (0, 2)])
+            ConvexPolygon([(0, 0), (2, 0), (1, 0.1), (2, 2), (0, 2)])
 
     def test_rejects_duplicate_vertex(self):
         with pytest.raises(NotStrictlyConvex):
-            validate_polygon([(0, 0), (1, 0), (1, 0), (0, 1)])
+            ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
     def test_all_consecutive_crosses_positive(self):
-        poly = validate_polygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE)
         verts = poly.vertices
         n = len(verts)
         for i in range(n):
@@ -98,18 +98,18 @@ class TestValidatePolygon:
             assert cross(b - a, c - b) > 0.0
 
     def test_centroid_is_vertex_mean(self):
-        poly = validate_polygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE)
         assert poly.centroid == Vec2(0.5, 0.5)
 
 
 class TestTransforms:
     def test_identity_keeps_polygon(self):
-        poly = validate_polygon(UNIT_TRIANGLE)
+        poly = ConvexPolygon(UNIT_TRIANGLE)
         moved = apply_transform(Transform2(0.0, Vec2(0.0, 0.0)), poly)
         assert moved == poly
 
     def test_quarter_turn_about_origin(self):
-        poly = validate_polygon([(1, 0), (2, 0), (1, 1)])
+        poly = ConvexPolygon([(1, 0), (2, 0), (1, 1)])
         moved = apply_transform(Transform2(math.pi / 2), poly)
         expected = [(0, 1), (0, 2), (-1, 1)]
         for got, want in zip(moved.vertices, expected):
@@ -117,7 +117,7 @@ class TestTransforms:
             assert got.y == pytest.approx(want[1], abs=1e-12)
 
     def test_translation_shifts_vertices(self):
-        poly = validate_polygon(UNIT_TRIANGLE)
+        poly = ConvexPolygon(UNIT_TRIANGLE)
         moved = apply_transform(Transform2(0.0, Vec2(5.0, 0.0)), poly)
         for got, base in zip(moved.vertices, poly.vertices):
             assert got == Vec2(base.x + 5.0, base.y)
@@ -128,7 +128,7 @@ class TestTransforms:
 
     def test_preserves_signed_area(self):
         rng = random.Random(2024)
-        poly = validate_polygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE)
         for _ in range(200):
             t = Transform2(
                 rng.uniform(-10, 10), Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
@@ -138,7 +138,7 @@ class TestTransforms:
 
     def test_preserves_pairwise_distances(self):
         rng = random.Random(7)
-        poly = validate_polygon([(0, 0), (3, 1), (2, 4), (-1, 2)])
+        poly = ConvexPolygon([(0, 0), (3, 1), (2, 4), (-1, 2)])
         for _ in range(50):
             t = Transform2(rng.uniform(-7, 7), Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)))
             moved = apply_transform(t, poly)
@@ -150,12 +150,12 @@ class TestTransforms:
 
 class TestContainsPoint:
     def test_inside_and_outside(self):
-        poly = validate_polygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE)
         assert contains_point(poly, Vec2(0.5, 0.5))
         assert not contains_point(poly, Vec2(1.5, 0.5))
 
     def test_boundary_with_slack(self):
-        poly = validate_polygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE)
         just_outside = Vec2(1.0 + 1e-10, 0.5)
         assert not contains_point(poly, just_outside)
         assert contains_point(poly, just_outside, tolerance=1e-9)
@@ -164,7 +164,7 @@ class TestContainsPoint:
 
 class TestJsonShape:
     def test_round_trip(self):
-        poly = validate_polygon([(0.1, 0.2), (3.7, -0.4), (1.5, 2.25)])
+        poly = ConvexPolygon([(0.1, 0.2), (3.7, -0.4), (1.5, 2.25)])
         assert polygon_from_jsonable(polygon_to_jsonable(poly)) == poly
 
     def test_rejects_malformed_object(self):

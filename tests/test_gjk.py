@@ -1,9 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjk2d.baseline import oracle_distance, sat_intersects
-from gjk2d.datasets import random_convex_polygon
+from gjk2d.datasets import (
+    DatasetSpec,
+    Regime,
+    derive_case_seed,
+    make_pair,
+    random_convex_polygon,
+)
 from gjk2d.geometry import (
     ConvexPolygon,
     Transform2,
@@ -19,20 +27,23 @@ from gjk2d.gjk import (
     intersects,
     witness_points,
 )
-from gjk2d.subdistance import Simplex
 from gjk2d.support import SimplexVertex
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
 
 
-def random_pair(rng, n=None, span=3.0):
+def random_pair(rng, n=None, span=3.0, m=None):
     n = n or rng.choice([3, 4, 8, 12, 16, 20, 24])
     a = random_convex_polygon(n, rng)
-    b = random_convex_polygon(n, rng)
+    b = random_convex_polygon(m or n, rng)
     ta = Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-span, span), rng.uniform(-span, span)))
     tb = Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-span, span), rng.uniform(-span, span)))
     return apply_transform(ta, a), apply_transform(tb, b)
+
+
+def scaled(poly, factor):
+    return ConvexPolygon((x * factor, y * factor) for x, y in poly.vertices)
 
 
 class TestQueryOptions:
@@ -174,28 +185,75 @@ class TestIntersects:
                     <= distance(p, q, opts).support_calls
                 )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 256),
+        st.integers(3, 256),
+        st.sampled_from(["random", "identical", "translated"]),
+        st.booleans(),
+    )
+    def test_hypothesis_support_bound_and_sat_agreement(
+        self, seed, n, m, kind, hill_climbing
+    ):
+        rng = random.Random(seed)
+        p, q = random_pair(rng, n, span=1.5, m=m)
+        if kind == "identical":
+            q = p
+        elif kind == "translated":
+            dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            q = ConvexPolygon((x + dx, y + dy) for x, y in p.vertices)
+        opts = QueryOptions(use_hill_climbing=hill_climbing)
+        res = intersects(p, q, opts)
+        assert res.support_calls <= distance(p, q, opts).support_calls
+        oracle = oracle_distance(p, q).distance
+        if oracle == 0.0 or oracle > 1e-9:
+            assert res.colliding == sat_intersects(p, q)
+
+
+class TestScale:
+    @pytest.fixture(scope="class")
+    def eight_gon_cases(self):
+        spec = DatasetSpec(vertex_count=8, cases_per_regime=200, seed=5)
+        return [
+            make_pair(spec, regime, derive_case_seed(5, 8, regime, i))
+            for regime in Regime
+            for i in range(200)
+        ]
+
+    @pytest.mark.parametrize("factor", [1e-9, 1e-6])
+    def test_small_scales_converge_to_the_oracle(self, eight_gon_cases, factor):
+        # the answer scales with the input: relative error measured against
+        # the polygons' size, which is about `factor`
+        worst = 0.0
+        for case in eight_gon_cases:
+            p, q = scaled(case.p, factor), scaled(case.q, factor)
+            res = distance(p, q)
+            assert res.termination is not Termination.MAX_ITERATIONS
+            worst = max(worst, abs(res.distance - oracle_distance(p, q).distance))
+        assert worst <= 1e-7 * factor
+
 
 class TestTouchingClassifier:
     def test_band_classification(self):
-        from gjk2d.gjk import touching_or_overlapping
-
-        assert touching_or_overlapping(distance(UNIT_SQUARE, UNIT_SQUARE))
-        assert not touching_or_overlapping(distance(UNIT_SQUARE, FAR_SQUARE))
+        # contact reads as a distance within 1e-9 of zero
+        assert distance(UNIT_SQUARE, UNIT_SQUARE).distance <= 1e-9
+        assert distance(UNIT_SQUARE, FAR_SQUARE).distance > 1e-9
         touching = ConvexPolygon([(1, 0), (2, 0), (2, 1), (1, 1)])
-        assert touching_or_overlapping(distance(UNIT_SQUARE, touching))
+        assert distance(UNIT_SQUARE, touching).distance <= 1e-9
 
 
 class TestWitnessPoints:
     def test_single_vertex(self):
         sv = SimplexVertex(Vec2(1, 2), Vec2(4, 5), Vec2(3, 3), 0, 0)
-        wp, wq = witness_points(Simplex([sv], [1.0]))
+        wp, wq = witness_points([sv], [1.0])
         assert wp == Vec2(4, 5)
         assert wq == Vec2(3, 3)
 
     def test_symmetric_combination(self):
         a = SimplexVertex(Vec2(0, 0), Vec2(0, 0), Vec2(0, 0), 0, 0)
         b = SimplexVertex(Vec2(2, 2), Vec2(4, 0), Vec2(2, -2), 1, 1)
-        wp, wq = witness_points(Simplex([a, b], [0.5, 0.5]))
+        wp, wq = witness_points([a, b], [0.5, 0.5])
         assert wp == Vec2(2, 0)
         assert wq == Vec2(1, -1)
 

@@ -5,12 +5,10 @@ import pytest
 from gjk2d.geometry import Vec2
 from gjk2d.subdistance import (
     DegenerateTriangle,
-    Simplex,
     compute_barycode,
     cone_region,
     s1d,
     s2d,
-    subdistance,
 )
 from gjk2d.support import SimplexVertex
 
@@ -32,11 +30,11 @@ def random_sv(rng, lo=-10.0, hi=10.0):
 
 
 def check_lambdas(result):
-    lams = result.simplex.lambdas
+    lams = result.lambdas
     assert all(l >= 0.0 for l in lams)
     assert sum(lams) == pytest.approx(1.0, abs=1e-12)
-    rx = sum(l * v.w.x for l, v in zip(lams, result.simplex.verts))
-    ry = sum(l * v.w.y for l, v in zip(lams, result.simplex.verts))
+    rx = sum(l * v.w.x for l, v in zip(lams, result.verts))
+    ry = sum(l * v.w.y for l, v in zip(lams, result.verts))
     assert rx == pytest.approx(result.v.x, abs=1e-12)
     assert ry == pytest.approx(result.v.y, abs=1e-12)
 
@@ -44,21 +42,21 @@ def check_lambdas(result):
 class TestS1d:
     def test_perpendicular_foot_inside_segment(self):
         res = s1d(sv(1, -1), sv(1, 1))
-        assert len(res.simplex.verts) == 2
-        assert res.simplex.lambdas == pytest.approx([0.5, 0.5])
+        assert len(res.verts) == 2
+        assert res.lambdas == pytest.approx([0.5, 0.5])
         assert res.v == Vec2(1.0, 0.0)
         check_lambdas(res)
 
     def test_origin_in_first_vertex_region(self):
         res = s1d(sv(1, 1), sv(2, 2))
-        assert len(res.simplex.verts) == 1
-        assert res.simplex.lambdas == [1.0]
+        assert len(res.verts) == 1
+        assert res.lambdas == [1.0]
         assert res.v == Vec2(1.0, 1.0)
 
     def test_origin_in_second_vertex_region(self):
         res = s1d(sv(2, 2), sv(1, 1))
         assert res.v == Vec2(1.0, 1.0)
-        assert len(res.simplex.verts) == 1
+        assert len(res.verts) == 1
 
     def test_interior_foot_against_segment_oracle(self):
         # derived: grid + refinement oracle gives distance 4 at (0, 4)
@@ -66,12 +64,12 @@ class TestS1d:
         res = s1d(sv(-3, 4), sv(2, 4))
         assert res.v.x == pytest.approx(0.0, abs=1e-12)
         assert res.v.y == pytest.approx(4.0)
-        assert res.simplex.lambdas == pytest.approx([0.4, 0.6])
+        assert res.lambdas == pytest.approx([0.4, 0.6])
         check_lambdas(res)
 
     def test_coincident_endpoints_return_vertex(self):
         res = s1d(sv(1, 1), sv(1, 1))
-        assert len(res.simplex.verts) == 1
+        assert len(res.verts) == 1
         assert res.v == Vec2(1.0, 1.0)
 
     def test_random_segments_match_oracle(self):
@@ -139,7 +137,7 @@ class TestConeRegion:
     def test_right_angle_keeps_vertex(self):
         res = cone_region(self.tau((1, 0), (2, 1), (2, -1)), 0)
         assert res.v == Vec2(1.0, 0.0)
-        assert len(res.simplex.verts) == 1
+        assert len(res.verts) == 1
 
     def test_obtuse_angle_resolves_through_edge(self):
         # derived: triangle oracle puts the minimum on edge VM at V itself
@@ -152,30 +150,30 @@ class TestConeRegion:
         assert triangle_distance_to_origin((0, 2), (-4, 2.1), (4, 2.1)) == pytest.approx(2.0)
         res = cone_region(self.tau((0, 2), (-4, 2.1), (4, 2.1)), 0)
         assert res.v == Vec2(0.0, 2.0)
-        assert len(res.simplex.verts) == 1
+        assert len(res.verts) == 1
 
 
 class TestS2d:
     def test_enclosing_triangle_returns_origin(self):
         res = s2d(sv(1, 0), sv(-1, 1), sv(-1, -1))
-        assert len(res.simplex.verts) == 3
+        assert len(res.verts) == 3
         assert res.v.norm() == pytest.approx(0.0, abs=1e-15)
         # barycentric coordinates of the origin: sub-areas 2, 1, 1 over 4
-        assert res.simplex.lambdas == pytest.approx([0.5, 0.25, 0.25])
+        assert res.lambdas == pytest.approx([0.5, 0.25, 0.25])
         check_lambdas(res)
 
     def test_vertex_region(self):
         assert triangle_distance_to_origin((1, 0), (2, 1), (2, -1)) == pytest.approx(1.0)
         res = s2d(sv(1, 0), sv(2, 1), sv(2, -1))
         assert res.v == Vec2(1.0, 0.0)
-        assert [v.w for v in res.simplex.verts] == [Vec2(1.0, 0.0)]
+        assert [v.w for v in res.verts] == [Vec2(1.0, 0.0)]
 
     def test_edge_region(self):
         assert triangle_distance_to_origin((1, 1), (1, -1), (3, 0)) == pytest.approx(1.0)
         res = s2d(sv(1, 1), sv(1, -1), sv(3, 0))
         assert res.v == Vec2(1.0, 0.0)
-        assert len(res.simplex.verts) == 2
-        assert res.simplex.lambdas == pytest.approx([0.5, 0.5])
+        assert len(res.verts) == 2
+        assert res.lambdas == pytest.approx([0.5, 0.5])
 
     def test_collinear_points_fall_back_to_best_edge(self):
         res = s2d(sv(0, 1), sv(2, 1), sv(4, 1))
@@ -212,7 +210,7 @@ class TestS2d:
         while checked < 2000:
             a, b, c = (random_sv(rng) for _ in range(3))
             res = s2d(a, b, c)
-            kept = res.simplex.verts
+            kept = res.verts
             if len(kept) == 1:
                 continue  # nothing to drop against
             full = res.v.norm()
@@ -251,24 +249,3 @@ class TestPointInTriangle:
             expected = origin_inside_triangle(*shifted, strict=True)
             got = point_in_triangle(Vec2(*p), *(Vec2(*v) for v in tri))
             assert got == expected
-
-
-class TestSubdistanceDispatch:
-    def test_single_vertex_identity(self):
-        res = subdistance(Simplex([sv(3, 4)], [1.0]))
-        assert res.v == Vec2(3.0, 4.0)
-        assert res.simplex.lambdas == [1.0]
-
-    def test_two_vertices_use_segment_routine(self):
-        direct = s1d(sv(1, -1), sv(1, 1))
-        via = subdistance(Simplex([sv(1, -1), sv(1, 1)], [0.5, 0.5]))
-        assert via.v == direct.v
-
-    def test_three_vertices_use_triangle_routine(self):
-        direct = s2d(sv(1, 0), sv(-1, 1), sv(-1, -1))
-        via = subdistance(Simplex([sv(1, 0), sv(-1, 1), sv(-1, -1)], [1, 0, 0]))
-        assert via.v == direct.v
-
-    def test_rejects_bad_cardinality(self):
-        with pytest.raises(ValueError):
-            subdistance(Simplex([], []))
