@@ -53,7 +53,6 @@ from .gjk import (
     CollisionExit,
     CollisionResult,
     DistanceResult,
-    QueryOptions,
     Termination,
     distance,
     intersects,
@@ -64,7 +63,6 @@ from .subdistance import (
     SubdistanceResult,
     compute_barycode,
     cone_region,
-    point_in_triangle,
     s1d,
     s2d,
 )

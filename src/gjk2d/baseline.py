@@ -185,19 +185,18 @@ def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleRepor
     return OracleReport(math.sqrt(best_sq), feature)
 
 
-def cso_contains_origin(
-    p_poly: ConvexPolygon, q_poly: ConvexPolygon, strict: bool = False
-) -> bool:
-    """Origin-in-Minkowski-difference test via the explicit difference polygon.
+def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
+    """Origin strictly inside the Minkowski difference (boundary excluded).
 
     Half-plane-tests the origin against every edge of P - Q, built in
-    O(n + m). ``strict`` excludes the boundary.
+    O(n + m). Closed containment, boundary included, is
+    ``oracle_distance(...).closest_feature is ClosestFeature.OVERLAP``.
     """
     verts = _difference_polygon(p_poly, q_poly)
     ax, ay = verts[-1][0], verts[-1][1]
     for bx, by, _, _ in verts:
         side = ax * (by - ay) - ay * (bx - ax)
-        if side < 0.0 or (strict and side == 0.0):
+        if side <= 0.0:
             return False
         ax = bx
         ay = by

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .baseline import sat_intersects
 from .datasets import PairCase, Regime, group_by_regime
-from .gjk import QueryOptions, distance, intersects
+from .gjk import distance, intersects
 
 CSV_COLUMNS = (
     "algorithm",
@@ -60,19 +60,15 @@ class BenchRecord:
     mean_support_calls: float
 
 
-_PLAIN = QueryOptions(use_hill_climbing=False)
-_HCS = QueryOptions(use_hill_climbing=True)
-
-
 def _runner(algorithm: Algorithm):
     if algorithm is Algorithm.DISTANCE_GJK:
-        return lambda p, q: distance(p, q, _PLAIN)
+        return lambda p, q: distance(p, q, use_hill_climbing=False)
     if algorithm is Algorithm.DISTANCE_GJK_HCS:
-        return lambda p, q: distance(p, q, _HCS)
+        return lambda p, q: distance(p, q, use_hill_climbing=True)
     if algorithm is Algorithm.BINARY_GJK:
-        return lambda p, q: intersects(p, q, _PLAIN)
+        return lambda p, q: intersects(p, q, use_hill_climbing=False)
     if algorithm is Algorithm.BINARY_GJK_HCS:
-        return lambda p, q: intersects(p, q, _HCS)
+        return lambda p, q: intersects(p, q, use_hill_climbing=True)
     return sat_intersects
 
 

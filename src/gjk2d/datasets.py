@@ -237,7 +237,7 @@ def _build_overlap(n: int, rng: random.Random) -> Optional[PairCase]:
     # The generated polygon is centered on its vertex mean, so translating
     # by ``target`` drops Q's centroid inside P.
     q = apply_transform(Transform2(rng.uniform(0.0, TAU), target), base_q)
-    if sat_intersects(p, q) and cso_contains_origin(p, q, strict=True):
+    if sat_intersects(p, q) and cso_contains_origin(p, q):
         return PairCase(p, q, Regime.OVERLAP, 0)
     return None
 
@@ -283,9 +283,7 @@ def verify_regime(case: PairCase) -> bool:
         return oracle_distance(case.p, case.q).distance > DISTANT_MIN_GAP
     if case.regime is Regime.TOUCHING:
         return oracle_distance(case.p, case.q).distance <= TOUCHING_MAX_GAP
-    return sat_intersects(case.p, case.q) and cso_contains_origin(
-        case.p, case.q, strict=True
-    )
+    return sat_intersects(case.p, case.q) and cso_contains_origin(case.p, case.q)
 
 
 def generate_dataset(spec: DatasetSpec) -> List[PairCase]:

@@ -14,9 +14,8 @@ so the new triangle must enclose the origin).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import ConvexPolygon, Vec2
 from .subdistance import s1d, s2d
@@ -24,6 +23,11 @@ from .support import SimplexVertex, _cso_support_xy, initial_direction
 
 # Squared proximity under which a new support point counts as a repeat.
 _DUPLICATE_EPS_SQ = 1e-24
+# Relative tolerance of the support-progress test and absolute threshold
+# on the closest-point norm.
+_EPSILON = 1e-10
+# Iteration cap; a query that reaches it reports MaxIterations.
+_MAX_ITERATIONS = 64
 
 
 class Termination(Enum):
@@ -41,31 +45,7 @@ class CollisionExit(Enum):
     MAX_ITERATIONS = "MaxIterations"
 
 
-@dataclass(frozen=True)
-class QueryOptions:
-    """Shared loop parameters.
-
-    ``epsilon`` serves both roles it has in the loop: relative tolerance
-    in the support-progress termination test and absolute threshold on
-    the closest-point norm.
-    """
-
-    epsilon: float = 1e-10
-    max_iterations: int = 64
-    use_hill_climbing: bool = True
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-DEFAULT_OPTIONS = QueryOptions()
-
-
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     distance: float
     witness_p: Vec2
     witness_q: Vec2
@@ -75,8 +55,7 @@ class DistanceResult:
     termination: Termination
 
 
-@dataclass(frozen=True)
-class CollisionResult:
+class CollisionResult(NamedTuple):
     colliding: bool
     iterations: int
     support_calls: int
@@ -111,7 +90,7 @@ def _is_duplicate(verts: List[SimplexVertex], w: SimplexVertex) -> bool:
 def _gjk(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
-    options: QueryOptions,
+    hcs: bool,
     binary: bool,
     norm_trace: Optional[List[float]],
 ) -> tuple:
@@ -119,13 +98,13 @@ def _gjk(
 
     Returns ``(exit, iterations, support_calls, verts, lambdas, vx, vy)``:
     the final simplex, its barycentric coordinates and closest point v.
-    ``binary`` only adds the SeparatingHyperplane and VerticalAngleEnclosure
-    exits; every other exit is a ``Termination``.
+    ``hcs`` selects warm-started hill-climbing support. ``binary`` only
+    adds the SeparatingHyperplane and VerticalAngleEnclosure exits; every
+    other exit is a ``Termination``.
     """
-    eps = options.epsilon
-    eps_sq = eps * eps
-    hcs = options.use_hill_climbing
-    # Layers are looked up per call, not bound at import, so they can be rebound.
+    # Layers and constants are looked up per call, not bound at import, so
+    # they can be rebound.
+    eps_sq = _EPSILON * _EPSILON
     support = _cso_support_xy
     solve_segment = s1d
     solve_triangle = s2d
@@ -142,7 +121,7 @@ def _gjk(
         norm_trace.append(math.sqrt(v_sq))
 
     k = 0
-    while k < options.max_iterations:
+    while k < _MAX_ITERATIONS:
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, warm)
         support_calls += 1
@@ -199,7 +178,7 @@ _COLLISION = {
 def distance(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
-    options: QueryOptions = DEFAULT_OPTIONS,
+    use_hill_climbing: bool = True,
     norm_trace: Optional[List[float]] = None,
 ) -> DistanceResult:
     """Minimum distance between two convex polygons with witness points.
@@ -211,11 +190,13 @@ def distance(
     (MaxIterations, reporting the best known estimate). A repeated
     support point is treated as convergence; it cannot make progress and
     would otherwise cycle. ``support_calls`` counts Minkowski-difference
-    support evaluations. ``norm_trace``, when given, receives the
+    support evaluations. ``use_hill_climbing`` chooses warm-started
+    hill-climbing support over the brute-force vertex scan; both give the
+    same support values. ``norm_trace``, when given, receives the
     closest-point norm after every solve.
     """
     termination, k, support_calls, verts, lambdas, vx, vy = _gjk(
-        p_poly, q_poly, options, False, norm_trace
+        p_poly, q_poly, use_hill_climbing, False, norm_trace
     )
     if termination in (Termination.CONTAINS_ORIGIN, Termination.SIMPLEX_FULL):
         vx = vy = 0.0
@@ -227,16 +208,16 @@ def distance(
 def intersects(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
-    options: QueryOptions = DEFAULT_OPTIONS,
+    use_hill_climbing: bool = True,
 ) -> CollisionResult:
     """Binary collision test: the ``distance`` loop plus two early exits.
 
     All other exits are shared with ``distance``, so this never performs
-    more support evaluations than ``distance`` on the same input and options.
+    more support evaluations than ``distance`` on the same input and
+    ``use_hill_climbing`` setting.
     """
-    exit, k, support_calls, _, _, vx, vy = _gjk(p_poly, q_poly, options, True, None)
+    exit, k, support_calls, _, _, vx, vy = _gjk(p_poly, q_poly, use_hill_climbing, True, None)
     exit, colliding = _COLLISION[exit]
     if colliding is None:
-        eps = options.epsilon
-        colliding = vx * vx + vy * vy < eps * eps
+        colliding = vx * vx + vy * vy < _EPSILON * _EPSILON
     return CollisionResult(colliding, k, support_calls, exit)

@@ -170,17 +170,3 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
         return cone_region((a, b, c), 1)
     return cone_region((a, b, c), 2)  # code 1
 
-
-def point_in_triangle(point: Vec2, a: Vec2, b: Vec2, c: Vec2) -> bool:
-    """Strict-interior test derived from the region code (code 7).
-
-    Degenerate (collinear) triangles have no interior and return False.
-    """
-    sa = Vec2(a.x - point.x, a.y - point.y)
-    sb = Vec2(b.x - point.x, b.y - point.y)
-    sc = Vec2(c.x - point.x, c.y - point.y)
-    try:
-        code, *_ = compute_barycode(sa, sb, sc)
-    except DegenerateTriangle:
-        return False
-    return code == 7

@@ -2,8 +2,10 @@
 
 The benchmark calls these names on the ``gjk2d`` package and, in its
 traced run, rebinds the layers that ``gjk2d.gjk`` looks up as module
-globals at call time. Dropping or inlining one of them would silently
-turn the traced metrics into "missing patch points".
+globals at call time and the names that ``gjk2d.cli`` and
+``gjk2d.datasets`` call through their module globals. Dropping or
+inlining one of them would silently turn the traced metrics into
+"missing patch points".
 """
 
 import random
@@ -12,6 +14,8 @@ from collections import Counter
 import pytest
 
 import gjk2d
+import gjk2d.cli
+import gjk2d.datasets
 import gjk2d.gjk
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import Transform2, Vec2, apply_transform
@@ -29,10 +33,40 @@ BENCHMARK_NAMES = (
     "CollisionExit",
 )
 LOOP_LAYERS = ("_cso_support_xy", "initial_direction", "s1d", "s2d")
+PIPELINE_PATCH_POINTS = {
+    gjk2d.cli: (
+        "generate_dataset",
+        "write_dataset",
+        "read_dataset",
+        "verify_regime",
+        "oracle_distance",
+        "sat_intersects",
+        "distance",
+        "intersects",
+    ),
+    gjk2d.datasets: (
+        "make_pair",
+        "oracle_distance",
+        "sat_intersects",
+        "cso_contains_origin",
+        "distance",
+        "ConvexPolygon",
+        "polygon_from_jsonable",
+        "apply_transform",
+        "contains_point",
+        "polygon_to_jsonable",
+    ),
+}
 
 
 def test_benchmark_names_stay_exported():
     assert [name for name in BENCHMARK_NAMES if not hasattr(gjk2d, name)] == []
+
+
+@pytest.mark.parametrize("module", list(PIPELINE_PATCH_POINTS), ids=lambda m: m.__name__)
+def test_pipeline_patch_points_stay_module_globals(module):
+    names = PIPELINE_PATCH_POINTS[module]
+    assert [name for name in names if not callable(vars(module).get(name))] == []
 
 
 @pytest.mark.parametrize("query", [gjk2d.distance, gjk2d.intersects])

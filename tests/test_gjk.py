@@ -1,9 +1,11 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gjk2d.gjk
 from gjk2d.baseline import oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetSpec,
@@ -21,7 +23,6 @@ from gjk2d.geometry import (
 )
 from gjk2d.gjk import (
     CollisionExit,
-    QueryOptions,
     Termination,
     distance,
     intersects,
@@ -46,18 +47,12 @@ def scaled(poly, factor):
     return ConvexPolygon((x * factor, y * factor) for x, y in poly.vertices)
 
 
-class TestQueryOptions:
+class TestQueryConstants:
     def test_defaults(self):
-        opts = QueryOptions()
-        assert opts.epsilon == 1e-10
-        assert opts.max_iterations == 64
-        assert opts.use_hill_climbing
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            QueryOptions(epsilon=0.0)
-        with pytest.raises(ValueError):
-            QueryOptions(max_iterations=0)
+        assert gjk2d.gjk._EPSILON == 1e-10
+        assert gjk2d.gjk._MAX_ITERATIONS == 64
+        for query in (distance, intersects):
+            assert inspect.signature(query).parameters["use_hill_climbing"].default is True
 
 
 class TestDistance:
@@ -117,19 +112,27 @@ class TestDistance:
 
     def test_hill_climbing_agrees_with_brute(self):
         rng = random.Random(35)
-        plain = QueryOptions(use_hill_climbing=False)
-        hcs = QueryOptions(use_hill_climbing=True)
         for _ in range(500):
             p, q = random_pair(rng)
-            assert distance(p, q, plain).distance == pytest.approx(
-                distance(p, q, hcs).distance, abs=1e-9
+            assert distance(p, q, use_hill_climbing=False).distance == pytest.approx(
+                distance(p, q, use_hill_climbing=True).distance, abs=1e-9
             )
 
-    def test_max_iterations_reports_state(self):
-        res = distance(UNIT_SQUARE, FAR_SQUARE, QueryOptions(max_iterations=1))
+    def test_max_iterations_reports_state(self, monkeypatch):
+        rng = random.Random(36)
+        p, q = random_pair(rng)
+        while distance(p, q).iterations < 3:
+            p, q = random_pair(rng)
+        monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", 1)
+        res = distance(UNIT_SQUARE, FAR_SQUARE)
         assert res.iterations == 1
         assert res.termination in (Termination.MAX_ITERATIONS, Termination.CONVERGED)
         assert res.distance >= 0.0
+        # a pair that needs more iterations stops at the cap with its estimate
+        res = distance(p, q)
+        assert res.iterations == 1
+        assert res.termination is Termination.MAX_ITERATIONS
+        assert res.distance >= oracle_distance(p, q).distance
 
 
 class TestIntersects:
@@ -177,12 +180,12 @@ class TestIntersects:
 
     def test_never_more_support_calls_than_distance(self):
         rng = random.Random(43)
-        for opts in (QueryOptions(), QueryOptions(use_hill_climbing=False)):
+        for hcs in (True, False):
             for _ in range(1000):
                 p, q = random_pair(rng)
                 assert (
-                    intersects(p, q, opts).support_calls
-                    <= distance(p, q, opts).support_calls
+                    intersects(p, q, use_hill_climbing=hcs).support_calls
+                    <= distance(p, q, use_hill_climbing=hcs).support_calls
                 )
 
     @settings(max_examples=80, deadline=None)
@@ -203,9 +206,8 @@ class TestIntersects:
         elif kind == "translated":
             dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
             q = ConvexPolygon((x + dx, y + dy) for x, y in p.vertices)
-        opts = QueryOptions(use_hill_climbing=hill_climbing)
-        res = intersects(p, q, opts)
-        assert res.support_calls <= distance(p, q, opts).support_calls
+        res = intersects(p, q, use_hill_climbing=hill_climbing)
+        assert res.support_calls <= distance(p, q, use_hill_climbing=hill_climbing).support_calls
         oracle = oracle_distance(p, q).distance
         if oracle == 0.0 or oracle > 1e-9:
             assert res.colliding == sat_intersects(p, q)

@@ -90,6 +90,9 @@ class TestComputeBarycode:
         assert code == 7
         assert total == pytest.approx(su + sv_ + sw)
         assert origin_inside_triangle((1, 0), (-1, 1), (-1, -1), strict=True)
+        # triangle (0,0), (4,0), (0,4) seen from its interior point (1,1)
+        code, *_ = compute_barycode(Vec2(-1, -1), Vec2(3, -1), Vec2(-1, 3))
+        assert code == 7
 
     def test_vertex_cone_code(self):
         code, *_ = compute_barycode(Vec2(1, 0), Vec2(2, 1), Vec2(2, -1))
@@ -102,10 +105,19 @@ class TestComputeBarycode:
         assert code == 6
         u, v, w = barycentric_of_origin((1, 1), (1, -1), (3, 0))
         assert u > 0 and v > 0 and w < 0
+        # triangle (0,0), (4,0), (0,4) seen from (5,5), outside edge bc
+        code, *_ = compute_barycode(Vec2(-5, -5), Vec2(-1, -5), Vec2(-5, -1))
+        assert code == 3
+        # the same triangle seen from (2,0), on edge ab: not strictly inside
+        code, *_ = compute_barycode(Vec2(-2, 0), Vec2(2, 0), Vec2(-2, 4))
+        assert code == 6
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateTriangle):
             compute_barycode(Vec2(0, 1), Vec2(1, 1), Vec2(2, 1))
+        # triangle (0,0), (2,2), (4,4) seen from (1,1), on its line
+        with pytest.raises(DegenerateTriangle):
+            compute_barycode(Vec2(-1, -1), Vec2(1, 1), Vec2(3, 3))
 
     def test_code_matches_barycentric_signs(self):
         rng = random.Random(21)
@@ -118,6 +130,8 @@ class TestComputeBarycode:
                 code, *_ = compute_barycode(Vec2(*a), Vec2(*b), Vec2(*c))
             except DegenerateTriangle:
                 continue
+            # code 7 iff the origin is strictly inside, near boundaries too
+            assert (code == 7) == origin_inside_triangle(a, b, c, strict=True)
             coords = barycentric_of_origin(a, b, c)
             # the code computation already rejected degenerate triangles
             assert coords is not None
@@ -126,7 +140,6 @@ class TestComputeBarycode:
                 continue  # too close to a region boundary to compare signs
             assert 1 <= code <= 7
             assert code == ((u > 0) << 2 | (v > 0) << 1 | (w > 0))
-            assert (code == 7) == origin_inside_triangle(a, b, c, strict=True)
             done += 1
 
 
@@ -229,23 +242,18 @@ class TestS2d:
 
 
 class TestPointInTriangle:
-    def test_strict_interior(self):
-        from gjk2d.subdistance import point_in_triangle
-
-        a, b, c = Vec2(0, 0), Vec2(4, 0), Vec2(0, 4)
-        assert point_in_triangle(Vec2(1, 1), a, b, c)
-        assert not point_in_triangle(Vec2(5, 5), a, b, c)
-        assert not point_in_triangle(Vec2(2, 0), a, b, c)  # on an edge
-        assert not point_in_triangle(Vec2(1, 1), Vec2(0, 0), Vec2(2, 2), Vec2(4, 4))
+    """Code 7 of ``compute_barycode`` is the strict point-in-triangle test."""
 
     def test_matches_half_plane_oracle(self):
-        from gjk2d.subdistance import point_in_triangle
-
         rng = random.Random(61)
         for _ in range(2000):
             tri = [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
             p = (rng.uniform(-5, 5), rng.uniform(-5, 5))
             shifted = [(x - p[0], y - p[1]) for x, y in tri]
             expected = origin_inside_triangle(*shifted, strict=True)
-            got = point_in_triangle(Vec2(*p), *(Vec2(*v) for v in tri))
-            assert got == expected
+            try:
+                code, *_ = compute_barycode(*(Vec2(*v) for v in shifted))
+            except DegenerateTriangle:
+                assert not expected  # a collinear triangle has no interior
+                continue
+            assert (code == 7) == expected
