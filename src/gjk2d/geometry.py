@@ -190,4 +190,15 @@ def polygon_from_jsonable(obj) -> ConvexPolygon:
         isinstance(v, (list, tuple)) and len(v) == 2 for v in verts
     ):
         raise PolygonError("'vertices' must be a list of [x, y] pairs")
-    return ConvexPolygon(verts)
+    try:
+        return ConvexPolygon(verts)
+    except PolygonError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # float() rejected a coordinate; find the first vertex it rejects.
+        for i, (x, y) in enumerate(verts):
+            try:
+                float(x), float(y)
+            except (TypeError, ValueError, OverflowError):
+                raise PolygonError(f"vertex {i} has a non-numeric coordinate ({exc})") from exc
+        raise

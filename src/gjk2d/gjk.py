@@ -29,6 +29,9 @@ _EPSILON = 1e-10
 # Iteration cap; a query that reaches it reports MaxIterations.
 _MAX_ITERATIONS = 64
 
+# Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
+_new = tuple.__new__
+
 
 class Termination(Enum):
     CONVERGED = "Converged"
@@ -67,21 +70,21 @@ def witness_points(
 ) -> Tuple[Vec2, Vec2]:
     """Witness pair (sum lambda_i * p_i, sum lambda_i * q_i) of a solved simplex."""
     px = py = qx = qy = 0.0
-    for sv, lam in zip(verts, lambdas):
-        px += lam * sv.p.x
-        py += lam * sv.p.y
-        qx += lam * sv.q.x
-        qy += lam * sv.q.y
-    return Vec2(px, py), Vec2(qx, qy)
+    for (_, (vpx, vpy), (vqx, vqy), _, _), lam in zip(verts, lambdas):
+        px += lam * vpx
+        py += lam * vpy
+        qx += lam * vqx
+        qy += lam * vqy
+    return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
 def _is_duplicate(verts: List[SimplexVertex], w: SimplexVertex) -> bool:
-    wx, wy = w.w
-    for sv in verts:
-        if sv.ip == w.ip and sv.iq == w.iq:
+    (wx, wy), _, _, ip, iq = w
+    for (sx, sy), _, _, sip, siq in verts:
+        if sip == ip and siq == iq:
             return True
-        dx = sv.w.x - wx
-        dy = sv.w.y - wy
+        dx = sx - wx
+        dy = sy - wy
         if dx * dx + dy * dy < _DUPLICATE_EPS_SQ:
             return True
     return False
@@ -98,9 +101,11 @@ def _gjk(
 
     Returns ``(exit, iterations, support_calls, verts, lambdas, vx, vy)``:
     the final simplex, its barycentric coordinates and closest point v.
-    ``hcs`` selects warm-started hill-climbing support. ``binary`` only
-    adds the SeparatingHyperplane and VerticalAngleEnclosure exits; every
-    other exit is a ``Termination``.
+    ``hcs`` selects hill-climbing support: the first call climbs from the
+    vertex pair (0, 0) and every later one from the previous answer, so no
+    call scans; without it every call is the brute-force scan. ``binary``
+    only adds the SeparatingHyperplane and VerticalAngleEnclosure exits;
+    every other exit is a ``Termination``.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound.
@@ -109,13 +114,13 @@ def _gjk(
     solve_segment = s1d
     solve_triangle = s2d
 
-    d0 = initial_direction(p_poly, q_poly)
-    first = support(p_poly, q_poly, -d0.x, -d0.y, None)
+    d0x, d0y = initial_direction(p_poly, q_poly)
+    first = support(p_poly, q_poly, -d0x, -d0y, (0, 0) if hcs else None)
     support_calls = 1
-    warm = (first.ip, first.iq) if hcs else None
+    (vx, vy), _, _, ip, iq = first
+    warm = (ip, iq) if hcs else None
     verts = [first]
     lambdas = [1.0]
-    vx, vy = first.w
     v_sq = vx * vx + vy * vy
     if norm_trace is not None:
         norm_trace.append(math.sqrt(v_sq))
@@ -125,9 +130,9 @@ def _gjk(
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, warm)
         support_calls += 1
+        (wx, wy), _, _, ip, iq = w
         if hcs:
-            warm = (w.ip, w.iq)
-        wx, wy = w.w
+            warm = (ip, iq)
         v_dot_w = vx * wx + vy * wy
         if binary:
             if v_dot_w > 0.0:
@@ -136,9 +141,9 @@ def _gjk(
                 exit = CollisionExit.SEPARATING_HYPERPLANE
                 break
             if len(verts) == 2:
-                a = verts[0].w
-                b = verts[1].w
-                if (a.x * wy - a.y * wx) * (b.x * wy - b.y * wx) <= 0.0:
+                ax, ay = verts[0][0]
+                bx, by = verts[1][0]
+                if (ax * wy - ay * wx) * (bx * wy - by * wx) <= 0.0:
                     # w lies in the vertical angle opposite cone(a, b), so
                     # triangle (a, b, w) encloses the origin.
                     exit = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
@@ -202,7 +207,9 @@ def distance(
         vx = vy = 0.0
     wp, wq = witness_points(verts, lambdas)
     dist = math.sqrt(vx * vx + vy * vy)
-    return DistanceResult(dist, wp, wq, Vec2(vx, vy), k, support_calls, termination)
+    return _new(
+        DistanceResult, (dist, wp, wq, _new(Vec2, (vx, vy)), k, support_calls, termination)
+    )
 
 
 def intersects(
@@ -220,4 +227,4 @@ def intersects(
     exit, colliding = _COLLISION[exit]
     if colliding is None:
         colliding = vx * vx + vy * vy < _EPSILON * _EPSILON
-    return CollisionResult(colliding, k, support_calls, exit)
+    return _new(CollisionResult, (colliding, k, support_calls, exit))

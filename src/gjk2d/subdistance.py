@@ -22,6 +22,11 @@ from .support import SimplexVertex
 _COINCIDENT_EPS_SQ = 1e-24
 # Relative degeneracy threshold on the triangle's doubled signed area.
 _DEGENERATE_REL = 1e-12
+# The other two triangle indices, in simplex order, for each cone vertex.
+_CONE_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+# Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
+_new = tuple.__new__
 
 
 class SubdistanceResult(NamedTuple):
@@ -45,21 +50,23 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> SubdistanceResult:
     dot products yield the barycentric coordinates directly. Coincident
     endpoints degrade to the vertex answer {a}.
     """
-    ax, ay = a.w
-    bx, by = b.w
+    aw = a[0]
+    bw = b[0]
+    ax, ay = aw
+    bx, by = bw
     ux = bx - ax
     uy = by - ay
     oa_ab = ax * ux + ay * uy
     if ux * ux + uy * uy < _COINCIDENT_EPS_SQ or oa_ab >= 0.0:
-        return SubdistanceResult([a], [1.0], a.w)
+        return _new(SubdistanceResult, ([a], [1.0], aw))
     ob_ab = bx * ux + by * uy
     if ob_ab <= 0.0:
-        return SubdistanceResult([b], [1.0], b.w)
+        return _new(SubdistanceResult, ([b], [1.0], bw))
     total = oa_ab - ob_ab  # equals -|AB|^2, strictly negative here
     lam_u = -ob_ab / total
     lam_v = oa_ab / total
-    v = Vec2(lam_u * ax + lam_v * bx, lam_u * ay + lam_v * by)
-    return SubdistanceResult([a, b], [lam_u, lam_v], v)
+    v = _new(Vec2, (lam_u * ax + lam_v * bx, lam_u * ay + lam_v * by))
+    return _new(SubdistanceResult, ([a, b], [lam_u, lam_v], v))
 
 
 def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, float, float]:
@@ -75,9 +82,12 @@ def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, floa
     the largest sub-area, i.e. the points are collinear. The threshold has
     no absolute floor, so the test reads the same at every scale.
     """
-    su = b.x * c.y - b.y * c.x
-    sv = c.x * a.y - c.y * a.x
-    sw = a.x * b.y - a.y * b.x
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    su = bx * cy - by * cx
+    sv = cx * ay - cy * ax
+    sw = ax * by - ay * bx
     total = su + sv + sw
     scale = max(abs(su), abs(sv), abs(sw))
     if abs(total) <= _DEGENERATE_REL * scale:
@@ -104,20 +114,24 @@ def cone_region(tau: Sequence[SimplexVertex], v_index: int) -> SubdistanceResult
     region and the vertex answer stands.
     """
     v = tau[v_index]
-    rest = [tau[i] for i in range(3) if i != v_index]
-    m, n = rest
-    vx, vy = v.w
-    mvx = vx - m.w.x
-    mvy = vy - m.w.y
-    nvx = vx - n.w.x
-    nvy = vy - n.w.y
+    i, j = _CONE_OTHERS[v_index]
+    m = tau[i]
+    n = tau[j]
+    vw = v[0]
+    vx, vy = vw
+    mx, my = m[0]
+    nx, ny = n[0]
+    mvx = vx - mx
+    mvy = vy - my
+    nvx = vx - nx
+    nvy = vy - ny
     if mvx * nvx + mvy * nvy >= 0.0:
-        return SubdistanceResult([v], [1.0], v.w)
+        return _new(SubdistanceResult, ([v], [1.0], vw))
     if vx * mvx + vy * mvy > 0.0:
         return s1d(v, m)
     if vx * nvx + vy * nvy > 0.0:
         return s1d(v, n)
-    return SubdistanceResult([v], [1.0], v.w)
+    return _new(SubdistanceResult, ([v], [1.0], vw))
 
 
 def _best_edge(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResult:
@@ -145,19 +159,25 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
     closest point is then the origin itself). Collinear triangles fall
     back to the best edge result.
     """
+    aw = a[0]
+    bw = b[0]
+    cw = c[0]
     try:
-        code, su, sv, _sw, total = compute_barycode(a.w, b.w, c.w)
+        code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
     except DegenerateTriangle:
         return _best_edge(a, b, c)
     if code == 7:
+        ax, ay = aw
+        bx, by = bw
+        cx, cy = cw
         lam_u = su / total
         lam_v = sv / total
         lam_w = 1.0 - lam_u - lam_v
-        v = Vec2(
-            lam_u * a.w.x + lam_v * b.w.x + lam_w * c.w.x,
-            lam_u * a.w.y + lam_v * b.w.y + lam_w * c.w.y,
-        )
-        return SubdistanceResult([a, b, c], [lam_u, lam_v, lam_w], v)
+        v = _new(Vec2, (
+            lam_u * ax + lam_v * bx + lam_w * cx,
+            lam_u * ay + lam_v * by + lam_w * cy,
+        ))
+        return _new(SubdistanceResult, ([a, b, c], [lam_u, lam_v, lam_w], v))
     if code == 6:
         return s1d(a, b)
     if code == 5:

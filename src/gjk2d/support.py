@@ -14,6 +14,9 @@ from typing import NamedTuple, Optional, Tuple
 
 from .geometry import ConvexPolygon, Vec2
 
+# Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
+_new = tuple.__new__
+
 
 class SupportResult(NamedTuple):
     point: Vec2
@@ -104,7 +107,9 @@ def _cso_support_xy(
         iq = _climb_index(q_poly.xs, q_poly.ys, -dx, -dy, warm[1])
     p = p_poly.vertices[ip]
     q = q_poly.vertices[iq]
-    return SimplexVertex(Vec2(p.x - q.x, p.y - q.y), p, q, ip, iq)
+    px, py = p
+    qx, qy = q
+    return _new(SimplexVertex, (_new(Vec2, (px - qx, py - qy)), p, q, ip, iq))
 
 
 def cso_support(
@@ -115,9 +120,12 @@ def cso_support(
 ) -> SimplexVertex:
     """Support of the Minkowski difference P - Q in ``direction``.
 
-    ``warm`` carries the (index in P, index in Q) pair of a previous call;
-    when present both per-polygon queries hill-climb from it, otherwise
-    they scan brute force.
+    ``warm`` is the (index in P, index in Q) pair to start from: a previous
+    call's answer, or ``(0, 0)`` for a cold start. When present both
+    per-polygon queries hill-climb from it, otherwise they scan brute
+    force. Both reach the same support value; where several vertices tie,
+    the scan keeps the lowest index and the climb stops on the first tied
+    vertex it reaches.
     """
     return _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm)
 
@@ -129,12 +137,12 @@ def initial_direction(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> Vec2:
     difference and finally to (1, 0) when the candidates are shorter than
     1e-12.
     """
-    d = Vec2(
-        p_poly.centroid.x - q_poly.centroid.x,
-        p_poly.centroid.y - q_poly.centroid.y,
-    )
-    if d.x * d.x + d.y * d.y >= 1e-24:
-        return d
+    pcx, pcy = p_poly.centroid
+    qcx, qcy = q_poly.centroid
+    dx = pcx - qcx
+    dy = pcy - qcy
+    if dx * dx + dy * dy >= 1e-24:
+        return _new(Vec2, (dx, dy))
     d = Vec2(
         p_poly.vertices[0].x - q_poly.vertices[0].x,
         p_poly.vertices[0].y - q_poly.vertices[0].y,

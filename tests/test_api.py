@@ -17,8 +17,12 @@ import gjk2d
 import gjk2d.cli
 import gjk2d.datasets
 import gjk2d.gjk
+import gjk2d.subdistance
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import Transform2, Vec2, apply_transform
+from gjk2d.gjk import CollisionResult, DistanceResult
+from gjk2d.subdistance import SubdistanceResult
+from gjk2d.support import SimplexVertex
 
 BENCHMARK_NAMES = (
     "cso_support",
@@ -59,6 +63,18 @@ PIPELINE_PATCH_POINTS = {
 }
 
 
+def random_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(
+            apply_transform(
+                Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))),
+                random_convex_polygon(rng.choice([4, 8, 16]), rng),
+            )
+            for _ in range(2)
+        )
+
+
 def test_benchmark_names_stay_exported():
     assert [name for name in BENCHMARK_NAMES if not hasattr(gjk2d, name)] == []
 
@@ -82,14 +98,62 @@ def test_query_loop_calls_layers_through_module_globals(monkeypatch, query):
 
     for name in LOOP_LAYERS:
         monkeypatch.setattr(gjk2d.gjk, name, counting(name, getattr(gjk2d.gjk, name)))
-    rng = random.Random(71)
-    for _ in range(200):
-        p, q = (
-            apply_transform(
-                Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))),
-                random_convex_polygon(rng.choice([4, 8, 16]), rng),
-            )
-            for _ in range(2)
-        )
+    for p, q in random_pairs(71, 200):
         query(p, q)
     assert all(calls[name] > 0 for name in LOOP_LAYERS), calls
+
+
+def assert_shape(value, cls):
+    # The loop builds these with tuple.__new__, which skips the arity check
+    # of the NamedTuple constructor.
+    assert type(value) is cls and len(value) == len(cls._fields), (cls.__name__, value)
+
+
+def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
+    seen = {name: [] for name in LOOP_LAYERS + ("cone_region",)}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            seen[name].append((args, out))
+            return out
+
+        return wrapper
+
+    for name in LOOP_LAYERS:
+        monkeypatch.setattr(gjk2d.gjk, name, recording(name, getattr(gjk2d.gjk, name)))
+    cone = gjk2d.subdistance.cone_region
+    monkeypatch.setattr(gjk2d.subdistance, "cone_region", recording("cone_region", cone))
+    for p, q in random_pairs(72, 300):
+        for hill_climbing in (True, False):
+            res = gjk2d.distance(p, q, use_hill_climbing=hill_climbing)
+            assert_shape(res, DistanceResult)
+            for point in (res.witness_p, res.witness_q, res.separating_vector):
+                assert_shape(point, Vec2)
+            assert_shape(gjk2d.intersects(p, q, use_hill_climbing=hill_climbing), CollisionResult)
+    # every return of the subdistance layers, on triangles the loop rarely builds
+    rng = random.Random(73)
+    for _ in range(300):
+        tau = [
+            SimplexVertex(Vec2(x, y), Vec2(x, y), Vec2(0.0, 0.0), 0, 0)
+            for x, y in ((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
+        ]
+        seen["s1d"].append((tau[:2], gjk2d.subdistance.s1d(*tau[:2])))
+        seen["s2d"].append((tau, gjk2d.subdistance.s2d(*tau)))
+        for i in range(3):
+            seen["cone_region"].append(((tau, i), gjk2d.subdistance.cone_region(tau, i)))
+    assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
+    for _, out in seen["_cso_support_xy"]:
+        assert_shape(out, SimplexVertex)
+        assert_shape(out.w, Vec2)
+    for _, out in seen["initial_direction"]:
+        assert_shape(out, Vec2)
+    for layer in ("s1d", "s2d", "cone_region"):
+        for _, out in seen[layer]:
+            assert_shape(out, SubdistanceResult)
+            assert_shape(out.v, Vec2)
+    # perfbench's region-code replay calls compute_barycode(a.w, b.w, c.w)
+    # on captured s2d arguments.
+    for args, _ in seen["s2d"]:
+        for vertex in args:
+            assert isinstance(vertex.w.x, float) and isinstance(vertex.w.y, float)

@@ -172,6 +172,13 @@ class TestQuery:
         assert main(["query", str(p), str(q)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["a", None])
+    def test_non_numeric_coordinate_fails(self, tmp_path, capsys, bad):
+        p = write_polygon(tmp_path, "p.json", {"vertices": [[bad, 0], [1, 0], [1, 1]]})
+        q = write_polygon(tmp_path, "q.json", SQUARE)
+        assert main(["query", str(p), str(q)]) == 1
+        assert "error: invalid polygon: vertex 0" in capsys.readouterr().err
+
     def test_missing_file_fails(self, tmp_path):
         q = write_polygon(tmp_path, "q.json", SQUARE)
         assert main(["query", str(tmp_path / "missing.json"), str(q)]) == 1

@@ -136,6 +136,11 @@ class TestDatasetFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="line 4"):
             read_dataset(path)
+        record["p"]["vertices"][1] = ["a", 0]
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="line 4: vertex 1 has a non-numeric coordinate"):
+            read_dataset(path)
 
     def test_invalid_json_line_names_line_number(self, tmp_path):
         spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=3)

@@ -174,3 +174,8 @@ class TestJsonShape:
             polygon_from_jsonable({"points": []})
         with pytest.raises(PolygonError):
             polygon_from_jsonable({"vertices": [[1, 2, 3]]})
+        # non-numeric coordinates name their vertex instead of escaping as
+        # a bare ValueError/TypeError from float()
+        for bad in ("a", None, 10**400):
+            with pytest.raises(PolygonError, match="vertex 1 has a non-numeric coordinate"):
+                polygon_from_jsonable({"vertices": [[0, 0], [bad, 0], [1, 1]]})

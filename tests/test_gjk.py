@@ -1,11 +1,15 @@
+import hashlib
 import inspect
 import random
+from collections import Counter
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gjk2d.gjk
+import gjk2d.support
 from gjk2d.baseline import oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetSpec,
@@ -213,6 +217,39 @@ class TestIntersects:
             assert res.colliding == sat_intersects(p, q)
 
 
+class TestSupportVariants:
+    # The paper's two variants: warm-started hill-climbing support that
+    # never scans (its first call climbs from vertex 0), and the scan.
+    @pytest.mark.parametrize(
+        "kwargs,used,unused",
+        [
+            ({}, "_climb_index", "_argmax_index"),
+            ({"use_hill_climbing": False}, "_argmax_index", "_climb_index"),
+        ],
+        ids=["default-climbs", "brute-scans"],
+    )
+    def test_each_variant_uses_only_its_support(self, monkeypatch, kwargs, used, unused):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in (used, unused):
+            monkeypatch.setattr(gjk2d.support, name, counting(name, getattr(gjk2d.support, name)))
+        rng = random.Random(37)
+        pairs = [random_pair(rng, span=1.5) for _ in range(200)]
+        pairs += [(UNIT_SQUARE, UNIT_SQUARE), (UNIT_SQUARE, FAR_SQUARE)]
+        for p, q in pairs:
+            distance(p, q, **kwargs)
+            intersects(p, q, **kwargs)
+        assert calls[unused] == 0
+        assert calls[used] > 0
+
+
 class TestScale:
     @pytest.fixture(scope="class")
     def eight_gon_cases(self):
@@ -234,6 +271,41 @@ class TestScale:
             assert res.termination is not Termination.MAX_ITERATIONS
             worst = max(worst, abs(res.distance - oracle_distance(p, q).distance))
         assert worst <= 1e-7 * factor
+
+
+class TestGolden:
+    # sha256 over every field of every distance and intersects result on
+    # the make_pair cases below, with floats as float.hex: any change to an
+    # answer, a counter or an exit, in the last bit, changes it.
+    DIGEST = "412e94139e2621f8a54d27a2946b8285e9d079e77289cc6263e1094c1138cb02"
+
+    @staticmethod
+    def _fields(value):
+        if isinstance(value, float):
+            yield value.hex()
+        elif isinstance(value, tuple):
+            for field in value:
+                yield from TestGolden._fields(field)
+        elif isinstance(value, Enum):
+            yield value.value
+        else:
+            yield repr(value)
+
+    def test_query_results_are_pinned(self):
+        h = hashlib.sha256()
+        for n in (4, 8, 24, 64):
+            spec = DatasetSpec(vertex_count=n, cases_per_regime=20, seed=5)
+            for regime in Regime:
+                for i in range(20):
+                    case = make_pair(spec, regime, derive_case_seed(5, n, regime, i))
+                    for hcs in (True, False):
+                        for res in (
+                            distance(case.p, case.q, use_hill_climbing=hcs),
+                            intersects(case.p, case.q, use_hill_climbing=hcs),
+                        ):
+                            h.update(" ".join(self._fields(res)).encode())
+                            h.update(b"\n")
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestTouchingClassifier:
