@@ -13,7 +13,6 @@ from .baseline import (
     OracleReport,
     cso_contains_origin,
     oracle_distance,
-    point_segment_distance,
     sat_intersects,
 )
 from .bench import Algorithm, BenchRecord, records_to_csv, run_benchmark

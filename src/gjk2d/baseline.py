@@ -66,24 +66,6 @@ def sat_intersects(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
     return True
 
 
-def point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    """Distance from p to segment [a, b] by clamped projection."""
-    ux = b.x - a.x
-    uy = b.y - a.y
-    den = ux * ux + uy * uy
-    if den > 0.0:
-        t = ((p.x - a.x) * ux + (p.y - a.y) * uy) / den
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    else:
-        t = 0.0
-    dx = p.x - (a.x + t * ux)
-    dy = p.y - (a.y + t * uy)
-    return math.sqrt(dx * dx + dy * dy)
-
-
 def _difference_polygon(p_poly: ConvexPolygon, q_poly: ConvexPolygon):
     """CCW vertices of P - Q as ``(x, y, i, j)`` with ``(x, y) = P[i] - Q[j]``.
 

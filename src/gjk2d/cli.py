@@ -27,7 +27,7 @@ from .datasets import (
     write_dataset,
 )
 from .geometry import PolygonError, polygon_from_jsonable
-from .gjk import distance, intersects
+from .gjk import CollisionExit, Termination, distance, intersects
 
 # distance-vs-oracle acceptance band: relative + absolute
 REL_TOL = 1e-7
@@ -55,6 +55,7 @@ def _cmd_check(args) -> int:
     header, cases = read_dataset(args.dataset)
     stats = {r: {"cases": 0, "failures": 0, "worst": 0.0} for r in Regime}
     touch_binary_disagreements = 0
+    capped_distance = capped_intersects = 0
     failed_seeds = []
     for case in cases:
         entry = stats[case.regime]
@@ -64,11 +65,14 @@ def _cmd_check(args) -> int:
             ok = False
         report = oracle_distance(case.p, case.q)
         result = distance(case.p, case.q)
+        capped_distance += result.termination is Termination.MAX_ITERATIONS
         err = abs(result.distance - report.distance)
         entry["worst"] = max(entry["worst"], err)
         if err > REL_TOL * max(1.0, report.distance) + ABS_TOL:
             ok = False
-        colliding = intersects(case.p, case.q).colliding
+        collision = intersects(case.p, case.q)
+        capped_intersects += collision.exit is CollisionExit.MAX_ITERATIONS
+        colliding = collision.colliding
         sat = sat_intersects(case.p, case.q)
         if colliding != sat:
             # exact-touching inputs sit on a numerical knife edge, so the
@@ -91,6 +95,13 @@ def _cmd_check(args) -> int:
         print(
             f"note: {touch_binary_disagreements} knife-edge touching case(s) "
             f"with binary/SAT disagreement (reported, not asserted)"
+        )
+    if capped_distance or capped_intersects:
+        # answers at the cap are still checked; the count flags queries
+        # that stopped without any exit test firing
+        print(
+            f"note: MaxIterations reached by {capped_distance} distance and "
+            f"{capped_intersects} intersects queries"
         )
     if failed_seeds:
         print(f"FAILED case seeds: {failed_seeds}", file=sys.stderr)

@@ -347,7 +347,7 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
             rng=str(raw_header["rng"]),
             margins=dict(raw_header.get("margins", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"line 1: malformed header field ({exc})") from exc
     cases = []
     regimes = {r.value: r for r in Regime}
@@ -369,7 +369,7 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
             ) from exc
         except PolygonError as exc:
             raise DatasetError(f"line {lineno}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"line {lineno}: malformed field ({exc})") from exc
         cases.append(PairCase(p, q, regime, seed))
     return header, cases

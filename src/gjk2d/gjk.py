@@ -21,10 +21,10 @@ from .geometry import ConvexPolygon, Vec2
 from .subdistance import s1d, s2d
 from .support import SimplexVertex, _cso_support_xy, initial_direction
 
-# Squared proximity under which a new support point counts as a repeat.
-_DUPLICATE_EPS_SQ = 1e-24
-# Relative tolerance of the support-progress test and absolute threshold
-# on the closest-point norm.
+# The loop's only tolerance, relative so every test reads the same at any
+# scale: the support-progress test stops once v.w is within _EPSILON * |v|^2
+# of |v|^2, and |v| <= _EPSILON * max|w| over the query's support points
+# counts as the origin.
 _EPSILON = 1e-10
 # Iteration cap; a query that reaches it reports MaxIterations.
 _MAX_ITERATIONS = 64
@@ -78,14 +78,10 @@ def witness_points(
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
-def _is_duplicate(verts: List[SimplexVertex], w: SimplexVertex) -> bool:
-    (wx, wy), _, _, ip, iq = w
-    for (sx, sy), _, _, sip, siq in verts:
+def _is_duplicate(verts: List[SimplexVertex], ip: int, iq: int) -> bool:
+    """Whether the vertex pair (ip, iq) already spans a simplex point."""
+    for _, _, _, sip, siq in verts:
         if sip == ip and siq == iq:
-            return True
-        dx = sx - wx
-        dy = sy - wy
-        if dx * dx + dy * dy < _DUPLICATE_EPS_SQ:
             return True
     return False
 
@@ -99,17 +95,20 @@ def _gjk(
 ) -> tuple:
     """The loop behind ``distance`` and ``intersects``.
 
-    Returns ``(exit, iterations, support_calls, verts, lambdas, vx, vy)``:
-    the final simplex, its barycentric coordinates and closest point v.
-    ``hcs`` selects hill-climbing support: the first call climbs from the
-    vertex pair (0, 0) and every later one from the previous answer, so no
-    call scans; without it every call is the brute-force scan. ``binary``
-    only adds the SeparatingHyperplane and VerticalAngleEnclosure exits;
-    every other exit is a ``Termination``.
+    Returns ``(exit, iterations, support_calls, verts, lambdas, vx, vy,
+    tol_sq)``: the final simplex, its barycentric coordinates, closest
+    point v, and the squared norm at or below which v counts as the
+    origin, ``_EPSILON**2`` times the largest |w|^2 over the query's
+    support points. ``hcs`` selects hill-climbing support: the first call
+    climbs from the vertex pair (0, 0) and every later one from the
+    previous answer, so no call scans; without it every call is the
+    brute-force scan. ``binary`` only adds the SeparatingHyperplane and
+    VerticalAngleEnclosure exits; every other exit is a ``Termination``.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound.
-    eps_sq = _EPSILON * _EPSILON
+    eps = _EPSILON
+    eps_sq = eps * eps
     support = _cso_support_xy
     solve_segment = s1d
     solve_triangle = s2d
@@ -122,6 +121,7 @@ def _gjk(
     verts = [first]
     lambdas = [1.0]
     v_sq = vx * vx + vy * vy
+    tol_sq = eps_sq * v_sq
     if norm_trace is not None:
         norm_trace.append(math.sqrt(v_sq))
 
@@ -133,6 +133,9 @@ def _gjk(
         (wx, wy), _, _, ip, iq = w
         if hcs:
             warm = (ip, iq)
+        w_tol_sq = eps_sq * (wx * wx + wy * wy)
+        if w_tol_sq > tol_sq:
+            tol_sq = w_tol_sq
         v_dot_w = vx * wx + vy * wy
         if binary:
             if v_dot_w > 0.0:
@@ -148,7 +151,7 @@ def _gjk(
                     # triangle (a, b, w) encloses the origin.
                     exit = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
                     break
-        if v_sq - v_dot_w <= eps_sq * v_sq or _is_duplicate(verts, w):
+        if v_sq - v_dot_w <= eps * v_sq or _is_duplicate(verts, ip, iq):
             exit = Termination.CONVERGED
             break
         if len(verts) == 1:
@@ -158,7 +161,7 @@ def _gjk(
         v_sq = vx * vx + vy * vy
         if norm_trace is not None:
             norm_trace.append(math.sqrt(v_sq))
-        if v_sq <= eps_sq:
+        if v_sq <= tol_sq:
             exit = Termination.CONTAINS_ORIGIN
             break
         if len(verts) == 3:
@@ -166,10 +169,11 @@ def _gjk(
             break
     else:
         exit = Termination.MAX_ITERATIONS
-    return exit, k, support_calls, verts, lambdas, vx, vy
+    return exit, k, support_calls, verts, lambdas, vx, vy, tol_sq
 
 
-# Binary-query exit and verdict for each loop exit; None: |v| < epsilon decides.
+# Binary-query exit and verdict for each loop exit; None: the verdict is the
+# ContainsOrigin test on the last v, |v|^2 <= tol_sq.
 _COLLISION = {
     Termination.CONVERGED: (CollisionExit.CONVERGED, None),
     Termination.MAX_ITERATIONS: (CollisionExit.MAX_ITERATIONS, None),
@@ -189,18 +193,22 @@ def distance(
     """Minimum distance between two convex polygons with witness points.
 
     The loop terminates when the support point cannot improve the current
-    estimate (Converged), when the closest simplex point reaches the
-    origin (ContainsOrigin), when the simplex fills up, which means the
-    origin is enclosed (SimplexFull), or at the iteration cap
-    (MaxIterations, reporting the best known estimate). A repeated
-    support point is treated as convergence; it cannot make progress and
-    would otherwise cycle. ``support_calls`` counts Minkowski-difference
-    support evaluations. ``use_hill_climbing`` chooses warm-started
-    hill-climbing support over the brute-force vertex scan; both give the
-    same support values. ``norm_trace``, when given, receives the
-    closest-point norm after every solve.
+    estimate by more than a relative ``_EPSILON`` (Converged), when the
+    closest simplex point lies within ``_EPSILON`` times the largest
+    support-point norm of the origin (ContainsOrigin), when the simplex
+    fills up, which means the origin is enclosed (SimplexFull), or at the
+    iteration cap (MaxIterations, reporting the best known estimate). A
+    support point from a vertex pair already in the simplex is treated as
+    convergence; it cannot make progress and would otherwise cycle. Every
+    test is relative, so scaling both polygons by a power of two scales
+    every length in the result exactly, barring underflow and overflow.
+    ``support_calls`` counts
+    Minkowski-difference support evaluations. ``use_hill_climbing``
+    chooses warm-started hill-climbing support over the brute-force vertex
+    scan; both give the same support values. ``norm_trace``, when given,
+    receives the closest-point norm after every solve.
     """
-    termination, k, support_calls, verts, lambdas, vx, vy = _gjk(
+    termination, k, support_calls, verts, lambdas, vx, vy, _ = _gjk(
         p_poly, q_poly, use_hill_climbing, False, norm_trace
     )
     if termination in (Termination.CONTAINS_ORIGIN, Termination.SIMPLEX_FULL):
@@ -223,8 +231,10 @@ def intersects(
     more support evaluations than ``distance`` on the same input and
     ``use_hill_climbing`` setting.
     """
-    exit, k, support_calls, _, _, vx, vy = _gjk(p_poly, q_poly, use_hill_climbing, True, None)
+    exit, k, support_calls, _, _, vx, vy, tol_sq = _gjk(
+        p_poly, q_poly, use_hill_climbing, True, None
+    )
     exit, colliding = _COLLISION[exit]
     if colliding is None:
-        colliding = vx * vx + vy * vy < _EPSILON * _EPSILON
+        colliding = vx * vx + vy * vy <= tol_sq
     return _new(CollisionResult, (colliding, k, support_calls, exit))

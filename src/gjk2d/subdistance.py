@@ -18,8 +18,6 @@ from typing import List, NamedTuple, Sequence, Tuple
 from .geometry import Vec2
 from .support import SimplexVertex
 
-# Segments shorter than this are treated as a single point.
-_COINCIDENT_EPS_SQ = 1e-24
 # Relative degeneracy threshold on the triangle's doubled signed area.
 _DEGENERATE_REL = 1e-12
 # The other two triangle indices, in simplex order, for each cone vertex.
@@ -47,8 +45,9 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> SubdistanceResult:
     The two vertex regions are identified by the orthogonality tests
     dot(A, B-A) >= 0 (answer A) and dot(B, B-A) <= 0 (answer B); otherwise
     the foot of the perpendicular lies inside the segment and the same
-    dot products yield the barycentric coordinates directly. Coincident
-    endpoints degrade to the vertex answer {a}.
+    dot products yield the barycentric coordinates directly. Exactly
+    coincident endpoints give dot(A, B-A) = 0, so the answer is {a}; any
+    other segment is solved as it is, however short.
     """
     aw = a[0]
     bw = b[0]
@@ -57,12 +56,12 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> SubdistanceResult:
     ux = bx - ax
     uy = by - ay
     oa_ab = ax * ux + ay * uy
-    if ux * ux + uy * uy < _COINCIDENT_EPS_SQ or oa_ab >= 0.0:
+    if oa_ab >= 0.0:
         return _new(SubdistanceResult, ([a], [1.0], aw))
     ob_ab = bx * ux + by * uy
     if ob_ab <= 0.0:
         return _new(SubdistanceResult, ([b], [1.0], bw))
-    total = oa_ab - ob_ab  # equals -|AB|^2, strictly negative here
+    total = oa_ab - ob_ab  # equals -|AB|^2; oa_ab < 0 < ob_ab makes it negative
     lam_u = -ob_ab / total
     lam_v = oa_ab / total
     v = _new(Vec2, (lam_u * ax + lam_v * bx, lam_u * ay + lam_v * by))

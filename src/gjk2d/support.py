@@ -133,20 +133,14 @@ def cso_support(
 def initial_direction(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> Vec2:
     """Heuristic start direction: a point of the Minkowski difference.
 
-    Uses the centroid difference, falling back to the first-vertex
-    difference and finally to (1, 0) when the candidates are shorter than
-    1e-12.
+    Uses the centroid difference, and (1, 0) when it is exactly zero: the
+    origin is then itself a point of P - Q, so any start direction serves.
+    There is no length threshold.
     """
     pcx, pcy = p_poly.centroid
     qcx, qcy = q_poly.centroid
     dx = pcx - qcx
     dy = pcy - qcy
-    if dx * dx + dy * dy >= 1e-24:
-        return _new(Vec2, (dx, dy))
-    d = Vec2(
-        p_poly.vertices[0].x - q_poly.vertices[0].x,
-        p_poly.vertices[0].y - q_poly.vertices[0].y,
-    )
-    if d.x * d.x + d.y * d.y >= 1e-24:
-        return d
-    return Vec2(1.0, 0.0)
+    if dx == 0.0 and dy == 0.0:
+        return _new(Vec2, (1.0, 0.0))
+    return _new(Vec2, (dx, dy))

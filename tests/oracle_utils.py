@@ -179,14 +179,31 @@ def brute_oracle_distance(p_poly, q_poly):
     return OracleReport(math.sqrt(best_sq), feature)
 
 
+def point_segment_distance(p, a, b) -> float:
+    """Distance from p to segment [a, b] by clamped projection."""
+    ux = b.x - a.x
+    uy = b.y - a.y
+    den = ux * ux + uy * uy
+    if den > 0.0:
+        t = ((p.x - a.x) * ux + (p.y - a.y) * uy) / den
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+    else:
+        t = 0.0
+    dx = p.x - (a.x + t * ux)
+    dy = p.y - (a.y + t * uy)
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def cso_origin_clearance(p_poly, q_poly) -> float:
     """Signed distance from the origin to the Minkowski-difference hull.
 
     Positive inside the hull, negative outside. Built from the brute
-    difference hull above and the library's point-segment distance, not
-    its solvers.
+    difference hull and the point-segment distance above, not the
+    library's solvers.
     """
-    from gjk2d.baseline import point_segment_distance
     from gjk2d.geometry import Vec2
 
     hull = difference_hull(p_poly, q_poly)

@@ -12,7 +12,6 @@ from gjk2d.baseline import (
     ClosestFeature,
     cso_contains_origin,
     oracle_distance,
-    point_segment_distance,
     sat_intersects,
 )
 from gjk2d.datasets import (
@@ -27,6 +26,7 @@ from oracle_utils import (
     brute_cso_contains_origin,
     brute_oracle_distance,
     convex_hull,
+    point_segment_distance,
 )
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from gjk2d.cli import main
+import gjk2d.gjk
 from gjk2d.bench import CSV_COLUMNS
+from gjk2d.cli import main
+from gjk2d.datasets import read_dataset
+from gjk2d.gjk import CollisionExit, Termination, distance, intersects
 
 SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 FAR_SQUARE = {"vertices": [[3, 0], [4, 0], [4, 1], [3, 1]]}
@@ -66,6 +70,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "distant: 4/4 pass" in out
+        assert "MaxIterations" not in out
 
     def test_corrupted_vertex_fails_naming_line(self, small_dataset, capsys):
         lines = small_dataset.read_text().splitlines()
@@ -76,6 +81,43 @@ class TestCheck:
         assert main(["check", str(small_dataset)]) == 1
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    @pytest.mark.parametrize(
+        "line,pattern,replacement",
+        [
+            (0, r'"vertex_count": ?4', '"vertex_count":1e999'),
+            (2, r'"seed": ?[0-9]+', '"seed":1e999'),
+        ],
+        ids=["header-vertex-count", "case-seed"],
+    )
+    def test_overflowing_integer_field_fails_naming_line(
+        self, small_dataset, capsys, line, pattern, replacement
+    ):
+        # json reads 1e999 as infinity, which int() cannot convert
+        lines = small_dataset.read_text().splitlines()
+        lines[line], count = re.subn(pattern, replacement, lines[line])
+        assert count == 1
+        small_dataset.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(small_dataset)]) == 1
+        assert f"error: line {line + 1}: malformed" in capsys.readouterr().err
+
+    def test_max_iterations_note_counts_capped_queries(
+        self, small_dataset, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", 1)
+        _, cases = read_dataset(small_dataset)
+        capped = Termination.MAX_ITERATIONS
+        n_distance = sum(distance(c.p, c.q).termination is capped for c in cases)
+        n_intersects = sum(
+            intersects(c.p, c.q).exit is CollisionExit.MAX_ITERATIONS for c in cases
+        )
+        assert n_distance > 0 and n_intersects > 0
+        main(["check", str(small_dataset)])
+        out = capsys.readouterr().out
+        assert (
+            f"note: MaxIterations reached by {n_distance} distance and "
+            f"{n_intersects} intersects queries"
+        ) in out
 
     def test_empty_dataset_passes_vacuously(self, tmp_path, capsys):
         from gjk2d.datasets import DatasetSpec, write_dataset

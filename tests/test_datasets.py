@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -130,7 +131,8 @@ class TestDatasetFiles:
         path = tmp_path / "bad.jsonl"
         write_dataset(path, spec, cases)
         lines = path.read_text().splitlines()
-        record = json.loads(lines[3])
+        original = lines[3]
+        record = json.loads(original)
         record["p"]["vertices"][1] = record["p"]["vertices"][0]  # duplicate vertex
         lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
@@ -140,6 +142,17 @@ class TestDatasetFiles:
         lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="line 4: vertex 1 has a non-numeric coordinate"):
+            read_dataset(path)
+        # json reads 1e999 as infinity, which int() rejects with OverflowError
+        lines[3], count = re.subn(r'"seed": ?[0-9]+', '"seed":1e999', original)
+        assert count == 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="line 4: malformed field"):
+            read_dataset(path)
+        lines[0], count = re.subn(r'"vertex_count": ?4', '"vertex_count":1e999', lines[0])
+        assert count == 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="line 1: malformed header field"):
             read_dataset(path)
 
     def test_invalid_json_line_names_line_number(self, tmp_path):

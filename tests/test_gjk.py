@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import math
 import random
 from collections import Counter
 from enum import Enum
@@ -27,6 +28,8 @@ from gjk2d.geometry import (
 )
 from gjk2d.gjk import (
     CollisionExit,
+    CollisionResult,
+    DistanceResult,
     Termination,
     distance,
     intersects,
@@ -250,7 +253,42 @@ class TestSupportVariants:
         assert calls[used] > 0
 
 
+def regular_polygon(n, center, phase=0.0):
+    cx, cy = center
+    return ConvexPolygon(
+        (cx + math.cos(phase + 2 * math.pi * k / n), cy + math.sin(phase + 2 * math.pi * k / n))
+        for k in range(n)
+    )
+
+
+def rectangle(x, y, w, h):
+    return ConvexPolygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+
+
+def scaled_result(res, factor):
+    """``res`` with every length field multiplied by ``factor``."""
+    if isinstance(res, CollisionResult):
+        return res
+    d, wp, wq, sv, *counters = res
+    return DistanceResult(
+        d * factor,
+        Vec2(wp.x * factor, wp.y * factor),
+        Vec2(wq.x * factor, wq.y * factor),
+        Vec2(sv.x * factor, sv.y * factor),
+        *counters,
+    )
+
+
+def queries(p, q):
+    for hcs in (True, False):
+        yield distance(p, q, use_hill_climbing=hcs)
+        yield intersects(p, q, use_hill_climbing=hcs)
+
+
 class TestScale:
+    # Every exit test is relative to the query's own support points, so an
+    # answer must not depend on the unit the polygons are written in.
+
     @pytest.fixture(scope="class")
     def eight_gon_cases(self):
         spec = DatasetSpec(vertex_count=8, cases_per_regime=200, seed=5)
@@ -260,7 +298,9 @@ class TestScale:
             for i in range(200)
         ]
 
-    @pytest.mark.parametrize("factor", [1e-9, 1e-6])
+    @pytest.mark.parametrize(
+        "factor", [1e-12, 1e-11, 1e-9, 1e-6, 1e6, 1e9, 1e12], ids=lambda f: f"{f:g}"
+    )
     def test_small_scales_converge_to_the_oracle(self, eight_gon_cases, factor):
         # the answer scales with the input: relative error measured against
         # the polygons' size, which is about `factor`
@@ -270,7 +310,106 @@ class TestScale:
             res = distance(p, q)
             assert res.termination is not Termination.MAX_ITERATIONS
             worst = max(worst, abs(res.distance - oracle_distance(p, q).distance))
+            hit = intersects(p, q)
+            assert hit.exit is not CollisionExit.MAX_ITERATIONS
+            # touching pairs sit on the knife edge where SAT may disagree
+            if case.regime is not Regime.TOUCHING:
+                assert hit.colliding == sat_intersects(p, q)
         assert worst <= 1e-7 * factor
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6], ids=lambda t: f"{t:g}")
+    def test_translations_keep_the_distance(self, eight_gon_cases, offset):
+        # moving both polygons by `offset` rounds every coordinate to the
+        # spacing of doubles near `offset`, about 1e-16 * offset
+        worst = 0.0
+        for case in eight_gon_cases[::3]:
+            p = ConvexPolygon((x + offset, y - offset) for x, y in case.p.vertices)
+            q = ConvexPolygon((x + offset, y - offset) for x, y in case.q.vertices)
+            res = distance(p, q)
+            assert res.termination is not Termination.MAX_ITERATIONS
+            worst = max(worst, abs(res.distance - oracle_distance(case.p, case.q).distance))
+        assert worst <= 1e-15 * offset
+
+    def test_power_of_two_scaling_is_exact(self, monkeypatch):
+        # multiplying by 2**k is exact, so every length in every answer
+        # scales bit for bit and every counter, exit and verdict is unchanged;
+        # a cap of one iteration adds MaxIterations exits, whose intersects
+        # verdict is the containment test on the last v
+        cases = []
+        for n in (3, 4, 8, 24):
+            spec = DatasetSpec(vertex_count=n, cases_per_regime=10, seed=5)
+            cases += [
+                make_pair(spec, regime, derive_case_seed(5, n, regime, i))
+                for regime in Regime
+                for i in range(10)
+            ]
+        for cap in (64, 1):
+            monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", cap)
+            for case in cases:
+                base = list(queries(case.p, case.q))
+                for k in (-40, -20, 20, 40):
+                    factor = 2.0**k
+                    moved = queries(scaled(case.p, factor), scaled(case.q, factor))
+                    assert list(moved) == [scaled_result(res, factor) for res in base], (cap, k)
+
+    def test_parallel_edge_lattice_pairs_do_not_reach_the_cap(self):
+        # translated copies of one polygon and integer rectangles have
+        # parallel edges, so support points are often collinear with the
+        # simplex; the progress test must still fire
+        rng = random.Random(73)
+        pairs = []
+        for _ in range(150):
+            n = rng.choice([4, 6, 8])
+            phase = rng.choice([0.0, math.pi / n])
+            offset = (rng.randint(-3, 3), rng.randint(-3, 3))
+            pairs.append((regular_polygon(n, (0, 0), phase), regular_polygon(n, offset, phase)))
+        for _ in range(150):
+            p, q = (
+                rectangle(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(2)
+            )
+            pairs.append((p, q))
+        for p, q in pairs:
+            oracle = oracle_distance(p, q).distance
+            for hcs in (True, False):
+                res = distance(p, q, use_hill_climbing=hcs)
+                assert res.termination is not Termination.MAX_ITERATIONS
+                assert abs(res.distance - oracle) <= 1e-12 * max(1.0, oracle)
+                hit = intersects(p, q, use_hill_climbing=hcs)
+                assert hit.exit is not CollisionExit.MAX_ITERATIONS
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["triangles", "slivers"]),
+        st.integers(-60, 60),
+    )
+    def test_hypothesis_slivers_and_triangles_at_power_of_two_scales(self, seed, kind, k):
+        rng = random.Random(seed)
+        if kind == "triangles":
+            p, q = random_pair(rng, 3, span=1.5)
+        else:
+            # squashing by a power of two keeps strict convexity exactly;
+            # the rigid motions afterwards tilt the slivers apart
+            squash = 2.0 ** -rng.randint(10, 24)
+            p, q = (
+                apply_transform(
+                    Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))),
+                    ConvexPolygon(
+                        (x, y * squash)
+                        for x, y in random_convex_polygon(rng.randint(3, 8), rng).vertices
+                    ),
+                )
+                for _ in range(2)
+            )
+        base = list(queries(p, q))
+        oracle = oracle_distance(p, q).distance
+        for res in base[::2]:
+            assert res.termination is not Termination.MAX_ITERATIONS
+            assert abs(res.distance - oracle) <= 1e-7 * max(1.0, oracle) + 1e-9
+        factor = 2.0**k
+        moved = list(queries(scaled(p, factor), scaled(q, factor)))
+        assert moved == [scaled_result(res, factor) for res in base]
 
 
 class TestGolden:

@@ -141,10 +141,12 @@ class TestInitialDirection:
         assert initial_direction(UNIT_SQUARE, UNIT_SQUARE) == Vec2(1.0, 0.0)
 
     def test_first_vertex_fallback(self):
-        # same centroid, different vertex order: centroid difference is zero
+        # same centroid, different vertex order: the zero centroid difference
+        # is a point of P - Q, so the fixed direction serves; the first
+        # vertices are not consulted
         rotated = ConvexPolygon([(1, 0), (1, 1), (0, 1), (0, 0)])
-        d = initial_direction(UNIT_SQUARE, rotated)
-        assert d == UNIT_SQUARE.vertices[0] - rotated.vertices[0]
+        assert rotated.centroid == UNIT_SQUARE.centroid
+        assert initial_direction(UNIT_SQUARE, rotated) == Vec2(1.0, 0.0)
 
     def test_shared_first_vertex_uses_centroids(self):
         tri = ConvexPolygon([(0, 0), (2, 0), (0, 2)])
