@@ -6,48 +6,15 @@ the binary collision query runs the same loop with two cheap early exits. A sepa
 baseline, a linear-time Minkowski-difference distance oracle, a
 deterministic dataset generator, and a benchmark CLI round out the
 package.
+
+The package root exports the polygon type, the two queries with their
+results, the oracles, and the layers the benchmark replays; every other
+name is imported from its submodule.
 """
 
-from .baseline import (
-    ClosestFeature,
-    OracleReport,
-    cso_contains_origin,
-    oracle_distance,
-    sat_intersects,
-)
-from .bench import Algorithm, BenchRecord, records_to_csv, run_benchmark
-from .datasets import (
-    DatasetError,
-    DatasetHeader,
-    DatasetSpec,
-    PairCase,
-    PolygonGenerationFailed,
-    Regime,
-    RegimeConstructionFailed,
-    derive_case_seed,
-    generate_dataset,
-    make_pair,
-    random_convex_polygon,
-    read_dataset,
-    verify_regime,
-    write_dataset,
-)
-from .geometry import (
-    ConvexPolygon,
-    FewerThanThreeVertices,
-    NonFiniteCoordinate,
-    NotCounterClockwise,
-    NotStrictlyConvex,
-    PolygonError,
-    Transform2,
-    Vec2,
-    apply_transform,
-    contains_point,
-    cross,
-    dot,
-    polygon_from_jsonable,
-    polygon_to_jsonable,
-)
+from .baseline import oracle_distance, sat_intersects
+from .datasets import Regime, verify_regime
+from .geometry import ConvexPolygon, PolygonError, Vec2, polygon_to_jsonable
 from .gjk import (
     CollisionExit,
     CollisionResult,
@@ -55,19 +22,9 @@ from .gjk import (
     Termination,
     distance,
     intersects,
-    witness_points,
 )
-from .subdistance import (
-    DegenerateTriangle,
-    SubdistanceResult,
-    compute_barycode,
-    cone_region,
-    s1d,
-    s2d,
-)
+from .subdistance import DegenerateTriangle, compute_barycode, s1d, s2d
 from .support import (
-    SimplexVertex,
-    SupportResult,
     cso_support,
     initial_direction,
     support_brute,

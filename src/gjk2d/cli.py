@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except PolygonError as exc:
         print(f"error: invalid polygon: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, PermissionError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,13 +26,9 @@ class Vec2(NamedTuple):
         return math.hypot(self.x, self.y)
 
 
-def dot(a: Vec2, b: Vec2) -> float:
-    return a.x * b.x + a.y * b.y
-
-
-def cross(a: Vec2, b: Vec2) -> float:
-    """Scalar 2D cross product a.x*b.y - a.y*b.x (z of the 3D cross)."""
-    return a.x * b.y - a.y * b.x
+# Largest accepted |coordinate|: products of coordinate differences, the
+# largest values any query or oracle forms, then stay far below overflow.
+MAX_COORDINATE = 2.0**500
 
 
 class PolygonError(ValueError):
@@ -47,7 +43,9 @@ class FewerThanThreeVertices(PolygonError):
 
 class NonFiniteCoordinate(PolygonError):
     def __init__(self, index: int):
-        super().__init__(f"vertex {index} has a non-finite coordinate")
+        super().__init__(
+            f"vertex {index} has a coordinate that is not finite or exceeds 2**500 in magnitude"
+        )
         self.index = index
 
 
@@ -59,7 +57,8 @@ class NotCounterClockwise(PolygonError):
 class NotStrictlyConvex(PolygonError):
     def __init__(self, index: int):
         super().__init__(
-            f"vertex {index} breaks strict convexity (collinear or reflex)"
+            f"vertex {index} breaks strict convexity "
+            "(collinear, reflex, or where the boundary winds around a second time)"
         )
         self.index = index
 
@@ -68,11 +67,13 @@ class ConvexPolygon:
     """Strictly convex polygon with counter-clockwise vertices.
 
     Construction validates the vertex list and raises a ``PolygonError``
-    subclass on the first violation found. Strict convexity (every
-    consecutive vertex triple turns strictly left) is required, so there
-    are no duplicate or collinear vertices. Flat per-axis coordinate
-    tuples and the vertex centroid are precomputed for fast support
-    scans. Instances are immutable.
+    subclass on the first violation found. Every coordinate must be finite
+    and at most ``MAX_COORDINATE`` in magnitude. Strict convexity means
+    every consecutive vertex triple turns strictly left and the boundary
+    winds around once, so there are no duplicate or collinear vertices and
+    no star polygons. Flat per-axis coordinate tuples and the vertex
+    centroid are precomputed for fast support scans. Instances are
+    immutable.
     """
 
     __slots__ = ("vertices", "xs", "ys", "centroid")
@@ -82,37 +83,57 @@ class ConvexPolygon:
         n = len(verts)
         if n < 3:
             raise FewerThanThreeVertices(n)
-        for i, v in enumerate(verts):
-            if not (math.isfinite(v.x) and math.isfinite(v.y)):
-                raise NonFiniteCoordinate(i)
+        xs = tuple(v.x for v in verts)
+        ys = tuple(v.y for v in verts)
+        # One pass over the triples (a, b, c) = vertices (i, i+1, i+2). Only
+        # the bound check raises at once, so it reports the lowest bad index
+        # even though the turn at b reads vertices not yet checked; the other
+        # violations wait for the whole area sum.
         area2 = 0.0
+        bent = None  # first middle vertex whose turn is not strictly left
+        wound = None  # vertex where the edge direction passes angle 0 again
+        wraps = 0
+        ax, ay, bx, by = xs[0], ys[0], xs[1], ys[1]
+        ex = bx - ax
+        ey = by - ay
+        upper = ey > 0.0 or (ey == 0.0 and ex > 0.0)
         for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            area2 += a.x * b.y - b.x * a.y
+            if not (abs(ax) <= MAX_COORDINATE and abs(ay) <= MAX_COORDINATE):
+                raise NonFiniteCoordinate(i)
+            j = i + 1 if i + 1 < n else 0
+            k = j + 1 if j + 1 < n else 0
+            cx = xs[k]
+            cy = ys[k]
+            area2 += ax * by - bx * ay
+            fx = cx - bx
+            fy = cy - by
+            if not ex * fy - ey * fx > 0.0 and bent is None:
+                bent = j
+            # Left turns are each below pi, so the edge direction passes
+            # angle 0 exactly when it moves from the lower half-plane to the
+            # upper one; a convex boundary does so once.
+            was_upper = upper
+            upper = fy > 0.0 or (fy == 0.0 and fx > 0.0)
+            if upper and not was_upper:
+                wraps += 1
+                if wraps == 2:
+                    wound = j
+            ax = bx
+            ay = by
+            bx = cx
+            by = cy
+            ex = fx
+            ey = fy
         if area2 < 0.0:
             raise NotCounterClockwise()
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            c = verts[(i + 2) % n]
-            if (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) <= 0.0:
-                raise NotStrictlyConvex((i + 1) % n)
+        if bent is not None:
+            raise NotStrictlyConvex(bent)
+        if wound is not None:
+            raise NotStrictlyConvex(wound)
         self.vertices = verts
-        self.xs = tuple(v.x for v in verts)
-        self.ys = tuple(v.y for v in verts)
-        self.centroid = Vec2(sum(self.xs) / n, sum(self.ys) / n)
-
-    @property
-    def signed_area(self) -> float:
-        area2 = 0.0
-        verts = self.vertices
-        n = len(verts)
-        for i in range(n):
-            a = verts[i]
-            b = verts[(i + 1) % n]
-            area2 += a.x * b.y - b.x * a.y
-        return 0.5 * area2
+        self.xs = xs
+        self.ys = ys
+        self.centroid = Vec2(sum(xs) / n, sum(ys) / n)
 
     def __len__(self) -> int:
         return len(self.vertices)

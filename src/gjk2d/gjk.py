@@ -66,21 +66,30 @@ class CollisionResult(NamedTuple):
 
 
 def witness_points(
-    verts: Sequence[SimplexVertex], lambdas: Sequence[float]
+    p_poly: ConvexPolygon,
+    q_poly: ConvexPolygon,
+    verts: Sequence[SimplexVertex],
+    lambdas: Sequence[float],
 ) -> Tuple[Vec2, Vec2]:
-    """Witness pair (sum lambda_i * p_i, sum lambda_i * q_i) of a solved simplex."""
+    """Witness pair (sum lambda_i * P[ip_i], sum lambda_i * Q[iq_i]) of a solved simplex.
+
+    The simplex vertices carry only indices, so the witnesses are rebuilt
+    from the polygons' coordinates here, once per query.
+    """
+    pxs, pys = p_poly.xs, p_poly.ys
+    qxs, qys = q_poly.xs, q_poly.ys
     px = py = qx = qy = 0.0
-    for (_, (vpx, vpy), (vqx, vqy), _, _), lam in zip(verts, lambdas):
-        px += lam * vpx
-        py += lam * vpy
-        qx += lam * vqx
-        qy += lam * vqy
+    for (_, ip, iq), lam in zip(verts, lambdas):
+        px += lam * pxs[ip]
+        py += lam * pys[ip]
+        qx += lam * qxs[iq]
+        qy += lam * qys[iq]
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
 def _is_duplicate(verts: List[SimplexVertex], ip: int, iq: int) -> bool:
     """Whether the vertex pair (ip, iq) already spans a simplex point."""
-    for _, _, _, sip, siq in verts:
+    for _, sip, siq in verts:
         if sip == ip and siq == iq:
             return True
     return False
@@ -116,7 +125,7 @@ def _gjk(
     d0x, d0y = initial_direction(p_poly, q_poly)
     first = support(p_poly, q_poly, -d0x, -d0y, (0, 0) if hcs else None)
     support_calls = 1
-    (vx, vy), _, _, ip, iq = first
+    (vx, vy), ip, iq = first
     warm = (ip, iq) if hcs else None
     verts = [first]
     lambdas = [1.0]
@@ -130,7 +139,7 @@ def _gjk(
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, warm)
         support_calls += 1
-        (wx, wy), _, _, ip, iq = w
+        (wx, wy), ip, iq = w
         if hcs:
             warm = (ip, iq)
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
@@ -213,7 +222,7 @@ def distance(
     )
     if termination in (Termination.CONTAINS_ORIGIN, Termination.SIMPLEX_FULL):
         vx = vy = 0.0
-    wp, wq = witness_points(verts, lambdas)
+    wp, wq = witness_points(p_poly, q_poly, verts, lambdas)
     dist = math.sqrt(vx * vx + vy * vy)
     return _new(
         DistanceResult, (dist, wp, wq, _new(Vec2, (vx, vy)), k, support_calls, termination)

@@ -24,11 +24,13 @@ class SupportResult(NamedTuple):
 
 
 class SimplexVertex(NamedTuple):
-    """One Minkowski-difference point w = p - q with its originating vertices."""
+    """One Minkowski-difference point w = P[ip] - Q[iq] with its vertex indices.
+
+    The indices name the originating vertices; ``witness_points`` reads
+    them back from the polygons once, when the query ends.
+    """
 
     w: Vec2
-    p: Vec2
-    q: Vec2
     ip: int
     iq: int
 
@@ -105,11 +107,8 @@ def _cso_support_xy(
     else:
         ip = _climb_index(p_poly.xs, p_poly.ys, dx, dy, warm[0])
         iq = _climb_index(q_poly.xs, q_poly.ys, -dx, -dy, warm[1])
-    p = p_poly.vertices[ip]
-    q = q_poly.vertices[iq]
-    px, py = p
-    qx, qy = q
-    return _new(SimplexVertex, (_new(Vec2, (px - qx, py - qy)), p, q, ip, iq))
+    w = _new(Vec2, (p_poly.xs[ip] - q_poly.xs[iq], p_poly.ys[ip] - q_poly.ys[iq]))
+    return _new(SimplexVertex, (w, ip, iq))
 
 
 def cso_support(
@@ -119,6 +118,10 @@ def cso_support(
     warm: Optional[Tuple[int, int]] = None,
 ) -> SimplexVertex:
     """Support of the Minkowski difference P - Q in ``direction``.
+
+    Returns the point w with the indices of the P and Q vertices it is the
+    difference of; the vertices themselves are ``p_poly.vertices[ip]`` and
+    ``q_poly.vertices[iq]``.
 
     ``warm`` is the (index in P, index in Q) pair to start from: a previous
     call's answer, or ``(0, 0)`` for a cold start. When present both

@@ -16,6 +16,22 @@ import math
 GRID = 1024
 
 
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def cross(a, b) -> float:
+    """Scalar 2D cross product a.x*b.y - a.y*b.x (z of the 3D cross)."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def signed_area(poly) -> float:
+    """Shoelace area of a polygon's vertex ring; positive when CCW."""
+    verts = poly.vertices
+    n = len(verts)
+    return 0.5 * sum(cross(verts[i], verts[(i + 1) % n]) for i in range(n))
+
+
 def segment_distance_to_origin(a, b, grid: int = GRID) -> float:
     """Min over t in [0,1] of |(1-t)a + t b| by grid scan + refinement."""
     ax, ay = a

@@ -94,15 +94,14 @@ def test_criterion_3_triangle_subdistance_matches_dense_oracle():
             ]
         )
     expected = triangle_distance_batch(tris)
-    origin = Vec2(0.0, 0.0)
     worst = 0.0
     distance_failures = 0
     code_failures = 0
     degenerate = 0
     for tri, want in zip(tris, expected):
-        a = SimplexVertex(Vec2(*tri[0]), Vec2(*tri[0]), origin, 0, 0)
-        b = SimplexVertex(Vec2(*tri[1]), Vec2(*tri[1]), origin, 0, 0)
-        c = SimplexVertex(Vec2(*tri[2]), Vec2(*tri[2]), origin, 0, 0)
+        a = SimplexVertex(Vec2(*tri[0]), 0, 0)
+        b = SimplexVertex(Vec2(*tri[1]), 0, 0)
+        c = SimplexVertex(Vec2(*tri[2]), 0, 0)
         got = s2d(a, b, c).v.norm()
         err = abs(got - want)
         worst = max(worst, err)

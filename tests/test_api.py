@@ -1,4 +1,4 @@
-"""The public names and patch points that ``perfbench/`` relies on.
+"""The package root's exports, and the names and patch points ``perfbench/`` relies on.
 
 The benchmark calls these names on the ``gjk2d`` package and, in its
 traced run, rebinds the layers that ``gjk2d.gjk`` looks up as module
@@ -9,6 +9,7 @@ inlining one of them would silently turn the traced metrics into
 """
 
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -35,7 +36,23 @@ BENCHMARK_NAMES = (
     "DegenerateTriangle",
     "Termination",
     "CollisionExit",
+    "Regime",
+    "Vec2",
+    "distance",
+    "intersects",
+    "oracle_distance",
+    "polygon_to_jsonable",
+    "sat_intersects",
+    "verify_regime",
 )
+# Besides the benchmark's names, the root exports the README quick start's
+# polygon type, its error base class and the two query results.
+ROOT_NAMES = set(BENCHMARK_NAMES) | {
+    "ConvexPolygon",
+    "PolygonError",
+    "DistanceResult",
+    "CollisionResult",
+}
 LOOP_LAYERS = ("_cso_support_xy", "initial_direction", "s1d", "s2d")
 PIPELINE_PATCH_POINTS = {
     gjk2d.cli: (
@@ -77,6 +94,16 @@ def random_pairs(seed, count):
 
 def test_benchmark_names_stay_exported():
     assert [name for name in BENCHMARK_NAMES if not hasattr(gjk2d, name)] == []
+
+
+def test_root_exports_nothing_else():
+    # submodules become package attributes on import; they are not exports
+    public = {
+        name
+        for name, value in vars(gjk2d).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == ROOT_NAMES
 
 
 @pytest.mark.parametrize("module", list(PIPELINE_PATCH_POINTS), ids=lambda m: m.__name__)
@@ -135,7 +162,7 @@ def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
     rng = random.Random(73)
     for _ in range(300):
         tau = [
-            SimplexVertex(Vec2(x, y), Vec2(x, y), Vec2(0.0, 0.0), 0, 0)
+            SimplexVertex(Vec2(x, y), 0, 0)
             for x, y in ((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
         ]
         seen["s1d"].append((tau[:2], gjk2d.subdistance.s1d(*tau[:2])))

@@ -130,6 +130,20 @@ class TestCheck:
         assert main(["check", str(tmp_path / "nope.jsonl")]) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "bench", "query"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_is_error_without_traceback(tmp_path, capsys, command, kind):
+    if kind == "directory":
+        path = tmp_path / "inputs"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"vertices": "\xe9"}\n')
+    argv = [command, str(path)] + ([str(path)] if command == "query" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestBench:
     def test_csv_schema_and_rows(self, small_dataset, capsys):
         code = main(

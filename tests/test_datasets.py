@@ -18,14 +18,15 @@ from gjk2d.datasets import (
     verify_regime,
     write_dataset,
 )
-from gjk2d.geometry import cross
+
+from oracle_utils import cross, signed_area
 
 
 class TestRandomConvexPolygon:
     def test_minimal_triangle(self):
         poly = random_convex_polygon(3, random.Random(0))
         assert len(poly) == 3
-        assert poly.signed_area > 0
+        assert signed_area(poly) > 0
 
     def test_exact_vertex_count_and_disc_bound(self):
         rng = random.Random(1)
@@ -153,6 +154,18 @@ class TestDatasetFiles:
         assert count == 1
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="line 1: malformed header field"):
+            read_dataset(path)
+
+    def test_coordinate_beyond_bound_names_line_and_vertex(self, tmp_path):
+        spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=3)
+        path = tmp_path / "huge.jsonl"
+        write_dataset(path, spec, generate_dataset(spec))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["q"]["vertices"] = [[-2, -2], [1e308, -2], [1e308, 1e308], [-2, 1e308]]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="line 3: vertex 1 has a coordinate"):
             read_dataset(path)
 
     def test_invalid_json_line_names_line_number(self, tmp_path):

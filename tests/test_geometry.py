@@ -2,30 +2,39 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjk2d.geometry import (
+    MAX_COORDINATE,
     ConvexPolygon,
     FewerThanThreeVertices,
     NonFiniteCoordinate,
     NotCounterClockwise,
     NotStrictlyConvex,
+    PolygonError,
     Transform2,
     Vec2,
     apply_transform,
     contains_point,
-    cross,
-    dot,
     polygon_from_jsonable,
     polygon_to_jsonable,
 )
+
+from oracle_utils import convex_hull, cross, dot, signed_area
 
 UNIT_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
+def star_vertex(k, n, rotation=0.3):
+    angle = rotation + 2 * math.pi * k / n
+    return (math.cos(angle), math.sin(angle))
+
+
 class TestVectorOps:
+    """The oracle helpers that the convexity, area and support assertions use."""
+
     def test_dot_orthogonal(self):
         assert dot(Vec2(1, 0), Vec2(0, 1)) == 0.0
 
@@ -61,7 +70,7 @@ class TestValidatePolygon:
     def test_accepts_ccw_triangle(self):
         poly = ConvexPolygon(UNIT_TRIANGLE)
         assert len(poly) == 3
-        assert poly.signed_area == pytest.approx(0.5)
+        assert signed_area(poly) == pytest.approx(0.5)
 
     def test_rejects_reversed_orientation(self):
         with pytest.raises(NotCounterClockwise):
@@ -101,6 +110,73 @@ class TestValidatePolygon:
         poly = ConvexPolygon(UNIT_SQUARE)
         assert poly.centroid == Vec2(0.5, 0.5)
 
+    @pytest.mark.parametrize("n,step", [(5, 2), (7, 2), (7, 3)])
+    def test_rejects_star_polygons(self, n, step):
+        # {n/step} with the vertices in star order: every turn is left and
+        # the area is positive, but the edges wind around `step` times
+        star = [star_vertex(k * step % n, n) for k in range(n)]
+        with pytest.raises(NotStrictlyConvex):
+            ConvexPolygon(star)
+        ConvexPolygon(star_vertex(k, n) for k in range(n))
+
+    @pytest.mark.parametrize(
+        "vertices,index",
+        [
+            ([(-1e308, 0), (1e308, 0), (0, 1e308)], 0),
+            ([(-2, -2), (1e308, -2), (1e308, 1e308), (-2, 1e308)], 1),
+            ([(0, 0), (1, 0), (0, -(2.0**500) * (1 + 2**-52))], 2),
+        ],
+        ids=["1e308-triangle", "1e308-square", "just-past-bound"],
+    )
+    def test_rejects_coordinates_beyond_bound_with_index(self, vertices, index):
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            ConvexPolygon(vertices)
+        assert exc.value.index == index
+
+    def test_accepts_coordinates_at_bound(self):
+        assert MAX_COORDINATE == 2.0**500
+        big = MAX_COORDINATE
+        ConvexPolygon([(-big, -big), (big, -big), (big, big), (-big, big)])
+
+    def test_first_violation_keeps_its_class_and_index(self):
+        # a later non-finite vertex outranks an earlier bend, and orientation
+        # outranks convexity
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            ConvexPolygon([(0, 0), (1, 0), (2, 0), (float("nan"), 1)])
+        assert exc.value.index == 3
+        with pytest.raises(NotCounterClockwise):
+            ConvexPolygon([(0, 0), (0, 2), (1, 1), (2, 2), (2, 0)])
+        # vertices 0 and 1 are both collinear; vertex 0 is checked last
+        with pytest.raises(NotStrictlyConvex) as exc:
+            ConvexPolygon([(1, 0), (2, 0), (3, 0), (3, 2), (0, 2), (0, 0)])
+        assert exc.value.index == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepts_exactly_the_rotations_of_the_hull(self, data):
+        # small integer coordinates keep every turn and hull test exact
+        coord = st.integers(-6, 6)
+        points = data.draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=9))
+        hull = [(p.x, p.y) for p in convex_hull(points)]
+        if len(hull) >= 3 and data.draw(st.booleans()):
+            # hull vertices in a star order, reversed, or shuffled
+            m = len(hull)
+            step = data.draw(st.integers(1, m - 1))
+            start = data.draw(st.integers(0, m - 1))
+            points = [hull[(start + k * step) % m] for k in range(m)]
+            if data.draw(st.booleans()):
+                points = data.draw(st.permutations(points))
+        else:
+            points = data.draw(st.permutations(points))
+        m = len(hull)
+        is_rotation = any(list(points) == hull[k:] + hull[:k] for k in range(m))
+        try:
+            ConvexPolygon(points)
+            accepted = True
+        except PolygonError:
+            accepted = False
+        assert accepted == is_rotation
+
 
 class TestTransforms:
     def test_identity_keeps_polygon(self):
@@ -134,7 +210,7 @@ class TestTransforms:
                 rng.uniform(-10, 10), Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
             )
             moved = apply_transform(t, poly)
-            assert moved.signed_area == pytest.approx(poly.signed_area, rel=1e-9)
+            assert signed_area(moved) == pytest.approx(signed_area(poly), rel=1e-9)
 
     def test_preserves_pairwise_distances(self):
         rng = random.Random(7)
@@ -168,8 +244,6 @@ class TestJsonShape:
         assert polygon_from_jsonable(polygon_to_jsonable(poly)) == poly
 
     def test_rejects_malformed_object(self):
-        from gjk2d.geometry import PolygonError
-
         with pytest.raises(PolygonError):
             polygon_from_jsonable({"points": []})
         with pytest.raises(PolygonError):

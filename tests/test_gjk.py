@@ -458,15 +458,19 @@ class TestTouchingClassifier:
 
 class TestWitnessPoints:
     def test_single_vertex(self):
-        sv = SimplexVertex(Vec2(1, 2), Vec2(4, 5), Vec2(3, 3), 0, 0)
-        wp, wq = witness_points([sv], [1.0])
+        p = ConvexPolygon([(4, 5), (5, 5), (4, 6)])
+        q = ConvexPolygon([(3, 3), (4, 3), (3, 4)])
+        sv = SimplexVertex(Vec2(1, 2), 0, 0)
+        wp, wq = witness_points(p, q, [sv], [1.0])
         assert wp == Vec2(4, 5)
         assert wq == Vec2(3, 3)
 
     def test_symmetric_combination(self):
-        a = SimplexVertex(Vec2(0, 0), Vec2(0, 0), Vec2(0, 0), 0, 0)
-        b = SimplexVertex(Vec2(2, 2), Vec2(4, 0), Vec2(2, -2), 1, 1)
-        wp, wq = witness_points([a, b], [0.5, 0.5])
+        p = ConvexPolygon([(0, 0), (4, 0), (0, 4)])
+        q = ConvexPolygon([(0, 0), (2, -2), (2, 2)])
+        a = SimplexVertex(Vec2(0, 0), 0, 0)
+        b = SimplexVertex(Vec2(2, 2), 1, 1)
+        wp, wq = witness_points(p, q, [a, b], [0.5, 0.5])
         assert wp == Vec2(2, 0)
         assert wq == Vec2(1, -1)
 

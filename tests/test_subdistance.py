@@ -21,8 +21,8 @@ from oracle_utils import (
 
 
 def sv(x, y):
-    """Simplex vertex whose originating support points are irrelevant here."""
-    return SimplexVertex(Vec2(x, y), Vec2(x, y), Vec2(0.0, 0.0), 0, 0)
+    """Simplex vertex whose originating vertex indices are irrelevant here."""
+    return SimplexVertex(Vec2(x, y), 0, 0)
 
 
 def random_sv(rng, lo=-10.0, hi=10.0):

@@ -2,13 +2,15 @@ import math
 import random
 
 from gjk2d.datasets import random_convex_polygon
-from gjk2d.geometry import ConvexPolygon, Vec2, dot
+from gjk2d.geometry import ConvexPolygon, Vec2
 from gjk2d.support import (
     cso_support,
     initial_direction,
     support_brute,
     support_hill_climb,
 )
+
+from oracle_utils import dot
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -95,8 +97,7 @@ class TestCsoSupport:
         res = cso_support(UNIT_SQUARE, UNIT_SQUARE, d)
         assert dot(res.w, d) == best
         assert res.w == Vec2(1, 0)
-        assert res.p == UNIT_SQUARE.vertices[res.ip]
-        assert res.q == UNIT_SQUARE.vertices[res.iq]
+        assert res.w == UNIT_SQUARE.vertices[res.ip] - UNIT_SQUARE.vertices[res.iq]
 
     def test_translation_adds_to_support(self):
         shifted = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
@@ -115,7 +116,7 @@ class TestCsoSupport:
             b = random_convex_polygon(rng.choice([3, 5, 8]), rng)
             d = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             res = cso_support(a, b, d)
-            assert res.w == res.p - res.q
+            assert res.w == a.vertices[res.ip] - b.vertices[res.iq]
 
     def test_minkowski_antisymmetry_exact(self):
         rng = random.Random(17)
