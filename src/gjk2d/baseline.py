@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import ConvexPolygon, Vec2
+from .geometry import ConvexPolygon
 
 
 class ClosestFeature(Enum):

@@ -36,9 +36,6 @@ CSV_COLUMNS = (
     "mean_support_calls",
 )
 
-MIN_WARMUP = 5
-MIN_REPETITIONS = 20
-
 
 class Algorithm(Enum):
     DISTANCE_GJK = "DistanceGjk"
@@ -73,8 +70,6 @@ def _runner(algorithm: Algorithm):
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    if len(sorted_values) == 1:
-        return sorted_values[0]
     pos = fraction * (len(sorted_values) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(sorted_values) - 1)
@@ -85,16 +80,18 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
 def run_benchmark(
     cases: Iterable[PairCase],
     algorithms: Sequence[Algorithm],
-    repetitions: int = MIN_REPETITIONS,
-    warmup: int = MIN_WARMUP,
+    repetitions: int = 20,
+    warmup: int = 5,
     regimes: Optional[Sequence[Regime]] = None,
 ) -> List[BenchRecord]:
     """Benchmark the given algorithms over each regime slice of ``cases``.
 
     Returns records sorted by algorithm then regime name. ``regimes``
-    restricts the measured slices (all three by default).
+    restricts the measured slices (all three by default). ``ValueError``
+    when ``repetitions`` is below 1 or ``warmup`` is negative.
     """
-    repetitions = max(repetitions, 1)
+    if repetitions < 1 or warmup < 0:
+        raise ValueError(f"need repetitions >= 1 and warmup >= 0, got {repetitions}, {warmup}")
     groups = group_by_regime(cases)
     wanted = list(regimes) if regimes is not None else list(Regime)
     records = []

@@ -216,10 +216,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen" and args.vertices < 3:
-        parser.error("--vertices must be at least 3")
-    if args.command == "gen" and args.cases < 1:
-        parser.error("--cases must be at least 1")
+    for command, option, least in (
+        ("gen", "vertices", 3), ("gen", "cases", 1),
+        ("bench", "repetitions", 1), ("bench", "warmup", 0),
+    ):
+        if args.command == command and getattr(args, option) < least:
+            parser.error(f"--{option} must be at least {least}")
     try:
         return args.func(args)
     except DatasetError as exc:

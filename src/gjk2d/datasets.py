@@ -170,15 +170,13 @@ def random_convex_polygon(
             poly = ConvexPolygon(verts)
         except PolygonError:
             continue
-        ok = True
+        xs, ys = poly.xs, poly.ys
         for i in range(n):
-            a = poly.vertices[i]
-            b = poly.vertices[(i + 1) % n]
-            c = poly.vertices[(i + 2) % n]
-            if (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x) <= min_cross:
-                ok = False
+            j = (i + 1) % n
+            k = (i + 2) % n
+            if (xs[j] - xs[i]) * (ys[k] - ys[j]) - (ys[j] - ys[i]) * (xs[k] - xs[j]) <= min_cross:
                 break
-        if ok:
+        else:
             return poly
     raise PolygonGenerationFailed(f"no valid {n}-gon after 1000 attempts")
 

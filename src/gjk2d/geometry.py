@@ -14,21 +14,18 @@ from typing import Iterable, NamedTuple
 
 
 class Vec2(NamedTuple):
-    """Immutable 2D vector with double-precision components."""
+    """Immutable (x, y) record: a point, a direction or a translation."""
 
     x: float
     y: float
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
 
 # Largest accepted |coordinate|: products of coordinate differences, the
 # largest values any query or oracle forms, then stay far below overflow.
 MAX_COORDINATE = 2.0**500
+# Smallest accepted turn, the smallest normal double: below it turns and the
+# queries' squared lengths, all products of coordinate differences, underflow.
+_MIN_TURN = 2.0**-1022
 
 
 class PolygonError(ValueError):
@@ -69,22 +66,23 @@ class ConvexPolygon:
     Construction validates the vertex list and raises a ``PolygonError``
     subclass on the first violation found. Every coordinate must be finite
     and at most ``MAX_COORDINATE`` in magnitude. Strict convexity means
-    every consecutive vertex triple turns strictly left and the boundary
-    winds around once, so there are no duplicate or collinear vertices and
-    no star polygons. Flat per-axis coordinate tuples and the vertex
-    centroid are precomputed for fast support scans. Instances are
-    immutable.
+    every consecutive vertex triple turns left by at least the smallest
+    normal double and the boundary winds around once, so there are no
+    duplicate or collinear vertices and no star polygons. The polygon is
+    its per-axis coordinate tuples ``xs`` and ``ys`` plus the vertex
+    centroid. Instances are immutable.
     """
 
-    __slots__ = ("vertices", "xs", "ys", "centroid")
+    __slots__ = ("xs", "ys", "centroid")
 
     def __init__(self, vertices: Iterable):
-        verts = tuple(Vec2(float(x), float(y)) for x, y in vertices)
-        n = len(verts)
+        xs, ys = [], []
+        for x, y in vertices:
+            xs.append(float(x))
+            ys.append(float(y))
+        n = len(xs)
         if n < 3:
             raise FewerThanThreeVertices(n)
-        xs = tuple(v.x for v in verts)
-        ys = tuple(v.y for v in verts)
         # One pass over the triples (a, b, c) = vertices (i, i+1, i+2). Only
         # the bound check raises at once, so it reports the lowest bad index
         # even though the turn at b reads vertices not yet checked; the other
@@ -92,6 +90,7 @@ class ConvexPolygon:
         area2 = 0.0
         bent = None  # first middle vertex whose turn is not strictly left
         wound = None  # vertex where the edge direction passes angle 0 again
+        tiny = None  # first middle vertex whose turn is below _MIN_TURN
         wraps = 0
         ax, ay, bx, by = xs[0], ys[0], xs[1], ys[1]
         ex = bx - ax
@@ -107,8 +106,11 @@ class ConvexPolygon:
             area2 += ax * by - bx * ay
             fx = cx - bx
             fy = cy - by
-            if not ex * fy - ey * fx > 0.0 and bent is None:
+            turn = ex * fy - ey * fx
+            if not turn > 0.0 and bent is None:
                 bent = j
+            if not turn >= _MIN_TURN and tiny is None:
+                tiny = j
             # Left turns are each below pi, so the edge direction passes
             # angle 0 exactly when it moves from the lower half-plane to the
             # upper one; a convex boundary does so once.
@@ -126,28 +128,26 @@ class ConvexPolygon:
             ey = fy
         if area2 < 0.0:
             raise NotCounterClockwise()
-        if bent is not None:
-            raise NotStrictlyConvex(bent)
-        if wound is not None:
-            raise NotStrictlyConvex(wound)
-        self.vertices = verts
-        self.xs = xs
-        self.ys = ys
+        for index in (bent, wound, tiny):
+            if index is not None:
+                raise NotStrictlyConvex(index)
+        self.xs = tuple(xs)
+        self.ys = tuple(ys)
         self.centroid = Vec2(sum(xs) / n, sum(ys) / n)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.xs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConvexPolygon):
             return NotImplemented
-        return self.vertices == other.vertices
+        return self.xs == other.xs and self.ys == other.ys
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash((self.xs, self.ys))
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({list(self.vertices)!r})"
+        return f"ConvexPolygon({list(zip(self.xs, self.ys))!r})"
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def contains_point(poly: ConvexPolygon, point: Vec2, tolerance: float = 0.0) -> 
 
 def polygon_to_jsonable(poly: ConvexPolygon) -> dict:
     """Shared JSON shape: {"vertices": [[x, y], ...]}."""
-    return {"vertices": [[v.x, v.y] for v in poly.vertices]}
+    return {"vertices": [[x, y] for x, y in zip(poly.xs, poly.ys)]}
 
 
 def polygon_from_jsonable(obj) -> ConvexPolygon:

@@ -80,7 +80,7 @@ def _climb_index(xs, ys, dx: float, dy: float, start: int) -> int:
 def support_brute(poly: ConvexPolygon, direction: Vec2) -> SupportResult:
     """First vertex attaining max dot(v, direction); index 0 for a zero direction."""
     i = _argmax_index(poly.xs, poly.ys, direction.x, direction.y)
-    return SupportResult(poly.vertices[i], i)
+    return SupportResult(_new(Vec2, (poly.xs[i], poly.ys[i])), i)
 
 
 def support_hill_climb(poly: ConvexPolygon, direction: Vec2, start: int) -> SupportResult:
@@ -91,7 +91,7 @@ def support_hill_climb(poly: ConvexPolygon, direction: Vec2, start: int) -> Supp
     equals the brute-force maximum in at most ``len(poly)`` steps.
     """
     i = _climb_index(poly.xs, poly.ys, direction.x, direction.y, start)
-    return SupportResult(poly.vertices[i], i)
+    return SupportResult(_new(Vec2, (poly.xs[i], poly.ys[i])), i)
 
 
 def _cso_support_xy(
@@ -119,9 +119,9 @@ def cso_support(
 ) -> SimplexVertex:
     """Support of the Minkowski difference P - Q in ``direction``.
 
-    Returns the point w with the indices of the P and Q vertices it is the
-    difference of; the vertices themselves are ``p_poly.vertices[ip]`` and
-    ``q_poly.vertices[iq]``.
+    Returns the point w = P[ip] - Q[iq] with the indices of the P and Q
+    vertices it is the difference of; vertex ``i`` of a polygon is
+    ``(poly.xs[i], poly.ys[i])``.
 
     ``warm`` is the (index in P, index in Q) pair to start from: a previous
     call's answer, or ``(0, 0)`` for a cold start. When present both

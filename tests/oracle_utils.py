@@ -25,9 +25,19 @@ def cross(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def sub(a, b):
+    """Difference a - b of two points as a plain (x, y) tuple."""
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def vertices(poly):
+    """A polygon's vertex ring as a list of (x, y) tuples."""
+    return list(zip(poly.xs, poly.ys))
+
+
 def signed_area(poly) -> float:
     """Shoelace area of a polygon's vertex ring; positive when CCW."""
-    verts = poly.vertices
+    verts = vertices(poly)
     n = len(verts)
     return 0.5 * sum(cross(verts[i], verts[(i + 1) % n]) for i in range(n))
 

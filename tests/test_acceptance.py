@@ -6,6 +6,7 @@ report lines alongside the test results.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -102,7 +103,7 @@ def test_criterion_3_triangle_subdistance_matches_dense_oracle():
         a = SimplexVertex(Vec2(*tri[0]), 0, 0)
         b = SimplexVertex(Vec2(*tri[1]), 0, 0)
         c = SimplexVertex(Vec2(*tri[2]), 0, 0)
-        got = s2d(a, b, c).v.norm()
+        got = math.hypot(*s2d(a, b, c).v)
         err = abs(got - want)
         worst = max(worst, err)
         if err > 1e-9:

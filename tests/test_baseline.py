@@ -201,7 +201,7 @@ class TestAgainstBruteReferences:
             for _ in range(5):
                 p = random_placed(rng, n, 1.0)
                 shift = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                reflected = ConvexPolygon([(-x, -y) for x, y in p.vertices])
+                reflected = ConvexPolygon([(-x, -y) for x, y in zip(p.xs, p.ys)])
                 for q in (
                     p,
                     apply_transform(Transform2(0.0, shift), p),
@@ -223,8 +223,8 @@ class TestAgainstBruteReferences:
                 continue
             dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
             for q in (
-                ConvexPolygon([(x + dx, y + dy) for x, y in p.vertices]),
-                ConvexPolygon([(dx - x, dy - y) for x, y in p.vertices]),
+                ConvexPolygon([(x + dx, y + dy) for x, y in zip(p.xs, p.ys)]),
+                ConvexPolygon([(dx - x, dy - y) for x, y in zip(p.xs, p.ys)]),
             ):
                 assert_matches_brute(p, q)
 

@@ -5,7 +5,7 @@ import re
 import pytest
 
 import gjk2d.gjk
-from gjk2d.bench import CSV_COLUMNS
+from gjk2d.bench import CSV_COLUMNS, Algorithm, run_benchmark
 from gjk2d.cli import main
 from gjk2d.datasets import read_dataset
 from gjk2d.gjk import CollisionExit, Termination, distance, intersects
@@ -174,6 +174,24 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", str(small_dataset), "--algorithms", "Quantum"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--repetitions", "0"), ("--repetitions", "-3"), ("--warmup", "-1")],
+    )
+    def test_out_of_range_pass_count_is_usage_error(self, small_dataset, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(small_dataset), "--algorithms", "Sat", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repetitions,warmup", [(0, 0), (-1, 0), (1, -1)])
+    def test_run_benchmark_rejects_out_of_range_pass_counts(
+        self, small_dataset, repetitions, warmup
+    ):
+        _, cases = read_dataset(small_dataset)
+        with pytest.raises(ValueError):
+            run_benchmark(cases, [Algorithm.SAT], repetitions=repetitions, warmup=warmup)
 
     def test_gnuplot_flag_writes_script(self, small_dataset, tmp_path, capsys):
         script = tmp_path / "plot.gp"

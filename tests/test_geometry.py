@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from gjk2d.geometry import (
     polygon_to_jsonable,
 )
 
-from oracle_utils import convex_hull, cross, dot, signed_area
+from oracle_utils import convex_hull, cross, dot, signed_area, sub, vertices
 
 UNIT_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -100,11 +101,11 @@ class TestValidatePolygon:
 
     def test_all_consecutive_crosses_positive(self):
         poly = ConvexPolygon(UNIT_SQUARE)
-        verts = poly.vertices
+        verts = vertices(poly)
         n = len(verts)
         for i in range(n):
             a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            assert cross(b - a, c - b) > 0.0
+            assert cross(sub(b, a), sub(c, b)) > 0.0
 
     def test_centroid_is_vertex_mean(self):
         poly = ConvexPolygon(UNIT_SQUARE)
@@ -151,6 +152,58 @@ class TestValidatePolygon:
             ConvexPolygon([(1, 0), (2, 0), (3, 0), (3, 2), (0, 2), (0, 0)])
         assert exc.value.index == 1
 
+    def test_rejects_turns_below_the_smallest_normal_double(self):
+        # every turn of this right triangle is a * a
+        a = 2.0**-511
+        assert a * a == sys.float_info.min
+        ConvexPolygon([(0, 0), (a, 0), (0, a)])
+        a = 2.0**-512
+        assert 0.0 < a * a < sys.float_info.min
+        with pytest.raises(NotStrictlyConvex) as exc:
+            ConvexPolygon([(0, 0), (a, 0), (0, a)])
+        assert exc.value.index == 1
+
+    def test_underflowing_turn_ranks_after_other_violations(self):
+        # vertex 1 turns by a subnormal t and vertex 3 is collinear: the
+        # collinear vertex is reported, as it was before underflowing turns
+        # were rejected
+        t = 1e-310
+        with pytest.raises(NotStrictlyConvex) as exc:
+            ConvexPolygon([(0, 0), (1, 0), (1, t), (0.5, t), (0, t)])
+        assert exc.value.index == 3
+
+    @pytest.mark.parametrize(
+        "points,error,index",
+        [
+            ([(0, 0), (1, 0)], FewerThanThreeVertices, None),
+            ([(0, 0), (1, 0), (1, 1), (float("inf"), 1)], NonFiniteCoordinate, 3),
+            ([(0, 0), (1, 0), (0, 2.0**501)], NonFiniteCoordinate, 2),
+            ([(0, 0), (0, 1), (1, 0)], NotCounterClockwise, None),
+            ([(0, 0), (1, 0), (2, 0), (1, 1)], NotStrictlyConvex, 1),
+            ([(0, 0), (1, 0), (1, 0), (0, 1)], NotStrictlyConvex, 1),
+            ([(0, 0), (2, 0), (1, 0.1), (2, 2), (0, 2)], NotStrictlyConvex, 2),
+            ([star_vertex(k * 2 % 5, 5) for k in range(5)], NotStrictlyConvex, 4),
+            ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)], NotStrictlyConvex, 4),
+        ],
+        ids=[
+            "two-vertices", "inf", "past-bound", "clockwise", "collinear",
+            "duplicate", "reflex", "pentagram", "interior-point",
+        ],
+    )
+    @pytest.mark.parametrize("form", ["tuples", "lists", "vec2", "generator"])
+    def test_rejection_class_and_index_do_not_depend_on_input_form(
+        self, points, error, index, form
+    ):
+        if form == "lists":
+            points = [list(v) for v in points]
+        elif form == "vec2":
+            points = [Vec2(*v) for v in points]
+        elif form == "generator":
+            points = (v for v in points)
+        with pytest.raises(error) as exc:
+            ConvexPolygon(points)
+        assert getattr(exc.value, "index", None) == index
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_accepts_exactly_the_rotations_of_the_hull(self, data):
@@ -178,6 +231,60 @@ class TestValidatePolygon:
         assert accepted == is_rotation
 
 
+class TestRepresentation:
+    """A polygon is its coordinate tuples ``xs`` and ``ys`` plus the centroid."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: [(0, 0), (3, 1), (2, 4), (-1, 2)],
+            lambda: [[0, 0], [3, 1], [2, 4], [-1, 2]],
+            lambda: ((0.0, 0.0), (3.0, 1.0), (2.0, 4.0), (-1.0, 2.0)),
+            lambda: [Vec2(0, 0), Vec2(3, 1), Vec2(2, 4), Vec2(-1, 2)],
+            lambda: ((x, y) for x, y in [(0, 0), (3, 1), (2, 4), (-1, 2)]),
+        ],
+        ids=["int-tuples", "int-lists", "float-tuples", "vec2", "generator"],
+    )
+    def test_coordinates_are_float_tuples_equal_to_the_input(self, build):
+        poly = ConvexPolygon(build())
+        assert poly.xs == (0.0, 3.0, 2.0, -1.0)
+        assert poly.ys == (0.0, 1.0, 4.0, 2.0)
+        assert type(poly.xs) is tuple and type(poly.ys) is tuple
+        assert all(type(c) is float for c in poly.xs + poly.ys)
+        assert len(poly) == 4
+        assert poly.centroid == Vec2(1.0, 1.75)
+
+    def test_equality_and_hash_follow_the_coordinates(self):
+        a = ConvexPolygon(UNIT_SQUARE)
+        b = ConvexPolygon([(0.0, 0.0), [1, 0], Vec2(1, 1), (0, 1)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert hash(a) == hash((a.xs, a.ys))
+        # same xs, other ys; and the same ring started at another vertex
+        assert a != ConvexPolygon([(0, 0), (1, 0), (1, 2), (0, 1)])
+        assert a != ConvexPolygon(UNIT_SQUARE[1:] + UNIT_SQUARE[:1])
+        assert a != UNIT_SQUARE and a != (a.xs, a.ys)
+
+    def test_repr_shows_the_coordinates(self):
+        poly = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
+        assert repr(poly) == "ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])"
+        assert eval(repr(poly)) == poly
+
+    def test_holds_no_per_vertex_copy(self):
+        poly = ConvexPolygon(UNIT_SQUARE)
+        assert ConvexPolygon.__slots__ == ("xs", "ys", "centroid")
+        with pytest.raises(AttributeError):
+            poly.vertices
+        with pytest.raises(AttributeError):
+            poly.vertices = ()
+
+    def test_vec2_is_a_plain_record(self):
+        v = Vec2(3, 4)
+        assert v._fields == ("x", "y") and v == (3, 4)
+        assert not hasattr(v, "norm")
+        with pytest.raises(TypeError):
+            v - Vec2(1, 1)
+
+
 class TestTransforms:
     def test_identity_keeps_polygon(self):
         poly = ConvexPolygon(UNIT_TRIANGLE)
@@ -188,15 +295,15 @@ class TestTransforms:
         poly = ConvexPolygon([(1, 0), (2, 0), (1, 1)])
         moved = apply_transform(Transform2(math.pi / 2), poly)
         expected = [(0, 1), (0, 2), (-1, 1)]
-        for got, want in zip(moved.vertices, expected):
-            assert got.x == pytest.approx(want[0], abs=1e-12)
-            assert got.y == pytest.approx(want[1], abs=1e-12)
+        for got, want in zip(vertices(moved), expected):
+            assert got[0] == pytest.approx(want[0], abs=1e-12)
+            assert got[1] == pytest.approx(want[1], abs=1e-12)
 
     def test_translation_shifts_vertices(self):
         poly = ConvexPolygon(UNIT_TRIANGLE)
         moved = apply_transform(Transform2(0.0, Vec2(5.0, 0.0)), poly)
-        for got, base in zip(moved.vertices, poly.vertices):
-            assert got == Vec2(base.x + 5.0, base.y)
+        for got, base in zip(vertices(moved), vertices(poly)):
+            assert got == (base[0] + 5.0, base[1])
 
     def test_rejects_non_finite_rotation(self):
         with pytest.raises(ValueError):
@@ -218,10 +325,10 @@ class TestTransforms:
         for _ in range(50):
             t = Transform2(rng.uniform(-7, 7), Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)))
             moved = apply_transform(t, poly)
-            for a, b, ma, mb in zip(
-                poly.vertices, poly.vertices[1:], moved.vertices, moved.vertices[1:]
-            ):
-                assert (a - b).norm() == pytest.approx((ma - mb).norm(), rel=1e-12)
+            verts = vertices(poly)
+            moved_verts = vertices(moved)
+            for a, b, ma, mb in zip(verts, verts[1:], moved_verts, moved_verts[1:]):
+                assert math.dist(a, b) == pytest.approx(math.dist(ma, mb), rel=1e-12)
 
 
 class TestContainsPoint:

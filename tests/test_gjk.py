@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import gjk2d.gjk
 import gjk2d.support
 from gjk2d.baseline import oracle_distance, sat_intersects
+from gjk2d.cli import ABS_TOL, REL_TOL
 from gjk2d.datasets import (
     DatasetSpec,
     Regime,
@@ -21,6 +22,7 @@ from gjk2d.datasets import (
 )
 from gjk2d.geometry import (
     ConvexPolygon,
+    PolygonError,
     Transform2,
     Vec2,
     apply_transform,
@@ -37,6 +39,8 @@ from gjk2d.gjk import (
 )
 from gjk2d.support import SimplexVertex
 
+from oracle_utils import sub, vertices
+
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
 
@@ -51,7 +55,7 @@ def random_pair(rng, n=None, span=3.0, m=None):
 
 
 def scaled(poly, factor):
-    return ConvexPolygon((x * factor, y * factor) for x, y in poly.vertices)
+    return ConvexPolygon((x * factor, y * factor) for x, y in zip(poly.xs, poly.ys))
 
 
 class TestQueryConstants:
@@ -68,7 +72,7 @@ class TestDistance:
         assert res.distance == pytest.approx(2.0, abs=1e-12)
         assert res.witness_p.x == pytest.approx(1.0, abs=1e-12)
         assert res.witness_q.x == pytest.approx(3.0, abs=1e-12)
-        assert (res.witness_p - res.witness_q).norm() == pytest.approx(2.0, abs=1e-12)
+        assert math.dist(res.witness_p, res.witness_q) == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_squares_overlap(self):
         res = distance(UNIT_SQUARE, UNIT_SQUARE)
@@ -84,10 +88,10 @@ class TestDistance:
             oracle = oracle_distance(p, q).distance
             assert abs(res.distance - oracle) <= 1e-7 * max(1.0, oracle) + 1e-9
             assert res.distance == pytest.approx(
-                res.separating_vector.norm(), abs=1e-12
+                math.hypot(*res.separating_vector), abs=1e-12
             )
             if res.distance > 0:
-                assert (res.witness_p - res.witness_q).norm() == pytest.approx(
+                assert math.dist(res.witness_p, res.witness_q) == pytest.approx(
                     res.distance, abs=1e-9
                 )
             assert contains_point(p, res.witness_p, tolerance=1e-9)
@@ -212,7 +216,7 @@ class TestIntersects:
             q = p
         elif kind == "translated":
             dx, dy = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            q = ConvexPolygon((x + dx, y + dy) for x, y in p.vertices)
+            q = ConvexPolygon((x + dx, y + dy) for x, y in zip(p.xs, p.ys))
         res = intersects(p, q, use_hill_climbing=hill_climbing)
         assert res.support_calls <= distance(p, q, use_hill_climbing=hill_climbing).support_calls
         oracle = oracle_distance(p, q).distance
@@ -323,8 +327,8 @@ class TestScale:
         # spacing of doubles near `offset`, about 1e-16 * offset
         worst = 0.0
         for case in eight_gon_cases[::3]:
-            p = ConvexPolygon((x + offset, y - offset) for x, y in case.p.vertices)
-            q = ConvexPolygon((x + offset, y - offset) for x, y in case.q.vertices)
+            p = ConvexPolygon((x + offset, y - offset) for x, y in zip(case.p.xs, case.p.ys))
+            q = ConvexPolygon((x + offset, y - offset) for x, y in zip(case.q.xs, case.q.ys))
             res = distance(p, q)
             assert res.termination is not Termination.MAX_ITERATIONS
             worst = max(worst, abs(res.distance - oracle_distance(case.p, case.q).distance))
@@ -351,6 +355,34 @@ class TestScale:
                     factor = 2.0**k
                     moved = queries(scaled(case.p, factor), scaled(case.q, factor))
                     assert list(moved) == [scaled_result(res, factor) for res in base], (cap, k)
+
+    def test_underflowing_scales_are_rejected_or_answered(self):
+        # Below about 1e-153 the turns of a unit-sized polygon fall under the
+        # smallest normal double and the polygon is rejected; above it, every
+        # answer must pass `gjk2d check`'s band scaled with the polygons.
+        # Accepting such polygons gave wrong distances at 1e-159..1e-161.
+        cases = []
+        for n in (3, 4, 8, 24):
+            spec = DatasetSpec(vertex_count=n, cases_per_regime=20, seed=5)
+            for regime in Regime:
+                for i in range(20):
+                    case = make_pair(spec, regime, derive_case_seed(5, n, regime, i))
+                    oracle = oracle_distance(case.p, case.q).distance
+                    cases.append((case, oracle, sat_intersects(case.p, case.q)))
+        accepted = set()
+        for e in range(140, 167):
+            factor = 7e-166 if e == 166 else 10.0**-e
+            for case, oracle, sat in cases:
+                try:
+                    p, q = scaled(case.p, factor), scaled(case.q, factor)
+                except PolygonError:
+                    continue
+                accepted.add(e)
+                err = abs(distance(p, q).distance - oracle * factor)
+                assert err <= (REL_TOL * max(1.0, oracle) + ABS_TOL) * factor, (factor, case.seed)
+                if case.regime is not Regime.TOUCHING:
+                    assert intersects(p, q).colliding == sat, (factor, case.seed)
+        assert min(accepted) == 140 and max(accepted) < 159
 
     def test_parallel_edge_lattice_pairs_do_not_reach_the_cap(self):
         # translated copies of one polygon and integer rectangles have
@@ -397,7 +429,7 @@ class TestScale:
                     Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))),
                     ConvexPolygon(
                         (x, y * squash)
-                        for x, y in random_convex_polygon(rng.randint(3, 8), rng).vertices
+                        for x, y in vertices(random_convex_polygon(rng.randint(3, 8), rng))
                     ),
                 )
                 for _ in range(2)
@@ -481,6 +513,6 @@ class TestWitnessPoints:
             res = distance(p, q)
             if res.distance == 0.0:
                 continue
-            diff = res.witness_p - res.witness_q
-            assert diff.x == pytest.approx(res.separating_vector.x, abs=1e-12)
-            assert diff.y == pytest.approx(res.separating_vector.y, abs=1e-12)
+            diff = sub(res.witness_p, res.witness_q)
+            assert diff[0] == pytest.approx(res.separating_vector.x, abs=1e-12)
+            assert diff[1] == pytest.approx(res.separating_vector.y, abs=1e-12)

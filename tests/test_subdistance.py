@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -78,7 +79,7 @@ class TestS1d:
             a, b = random_sv(rng), random_sv(rng)
             res = s1d(a, b)
             expected = segment_distance_to_origin(tuple(a.w), tuple(b.w))
-            assert res.v.norm() == pytest.approx(expected, abs=1e-9)
+            assert math.hypot(*res.v) == pytest.approx(expected, abs=1e-9)
             check_lambdas(res)
 
 
@@ -156,7 +157,7 @@ class TestConeRegion:
         # derived: triangle oracle puts the minimum on edge VM at V itself
         assert triangle_distance_to_origin((0, 1), (-2, 1.5), (2, 3)) == pytest.approx(1.0)
         res = cone_region(self.tau((0, 1), (-2, 1.5), (2, 3)), 0)
-        assert res.v.norm() == pytest.approx(1.0)
+        assert math.hypot(*res.v) == pytest.approx(1.0)
 
     def test_obtuse_angle_between_edges_keeps_vertex(self):
         # derived: triangle oracle confirms the vertex carries the minimum
@@ -170,7 +171,7 @@ class TestS2d:
     def test_enclosing_triangle_returns_origin(self):
         res = s2d(sv(1, 0), sv(-1, 1), sv(-1, -1))
         assert len(res.verts) == 3
-        assert res.v.norm() == pytest.approx(0.0, abs=1e-15)
+        assert math.hypot(*res.v) == pytest.approx(0.0, abs=1e-15)
         # barycentric coordinates of the origin: sub-areas 2, 1, 1 over 4
         assert res.lambdas == pytest.approx([0.5, 0.25, 0.25])
         check_lambdas(res)
@@ -190,7 +191,7 @@ class TestS2d:
 
     def test_collinear_points_fall_back_to_best_edge(self):
         res = s2d(sv(0, 1), sv(2, 1), sv(4, 1))
-        assert res.v.norm() == pytest.approx(1.0)
+        assert math.hypot(*res.v) == pytest.approx(1.0)
         check_lambdas(res)
 
     def test_matches_triangle_oracle_bulk(self):
@@ -201,7 +202,7 @@ class TestS2d:
             expected = triangle_distance_to_origin(
                 tuple(a.w), tuple(b.w), tuple(c.w), grid=512
             )
-            assert res.v.norm() == pytest.approx(expected, abs=1e-9)
+            assert math.hypot(*res.v) == pytest.approx(expected, abs=1e-9)
 
     def test_lambda_validity_bulk(self):
         rng = random.Random(13)
@@ -213,8 +214,8 @@ class TestS2d:
         rng = random.Random(14)
         for _ in range(5000):
             a, b, c = (random_sv(rng) for _ in range(3))
-            d1 = s2d(a, b, c).v.norm()
-            d2 = s2d(a, c, b).v.norm()
+            d1 = math.hypot(*s2d(a, b, c).v)
+            d2 = math.hypot(*s2d(a, c, b).v)
             assert d1 == pytest.approx(d2, abs=1e-12)
 
     def test_returned_support_is_minimal(self):
@@ -226,12 +227,12 @@ class TestS2d:
             kept = res.verts
             if len(kept) == 1:
                 continue  # nothing to drop against
-            full = res.v.norm()
+            full = math.hypot(*res.v)
             margins = []
             for drop in range(len(kept)):
                 rest = [v for i, v in enumerate(kept) if i != drop]
                 if len(rest) == 1:
-                    d = rest[0].w.norm()
+                    d = math.hypot(*rest[0].w)
                 else:
                     d = segment_distance_to_origin(tuple(rest[0].w), tuple(rest[1].w))
                 margins.append(d - full)

@@ -10,7 +10,7 @@ from gjk2d.support import (
     support_hill_climb,
 )
 
-from oracle_utils import dot
+from oracle_utils import dot, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -62,7 +62,7 @@ class TestSupportHillClimb:
         brute = support_brute(poly, direction)
         climbed = support_hill_climb(poly, direction, start=12)
         # derived check: enumerate all 24 vertices for the true maximum
-        best = max(dot(v, direction) for v in poly.vertices)
+        best = max(dot(v, direction) for v in vertices(poly))
         assert dot(brute.point, direction) == best
         assert dot(climbed.point, direction) == best
         assert climbed.index == 0  # vertex nearest angle zero
@@ -89,15 +89,16 @@ class TestCsoSupport:
         # derived: enumerate every vertex difference and take the first argmax
         d = Vec2(1, 0)
         diffs = [
-            (p - q, ip, iq)
-            for ip, p in enumerate(UNIT_SQUARE.vertices)
-            for iq, q in enumerate(UNIT_SQUARE.vertices)
+            (sub(p, q), ip, iq)
+            for ip, p in enumerate(vertices(UNIT_SQUARE))
+            for iq, q in enumerate(vertices(UNIT_SQUARE))
         ]
         best = max(dot(w, d) for w, _, _ in diffs)
         res = cso_support(UNIT_SQUARE, UNIT_SQUARE, d)
         assert dot(res.w, d) == best
         assert res.w == Vec2(1, 0)
-        assert res.w == UNIT_SQUARE.vertices[res.ip] - UNIT_SQUARE.vertices[res.iq]
+        verts = vertices(UNIT_SQUARE)
+        assert res.w == sub(verts[res.ip], verts[res.iq])
 
     def test_translation_adds_to_support(self):
         shifted = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
@@ -116,7 +117,7 @@ class TestCsoSupport:
             b = random_convex_polygon(rng.choice([3, 5, 8]), rng)
             d = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             res = cso_support(a, b, d)
-            assert res.w == a.vertices[res.ip] - b.vertices[res.iq]
+            assert res.w == sub(vertices(a)[res.ip], vertices(b)[res.iq])
 
     def test_minkowski_antisymmetry_exact(self):
         rng = random.Random(17)
@@ -152,5 +153,5 @@ class TestInitialDirection:
     def test_shared_first_vertex_uses_centroids(self):
         tri = ConvexPolygon([(0, 0), (2, 0), (0, 2)])
         other = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
-        expected = tri.centroid - other.centroid
+        expected = sub(tri.centroid, other.centroid)
         assert initial_direction(tri, other) == expected
