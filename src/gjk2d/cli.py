@@ -60,10 +60,9 @@ def _cmd_check(args) -> int:
     for case in cases:
         entry = stats[case.regime]
         entry["cases"] += 1
-        ok = True
-        if not verify_regime(case):
-            ok = False
         report = oracle_distance(case.p, case.q)
+        sat = sat_intersects(case.p, case.q)
+        ok = verify_regime(case, report, sat)
         result = distance(case.p, case.q)
         capped_distance += result.termination is Termination.MAX_ITERATIONS
         err = abs(result.distance - report.distance)
@@ -72,9 +71,7 @@ def _cmd_check(args) -> int:
             ok = False
         collision = intersects(case.p, case.q)
         capped_intersects += collision.exit is CollisionExit.MAX_ITERATIONS
-        colliding = collision.colliding
-        sat = sat_intersects(case.p, case.q)
-        if colliding != sat:
+        if collision.colliding != sat:
             # exact-touching inputs sit on a numerical knife edge, so the
             # binary answer is reported there rather than asserted
             if case.regime is Regime.TOUCHING:

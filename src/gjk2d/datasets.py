@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import cso_contains_origin, oracle_distance, sat_intersects
+from .baseline import OracleReport, cso_contains_origin, oracle_distance, sat_intersects
 from .geometry import (
     ConvexPolygon,
     PolygonError,
@@ -275,13 +275,26 @@ def make_pair(
     )
 
 
-def verify_regime(case: PairCase) -> bool:
-    """Re-check the case's regime invariant with the baseline oracle."""
+def verify_regime(
+    case: PairCase, report: Optional[OracleReport] = None, sat: Optional[bool] = None
+) -> bool:
+    """Re-check the case's regime invariant with the baseline oracle.
+
+    A caller that already holds the pair's oracle answers may pass them:
+    ``report`` from ``oracle_distance(case.p, case.q)`` and ``sat`` from
+    ``sat_intersects(case.p, case.q)``. Whichever the regime needs and was
+    not passed is computed here, so the result is the same either way.
+    Overlap pairs also need ``cso_contains_origin``, run only when SAT holds.
+    """
+    if case.regime is Regime.OVERLAP:
+        if sat is None:
+            sat = sat_intersects(case.p, case.q)
+        return sat and cso_contains_origin(case.p, case.q)
+    if report is None:
+        report = oracle_distance(case.p, case.q)
     if case.regime is Regime.DISTANT:
-        return oracle_distance(case.p, case.q).distance > DISTANT_MIN_GAP
-    if case.regime is Regime.TOUCHING:
-        return oracle_distance(case.p, case.q).distance <= TOUCHING_MAX_GAP
-    return sat_intersects(case.p, case.q) and cso_contains_origin(case.p, case.q)
+        return report.distance > DISTANT_MIN_GAP
+    return report.distance <= TOUCHING_MAX_GAP
 
 
 def generate_dataset(spec: DatasetSpec) -> List[PairCase]:
@@ -356,6 +369,8 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise DatasetError(f"line {lineno}: case must be a JSON object")
         try:
             regime = regimes[obj["regime"]]
             seed = int(obj["seed"])

@@ -203,23 +203,39 @@ def polygon_to_jsonable(poly: ConvexPolygon) -> dict:
     return {"vertices": [[x, y] for x, y in zip(poly.xs, poly.ys)]}
 
 
+_PAIR = (list, tuple)
+
+
 def polygon_from_jsonable(obj) -> ConvexPolygon:
+    """Polygon from the shared JSON shape; every coordinate is a JSON number.
+
+    A coordinate must be an ``int`` or a ``float``: strings, booleans and
+    ``null`` are rejected naming their vertex, although ``float()`` (and so
+    ``ConvexPolygon``) would take some of them.
+    """
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise PolygonError("polygon JSON must be an object with a 'vertices' list")
     verts = obj["vertices"]
-    if not isinstance(verts, list) or not all(
-        isinstance(v, (list, tuple)) and len(v) == 2 for v in verts
-    ):
+    if not isinstance(verts, list):
         raise PolygonError("'vertices' must be a list of [x, y] pairs")
+    for i, v in enumerate(verts):
+        if not (isinstance(v, _PAIR) and len(v) == 2):
+            raise PolygonError("'vertices' must be a list of [x, y] pairs")
+        x, y = v
+        # exact types: bool is an int subclass
+        if not ((type(x) is float or type(x) is int) and (type(y) is float or type(y) is int)):
+            bad = y if type(x) is float or type(x) is int else x
+            raise PolygonError(
+                f"vertex {i} has a non-numeric coordinate "
+                f"({bad!r:.40} is a {type(bad).__name__})"
+            )
     try:
         return ConvexPolygon(verts)
-    except PolygonError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        # float() rejected a coordinate; find the first vertex it rejects.
+    except OverflowError as exc:
+        # float() rejected an integer beyond the double range; name its vertex.
         for i, (x, y) in enumerate(verts):
             try:
                 float(x), float(y)
-            except (TypeError, ValueError, OverflowError):
+            except OverflowError:
                 raise PolygonError(f"vertex {i} has a non-numeric coordinate ({exc})") from exc
         raise

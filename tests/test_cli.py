@@ -4,10 +4,12 @@ import re
 
 import pytest
 
+import gjk2d.cli
+import gjk2d.datasets
 import gjk2d.gjk
 from gjk2d.bench import CSV_COLUMNS, Algorithm, run_benchmark
 from gjk2d.cli import main
-from gjk2d.datasets import read_dataset
+from gjk2d.datasets import Regime, read_dataset
 from gjk2d.gjk import CollisionExit, Termination, distance, intersects
 
 SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
@@ -72,6 +74,44 @@ class TestCheck:
         assert "distant: 4/4 pass" in out
         assert "MaxIterations" not in out
 
+    def test_runs_each_oracle_once_per_case(self, small_dataset, capsys, monkeypatch):
+        _, cases = read_dataset(small_dataset)
+        calls = {"sat_intersects": 0, "oracle_distance": 0, "cso_contains_origin": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (gjk2d.cli, gjk2d.datasets):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert main(["check", str(small_dataset)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        assert calls == {
+            "sat_intersects": len(cases),
+            "oracle_distance": len(cases),
+            "cso_contains_origin": sum(c.regime is Regime.OVERLAP for c in cases),
+        }
+
+    def test_output_is_pinned(self, tmp_path, capsys):
+        # this dataset has two touching pairs on the binary/SAT knife edge
+        path = tmp_path / "knife.jsonl"
+        assert main(["gen", "--vertices", "4", "--cases", "3", "--seed", "12", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "distant: 3/3 pass, worst abs distance error 0.000e+00\n"
+            "touching: 3/3 pass, worst abs distance error 2.082e-16\n"
+            "overlap: 3/3 pass, worst abs distance error 0.000e+00\n"
+            "note: 2 knife-edge touching case(s) with binary/SAT disagreement "
+            "(reported, not asserted)\n"
+            "all checks passed\n"
+        )
+
     def test_corrupted_vertex_fails_naming_line(self, small_dataset, capsys):
         lines = small_dataset.read_text().splitlines()
         record = json.loads(lines[2])
@@ -118,6 +158,31 @@ class TestCheck:
             f"note: MaxIterations reached by {n_distance} distance and "
             f"{n_intersects} intersects queries"
         ) in out
+
+    @pytest.mark.parametrize("command", ["check", "bench"])
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("[1, 2]", "case must be a JSON object"),
+            ('"str"', "case must be a JSON object"),
+            ("3", "case must be a JSON object"),
+            (
+                '{"regime": "distant", "seed": 0, '
+                '"p": {"vertices": [[false, 0], [1, 0], [1, 1]]}, '
+                '"q": {"vertices": [[3, 0], [4, 0], [4, 1]]}}',
+                "vertex 0 has a non-numeric coordinate",
+            ),
+        ],
+        ids=["array", "string", "number", "bool-coordinate"],
+    )
+    def test_bad_case_line_fails_naming_line(
+        self, small_dataset, capsys, command, line, message
+    ):
+        lines = small_dataset.read_text().splitlines()
+        lines[2] = line
+        small_dataset.write_text("\n".join(lines) + "\n")
+        assert main([command, str(small_dataset)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line 3: {message}")
 
     def test_empty_dataset_passes_vacuously(self, tmp_path, capsys):
         from gjk2d.datasets import DatasetSpec, write_dataset
@@ -246,7 +311,7 @@ class TestQuery:
         assert main(["query", str(p), str(q)]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["a", None])
+    @pytest.mark.parametrize("bad", ["a", None, "0", " 1 ", True, False])
     def test_non_numeric_coordinate_fails(self, tmp_path, capsys, bad):
         p = write_polygon(tmp_path, "p.json", {"vertices": [[bad, 0], [1, 0], [1, 1]]})
         q = write_polygon(tmp_path, "q.json", SQUARE)

@@ -9,6 +9,7 @@ from gjk2d.baseline import oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetError,
     DatasetSpec,
+    PairCase,
     Regime,
     derive_case_seed,
     generate_dataset,
@@ -203,6 +204,38 @@ class TestDatasetFiles:
         write_dataset(path, spec, generate_dataset(spec))
         _, cases = read_dataset(path)
         assert all(verify_regime(c) for c in cases)
+
+
+class TestVerifyRegime:
+    SPEC = DatasetSpec(vertex_count=8, cases_per_regime=10, seed=13)
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return generate_dataset(self.SPEC)
+
+    @staticmethod
+    def answers(case):
+        return oracle_distance(case.p, case.q), sat_intersects(case.p, case.q)
+
+    def test_passed_answers_change_nothing(self, cases):
+        for case in cases:
+            assert verify_regime(case) is True
+            assert verify_regime(case, *self.answers(case)) is True
+
+    @pytest.mark.parametrize(
+        "regime,label",
+        [
+            (Regime.DISTANT, Regime.OVERLAP),
+            (Regime.OVERLAP, Regime.DISTANT),
+            (Regime.TOUCHING, Regime.DISTANT),
+        ],
+        ids=["distant-as-overlap", "overlap-as-distant", "touching-as-distant"],
+    )
+    def test_mislabelled_pairs_fail_either_way(self, cases, regime, label):
+        for case in group_by_regime(cases)[regime]:
+            relabelled = PairCase(case.p, case.q, label, case.seed)
+            assert verify_regime(relabelled) is False
+            assert verify_regime(relabelled, *self.answers(case)) is False
 
 
 class TestSpecValidation:

@@ -360,3 +360,19 @@ class TestJsonShape:
         for bad in ("a", None, 10**400):
             with pytest.raises(PolygonError, match="vertex 1 has a non-numeric coordinate"):
                 polygon_from_jsonable({"vertices": [[0, 0], [bad, 0], [1, 1]]})
+
+    @pytest.mark.parametrize("bad", ["0", "1e0", " 1 ", "nan", True, False])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_strings_and_booleans_naming_the_vertex(self, bad, axis):
+        # float() takes each of these, so only the type test catches them
+        verts = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        verts[2][axis] = bad
+        with pytest.raises(PolygonError, match="vertex 2 has a non-numeric coordinate"):
+            polygon_from_jsonable({"vertices": verts})
+
+    def test_first_vertex_with_a_non_number_is_named(self):
+        verts = [["0", False], [True, "0"], ["1e0", " 1 "], ["0", 1]]
+        with pytest.raises(PolygonError, match="vertex 0 has a non-numeric coordinate"):
+            polygon_from_jsonable({"vertices": verts})
+        # the constructor still converts whatever float() takes
+        assert ConvexPolygon(verts) == ConvexPolygon(UNIT_SQUARE)
