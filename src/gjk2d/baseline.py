@@ -183,3 +183,15 @@ def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
         ax = bx
         ay = by
     return True
+
+
+def penetration_depth(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> float:
+    """The origin's distance to the nearest edge line of P - Q: the shortest
+    translation of Q to contact when ``oracle_distance`` reports ``OVERLAP``.
+    """
+    verts = _difference_polygon(p_poly, q_poly)
+    # signed distance, positive on the inner (left) side of each CCW edge a -> b
+    return min(
+        (ax * (by - ay) - ay * (bx - ax)) / math.hypot(bx - ax, by - ay)
+        for (ax, ay, _, _), (bx, by, _, _) in zip(verts[-1:] + verts[:-1], verts)
+    )

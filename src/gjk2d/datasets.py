@@ -1,10 +1,11 @@
 """Random convex-polygon generation and the three-regime pair datasets.
 
 Pairs come in three regimes named after their collision status: distant
-(positive gap), touching (near-zero gap, built by shifting a distant
-pair along its separating vector), and overlap (interiors intersect).
-Every constructed case is re-verified by the independent baseline oracle
-before it is accepted, so the datasets are not circularly trusted.
+(positive gap), touching (within ``TOUCHING_MAX_GAP`` of contact on
+either side, built by shifting a distant pair along its separating
+vector), and overlap (interiors intersect). A placed pair is accepted
+only when ``verify_regime`` holds on it, so the datasets are checked by
+the independent baseline oracles and not circularly trusted.
 
 Generation is deterministic: each case owns a seed derived by hashing
 (dataset seed, vertex count, regime, case index), and the polygon
@@ -22,11 +23,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import OracleReport, cso_contains_origin, oracle_distance, sat_intersects
+from .baseline import (
+    ClosestFeature,
+    OracleReport,
+    cso_contains_origin,
+    oracle_distance,
+    penetration_depth,
+    sat_intersects,
+)
 from .geometry import (
     ConvexPolygon,
     PolygonError,
-    Transform2,
     Vec2,
     apply_transform,
     contains_point,
@@ -187,57 +194,49 @@ def derive_case_seed(seed: int, vertex_count: int, regime: Regime, index: int) -
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def _build_distant(n: int, rng: random.Random) -> Optional[PairCase]:
+def _place_distant(n: int, rng: random.Random) -> Tuple[ConvexPolygon, ConvexPolygon]:
     base_p = random_convex_polygon(n, rng)
     base_q = random_convex_polygon(n, rng)
-    shift = Vec2(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    p = apply_transform(Transform2(rng.uniform(0.0, TAU), shift), base_p)
+    tx, ty = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+    p = apply_transform(base_p, rng.uniform(0.0, TAU), tx, ty)
     phi = rng.uniform(0.0, TAU)
     # Both generated polygons have bounding radius 1 about their centroid,
     # so this center separation guarantees a gap of at least the margin.
     sep = 2.0 + DISTANT_MARGIN + rng.uniform(0.0, DISTANT_SPREAD)
-    q_translation = Vec2(shift.x + sep * math.cos(phi), shift.y + sep * math.sin(phi))
-    q = apply_transform(Transform2(rng.uniform(0.0, TAU), q_translation), base_q)
-    if oracle_distance(p, q).distance > DISTANT_MIN_GAP:
-        return PairCase(p, q, Regime.DISTANT, 0)
-    return None
+    q = apply_transform(
+        base_q, rng.uniform(0.0, TAU), tx + sep * math.cos(phi), ty + sep * math.sin(phi)
+    )
+    return p, q
 
 
-def _build_touching(n: int, rng: random.Random) -> Tuple[Optional[PairCase], float]:
-    base = _build_distant(n, rng)
-    if base is None:
-        return None, math.inf
-    res = distance(base.p, base.q)
-    shifted_q = apply_transform(Transform2(0.0, res.separating_vector), base.q)
-    gap = oracle_distance(base.p, shifted_q).distance
-    if gap <= TOUCHING_MAX_GAP:
-        return PairCase(base.p, shifted_q, Regime.TOUCHING, 0), gap
-    return None, gap
+def _place_touching(n: int, rng: random.Random) -> Tuple[ConvexPolygon, ConvexPolygon]:
+    p, q = _place_distant(n, rng)
+    sx, sy = distance(p, q).separating_vector
+    return p, apply_transform(q, 0.0, sx, sy)
 
 
-def _build_overlap(n: int, rng: random.Random) -> Optional[PairCase]:
+def _place_overlap(n: int, rng: random.Random) -> Optional[Tuple[ConvexPolygon, ConvexPolygon]]:
     base_p = random_convex_polygon(n, rng)
     base_q = random_convex_polygon(n, rng)
-    shift = Vec2(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-    p = apply_transform(Transform2(rng.uniform(0.0, TAU), shift), base_p)
-    target: Optional[Vec2] = None
-    lo_x = min(p.xs)
-    hi_x = max(p.xs)
-    lo_y = min(p.ys)
-    hi_y = max(p.ys)
+    tx, ty = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+    p = apply_transform(base_p, rng.uniform(0.0, TAU), tx, ty)
+    lo_x, hi_x = min(p.xs), max(p.xs)
+    lo_y, hi_y = min(p.ys), max(p.ys)
     for _ in range(100):
-        candidate = Vec2(rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
-        if contains_point(p, candidate, tolerance=-1e-6):
-            target = candidate
-            break
-    if target is None:
-        return None
-    # The generated polygon is centered on its vertex mean, so translating
-    # by ``target`` drops Q's centroid inside P.
-    q = apply_transform(Transform2(rng.uniform(0.0, TAU), target), base_q)
-    if sat_intersects(p, q) and cso_contains_origin(p, q):
-        return PairCase(p, q, Regime.OVERLAP, 0)
+        target = Vec2(rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
+        if contains_point(p, target, tolerance=-1e-6):
+            # The generated polygon is centered on its vertex mean, so
+            # translating by ``target`` drops Q's centroid inside P.
+            return p, apply_transform(base_q, rng.uniform(0.0, TAU), target.x, target.y)
     return None
+
+
+# Each regime's placement; ``verify_regime`` alone decides acceptance.
+_PLACEMENTS = {
+    Regime.DISTANT: _place_distant,
+    Regime.TOUCHING: _place_touching,
+    Regime.OVERLAP: _place_overlap,
+}
 
 
 def make_pair(
@@ -246,29 +245,23 @@ def make_pair(
     """Construct one verified pair for ``regime`` from its case seed.
 
     Construction draws from a stream seeded with ``case_seed`` and is
-    fully deterministic. Attempts whose oracle verification fails are
-    logged and retried on the same stream; ``RegimeConstructionFailed``
-    after ``max_attempts``.
+    fully deterministic. Each placed pair is accepted iff
+    ``verify_regime`` holds; other attempts are logged and retried on the
+    same stream, and ``RegimeConstructionFailed`` follows ``max_attempts``.
     """
+    place = _PLACEMENTS[regime]
     rng = random.Random(case_seed)
-    last_gap = None
     for attempt in range(1, max_attempts + 1):
-        if regime is Regime.DISTANT:
-            case = _build_distant(spec.vertex_count, rng)
-        elif regime is Regime.TOUCHING:
-            case, gap = _build_touching(spec.vertex_count, rng)
-            last_gap = gap
-        else:
-            case = _build_overlap(spec.vertex_count, rng)
-        if case is not None:
-            return PairCase(case.p, case.q, case.regime, case_seed)
-        detail = f" (gap {last_gap:.3g})" if regime is Regime.TOUCHING else ""
+        pair = place(spec.vertex_count, rng)
+        if pair is not None:
+            case = PairCase(*pair, regime, case_seed)
+            if verify_regime(case):
+                return case
         logger.warning(
-            "regenerating %s case (seed %d, attempt %d failed verification%s)",
+            "regenerating %s case (seed %d, attempt %d failed verification)",
             regime.value,
             case_seed,
             attempt,
-            detail,
         )
     raise RegimeConstructionFailed(
         f"{regime.value} case for seed {case_seed} failed after {max_attempts} attempts"
@@ -280,11 +273,15 @@ def verify_regime(
 ) -> bool:
     """Re-check the case's regime invariant with the baseline oracle.
 
+    Distant pairs need a gap above ``DISTANT_MIN_GAP``; touching pairs a
+    gap, or when the oracle reports overlap a ``penetration_depth``, of at
+    most ``TOUCHING_MAX_GAP``; overlap pairs SAT and then strict origin
+    containment in P - Q (``cso_contains_origin``).
+
     A caller that already holds the pair's oracle answers may pass them:
     ``report`` from ``oracle_distance(case.p, case.q)`` and ``sat`` from
     ``sat_intersects(case.p, case.q)``. Whichever the regime needs and was
     not passed is computed here, so the result is the same either way.
-    Overlap pairs also need ``cso_contains_origin``, run only when SAT holds.
     """
     if case.regime is Regime.OVERLAP:
         if sat is None:
@@ -294,6 +291,8 @@ def verify_regime(
         report = oracle_distance(case.p, case.q)
     if case.regime is Regime.DISTANT:
         return report.distance > DISTANT_MIN_GAP
+    if report.closest_feature is ClosestFeature.OVERLAP:
+        return penetration_depth(case.p, case.q) <= TOUCHING_MAX_GAP
     return report.distance <= TOUCHING_MAX_GAP
 
 
@@ -337,6 +336,14 @@ def write_dataset(path, spec: DatasetSpec, cases: Sequence[PairCase]) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def _json_int(obj: dict, field: str) -> int:
+    """``obj[field]``, which must be a JSON integer (``int()`` would take more)."""
+    value = obj[field]
+    if type(value) is not int:  # exact: bool is an int subclass
+        raise TypeError(f"{field!r} must be a JSON integer, not {value!r:.40}")
+    return value
+
+
 def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
     """Parse and validate a dataset file; errors name the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -351,14 +358,14 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
         raise DatasetError(f"line 1: unsupported schema {raw_header!r:.80}")
     try:
         header = DatasetHeader(
-            schema=raw_header["schema"],
-            vertex_count=int(raw_header["vertex_count"]),
-            cases_per_regime=int(raw_header["cases_per_regime"]),
-            seed=int(raw_header["seed"]),
+            schema=_json_int(raw_header, "schema"),
+            vertex_count=_json_int(raw_header, "vertex_count"),
+            cases_per_regime=_json_int(raw_header, "cases_per_regime"),
+            seed=_json_int(raw_header, "seed"),
             rng=str(raw_header["rng"]),
             margins=dict(raw_header.get("margins", {})),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"line 1: malformed header field ({exc})") from exc
     cases = []
     regimes = {r.value: r for r in Regime}
@@ -373,7 +380,7 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
             raise DatasetError(f"line {lineno}: case must be a JSON object")
         try:
             regime = regimes[obj["regime"]]
-            seed = int(obj["seed"])
+            seed = _json_int(obj, "seed")
             p = polygon_from_jsonable(obj["p"])
             q = polygon_from_jsonable(obj["q"])
         except KeyError as exc:

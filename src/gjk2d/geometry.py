@@ -9,7 +9,6 @@ unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -150,29 +149,15 @@ class ConvexPolygon:
         return f"ConvexPolygon({list(zip(self.xs, self.ys))!r})"
 
 
-@dataclass(frozen=True)
-class Transform2:
-    """Rigid planar motion: rotation (radians) about the origin, then translation."""
-
-    rotation: float
-    translation: Vec2 = Vec2(0.0, 0.0)
-
-    def __post_init__(self):
-        if not isinstance(self.translation, Vec2):
-            object.__setattr__(self, "translation", Vec2(*self.translation))
-        if not math.isfinite(self.rotation):
-            raise ValueError("rotation must be finite")
-        if not (
-            math.isfinite(self.translation.x) and math.isfinite(self.translation.y)
-        ):
-            raise ValueError("translation must be finite")
-
-
-def apply_transform(transform: Transform2, poly: ConvexPolygon) -> ConvexPolygon:
-    """Rotate then translate every vertex; orientation and convexity persist."""
-    c = math.cos(transform.rotation)
-    s = math.sin(transform.rotation)
-    tx, ty = transform.translation
+def apply_transform(
+    poly: ConvexPolygon, rotation: float, tx: float = 0.0, ty: float = 0.0
+) -> ConvexPolygon:
+    """Rotate by ``rotation`` radians about the origin, then translate by
+    ``(tx, ty)``. A non-finite argument raises ``ValueError``: ``math.cos``
+    rejects an infinite angle, ``ConvexPolygon`` any non-finite result.
+    """
+    c = math.cos(rotation)
+    s = math.sin(rotation)
     return ConvexPolygon(
         (x * c - y * s + tx, x * s + y * c + ty)
         for x, y in zip(poly.xs, poly.ys)

@@ -13,15 +13,13 @@ encloses the origin.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .geometry import Vec2
 from .support import SimplexVertex
 
 # Relative degeneracy threshold on the triangle's doubled signed area.
 _DEGENERATE_REL = 1e-12
-# The other two triangle indices, in simplex order, for each cone vertex.
-_CONE_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 # Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
 _new = tuple.__new__
@@ -102,20 +100,15 @@ def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, floa
     return code, su, sv, sw, total
 
 
-def cone_region(tau: Sequence[SimplexVertex], v_index: int) -> SubdistanceResult:
-    """Resolve a vertex cone region of the triangle simplex ``tau``.
+def cone_region(v: SimplexVertex, m: SimplexVertex, n: SimplexVertex) -> SubdistanceResult:
+    """Resolve the vertex cone region at V of the triangle simplex (V, M, N).
 
-    ``v_index`` names the cone vertex V; M and N are the other two in
-    simplex order. If the angle MVN is acute or right the answer is the
-    vertex itself. Otherwise the origin may project onto one of the
-    incident edges, detected by dot(V, V-M) > 0 (resp. N) and resolved by
-    the segment routine; failing both tests the origin is in V's own
-    region and the vertex answer stands.
+    M and N are the other two vertices in simplex order. If the angle MVN
+    is acute or right the answer is the vertex itself. Otherwise the
+    origin may project onto one of the incident edges, detected by
+    dot(V, V-M) > 0 (resp. N) and resolved by the segment routine; failing
+    both tests the origin is in V's own region and the vertex answer stands.
     """
-    v = tau[v_index]
-    i, j = _CONE_OTHERS[v_index]
-    m = tau[i]
-    n = tau[j]
     vw = v[0]
     vx, vy = vw
     mx, my = m[0]
@@ -184,8 +177,8 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
     if code == 3:
         return s1d(b, c)
     if code == 4:
-        return cone_region((a, b, c), 0)
+        return cone_region(a, b, c)
     if code == 2:
-        return cone_region((a, b, c), 1)
-    return cone_region((a, b, c), 2)  # code 1
+        return cone_region(b, a, c)
+    return cone_region(c, a, b)  # code 1
 

@@ -20,7 +20,7 @@ import gjk2d.datasets
 import gjk2d.gjk
 import gjk2d.subdistance
 from gjk2d.datasets import random_convex_polygon
-from gjk2d.geometry import Transform2, Vec2, apply_transform
+from gjk2d.geometry import Vec2, apply_transform
 from gjk2d.gjk import CollisionResult, DistanceResult
 from gjk2d.subdistance import SubdistanceResult
 from gjk2d.support import SimplexVertex
@@ -85,8 +85,10 @@ def random_pairs(seed, count):
     for _ in range(count):
         yield tuple(
             apply_transform(
-                Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))),
                 random_convex_polygon(rng.choice([4, 8, 16]), rng),
+                rng.uniform(0, 7),
+                rng.uniform(-1, 1),
+                rng.uniform(-1, 1),
             )
             for _ in range(2)
         )
@@ -167,8 +169,9 @@ def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
         ]
         seen["s1d"].append((tau[:2], gjk2d.subdistance.s1d(*tau[:2])))
         seen["s2d"].append((tau, gjk2d.subdistance.s2d(*tau)))
-        for i in range(3):
-            seen["cone_region"].append(((tau, i), gjk2d.subdistance.cone_region(tau, i)))
+        for v, m, n in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            args = (tau[v], tau[m], tau[n])
+            seen["cone_region"].append((args, gjk2d.subdistance.cone_region(*args)))
     assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
     for _, out in seen["_cso_support_xy"]:
         assert_shape(out, SimplexVertex)

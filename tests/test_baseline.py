@@ -12,6 +12,7 @@ from gjk2d.baseline import (
     ClosestFeature,
     cso_contains_origin,
     oracle_distance,
+    penetration_depth,
     sat_intersects,
 )
 from gjk2d.datasets import (
@@ -21,11 +22,12 @@ from gjk2d.datasets import (
     make_pair,
     random_convex_polygon,
 )
-from gjk2d.geometry import ConvexPolygon, Transform2, Vec2, apply_transform
+from gjk2d.geometry import ConvexPolygon, Vec2, apply_transform
 from oracle_utils import (
     brute_cso_contains_origin,
     brute_oracle_distance,
     convex_hull,
+    cso_origin_clearance,
     point_segment_distance,
 )
 
@@ -36,8 +38,9 @@ TOUCH_SQUARE = ConvexPolygon([(1, 0), (2, 0), (2, 1), (1, 1)])
 
 def random_placed(rng, n, span):
     poly = random_convex_polygon(n, rng)
-    t = Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-span, span), rng.uniform(-span, span)))
-    return apply_transform(t, poly)
+    return apply_transform(
+        poly, rng.uniform(0, 7), rng.uniform(-span, span), rng.uniform(-span, span)
+    )
 
 
 class TestSatIntersects:
@@ -138,6 +141,15 @@ class TestCsoContainsOrigin:
         assert not cso_contains_origin(UNIT_SQUARE, FAR_SQUARE)
 
 
+class TestPenetrationDepth:
+    def test_squares(self):
+        assert penetration_depth(UNIT_SQUARE, UNIT_SQUARE) == 1.0
+        assert penetration_depth(UNIT_SQUARE, TOUCH_SQUARE) == 0.0
+        shifted = ConvexPolygon([(0.75, 0.25), (1.75, 0.25), (1.75, 1.25), (0.75, 1.25)])
+        assert penetration_depth(UNIT_SQUARE, shifted) == 0.25
+        assert penetration_depth(shifted, UNIT_SQUARE) == 0.25
+
+
 class TestConvexHullHelper:
     def test_drops_interior_and_collinear_points(self):
         hull = convex_hull([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1), (1, 0)])
@@ -175,6 +187,9 @@ def assert_matches_brute(p, q):
     d = report.distance
     assert abs(d - brute.distance) <= 1e-12 * max(1.0, brute.distance)
     assert oracle_distance(q, p).distance == d
+    if report.closest_feature is ClosestFeature.OVERLAP:
+        depth = cso_origin_clearance(p, q)
+        assert abs(penetration_depth(p, q) - depth) <= 1e-12 * max(1.0, depth)
     return report, brute
 
 
@@ -200,13 +215,13 @@ class TestAgainstBruteReferences:
         for n in self.SIZES:
             for _ in range(5):
                 p = random_placed(rng, n, 1.0)
-                shift = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                shift = (rng.uniform(-3, 3), rng.uniform(-3, 3))
                 reflected = ConvexPolygon([(-x, -y) for x, y in zip(p.xs, p.ys)])
                 for q in (
                     p,
-                    apply_transform(Transform2(0.0, shift), p),
+                    apply_transform(p, 0.0, *shift),
                     reflected,
-                    apply_transform(Transform2(0.0, shift), reflected),
+                    apply_transform(reflected, 0.0, *shift),
                 ):
                     assert_matches_brute(p, q)
                 assert cso_contains_origin(p, p)

@@ -44,7 +44,9 @@ class TestGen:
     @pytest.mark.parametrize(
         "vertices,cases,digest",
         [
+            (3, 20, "76d8bb62fe6271f6ea7acf93d0d27b050254b5d0ce377d765d0adf790cd7b230"),
             (4, 20, "2f2a3ef4ae8437140bfa74a6b44688f88151a977b2d105ee403e4946f4c76c44"),
+            (8, 20, "30ee80c6350dc2eecf2104badde3e9d42b199d0c6f612a0398016712408e2c88"),
             (24, 20, "32321a5c3f2bded51d04df932f54e1bf86ba87e27f5341c17f2b047017ea3e85"),
             (64, 5, "bf2cab528bedc5ded650a584c5cdd68fe0a61f659c6309429895d08964343158"),
         ],
@@ -123,23 +125,50 @@ class TestCheck:
         assert "line 3" in err
 
     @pytest.mark.parametrize(
-        "line,pattern,replacement",
+        "line,pattern,replacement,message",
         [
-            (0, r'"vertex_count": ?4', '"vertex_count":1e999'),
-            (2, r'"seed": ?[0-9]+', '"seed":1e999'),
+            (0, r'"vertex_count": ?4', '"vertex_count":1e999', "malformed header field"),
+            (2, r'"seed": ?[0-9]+', '"seed":1e999', "malformed field"),
+            (0, r'"schema": ?1', '"schema":true', "malformed header field ('schema'"),
+            (0, r'"vertex_count": ?4', '"vertex_count":"4"', "malformed header field ('vertex_count'"),
+            (0, r'"cases_per_regime": ?4', '"cases_per_regime":2.9', "malformed header field ('cases_per_regime'"),
+            (0, r'"seed": ?42', '"seed":"42"', "malformed header field ('seed'"),
+            (2, r'"seed": ?([0-9]+)', r'"seed":"\1"', "malformed field ('seed'"),
         ],
-        ids=["header-vertex-count", "case-seed"],
+        ids=[
+            "header-vertex-count-infinite",
+            "case-seed-infinite",
+            "header-schema-bool",
+            "header-vertex-count-string",
+            "header-cases-float",
+            "header-seed-string",
+            "case-seed-string",
+        ],
     )
-    def test_overflowing_integer_field_fails_naming_line(
-        self, small_dataset, capsys, line, pattern, replacement
+    def test_non_integer_field_fails_naming_line(
+        self, small_dataset, capsys, line, pattern, replacement, message
     ):
-        # json reads 1e999 as infinity, which int() cannot convert
+        # integer fields must be JSON integers: json reads 1e999 as infinity,
+        # and int() would take a float, a bool or a numeric string
         lines = small_dataset.read_text().splitlines()
         lines[line], count = re.subn(pattern, replacement, lines[line])
         assert count == 1
         small_dataset.write_text("\n".join(lines) + "\n")
         assert main(["check", str(small_dataset)]) == 1
-        assert f"error: line {line + 1}: malformed" in capsys.readouterr().err
+        assert f"error: line {line + 1}: {message}" in capsys.readouterr().err
+
+    def test_overlap_pairs_labelled_touching_fail(self, tmp_path, capsys):
+        # P - Q holds the origin deep inside, so no gap makes them touching
+        path = tmp_path / "relabelled.jsonl"
+        assert main(["gen", "--vertices", "8", "--cases", "10", "--seed", "1", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        overlap = [line for line in lines[1:] if '"regime":"overlap"' in line]
+        assert len(overlap) == 10
+        relabelled = [line.replace('"regime":"overlap"', '"regime":"touching"') for line in overlap]
+        path.write_text("\n".join([lines[0]] + relabelled) + "\n")
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 1
+        assert "touching: 0/10 pass" in capsys.readouterr().out
 
     def test_max_iterations_note_counts_capped_queries(
         self, small_dataset, capsys, monkeypatch

@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 import random
 import re
 
 import pytest
 
+import gjk2d.datasets
 from gjk2d.baseline import oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetError,
@@ -87,6 +89,31 @@ class TestMakePair:
         a = make_pair(self.SPEC, Regime.TOUCHING, 555)
         b = make_pair(self.SPEC, Regime.TOUCHING, 555)
         assert a == b
+
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_verify_regime_judges_every_attempt(self, monkeypatch, caplog, regime):
+        # A refused first attempt is logged once and retried on the same
+        # stream: the accepted pair is the stream's second placement.
+        judged = []
+
+        def refuse_first(case, *answers):
+            judged.append(case)
+            return len(judged) > 1 and verify_regime(case, *answers)
+
+        monkeypatch.setattr(gjk2d.datasets, "verify_regime", refuse_first)
+        with caplog.at_level(logging.WARNING, logger="gjk2d.datasets"):
+            case = make_pair(self.SPEC, regime, 2024)
+        assert len(judged) == 2 and judged[-1] is case
+        assert [r.getMessage() for r in caplog.records] == [
+            f"regenerating {regime.value} case (seed 2024, attempt 1 failed verification)"
+        ]
+        monkeypatch.undo()
+        assert judged[0] == make_pair(self.SPEC, regime, 2024)
+        rng = random.Random(2024)
+        place = gjk2d.datasets._PLACEMENTS[regime]
+        place(self.SPEC.vertex_count, rng)
+        assert (case.p, case.q) == place(self.SPEC.vertex_count, rng)
+        assert case.regime is regime and case.seed == 2024
 
     def test_case_seed_derivation_is_stable(self):
         s1 = derive_case_seed(7, 8, Regime.DISTANT, 0)
@@ -180,16 +207,41 @@ class TestDatasetFiles:
         with pytest.raises(DatasetError, match="line 3"):
             read_dataset(path)
 
-    def test_malformed_seed_field_names_line(self, tmp_path):
+    @pytest.mark.parametrize("seed", ["not-a-number", "77", 77.0, True, None])
+    def test_malformed_seed_field_names_line(self, tmp_path, seed):
         spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=3)
         path = tmp_path / "badseed.jsonl"
         write_dataset(path, spec, generate_dataset(spec))
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
-        record["seed"] = "not-a-number"
+        record["seed"] = seed
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="line 2"):
+        with pytest.raises(DatasetError, match="line 2: malformed field \\('seed' must be"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("schema", True, "malformed header field \\('schema' must be"),
+            ("schema", 1.0, "malformed header field \\('schema' must be"),
+            ("vertex_count", "4", "malformed header field \\('vertex_count' must be"),
+            ("cases_per_regime", 2.9, "malformed header field \\('cases_per_regime' must be"),
+            ("seed", "3", "malformed header field \\('seed' must be"),
+            ("seed", False, "malformed header field \\('seed' must be"),
+        ],
+        ids=["schema-bool", "schema-float", "vertex-count-string", "cases-float", "seed-string", "seed-bool"],
+    )
+    def test_non_integer_header_field_names_line(self, tmp_path, field, value, message):
+        spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=3)
+        path = tmp_path / "badheader.jsonl"
+        write_dataset(path, spec, generate_dataset(spec))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header[field] = value
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match=f"line 1: {message}"):
             read_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):
@@ -228,8 +280,9 @@ class TestVerifyRegime:
             (Regime.DISTANT, Regime.OVERLAP),
             (Regime.OVERLAP, Regime.DISTANT),
             (Regime.TOUCHING, Regime.DISTANT),
+            (Regime.OVERLAP, Regime.TOUCHING),
         ],
-        ids=["distant-as-overlap", "overlap-as-distant", "touching-as-distant"],
+        ids=["distant-as-overlap", "overlap-as-distant", "touching-as-distant", "overlap-as-touching"],
     )
     def test_mislabelled_pairs_fail_either_way(self, cases, regime, label):
         for case in group_by_regime(cases)[regime]:

@@ -14,7 +14,6 @@ from gjk2d.geometry import (
     NotCounterClockwise,
     NotStrictlyConvex,
     PolygonError,
-    Transform2,
     Vec2,
     apply_transform,
     contains_point,
@@ -288,12 +287,12 @@ class TestRepresentation:
 class TestTransforms:
     def test_identity_keeps_polygon(self):
         poly = ConvexPolygon(UNIT_TRIANGLE)
-        moved = apply_transform(Transform2(0.0, Vec2(0.0, 0.0)), poly)
-        assert moved == poly
+        assert apply_transform(poly, 0.0) == poly
+        assert apply_transform(poly, 0.0, 0.0, 0.0) == poly
 
     def test_quarter_turn_about_origin(self):
         poly = ConvexPolygon([(1, 0), (2, 0), (1, 1)])
-        moved = apply_transform(Transform2(math.pi / 2), poly)
+        moved = apply_transform(poly, math.pi / 2)
         expected = [(0, 1), (0, 2), (-1, 1)]
         for got, want in zip(vertices(moved), expected):
             assert got[0] == pytest.approx(want[0], abs=1e-12)
@@ -301,30 +300,40 @@ class TestTransforms:
 
     def test_translation_shifts_vertices(self):
         poly = ConvexPolygon(UNIT_TRIANGLE)
-        moved = apply_transform(Transform2(0.0, Vec2(5.0, 0.0)), poly)
+        moved = apply_transform(poly, 0.0, 5.0, -2.0)
         for got, base in zip(vertices(moved), vertices(poly)):
-            assert got == (base[0] + 5.0, base[1])
+            assert got == (base[0] + 5.0, base[1] - 2.0)
 
-    def test_rejects_non_finite_rotation(self):
+    @pytest.mark.parametrize(
+        "motion",
+        [
+            (float("inf"),),
+            (float("-inf"), 1.0, 1.0),
+            (float("nan"),),
+            (0.0, float("inf"), 0.0),
+            (0.0, 0.0, float("-inf")),
+            (1.0, float("nan"), 0.0),
+        ],
+        ids=["inf-rotation", "neg-inf-rotation", "nan-rotation", "inf-tx", "neg-inf-ty", "nan-tx"],
+    )
+    def test_rejects_non_finite_motion(self, motion):
         with pytest.raises(ValueError):
-            Transform2(float("inf"))
+            apply_transform(ConvexPolygon(UNIT_TRIANGLE), *motion)
 
     def test_preserves_signed_area(self):
         rng = random.Random(2024)
         poly = ConvexPolygon(UNIT_SQUARE)
         for _ in range(200):
-            t = Transform2(
-                rng.uniform(-10, 10), Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
+            moved = apply_transform(
+                poly, rng.uniform(-10, 10), rng.uniform(-100, 100), rng.uniform(-100, 100)
             )
-            moved = apply_transform(t, poly)
             assert signed_area(moved) == pytest.approx(signed_area(poly), rel=1e-9)
 
     def test_preserves_pairwise_distances(self):
         rng = random.Random(7)
         poly = ConvexPolygon([(0, 0), (3, 1), (2, 4), (-1, 2)])
         for _ in range(50):
-            t = Transform2(rng.uniform(-7, 7), Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)))
-            moved = apply_transform(t, poly)
+            moved = apply_transform(poly, rng.uniform(-7, 7), rng.uniform(-5, 5), rng.uniform(-5, 5))
             verts = vertices(poly)
             moved_verts = vertices(moved)
             for a, b, ma, mb in zip(verts, verts[1:], moved_verts, moved_verts[1:]):

@@ -23,7 +23,6 @@ from gjk2d.datasets import (
 from gjk2d.geometry import (
     ConvexPolygon,
     PolygonError,
-    Transform2,
     Vec2,
     apply_transform,
     contains_point,
@@ -49,9 +48,9 @@ def random_pair(rng, n=None, span=3.0, m=None):
     n = n or rng.choice([3, 4, 8, 12, 16, 20, 24])
     a = random_convex_polygon(n, rng)
     b = random_convex_polygon(m or n, rng)
-    ta = Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-span, span), rng.uniform(-span, span)))
-    tb = Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-span, span), rng.uniform(-span, span)))
-    return apply_transform(ta, a), apply_transform(tb, b)
+    p = apply_transform(a, rng.uniform(0, 7), rng.uniform(-span, span), rng.uniform(-span, span))
+    q = apply_transform(b, rng.uniform(0, 7), rng.uniform(-span, span), rng.uniform(-span, span))
+    return p, q
 
 
 def scaled(poly, factor):
@@ -117,8 +116,8 @@ class TestDistance:
         for _ in range(300):
             p, q = random_pair(rng)
             base = distance(p, q).distance
-            t = Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)))
-            moved = distance(apply_transform(t, p), apply_transform(t, q)).distance
+            motion = (rng.uniform(0, 7), rng.uniform(-5, 5), rng.uniform(-5, 5))
+            moved = distance(apply_transform(p, *motion), apply_transform(q, *motion)).distance
             assert abs(moved - base) <= 1e-7
 
     def test_hill_climbing_agrees_with_brute(self):
@@ -426,11 +425,13 @@ class TestScale:
             squash = 2.0 ** -rng.randint(10, 24)
             p, q = (
                 apply_transform(
-                    Transform2(rng.uniform(0, 7), Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))),
                     ConvexPolygon(
                         (x, y * squash)
                         for x, y in vertices(random_convex_polygon(rng.randint(3, 8), rng))
                     ),
+                    rng.uniform(0, 7),
+                    rng.uniform(-1, 1),
+                    rng.uniform(-1, 1),
                 )
                 for _ in range(2)
             )

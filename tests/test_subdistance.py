@@ -145,24 +145,21 @@ class TestComputeBarycode:
 
 
 class TestConeRegion:
-    def tau(self, v, m, n):
-        return (sv(*v), sv(*m), sv(*n))
-
     def test_right_angle_keeps_vertex(self):
-        res = cone_region(self.tau((1, 0), (2, 1), (2, -1)), 0)
+        res = cone_region(sv(1, 0), sv(2, 1), sv(2, -1))
         assert res.v == Vec2(1.0, 0.0)
         assert len(res.verts) == 1
 
     def test_obtuse_angle_resolves_through_edge(self):
         # derived: triangle oracle puts the minimum on edge VM at V itself
         assert triangle_distance_to_origin((0, 1), (-2, 1.5), (2, 3)) == pytest.approx(1.0)
-        res = cone_region(self.tau((0, 1), (-2, 1.5), (2, 3)), 0)
+        res = cone_region(sv(0, 1), sv(-2, 1.5), sv(2, 3))
         assert math.hypot(*res.v) == pytest.approx(1.0)
 
     def test_obtuse_angle_between_edges_keeps_vertex(self):
         # derived: triangle oracle confirms the vertex carries the minimum
         assert triangle_distance_to_origin((0, 2), (-4, 2.1), (4, 2.1)) == pytest.approx(2.0)
-        res = cone_region(self.tau((0, 2), (-4, 2.1), (4, 2.1)), 0)
+        res = cone_region(sv(0, 2), sv(-4, 2.1), sv(4, 2.1))
         assert res.v == Vec2(0.0, 2.0)
         assert len(res.verts) == 1
 
