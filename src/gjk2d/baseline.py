@@ -39,8 +39,7 @@ def sat_intersects(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
     """
     pxs, pys = p_poly.xs, p_poly.ys
     qxs, qys = q_poly.xs, q_poly.ys
-    np_ = len(pxs)
-    nq = len(qxs)
+    np_, nq = len(pxs), len(qxs)
     for xs, ys, n in ((pxs, pys, np_), (qxs, qys, nq)):
         for i in range(n):
             j = i + 1 if i + 1 < n else 0
@@ -143,8 +142,7 @@ def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleRepor
                 best_sq = d_sq
                 best_k = k
                 at_vertex = clamped
-        ax = bx
-        ay = by
+        ax, ay = bx, by
     if best_k < 0:
         return OracleReport(0.0, ClosestFeature.OVERLAP)
     if not at_vertex:
@@ -180,8 +178,7 @@ def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
         side = ax * (by - ay) - ay * (bx - ax)
         if side <= 0.0:
             return False
-        ax = bx
-        ay = by
+        ax, ay = bx, by
     return True
 
 
@@ -189,9 +186,14 @@ def penetration_depth(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> float:
     """The origin's distance to the nearest edge line of P - Q: the shortest
     translation of Q to contact when ``oracle_distance`` reports ``OVERLAP``.
     """
+    pxs, pys, qxs, qys = p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys
     verts = _difference_polygon(p_poly, q_poly)
-    # signed distance, positive on the inner (left) side of each CCW edge a -> b
-    return min(
-        (ax * (by - ay) - ay * (bx - ax)) / math.hypot(bx - ax, by - ay)
-        for (ax, ay, _, _), (bx, by, _, _) in zip(verts[-1:] + verts[:-1], verts)
-    )
+    depth = math.inf
+    for (ax, ay, i0, j0), (_, _, i1, j1) in zip(verts[-1:] + verts[:-1], verts):
+        # Signed distance inside the CCW edge, along the input edge(s) it
+        # comes from (an index that did not advance adds 0): the rounded
+        # vertices can coincide, or leave only noise, when one edge is tiny.
+        ux = (pxs[i1] - pxs[i0]) + (qxs[j0] - qxs[j1])
+        uy = (pys[i1] - pys[i0]) + (qys[j0] - qys[j1])
+        depth = min(depth, (ax * uy - ay * ux) / math.hypot(ux, uy))
+    return depth

@@ -70,6 +70,7 @@ PIPELINE_PATCH_POINTS = {
         "oracle_distance",
         "sat_intersects",
         "cso_contains_origin",
+        "penetration_depth",
         "distance",
         "ConvexPolygon",
         "polygon_from_jsonable",

@@ -149,6 +149,19 @@ class TestPenetrationDepth:
         assert penetration_depth(UNIT_SQUARE, shifted) == 0.25
         assert penetration_depth(shifted, UNIT_SQUARE) == 0.25
 
+    @pytest.mark.parametrize("e", [1e-20, 6.8e-14], ids=["rounds-to-zero", "rounds-to-noise"])
+    def test_tiny_edge_against_large_coordinates(self, e):
+        # P - Q vertices near 1000 are spaced 1.1e-13 apart, so the P - Q
+        # edge from P's tiny edge rounds to zero length or to direction
+        # (1, 1), whose line passes through the origin
+        p = ConvexPolygon([(0, 0), (2 * e, e), (1000, 700), (0, 1000)])
+        q = ConvexPolygon([(2000, 0), (1000, 1000), (0, 0), (1000, -1000)])
+        assert oracle_distance(p, q).closest_feature is ClosestFeature.OVERLAP
+        depth = cso_origin_clearance(p, q)
+        assert depth == pytest.approx(150 * math.sqrt(2), rel=1e-12)
+        assert abs(penetration_depth(p, q) - depth) <= 1e-12 * depth
+        assert abs(penetration_depth(q, p) - depth) <= 1e-12 * depth
+
 
 class TestConvexHullHelper:
     def test_drops_interior_and_collinear_points(self):

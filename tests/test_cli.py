@@ -9,7 +9,8 @@ import gjk2d.datasets
 import gjk2d.gjk
 from gjk2d.bench import CSV_COLUMNS, Algorithm, run_benchmark
 from gjk2d.cli import main
-from gjk2d.datasets import Regime, read_dataset
+from gjk2d.datasets import DatasetSpec, PairCase, Regime, read_dataset, write_dataset
+from gjk2d.geometry import ConvexPolygon
 from gjk2d.gjk import CollisionExit, Termination, distance, intersects
 
 SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
@@ -130,18 +131,22 @@ class TestCheck:
             (0, r'"vertex_count": ?4', '"vertex_count":1e999', "malformed header field"),
             (2, r'"seed": ?[0-9]+', '"seed":1e999', "malformed field"),
             (0, r'"schema": ?1', '"schema":true', "malformed header field ('schema'"),
+            (0, r'"schema": ?1', '"schema":1.0', "malformed header field ('schema'"),
             (0, r'"vertex_count": ?4', '"vertex_count":"4"', "malformed header field ('vertex_count'"),
             (0, r'"cases_per_regime": ?4', '"cases_per_regime":2.9', "malformed header field ('cases_per_regime'"),
             (0, r'"seed": ?42', '"seed":"42"', "malformed header field ('seed'"),
+            (0, r'"seed": ?42', '"seed":false', "malformed header field ('seed'"),
             (2, r'"seed": ?([0-9]+)', r'"seed":"\1"', "malformed field ('seed'"),
         ],
         ids=[
             "header-vertex-count-infinite",
             "case-seed-infinite",
             "header-schema-bool",
+            "header-schema-float",
             "header-vertex-count-string",
             "header-cases-float",
             "header-seed-string",
+            "header-seed-bool",
             "case-seed-string",
         ],
     )
@@ -169,6 +174,17 @@ class TestCheck:
         capsys.readouterr()
         assert main(["check", str(path)]) == 1
         assert "touching: 0/10 pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("e", [1e-20, 6.8e-14], ids=["rounds-to-zero", "rounds-to-noise"])
+    def test_deep_overlap_with_a_tiny_edge_labelled_touching_fails(self, tmp_path, capsys, e):
+        # the P - Q edge from P's tiny edge rounds to zero length or to a
+        # line through the origin; the origin is 212 deep inside P - Q
+        p = ConvexPolygon([(0, 0), (2 * e, e), (1000, 700), (0, 1000)])
+        q = ConvexPolygon([(2000, 0), (1000, 1000), (0, 0), (1000, -1000)])
+        path = tmp_path / "tiny-edge.jsonl"
+        write_dataset(path, DatasetSpec(4, 1, 1), [PairCase(p, q, Regime.TOUCHING, 1)])
+        assert main(["check", str(path)]) == 1
+        assert "touching: 0/1 pass" in capsys.readouterr().out
 
     def test_max_iterations_note_counts_capped_queries(
         self, small_dataset, capsys, monkeypatch
