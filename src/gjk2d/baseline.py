@@ -29,6 +29,7 @@ class ClosestFeature(Enum):
 class OracleReport:
     distance: float
     closest_feature: ClosestFeature
+    depth: float
 
 
 def sat_intersects(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
@@ -107,11 +108,13 @@ def _difference_polygon(p_poly: ConvexPolygon, q_poly: ConvexPolygon):
 def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleReport:
     """Ground-truth distance: the origin against the difference polygon.
 
-    The origin inside P - Q (boundary included) means overlap. Otherwise
+    The origin inside P - Q (boundary included) means overlap, and
+    ``depth`` is then its distance to the nearest edge line of P - Q: the
+    shortest translation of Q to contact. Otherwise ``depth`` is 0.0 and
     the distance is the minimum over the polygon's edges of the origin's
-    distance to the edge, and it is realized between a vertex of one
-    polygon and an edge of the other (``VERTEX_EDGE``) unless the closest
-    point is a vertex pair (``VERTEX_VERTEX``).
+    distance to the edge, realized between a vertex of one polygon and an
+    edge of the other (``VERTEX_EDGE``) unless the closest point is a
+    vertex pair (``VERTEX_VERTEX``).
     """
     verts = _difference_polygon(p_poly, q_poly)
     best_sq = math.inf
@@ -143,8 +146,21 @@ def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleRepor
                 best_k = k
                 at_vertex = clamped
         ax, ay = bx, by
+    pxs, pys, qxs, qys = p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys
     if best_k < 0:
-        return OracleReport(0.0, ClosestFeature.OVERLAP)
+        depth = math.inf
+        ax, ay, i0, j0 = verts[-1]
+        for bx, by, i1, j1 in verts:
+            # Signed distance inside the CCW edge, along the input edge(s) it
+            # comes from (an index that did not advance adds 0): the rounded
+            # vertices can coincide, or leave only noise, when one edge is tiny.
+            ux = (pxs[i1] - pxs[i0]) + (qxs[j0] - qxs[j1])
+            uy = (pys[i1] - pys[i0]) + (qys[j0] - qys[j1])
+            d = (ax * uy - ay * ux) / math.hypot(ux, uy)
+            if d < depth:
+                depth = d
+            ax, ay, i0, j0 = bx, by, i1, j1
+        return OracleReport(0.0, ClosestFeature.OVERLAP, depth)
     if not at_vertex:
         _, _, i0, j0 = verts[best_k - 1]
         _, _, i1, j1 = verts[best_k]
@@ -152,8 +168,6 @@ def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleRepor
             # A merged pair of parallel edges hides the vertex pairs
             # P[i1] - Q[j0] and P[i0] - Q[j1]. When they coincide and hold
             # the closest point, every realizing pair is vertex-vertex.
-            pxs, pys = p_poly.xs, p_poly.ys
-            qxs, qys = q_poly.xs, q_poly.ys
             wx = pxs[i1] - qxs[j0]
             wy = pys[i1] - qys[j0]
             at_vertex = (
@@ -162,7 +176,7 @@ def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleRepor
                 and wx * wx + wy * wy <= best_sq
             )
     feature = ClosestFeature.VERTEX_VERTEX if at_vertex else ClosestFeature.VERTEX_EDGE
-    return OracleReport(math.sqrt(best_sq), feature)
+    return OracleReport(math.sqrt(best_sq), feature, 0.0)
 
 
 def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
@@ -181,19 +195,3 @@ def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
         ax, ay = bx, by
     return True
 
-
-def penetration_depth(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> float:
-    """The origin's distance to the nearest edge line of P - Q: the shortest
-    translation of Q to contact when ``oracle_distance`` reports ``OVERLAP``.
-    """
-    pxs, pys, qxs, qys = p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys
-    verts = _difference_polygon(p_poly, q_poly)
-    depth = math.inf
-    for (ax, ay, i0, j0), (_, _, i1, j1) in zip(verts[-1:] + verts[:-1], verts):
-        # Signed distance inside the CCW edge, along the input edge(s) it
-        # comes from (an index that did not advance adds 0): the rounded
-        # vertices can coincide, or leave only noise, when one edge is tiny.
-        ux = (pxs[i1] - pxs[i0]) + (qxs[j0] - qxs[j1])
-        uy = (pys[i1] - pys[i0]) + (qys[j0] - qys[j1])
-        depth = min(depth, (ax * uy - ay * ux) / math.hypot(ux, uy))
-    return depth

@@ -52,7 +52,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    header, cases = read_dataset(args.dataset)
+    _, cases = read_dataset(args.dataset)
     stats = {r: {"cases": 0, "failures": 0, "worst": 0.0} for r in Regime}
     touch_binary_disagreements = 0
     capped_distance = capped_intersects = 0
@@ -219,6 +219,9 @@ def main(argv=None) -> int:
     ):
         if args.command == command and getattr(args, option) < least:
             parser.error(f"--{option} must be at least {least}")
+    # the script references its own path with the extension made .csv
+    if args.command == "bench" and os.path.splitext(args.gnuplot or "")[1] == ".csv":
+        parser.error(f"--gnuplot {args.gnuplot} is the CSV path its script references")
     try:
         return args.func(args)
     except DatasetError as exc:

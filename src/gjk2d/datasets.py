@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import (
-    ClosestFeature,
-    OracleReport,
-    cso_contains_origin,
-    oracle_distance,
-    penetration_depth,
-    sat_intersects,
-)
+from .baseline import OracleReport, cso_contains_origin, oracle_distance, sat_intersects
 from .geometry import (
     ConvexPolygon,
     PolygonError,
@@ -85,16 +78,6 @@ class PairCase:
     q: ConvexPolygon
     regime: Regime
     seed: int
-
-
-@dataclass(frozen=True)
-class DatasetHeader:
-    schema: int
-    vertex_count: int
-    cases_per_regime: int
-    seed: int
-    rng: str
-    margins: dict
 
 
 class DatasetError(Exception):
@@ -273,10 +256,10 @@ def verify_regime(
 ) -> bool:
     """Re-check the case's regime invariant with the baseline oracle.
 
-    Distant pairs need a gap above ``DISTANT_MIN_GAP``; touching pairs a
-    gap, or when the oracle reports overlap a ``penetration_depth``, of at
-    most ``TOUCHING_MAX_GAP``; overlap pairs SAT and then strict origin
-    containment in P - Q (``cso_contains_origin``).
+    Distant pairs need a gap above ``DISTANT_MIN_GAP``; touching pairs
+    both the oracle's gap and its penetration depth (one is always 0.0)
+    at most ``TOUCHING_MAX_GAP``; overlap pairs SAT and then strict
+    origin containment in P - Q (``cso_contains_origin``).
 
     A caller that already holds the pair's oracle answers may pass them:
     ``report`` from ``oracle_distance(case.p, case.q)`` and ``sat`` from
@@ -291,9 +274,7 @@ def verify_regime(
         report = oracle_distance(case.p, case.q)
     if case.regime is Regime.DISTANT:
         return report.distance > DISTANT_MIN_GAP
-    if report.closest_feature is ClosestFeature.OVERLAP:
-        return penetration_depth(case.p, case.q) <= TOUCHING_MAX_GAP
-    return report.distance <= TOUCHING_MAX_GAP
+    return max(report.distance, report.depth) <= TOUCHING_MAX_GAP
 
 
 def generate_dataset(spec: DatasetSpec) -> List[PairCase]:
@@ -344,8 +325,12 @@ def _json_int(obj: dict, field: str) -> int:
     return value
 
 
-def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
-    """Parse and validate a dataset file; errors name the offending line."""
+def read_dataset(path) -> Tuple[DatasetSpec, List[PairCase]]:
+    """Parse and validate a dataset file; errors name the offending line.
+
+    The header must be the one ``write_dataset`` writes for its spec, and
+    every polygon must have the header's ``vertex_count`` vertices.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -357,18 +342,26 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
     if not isinstance(raw_header, dict) or raw_header.get("schema") != _SCHEMA:
         raise DatasetError(f"line 1: unsupported schema {raw_header!r:.80}")
     try:
-        header = DatasetHeader(
-            schema=_json_int(raw_header, "schema"),
+        _json_int(raw_header, "schema")
+        spec = DatasetSpec(
             vertex_count=_json_int(raw_header, "vertex_count"),
             cases_per_regime=_json_int(raw_header, "cases_per_regime"),
             seed=_json_int(raw_header, "seed"),
-            rng=str(raw_header["rng"]),
-            margins=dict(raw_header.get("margins", {})),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"line 1: malformed header field ({exc})") from exc
+    expected = _header_dict(spec)
+    for field in {**expected, **raw_header}:
+        if field not in expected:
+            raise DatasetError(f"line 1: unknown header field {field!r:.40}")
+        if raw_header.get(field) != expected[field]:
+            raise DatasetError(
+                f"line 1: header field {field!r} must be {json.dumps(expected[field])}, "
+                f"not {json.dumps(raw_header.get(field)):.80}"
+            )
     cases = []
     regimes = {r.value: r for r in Regime}
+    n = spec.vertex_count
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -391,8 +384,13 @@ def read_dataset(path) -> Tuple[DatasetHeader, List[PairCase]]:
             raise DatasetError(f"line {lineno}: {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise DatasetError(f"line {lineno}: malformed field ({exc})") from exc
+        if len(p.xs) != n or len(q.xs) != n:
+            name, count = ("p", len(p.xs)) if len(p.xs) != n else ("q", len(q.xs))
+            raise DatasetError(
+                f"line {lineno}: {name!r} has {count} vertices, not the header's vertex_count {n}"
+            )
         cases.append(PairCase(p, q, regime, seed))
-    return header, cases
+    return spec, cases
 
 
 def group_by_regime(cases: Iterable[PairCase]) -> Dict[Regime, List[PairCase]]:

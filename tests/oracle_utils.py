@@ -164,14 +164,15 @@ def brute_cso_contains_origin(p_poly, q_poly, strict: bool = False) -> bool:
 def brute_oracle_distance(p_poly, q_poly):
     """SAT for overlap, else the all-pairs vertex-edge scan, as an OracleReport.
 
-    For disjoint convex polygons the minimum distance is realized between
-    a vertex of one and an edge (possibly an endpoint) of the other, so
-    scanning all such pairs both ways is exact.
+    On overlap the depth is ``cso_origin_clearance``. For disjoint convex
+    polygons the minimum distance is realized between a vertex of one and
+    an edge (possibly an endpoint) of the other, so scanning all such
+    pairs both ways is exact.
     """
     from gjk2d.baseline import ClosestFeature, OracleReport, sat_intersects
 
     if sat_intersects(p_poly, q_poly):
-        return OracleReport(0.0, ClosestFeature.OVERLAP)
+        return OracleReport(0.0, ClosestFeature.OVERLAP, cso_origin_clearance(p_poly, q_poly))
     best_sq = math.inf
     at_endpoint = True
     for vxs, vys, exs, eys in (
@@ -202,7 +203,7 @@ def brute_oracle_distance(p_poly, q_poly):
                     best_sq = d_sq
                     at_endpoint = clamped
     feature = ClosestFeature.VERTEX_VERTEX if at_endpoint else ClosestFeature.VERTEX_EDGE
-    return OracleReport(math.sqrt(best_sq), feature)
+    return OracleReport(math.sqrt(best_sq), feature, 0.0)
 
 
 def point_segment_distance(p, a, b) -> float:

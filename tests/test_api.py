@@ -70,13 +70,25 @@ PIPELINE_PATCH_POINTS = {
         "oracle_distance",
         "sat_intersects",
         "cso_contains_origin",
-        "penetration_depth",
         "distance",
         "ConvexPolygon",
         "polygon_from_jsonable",
         "apply_transform",
         "contains_point",
         "polygon_to_jsonable",
+    ),
+}
+# The pipeline patch points whose spans feed perfbench's per-layer
+# metrics; a point that exists but is never called drops its metric.
+TIMED_PIPELINE_CALLS = {
+    gjk2d.cli: ("write_dataset", "read_dataset", "oracle_distance"),
+    gjk2d.datasets: (
+        "oracle_distance",
+        "cso_contains_origin",
+        "make_pair",
+        "apply_transform",
+        "ConvexPolygon",
+        "polygon_from_jsonable",
     ),
 }
 
@@ -113,6 +125,31 @@ def test_root_exports_nothing_else():
 def test_pipeline_patch_points_stay_module_globals(module):
     names = PIPELINE_PATCH_POINTS[module]
     assert [name for name in names if not callable(vars(module).get(name))] == []
+
+
+def test_gen_and_check_make_every_timed_pipeline_call(monkeypatch, tmp_path):
+    calls = Counter()
+    regimes = set()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            if key == "gjk2d.datasets.make_pair":
+                regimes.add(args[1])
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    keys = []
+    for module, names in TIMED_PIPELINE_CALLS.items():
+        for name in names:
+            keys.append(f"{module.__name__}.{name}")
+            monkeypatch.setattr(module, name, counting(keys[-1], getattr(module, name)))
+    path = str(tmp_path / "pairs.jsonl")
+    assert gjk2d.cli.main(["gen", "--vertices", "4", "--cases", "2", "--seed", "7", path]) == 0
+    assert gjk2d.cli.main(["check", path]) == 0
+    assert [key for key in keys if calls[key] == 0] == []
+    assert regimes == set(gjk2d.Regime)
 
 
 @pytest.mark.parametrize("query", [gjk2d.distance, gjk2d.intersects])

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gjk2d.baseline
-from gjk2d.baseline import (
-    ClosestFeature,
-    cso_contains_origin,
-    oracle_distance,
-    penetration_depth,
-    sat_intersects,
-)
+from gjk2d.baseline import ClosestFeature, cso_contains_origin, oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetSpec,
     Regime,
@@ -86,6 +80,7 @@ class TestOracleDistance:
     def test_facing_edge_gap(self):
         report = oracle_distance(UNIT_SQUARE, FAR_SQUARE)
         assert report.distance == 2.0
+        assert report.depth == 0.0
         # the realizing pairs anchor at edge endpoints here
         assert report.closest_feature is ClosestFeature.VERTEX_VERTEX
 
@@ -142,12 +137,14 @@ class TestCsoContainsOrigin:
 
 
 class TestPenetrationDepth:
+    """``OracleReport.depth``: how far the origin lies inside P - Q."""
+
     def test_squares(self):
-        assert penetration_depth(UNIT_SQUARE, UNIT_SQUARE) == 1.0
-        assert penetration_depth(UNIT_SQUARE, TOUCH_SQUARE) == 0.0
+        assert oracle_distance(UNIT_SQUARE, UNIT_SQUARE).depth == 1.0
+        assert oracle_distance(UNIT_SQUARE, TOUCH_SQUARE).depth == 0.0
         shifted = ConvexPolygon([(0.75, 0.25), (1.75, 0.25), (1.75, 1.25), (0.75, 1.25)])
-        assert penetration_depth(UNIT_SQUARE, shifted) == 0.25
-        assert penetration_depth(shifted, UNIT_SQUARE) == 0.25
+        assert oracle_distance(UNIT_SQUARE, shifted).depth == 0.25
+        assert oracle_distance(shifted, UNIT_SQUARE).depth == 0.25
 
     @pytest.mark.parametrize("e", [1e-20, 6.8e-14], ids=["rounds-to-zero", "rounds-to-noise"])
     def test_tiny_edge_against_large_coordinates(self, e):
@@ -159,8 +156,8 @@ class TestPenetrationDepth:
         assert oracle_distance(p, q).closest_feature is ClosestFeature.OVERLAP
         depth = cso_origin_clearance(p, q)
         assert depth == pytest.approx(150 * math.sqrt(2), rel=1e-12)
-        assert abs(penetration_depth(p, q) - depth) <= 1e-12 * depth
-        assert abs(penetration_depth(q, p) - depth) <= 1e-12 * depth
+        assert abs(oracle_distance(p, q).depth - depth) <= 1e-12 * depth
+        assert abs(oracle_distance(q, p).depth - depth) <= 1e-12 * depth
 
 
 class TestConvexHullHelper:
@@ -200,9 +197,7 @@ def assert_matches_brute(p, q):
     d = report.distance
     assert abs(d - brute.distance) <= 1e-12 * max(1.0, brute.distance)
     assert oracle_distance(q, p).distance == d
-    if report.closest_feature is ClosestFeature.OVERLAP:
-        depth = cso_origin_clearance(p, q)
-        assert abs(penetration_depth(p, q) - depth) <= 1e-12 * max(1.0, depth)
+    assert abs(report.depth - brute.depth) <= 1e-12 * max(1.0, brute.depth)
     return report, brute
 
 

@@ -4,9 +4,11 @@ import re
 
 import pytest
 
+import gjk2d.baseline
 import gjk2d.cli
 import gjk2d.datasets
 import gjk2d.gjk
+from gjk2d.baseline import ClosestFeature, oracle_distance
 from gjk2d.bench import CSV_COLUMNS, Algorithm, run_benchmark
 from gjk2d.cli import main
 from gjk2d.datasets import DatasetSpec, PairCase, Regime, read_dataset, write_dataset
@@ -79,7 +81,15 @@ class TestCheck:
 
     def test_runs_each_oracle_once_per_case(self, small_dataset, capsys, monkeypatch):
         _, cases = read_dataset(small_dataset)
-        calls = {"sat_intersects": 0, "oracle_distance": 0, "cso_contains_origin": 0}
+        # a touching pair with the origin inside P - Q still takes one build
+        assert any(
+            c.regime is Regime.TOUCHING
+            and oracle_distance(c.p, c.q).closest_feature is ClosestFeature.OVERLAP
+            for c in cases
+        )
+        calls = dict.fromkeys(
+            ("sat_intersects", "oracle_distance", "cso_contains_origin", "_difference_polygon"), 0
+        )
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -92,12 +102,19 @@ class TestCheck:
             for name in calls:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        build = gjk2d.baseline._difference_polygon
+        monkeypatch.setattr(
+            gjk2d.baseline, "_difference_polygon", counting("_difference_polygon", build)
+        )
         assert main(["check", str(small_dataset)]) == 0
         assert "all checks passed" in capsys.readouterr().out
+        overlaps = sum(c.regime is Regime.OVERLAP for c in cases)
         assert calls == {
             "sat_intersects": len(cases),
             "oracle_distance": len(cases),
-            "cso_contains_origin": sum(c.regime is Regime.OVERLAP for c in cases),
+            "cso_contains_origin": overlaps,
+            # P - Q builds: oracle_distance's, plus cso_contains_origin's on overlap
+            "_difference_polygon": len(cases) + overlaps,
         }
 
     def test_output_is_pinned(self, tmp_path, capsys):
@@ -161,6 +178,57 @@ class TestCheck:
         small_dataset.write_text("\n".join(lines) + "\n")
         assert main(["check", str(small_dataset)]) == 1
         assert f"error: line {line + 1}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pattern,replacement,message",
+        [
+            (
+                r'"rng":"[^"]*"',
+                '"rng":null',
+                'line 1: header field \'rng\' must be "mt19937/sha256-case-seeds", not null',
+            ),
+            (
+                r'"margins":\{[^}]*\}',
+                '"margins":{"touching_max_gap":"wide"}',
+                "line 1: header field 'margins' must be {",
+            ),
+            (r',"margins":\{[^}]*\}', "", "line 1: header field 'margins' must be {"),
+            (r'\}$', ',"comment":"x"}', "line 1: unknown header field 'comment'"),
+            (
+                r'"vertex_count":4',
+                '"vertex_count":3',
+                "line 2: 'p' has 4 vertices, not the header's vertex_count 3",
+            ),
+            (
+                r'"vertex_count":4',
+                '"vertex_count":2',
+                "line 1: malformed header field (vertex_count must be at least 3)",
+            ),
+            (
+                r'"cases_per_regime":4',
+                '"cases_per_regime":0',
+                "line 1: malformed header field (cases_per_regime must be at least 1)",
+            ),
+        ],
+        ids=[
+            "rng-null",
+            "margins-changed",
+            "margins-missing",
+            "unknown-field",
+            "vertex-count-below-polygons",
+            "vertex-count-below-3",
+            "cases-below-1",
+        ],
+    )
+    def test_header_must_match_what_gen_writes(
+        self, small_dataset, capsys, pattern, replacement, message
+    ):
+        lines = small_dataset.read_text().splitlines()
+        lines[0], count = re.subn(pattern, replacement, lines[0])
+        assert count == 1
+        small_dataset.write_text("\n".join(lines) + "\n")
+        assert main(["check", str(small_dataset)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_overlap_pairs_labelled_touching_fail(self, tmp_path, capsys):
         # P - Q holds the origin deep inside, so no gap makes them touching
@@ -302,6 +370,19 @@ class TestBench:
         _, cases = read_dataset(small_dataset)
         with pytest.raises(ValueError):
             run_benchmark(cases, [Algorithm.SAT], repetitions=repetitions, warmup=warmup)
+
+    @pytest.mark.parametrize("script", ["plot.csv", "out/plot.csv"])
+    def test_gnuplot_script_over_its_own_csv_is_usage_error(
+        self, small_dataset, tmp_path, capsys, monkeypatch, script
+    ):
+        # `bench --gnuplot plot.csv > plot.csv` would overwrite the CSV
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(small_dataset), "--algorithms", "Sat", "--gnuplot", script])
+        assert exc.value.code == 2
+        assert "--gnuplot" in capsys.readouterr().err
+        assert not (tmp_path / script).exists()
 
     def test_gnuplot_flag_writes_script(self, small_dataset, tmp_path, capsys):
         script = tmp_path / "plot.gp"

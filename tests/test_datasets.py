@@ -131,12 +131,7 @@ class TestDatasetFiles:
         write_dataset(path, spec, cases)
         header, back = read_dataset(path)
         assert back == cases
-        assert header.vertex_count == 4
-        assert header.cases_per_regime == 6
-        assert header.seed == 11
-        assert header.schema == 1
-        assert header.rng
-        assert "distant_margin" in header.margins
+        assert header == spec
 
     def test_empty_dataset_round_trips(self, tmp_path):
         spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=0)
@@ -144,7 +139,7 @@ class TestDatasetFiles:
         write_dataset(path, spec, [])
         header, back = read_dataset(path)
         assert back == []
-        assert header.seed == 0
+        assert header == spec
 
     def test_regime_blocks_in_order(self, tmp_path):
         spec = DatasetSpec(vertex_count=4, cases_per_regime=3, seed=1)
@@ -218,6 +213,15 @@ class TestDatasetFiles:
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="line 2: malformed field \\('seed' must be"):
+            read_dataset(path)
+
+    def test_polygon_vertex_count_must_match_header(self, tmp_path):
+        spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=3)
+        case = generate_dataset(spec)[0]
+        triangle = random_convex_polygon(3, random.Random(4))
+        path = tmp_path / "triangle.jsonl"
+        write_dataset(path, spec, [case, PairCase(case.p, triangle, case.regime, case.seed)])
+        with pytest.raises(DatasetError, match="line 3: 'q' has 3 vertices, not the header's vertex_count 4"):
             read_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):
