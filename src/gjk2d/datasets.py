@@ -48,9 +48,9 @@ DISTANT_SPREAD = 2.0
 RNG_NAME = "mt19937/sha256-case-seeds"
 
 _SCHEMA = 1
-# Minimum doubled sub-area (relative to scale^2) the generator accepts,
+# Minimum doubled sub-area of a unit-disc polygon the generator accepts,
 # so later rigid transforms cannot flip a convexity sign by roundoff.
-_MIN_CROSS_REL = 1e-9
+_MIN_CROSS = 1e-9
 
 
 class Regime(Enum):
@@ -131,21 +131,16 @@ def _valtr_points(rng: random.Random, n: int) -> List[Tuple[float, float]]:
     return pts
 
 
-def random_convex_polygon(
-    n: int, rng: random.Random, scale: float = 1.0
-) -> ConvexPolygon:
+def random_convex_polygon(n: int, rng: random.Random) -> ConvexPolygon:
     """Random strictly convex CCW polygon with exactly n vertices.
 
-    The polygon is centered on its vertex mean and fitted to a disc of
-    radius ``scale`` around the origin. Candidates whose smallest turn
-    falls below a scale-relative margin are rejected and redrawn;
-    ``PolygonGenerationFailed`` after 1000 attempts.
+    The polygon is centered on its vertex mean and fitted to the unit
+    disc around the origin. Candidates whose smallest turn falls below a
+    fixed margin are rejected and redrawn; ``PolygonGenerationFailed``
+    after 1000 attempts.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    if not scale > 0.0:
-        raise ValueError("scale must be positive")
-    min_cross = _MIN_CROSS_REL * scale * scale
     for _ in range(1000):
         pts = _valtr_points(rng, n)
         cx = sum(p[0] for p in pts) / n
@@ -154,7 +149,7 @@ def random_convex_polygon(
         radius = max(math.hypot(x, y) for x, y in centered)
         if radius <= 0.0:
             continue
-        f = scale / radius
+        f = 1.0 / radius
         verts = [(x * f, y * f) for x, y in centered]
         try:
             poly = ConvexPolygon(verts)
@@ -164,7 +159,7 @@ def random_convex_polygon(
         for i in range(n):
             j = (i + 1) % n
             k = (i + 2) % n
-            if (xs[j] - xs[i]) * (ys[k] - ys[j]) - (ys[j] - ys[i]) * (xs[k] - xs[j]) <= min_cross:
+            if (xs[j] - xs[i]) * (ys[k] - ys[j]) - (ys[j] - ys[i]) * (xs[k] - xs[j]) <= _MIN_CROSS:
                 break
         else:
             return poly

@@ -76,9 +76,14 @@ class ConvexPolygon:
 
     def __init__(self, vertices: Iterable):
         xs, ys = [], []
-        for x, y in vertices:
-            xs.append(float(x))
-            ys.append(float(y))
+        try:
+            for x, y in vertices:
+                xs.append(float(x))
+                ys.append(float(y))
+        except OverflowError:
+            # float() rejects an int beyond the double range; ys holds one
+            # coordinate per vertex converted before the failing one.
+            raise NonFiniteCoordinate(len(ys)) from None
         n = len(xs)
         if n < 3:
             raise FewerThanThreeVertices(n)
@@ -214,13 +219,4 @@ def polygon_from_jsonable(obj) -> ConvexPolygon:
                 f"vertex {i} has a non-numeric coordinate "
                 f"({bad!r:.40} is a {type(bad).__name__})"
             )
-    try:
-        return ConvexPolygon(verts)
-    except OverflowError as exc:
-        # float() rejected an integer beyond the double range; name its vertex.
-        for i, (x, y) in enumerate(verts):
-            try:
-                float(x), float(y)
-            except OverflowError:
-                raise PolygonError(f"vertex {i} has a non-numeric coordinate ({exc})") from exc
-        raise
+    return ConvexPolygon(verts)

@@ -164,9 +164,9 @@ def _gjk(
             exit = Termination.CONVERGED
             break
         if len(verts) == 1:
-            verts, lambdas, (vx, vy) = solve_segment(w, verts[0])
+            verts, lambdas, vx, vy = solve_segment(w, verts[0])
         else:
-            verts, lambdas, (vx, vy) = solve_triangle(w, verts[0], verts[1])
+            verts, lambdas, vx, vy = solve_triangle(w, verts[0], verts[1])
         v_sq = vx * vx + vy * vy
         if norm_trace is not None:
             norm_trace.append(math.sqrt(v_sq))

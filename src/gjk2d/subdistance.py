@@ -2,42 +2,34 @@
 
 Given a simplex of Minkowski-difference points, these routines find the
 minimal sub-simplex supporting the point closest to the origin, its
-barycentric coordinates, and that closest point. The triangle case is
-dispatched through a 3-bit *region code*: the plane around a triangle
-splits into 7 regions by the signs of the origin's barycentric
-coordinates, and each sign is recovered from whether the corresponding
-sub-area cross product agrees in sign with the total. Codes 1/2/4 are
-vertex cone regions, 3/5/6 are edge regions, and 7 means the triangle
-encloses the origin.
+barycentric coordinates, and that closest point, returned flat as
+``(verts, lambdas, vx, vy)``. The triangle case is dispatched through a
+3-bit *region code*: the plane around a triangle splits into 7 regions
+by the signs of the origin's barycentric coordinates, and each sign is
+recovered from whether the corresponding sub-area cross product agrees
+in sign with the total. Codes 1/2/4 are vertex regions, 3/5/6 are edge
+regions, and 7 means the triangle encloses the origin.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import List, Tuple
 
-from .geometry import Vec2
 from .support import SimplexVertex
 
 # Relative degeneracy threshold on the triangle's doubled signed area.
 _DEGENERATE_REL = 1e-12
 
-# Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
-_new = tuple.__new__
-
-
-class SubdistanceResult(NamedTuple):
-    """Supporting sub-simplex, its barycentric coordinates, closest point v."""
-
-    verts: List[SimplexVertex]
-    lambdas: List[float]
-    v: Vec2
+# What every solver returns: the supporting sub-simplex, its barycentric
+# coordinates, and the closest point (vx, vy).
+Solve = Tuple[List[SimplexVertex], List[float], float, float]
 
 
 class DegenerateTriangle(ArithmeticError):
     """The three points are (nearly) collinear; the region code is undefined."""
 
 
-def s1d(a: SimplexVertex, b: SimplexVertex) -> SubdistanceResult:
+def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
     """Closest point to the origin on segment [a.w, b.w].
 
     The two vertex regions are identified by the orthogonality tests
@@ -47,26 +39,25 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> SubdistanceResult:
     coincident endpoints give dot(A, B-A) = 0, so the answer is {a}; any
     other segment is solved as it is, however short.
     """
-    aw = a[0]
-    bw = b[0]
-    ax, ay = aw
-    bx, by = bw
+    ax, ay = a[0]
+    bx, by = b[0]
     ux = bx - ax
     uy = by - ay
     oa_ab = ax * ux + ay * uy
     if oa_ab >= 0.0:
-        return _new(SubdistanceResult, ([a], [1.0], aw))
+        return [a], [1.0], ax, ay
     ob_ab = bx * ux + by * uy
     if ob_ab <= 0.0:
-        return _new(SubdistanceResult, ([b], [1.0], bw))
+        return [b], [1.0], bx, by
     total = oa_ab - ob_ab  # equals -|AB|^2; oa_ab < 0 < ob_ab makes it negative
     lam_u = -ob_ab / total
     lam_v = oa_ab / total
-    v = _new(Vec2, (lam_u * ax + lam_v * bx, lam_u * ay + lam_v * by))
-    return _new(SubdistanceResult, ([a, b], [lam_u, lam_v], v))
+    return [a, b], [lam_u, lam_v], lam_u * ax + lam_v * bx, lam_u * ay + lam_v * by
 
 
-def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, float, float]:
+def compute_barycode(
+    a: Tuple[float, float], b: Tuple[float, float], c: Tuple[float, float]
+) -> Tuple[int, float, float, float, float]:
     """Region code of the origin against triangle (a, b, c).
 
     Returns ``(code, sigma_u, sigma_v, sigma_w, total)`` where the sigmas
@@ -100,56 +91,27 @@ def compute_barycode(a: Vec2, b: Vec2, c: Vec2) -> Tuple[int, float, float, floa
     return code, su, sv, sw, total
 
 
-def cone_region(v: SimplexVertex, m: SimplexVertex, n: SimplexVertex) -> SubdistanceResult:
-    """Resolve the vertex cone region at V of the triangle simplex (V, M, N).
-
-    M and N are the other two vertices in simplex order. If the angle MVN
-    is acute or right the answer is the vertex itself. Otherwise the
-    origin may project onto one of the incident edges, detected by
-    dot(V, V-M) > 0 (resp. N) and resolved by the segment routine; failing
-    both tests the origin is in V's own region and the vertex answer stands.
-    """
-    vw = v[0]
-    vx, vy = vw
-    mx, my = m[0]
-    nx, ny = n[0]
-    mvx = vx - mx
-    mvy = vy - my
-    nvx = vx - nx
-    nvy = vy - ny
-    if mvx * nvx + mvy * nvy >= 0.0:
-        return _new(SubdistanceResult, ([v], [1.0], vw))
-    if vx * mvx + vy * mvy > 0.0:
-        return s1d(v, m)
-    if vx * nvx + vy * nvy > 0.0:
-        return s1d(v, n)
-    return _new(SubdistanceResult, ([v], [1.0], vw))
+def _nearer(r1: Solve, r2: Solve) -> Solve:
+    """The solve whose closest point is nearer the origin; a tie keeps ``r1``."""
+    if r2[2] * r2[2] + r2[3] * r2[3] < r1[2] * r1[2] + r1[3] * r1[3]:
+        return r2
+    return r1
 
 
-def _best_edge(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResult:
-    """Collinear fallback: best of the three edge subproblems.
-
-    Ties keep the earliest edge in (a,b), (b,c), (c,a) order.
-    """
-    best = s1d(a, b)
-    best_d = best.v.x * best.v.x + best.v.y * best.v.y
-    for first, second in ((b, c), (c, a)):
-        res = s1d(first, second)
-        d = res.v.x * res.v.x + res.v.y * res.v.y
-        if d < best_d:
-            best = res
-            best_d = d
-    return best
-
-
-def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResult:
+def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     """Closest point to the origin on triangle (a.w, b.w, c.w).
 
-    Dispatches on the region code: 1/2/4 resolve the cone region at
-    c/b/a, 3/5/6 drop a/b/c and fall to the segment routine, and 7 keeps
-    the full simplex with the origin's barycentric coordinates (the
-    closest point is then the origin itself). Collinear triangles fall
-    back to the best edge result.
+    Dispatches on the region code, with one rule for every edge answer:
+    7 keeps the full simplex with the origin's barycentric coordinates
+    (the closest point is then the origin itself); 6/5/3 solve the edge
+    that drops c/b/a; 4/2/1 solve the two edges at a/b/c and keep the
+    nearer; a collinear triangle keeps the nearest of its three edges.
+    A tie keeps the edge named first: (a, b) before (a, c) at a, (b, a)
+    before (b, c) at b, (c, a) before (c, b) at c, and (a, b), (b, c),
+    (c, a) in that order when collinear. In a vertex region the origin
+    lies in the angle opposite the triangle at that vertex, so at most
+    one of its edges has the foot of the perpendicular inside it; when
+    neither does, both solves return the vertex itself.
     """
     aw = a[0]
     bw = b[0]
@@ -157,7 +119,7 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
     try:
         code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
     except DegenerateTriangle:
-        return _best_edge(a, b, c)
+        return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
     if code == 7:
         ax, ay = aw
         bx, by = bw
@@ -165,11 +127,12 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
         lam_u = su / total
         lam_v = sv / total
         lam_w = 1.0 - lam_u - lam_v
-        v = _new(Vec2, (
+        return (
+            [a, b, c],
+            [lam_u, lam_v, lam_w],
             lam_u * ax + lam_v * bx + lam_w * cx,
             lam_u * ay + lam_v * by + lam_w * cy,
-        ))
-        return _new(SubdistanceResult, ([a, b, c], [lam_u, lam_v, lam_w], v))
+        )
     if code == 6:
         return s1d(a, b)
     if code == 5:
@@ -177,8 +140,7 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> SubdistanceResu
     if code == 3:
         return s1d(b, c)
     if code == 4:
-        return cone_region(a, b, c)
+        return _nearer(s1d(a, b), s1d(a, c))
     if code == 2:
-        return cone_region(b, a, c)
-    return cone_region(c, a, b)  # code 1
-
+        return _nearer(s1d(b, a), s1d(b, c))
+    return _nearer(s1d(c, a), s1d(c, b))  # code 1

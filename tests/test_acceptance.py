@@ -103,7 +103,7 @@ def test_criterion_3_triangle_subdistance_matches_dense_oracle():
         a = SimplexVertex(Vec2(*tri[0]), 0, 0)
         b = SimplexVertex(Vec2(*tri[1]), 0, 0)
         c = SimplexVertex(Vec2(*tri[2]), 0, 0)
-        got = math.hypot(*s2d(a, b, c).v)
+        got = math.hypot(*s2d(a, b, c)[2:])
         err = abs(got - want)
         worst = max(worst, err)
         if err > 1e-9:

@@ -8,9 +8,13 @@ inlining one of them would silently turn the traced metrics into
 "missing patch points".
 """
 
+import json
 import random
+import subprocess
+import sys
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,6 @@ import gjk2d.subdistance
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import Vec2, apply_transform
 from gjk2d.gjk import CollisionResult, DistanceResult
-from gjk2d.subdistance import SubdistanceResult
 from gjk2d.support import SimplexVertex
 
 BENCHMARK_NAMES = (
@@ -177,7 +180,7 @@ def assert_shape(value, cls):
 
 
 def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
-    seen = {name: [] for name in LOOP_LAYERS + ("cone_region",)}
+    seen = {name: [] for name in LOOP_LAYERS}
 
     def recording(name, fn):
         def wrapper(*args):
@@ -189,8 +192,6 @@ def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
 
     for name in LOOP_LAYERS:
         monkeypatch.setattr(gjk2d.gjk, name, recording(name, getattr(gjk2d.gjk, name)))
-    cone = gjk2d.subdistance.cone_region
-    monkeypatch.setattr(gjk2d.subdistance, "cone_region", recording("cone_region", cone))
     for p, q in random_pairs(72, 300):
         for hill_climbing in (True, False):
             res = gjk2d.distance(p, q, use_hill_climbing=hill_climbing)
@@ -207,21 +208,45 @@ def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
         ]
         seen["s1d"].append((tau[:2], gjk2d.subdistance.s1d(*tau[:2])))
         seen["s2d"].append((tau, gjk2d.subdistance.s2d(*tau)))
-        for v, m, n in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            args = (tau[v], tau[m], tau[n])
-            seen["cone_region"].append((args, gjk2d.subdistance.cone_region(*args)))
     assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
     for _, out in seen["_cso_support_xy"]:
         assert_shape(out, SimplexVertex)
         assert_shape(out.w, Vec2)
     for _, out in seen["initial_direction"]:
         assert_shape(out, Vec2)
-    for layer in ("s1d", "s2d", "cone_region"):
+    # the loop unpacks every solve as (verts, lambdas, vx, vy)
+    for layer in ("s1d", "s2d"):
         for _, out in seen[layer]:
-            assert_shape(out, SubdistanceResult)
-            assert_shape(out.v, Vec2)
+            assert type(out) is tuple, out
+            assert [type(field) for field in out] == [list, list, float, float], out
     # perfbench's region-code replay calls compute_barycode(a.w, b.w, c.w)
     # on captured s2d arguments.
     for args, _ in seen["s2d"]:
         for vertex in args:
             assert isinstance(vertex.w.x, float) and isinstance(vertex.w.y, float)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace, counters", [(0, "cf7baff84b84919d"), (1, "1f3cad25e111fc8e")])
+def test_perfbench_prints_its_result_last(trace, counters):
+    # A one-second perfbench run from the repository root: its last line is
+    # the JSON result holding every BENCHMARK.json metric of the mode, and a
+    # patch point that is gone or never called would print a "missing" line.
+    # The fingerprint and counters are those of small-polys at seed 7.
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", "small-polys",
+        "--seed", "7", "--seconds", "1", "--trace", str(trace),
+    ]
+    proc = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert result["failed"] == 0
+    spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    wanted = {m["name"] for m in spec["per_layer" if trace else "end_to_end"]}
+    assert sorted(wanted - set(result["metrics"])) == []
+    assert [line for line in lines if line.startswith("missing")] == []
+    assert "fingerprint 28adbf09a1bde9dc" in lines
+    assert f"counters {counters}" in lines

@@ -35,15 +35,10 @@ class TestRandomConvexPolygon:
     def test_exact_vertex_count_and_disc_bound(self):
         rng = random.Random(1)
         for n in (3, 4, 8, 12, 16, 20, 24):
-            poly = random_convex_polygon(n, rng, scale=1.0)
+            poly = random_convex_polygon(n, rng)
             assert len(poly) == n
-            for x, y in zip(poly.xs, poly.ys):
-                assert math.hypot(x, y) <= 1.0 + 1e-12
-
-    def test_scale_parameter(self):
-        poly = random_convex_polygon(8, random.Random(2), scale=5.0)
-        radii = [math.hypot(x, y) for x, y in zip(poly.xs, poly.ys)]
-        assert max(radii) == pytest.approx(5.0, rel=1e-12)
+            radii = [math.hypot(x, y) for x, y in zip(poly.xs, poly.ys)]
+            assert max(radii) == pytest.approx(1.0, rel=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         a = random_convex_polygon(24, random.Random(42))
@@ -63,8 +58,6 @@ class TestRandomConvexPolygon:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             random_convex_polygon(2, random.Random(0))
-        with pytest.raises(ValueError):
-            random_convex_polygon(4, random.Random(0), scale=0.0)
 
 
 class TestMakePair:

@@ -125,8 +125,14 @@ class TestValidatePolygon:
             ([(-1e308, 0), (1e308, 0), (0, 1e308)], 0),
             ([(-2, -2), (1e308, -2), (1e308, 1e308), (-2, 1e308)], 1),
             ([(0, 0), (1, 0), (0, -(2.0**500) * (1 + 2**-52))], 2),
+            # ints beyond the double range, on each axis
+            ([(10**400, 0), (1, 0), (0, 1)], 0),
+            ([(0, 0), (1, 0), (0, 10**400)], 2),
         ],
-        ids=["1e308-triangle", "1e308-square", "just-past-bound"],
+        ids=[
+            "1e308-triangle", "1e308-square", "just-past-bound",
+            "int-past-double-x", "int-past-double-y",
+        ],
     )
     def test_rejects_coordinates_beyond_bound_with_index(self, vertices, index):
         with pytest.raises(NonFiniteCoordinate) as exc:
@@ -366,9 +372,13 @@ class TestJsonShape:
             polygon_from_jsonable({"vertices": [[1, 2, 3]]})
         # non-numeric coordinates name their vertex instead of escaping as
         # a bare ValueError/TypeError from float()
-        for bad in ("a", None, 10**400):
+        for bad in ("a", None):
             with pytest.raises(PolygonError, match="vertex 1 has a non-numeric coordinate"):
                 polygon_from_jsonable({"vertices": [[0, 0], [bad, 0], [1, 1]]})
+        # a JSON integer beyond the double range is a number, but not a finite double
+        with pytest.raises(NonFiniteCoordinate) as exc:
+            polygon_from_jsonable({"vertices": [[0, 0], [10**400, 0], [1, 1]]})
+        assert exc.value.index == 1
 
     @pytest.mark.parametrize("bad", ["0", "1e0", " 1 ", "nan", True, False])
     @pytest.mark.parametrize("axis", [0, 1])

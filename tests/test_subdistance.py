@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +9,6 @@ from gjk2d.geometry import Vec2
 from gjk2d.subdistance import (
     DegenerateTriangle,
     compute_barycode,
-    cone_region,
     s1d,
     s2d,
 )
@@ -31,47 +32,68 @@ def random_sv(rng, lo=-10.0, hi=10.0):
 
 
 def check_lambdas(result):
-    lams = result.lambdas
+    verts, lams, vx, vy = result
     assert all(l >= 0.0 for l in lams)
     assert sum(lams) == pytest.approx(1.0, abs=1e-12)
-    rx = sum(l * v.w.x for l, v in zip(lams, result.verts))
-    ry = sum(l * v.w.y for l, v in zip(lams, result.verts))
-    assert rx == pytest.approx(result.v.x, abs=1e-12)
-    assert ry == pytest.approx(result.v.y, abs=1e-12)
+    rx = sum(l * v.w.x for l, v in zip(lams, verts))
+    ry = sum(l * v.w.y for l, v in zip(lams, verts))
+    assert rx == pytest.approx(vx, abs=1e-12)
+    assert ry == pytest.approx(vy, abs=1e-12)
+
+
+def norm(result):
+    """|v| of a solve's closest point."""
+    return math.hypot(*result[2:])
+
+
+def pinned_triangles():
+    """Seeded random, integer-grid and collinear triangles: every region code."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        yield [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3)]
+    # exact region boundaries, ties and exactly collinear triples
+    for _ in range(3000):
+        yield [(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))) for _ in range(3)]
+    for _ in range(1000):
+        px, py = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        dx, dy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        yield [(px + t * dx, py + t * dy) for t in (rng.uniform(-5.0, 5.0) for _ in range(3))]
 
 
 class TestS1d:
     def test_perpendicular_foot_inside_segment(self):
         res = s1d(sv(1, -1), sv(1, 1))
-        assert len(res.verts) == 2
-        assert res.lambdas == pytest.approx([0.5, 0.5])
-        assert res.v == Vec2(1.0, 0.0)
+        verts, lambdas, vx, vy = res
+        assert len(verts) == 2
+        assert lambdas == pytest.approx([0.5, 0.5])
+        assert (vx, vy) == (1.0, 0.0)
         check_lambdas(res)
 
     def test_origin_in_first_vertex_region(self):
-        res = s1d(sv(1, 1), sv(2, 2))
-        assert len(res.verts) == 1
-        assert res.lambdas == [1.0]
-        assert res.v == Vec2(1.0, 1.0)
+        verts, lambdas, vx, vy = s1d(sv(1, 1), sv(2, 2))
+        assert len(verts) == 1
+        assert lambdas == [1.0]
+        assert (vx, vy) == (1.0, 1.0)
 
     def test_origin_in_second_vertex_region(self):
-        res = s1d(sv(2, 2), sv(1, 1))
-        assert res.v == Vec2(1.0, 1.0)
-        assert len(res.verts) == 1
+        verts, _, vx, vy = s1d(sv(2, 2), sv(1, 1))
+        assert (vx, vy) == (1.0, 1.0)
+        assert len(verts) == 1
 
     def test_interior_foot_against_segment_oracle(self):
         # derived: grid + refinement oracle gives distance 4 at (0, 4)
         assert segment_distance_to_origin((-3, 4), (2, 4)) == pytest.approx(4.0)
         res = s1d(sv(-3, 4), sv(2, 4))
-        assert res.v.x == pytest.approx(0.0, abs=1e-12)
-        assert res.v.y == pytest.approx(4.0)
-        assert res.lambdas == pytest.approx([0.4, 0.6])
+        _, lambdas, vx, vy = res
+        assert vx == pytest.approx(0.0, abs=1e-12)
+        assert vy == pytest.approx(4.0)
+        assert lambdas == pytest.approx([0.4, 0.6])
         check_lambdas(res)
 
     def test_coincident_endpoints_return_vertex(self):
-        res = s1d(sv(1, 1), sv(1, 1))
-        assert len(res.verts) == 1
-        assert res.v == Vec2(1.0, 1.0)
+        verts, _, vx, vy = s1d(sv(1, 1), sv(1, 1))
+        assert len(verts) == 1
+        assert (vx, vy) == (1.0, 1.0)
 
     def test_random_segments_match_oracle(self):
         rng = random.Random(3)
@@ -79,7 +101,7 @@ class TestS1d:
             a, b = random_sv(rng), random_sv(rng)
             res = s1d(a, b)
             expected = segment_distance_to_origin(tuple(a.w), tuple(b.w))
-            assert math.hypot(*res.v) == pytest.approx(expected, abs=1e-9)
+            assert norm(res) == pytest.approx(expected, abs=1e-9)
             check_lambdas(res)
 
 
@@ -144,52 +166,68 @@ class TestComputeBarycode:
             done += 1
 
 
-class TestConeRegion:
-    def test_right_angle_keeps_vertex(self):
-        res = cone_region(sv(1, 0), sv(2, 1), sv(2, -1))
-        assert res.v == Vec2(1.0, 0.0)
-        assert len(res.verts) == 1
-
-    def test_obtuse_angle_resolves_through_edge(self):
-        # derived: triangle oracle puts the minimum on edge VM at V itself
-        assert triangle_distance_to_origin((0, 1), (-2, 1.5), (2, 3)) == pytest.approx(1.0)
-        res = cone_region(sv(0, 1), sv(-2, 1.5), sv(2, 3))
-        assert math.hypot(*res.v) == pytest.approx(1.0)
-
-    def test_obtuse_angle_between_edges_keeps_vertex(self):
-        # derived: triangle oracle confirms the vertex carries the minimum
-        assert triangle_distance_to_origin((0, 2), (-4, 2.1), (4, 2.1)) == pytest.approx(2.0)
-        res = cone_region(sv(0, 2), sv(-4, 2.1), sv(4, 2.1))
-        assert res.v == Vec2(0.0, 2.0)
-        assert len(res.verts) == 1
-
-
 class TestS2d:
     def test_enclosing_triangle_returns_origin(self):
         res = s2d(sv(1, 0), sv(-1, 1), sv(-1, -1))
-        assert len(res.verts) == 3
-        assert math.hypot(*res.v) == pytest.approx(0.0, abs=1e-15)
+        verts, lambdas, _, _ = res
+        assert len(verts) == 3
+        assert norm(res) == pytest.approx(0.0, abs=1e-15)
         # barycentric coordinates of the origin: sub-areas 2, 1, 1 over 4
-        assert res.lambdas == pytest.approx([0.5, 0.25, 0.25])
+        assert lambdas == pytest.approx([0.5, 0.25, 0.25])
         check_lambdas(res)
 
     def test_vertex_region(self):
+        # right angle at the vertex: both edge solves return the vertex
         assert triangle_distance_to_origin((1, 0), (2, 1), (2, -1)) == pytest.approx(1.0)
-        res = s2d(sv(1, 0), sv(2, 1), sv(2, -1))
-        assert res.v == Vec2(1.0, 0.0)
-        assert [v.w for v in res.verts] == [Vec2(1.0, 0.0)]
+        verts, _, vx, vy = s2d(sv(1, 0), sv(2, 1), sv(2, -1))
+        assert (vx, vy) == (1.0, 0.0)
+        assert [v.w for v in verts] == [Vec2(1.0, 0.0)]
+
+    def test_vertex_region_obtuse_angle_resolves_through_edge(self):
+        # derived: triangle oracle puts the minimum on edge VM at V itself
+        assert triangle_distance_to_origin((0, 1), (-2, 1.5), (2, 3)) == pytest.approx(1.0)
+        a, b, c = sv(0, 1), sv(-2, 1.5), sv(2, 3)
+        assert compute_barycode(a.w, b.w, c.w)[0] == 4
+        assert norm(s2d(a, b, c)) == pytest.approx(1.0)
+
+    def test_vertex_region_obtuse_angle_between_edges_keeps_vertex(self):
+        # derived: triangle oracle confirms the vertex carries the minimum
+        assert triangle_distance_to_origin((0, 2), (-4, 2.1), (4, 2.1)) == pytest.approx(2.0)
+        a, b, c = sv(0, 2), sv(-4, 2.1), sv(4, 2.1)
+        assert compute_barycode(a.w, b.w, c.w)[0] == 4
+        verts, _, vx, vy = s2d(a, b, c)
+        assert (vx, vy) == (0.0, 2.0)
+        assert len(verts) == 1
 
     def test_edge_region(self):
         assert triangle_distance_to_origin((1, 1), (1, -1), (3, 0)) == pytest.approx(1.0)
-        res = s2d(sv(1, 1), sv(1, -1), sv(3, 0))
-        assert res.v == Vec2(1.0, 0.0)
-        assert len(res.verts) == 2
-        assert res.lambdas == pytest.approx([0.5, 0.5])
+        verts, lambdas, vx, vy = s2d(sv(1, 1), sv(1, -1), sv(3, 0))
+        assert (vx, vy) == (1.0, 0.0)
+        assert len(verts) == 2
+        assert lambdas == pytest.approx([0.5, 0.5])
 
-    def test_collinear_points_fall_back_to_best_edge(self):
+    def test_collinear_points_keep_the_nearest_edge(self):
         res = s2d(sv(0, 1), sv(2, 1), sv(4, 1))
-        assert math.hypot(*res.v) == pytest.approx(1.0)
+        assert norm(res) == pytest.approx(1.0)
         check_lambdas(res)
+
+    def test_results_are_pinned(self):
+        # sha256 over every answer's kept vertices, lambdas and closest point,
+        # bit for bit; the sets reach all seven region codes and collinear
+        # triangles
+        h = hashlib.sha256()
+        codes = Counter()
+        for tri in pinned_triangles():
+            a, b, c = (SimplexVertex(Vec2(x, y), i, i) for i, (x, y) in enumerate(tri))
+            try:
+                codes[compute_barycode(a.w, b.w, c.w)[0]] += 1
+            except DegenerateTriangle:
+                codes["degenerate"] += 1
+            verts, lambdas, vx, vy = s2d(a, b, c)
+            answer = ([v.ip for v in verts], [l.hex() for l in lambdas], vx.hex(), vy.hex())
+            h.update(repr(answer).encode())
+        assert set(codes) == {1, 2, 3, 4, 5, 6, 7, "degenerate"}
+        assert h.hexdigest() == "83dbd1fd76cf31f4fca22a83c2450a185cf2c5c3edf8b450dbc5eb770d73087a"
 
     def test_matches_triangle_oracle_bulk(self):
         rng = random.Random(12)
@@ -199,7 +237,7 @@ class TestS2d:
             expected = triangle_distance_to_origin(
                 tuple(a.w), tuple(b.w), tuple(c.w), grid=512
             )
-            assert math.hypot(*res.v) == pytest.approx(expected, abs=1e-9)
+            assert norm(res) == pytest.approx(expected, abs=1e-9)
 
     def test_lambda_validity_bulk(self):
         rng = random.Random(13)
@@ -211,8 +249,8 @@ class TestS2d:
         rng = random.Random(14)
         for _ in range(5000):
             a, b, c = (random_sv(rng) for _ in range(3))
-            d1 = math.hypot(*s2d(a, b, c).v)
-            d2 = math.hypot(*s2d(a, c, b).v)
+            d1 = norm(s2d(a, b, c))
+            d2 = norm(s2d(a, c, b))
             assert d1 == pytest.approx(d2, abs=1e-12)
 
     def test_returned_support_is_minimal(self):
@@ -221,10 +259,10 @@ class TestS2d:
         while checked < 2000:
             a, b, c = (random_sv(rng) for _ in range(3))
             res = s2d(a, b, c)
-            kept = res.verts
+            kept = res[0]
             if len(kept) == 1:
                 continue  # nothing to drop against
-            full = math.hypot(*res.v)
+            full = norm(res)
             margins = []
             for drop in range(len(kept)):
                 rest = [v for i, v in enumerate(kept) if i != drop]
