@@ -4,10 +4,10 @@ Nothing here touches the GJK, subdistance or support modules; equivalence
 tests between the two paths are only meaningful if they share no code.
 The oracles build the Minkowski difference P - Q as an explicit convex
 polygon in O(n + m) by merging the edge sequences of P and -Q by angle,
-then test or measure the origin against it. ``sat_intersects`` is also a
-benchmarked algorithm. The brute-force O(n*m) references these oracles
-replaced (all-pairs difference hull, vertex-edge scan) live in the test
-suite's ``oracle_utils`` and cross-check them there.
+then test or measure the origin against it; ``gjk2d gen`` and ``check``
+judge pairs by these alone. ``sat_intersects`` is a benchmarked comparator.
+The brute-force O(n*m) references the oracles replaced (all-pairs
+difference hull, vertex-edge scan) cross-check them in ``tests/oracle_utils``.
 """
 
 from __future__ import annotations

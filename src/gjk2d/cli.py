@@ -12,7 +12,8 @@ import logging
 import os
 import sys
 
-from .baseline import oracle_distance, sat_intersects
+# sat_intersects is not called here; it stays bound as a perfbench patch point.
+from .baseline import ClosestFeature, oracle_distance, sat_intersects
 from .bench import Algorithm, gnuplot_script, records_to_csv, run_benchmark
 from .datasets import (
     DatasetError,
@@ -52,6 +53,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    """Each case against one ``oracle_distance`` report: its regime, its distance,
+    and the binary verdict against the report's closed origin-in-P - Q test."""
     _, cases = read_dataset(args.dataset)
     stats = {r: {"cases": 0, "failures": 0, "worst": 0.0} for r in Regime}
     touch_binary_disagreements = 0
@@ -61,8 +64,7 @@ def _cmd_check(args) -> int:
         entry = stats[case.regime]
         entry["cases"] += 1
         report = oracle_distance(case.p, case.q)
-        sat = sat_intersects(case.p, case.q)
-        ok = verify_regime(case, report, sat)
+        ok = verify_regime(case, report)
         result = distance(case.p, case.q)
         capped_distance += result.termination is Termination.MAX_ITERATIONS
         err = abs(result.distance - report.distance)
@@ -71,7 +73,7 @@ def _cmd_check(args) -> int:
             ok = False
         collision = intersects(case.p, case.q)
         capped_intersects += collision.exit is CollisionExit.MAX_ITERATIONS
-        if collision.colliding != sat:
+        if collision.colliding != (report.closest_feature is ClosestFeature.OVERLAP):
             # exact-touching inputs sit on a numerical knife edge, so the
             # binary answer is reported there rather than asserted
             if case.regime is Regime.TOUCHING:
@@ -91,7 +93,7 @@ def _cmd_check(args) -> int:
     if touch_binary_disagreements:
         print(
             f"note: {touch_binary_disagreements} knife-edge touching case(s) "
-            f"with binary/SAT disagreement (reported, not asserted)"
+            f"with binary/oracle disagreement (reported, not asserted)"
         )
     if capped_distance or capped_intersects:
         # answers at the cap are still checked; the count flags queries

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+# sat_intersects is not called here; it stays bound as a perfbench patch point.
 from .baseline import OracleReport, cso_contains_origin, oracle_distance, sat_intersects
 from .geometry import (
     ConvexPolygon,
@@ -246,25 +247,20 @@ def make_pair(
     )
 
 
-def verify_regime(
-    case: PairCase, report: Optional[OracleReport] = None, sat: Optional[bool] = None
-) -> bool:
-    """Re-check the case's regime invariant with the baseline oracle.
+def verify_regime(case: PairCase, report: Optional[OracleReport] = None) -> bool:
+    """Re-check the case's regime invariant with the baseline oracles.
 
     Distant pairs need a gap above ``DISTANT_MIN_GAP``; touching pairs
     both the oracle's gap and its penetration depth (one is always 0.0)
-    at most ``TOUCHING_MAX_GAP``; overlap pairs SAT and then strict
-    origin containment in P - Q (``cso_contains_origin``).
+    at most ``TOUCHING_MAX_GAP``; overlap pairs strict origin containment
+    in P - Q (``cso_contains_origin``), which implies closed intersection.
 
-    A caller that already holds the pair's oracle answers may pass them:
-    ``report`` from ``oracle_distance(case.p, case.q)`` and ``sat`` from
-    ``sat_intersects(case.p, case.q)``. Whichever the regime needs and was
-    not passed is computed here, so the result is the same either way.
+    A caller that already holds ``oracle_distance(case.p, case.q)`` may
+    pass it as ``report``; it is computed here when a distant or touching
+    case needs it, so the result is the same either way.
     """
     if case.regime is Regime.OVERLAP:
-        if sat is None:
-            sat = sat_intersects(case.p, case.q)
-        return sat and cso_contains_origin(case.p, case.q)
+        return cso_contains_origin(case.p, case.q)
     if report is None:
         report = oracle_distance(case.p, case.q)
     if case.regime is Regime.DISTANT:

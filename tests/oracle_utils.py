@@ -6,12 +6,15 @@ bracketing cell, triangles by a closed inside test plus the segment
 oracle per edge, and barycentric coordinates by a Cramer solve of the
 edge-dot linear system. The brute-force Minkowski-difference references
 (monotone-chain hull of all n*m vertex differences, all-pairs vertex-edge
-scan) cross-check the linear-time oracles of ``gjk2d.baseline``.
+scan) cross-check the linear-time oracles of ``gjk2d.baseline``, and the
+rational separating-axis test is the exact closed-intersection truth that
+the float oracles round.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 GRID = 1024
 
@@ -204,6 +207,29 @@ def brute_oracle_distance(p_poly, q_poly):
                     at_endpoint = clamped
     feature = ClosestFeature.VERTEX_VERTEX if at_endpoint else ClosestFeature.VERTEX_EDGE
     return OracleReport(math.sqrt(best_sq), feature, 0.0)
+
+
+def exact_sat_intersects(p_poly, q_poly) -> bool:
+    """Closed separating-axis test in ``Fraction`` arithmetic on the input doubles.
+
+    Every double converts to a ``Fraction`` exactly, so each edge normal
+    and projection is exact and exact touching counts as intersecting:
+    two convex polygons are disjoint iff one of their edge normals
+    separates the projection intervals.
+    """
+    polys = [
+        [(Fraction(x), Fraction(y)) for x, y in zip(poly.xs, poly.ys)]
+        for poly in (p_poly, q_poly)
+    ]
+    for verts in polys:
+        n = len(verts)
+        for i in range(n):
+            (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % n]
+            ax, ay = y1 - y0, x0 - x1
+            dp, dq = ([x * ax + y * ay for x, y in v] for v in polys)
+            if min(dp) > max(dq) or min(dq) > max(dp):
+                return False
+    return True
 
 
 def point_segment_distance(p, a, b) -> float:

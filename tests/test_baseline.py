@@ -22,6 +22,7 @@ from oracle_utils import (
     brute_oracle_distance,
     convex_hull,
     cso_origin_clearance,
+    exact_sat_intersects,
     point_segment_distance,
 )
 
@@ -59,6 +60,45 @@ class TestSatIntersects:
             hits += sat
         # the sweep must exercise both outcomes to mean anything
         assert 0 < hits < 2000
+
+
+class TestExactSatIntersects:
+    """``oracle_utils.exact_sat_intersects``: the closed-intersection truth."""
+
+    def test_squares(self):
+        assert exact_sat_intersects(UNIT_SQUARE, UNIT_SQUARE)
+        assert exact_sat_intersects(UNIT_SQUARE, TOUCH_SQUARE)
+        assert not exact_sat_intersects(UNIT_SQUARE, FAR_SQUARE)
+
+    def test_one_ulp_either_side_of_contact(self):
+        for x, hit in ((math.nextafter(1.0, 2.0), False), (math.nextafter(1.0, 0.0), True)):
+            q = ConvexPolygon([(x, 0), (2, 0), (2, 1), (x, 1)])
+            assert exact_sat_intersects(UNIT_SQUARE, q) is hit
+
+    def test_follows_the_regime_off_contact(self):
+        spec = DatasetSpec(vertex_count=8, cases_per_regime=20, seed=1)
+        for regime in (Regime.DISTANT, Regime.OVERLAP):
+            for index in range(spec.cases_per_regime):
+                seed = derive_case_seed(spec.seed, spec.vertex_count, regime, index)
+                case = make_pair(spec, regime, seed)
+                assert exact_sat_intersects(case.p, case.q) is (regime is Regime.OVERLAP)
+
+    def test_oracle_containment_is_nearer_the_truth_than_float_sat(self):
+        # On exact-touching pairs the origin lies on the boundary of P - Q
+        # up to rounding; `gjk2d check` judges the binary query by the
+        # oracle's closed containment because it rounds that call less
+        # often than the float SAT does.
+        sat_wrong = oracle_wrong = 0
+        for n, cases in ((4, 60), (8, 60), (24, 20)):
+            spec = DatasetSpec(vertex_count=n, cases_per_regime=cases, seed=1)
+            for index in range(cases):
+                seed = derive_case_seed(spec.seed, n, Regime.TOUCHING, index)
+                case = make_pair(spec, Regime.TOUCHING, seed)
+                truth = exact_sat_intersects(case.p, case.q)
+                closed = oracle_distance(case.p, case.q).closest_feature is ClosestFeature.OVERLAP
+                sat_wrong += sat_intersects(case.p, case.q) is not truth
+                oracle_wrong += closed is not truth
+        assert oracle_wrong < sat_wrong, (oracle_wrong, sat_wrong)
 
 
 class TestPointSegmentDistance:

@@ -44,6 +44,22 @@ class TestGen:
         assert "overlap: 3 cases" in out
         assert len(path.read_text().splitlines()) == 10  # header + 9 cases
 
+    def test_makes_no_sat_call(self, tmp_path, monkeypatch):
+        # Overlap acceptance is strict containment in P - Q alone, so
+        # generation never pays for the O((n+m)^2) SAT.
+        calls = []
+        sat = gjk2d.datasets.sat_intersects
+
+        def counting(p, q):
+            calls.append((p, q))
+            return sat(p, q)
+
+        for module in (gjk2d.cli, gjk2d.datasets):
+            monkeypatch.setattr(module, "sat_intersects", counting)
+        path = tmp_path / "out.jsonl"
+        assert main(["gen", "--vertices", "8", "--cases", "3", str(path)]) == 0
+        assert calls == []
+
     @pytest.mark.parametrize(
         "vertices,cases,digest",
         [
@@ -110,7 +126,7 @@ class TestCheck:
         assert "all checks passed" in capsys.readouterr().out
         overlaps = sum(c.regime is Regime.OVERLAP for c in cases)
         assert calls == {
-            "sat_intersects": len(cases),
+            "sat_intersects": 0,
             "oracle_distance": len(cases),
             "cso_contains_origin": overlaps,
             # P - Q builds: oracle_distance's, plus cso_contains_origin's on overlap
@@ -118,7 +134,7 @@ class TestCheck:
         }
 
     def test_output_is_pinned(self, tmp_path, capsys):
-        # this dataset has two touching pairs on the binary/SAT knife edge
+        # this dataset has two touching pairs on the binary/oracle knife edge
         path = tmp_path / "knife.jsonl"
         assert main(["gen", "--vertices", "4", "--cases", "3", "--seed", "12", str(path)]) == 0
         capsys.readouterr()
@@ -127,7 +143,7 @@ class TestCheck:
             "distant: 3/3 pass, worst abs distance error 0.000e+00\n"
             "touching: 3/3 pass, worst abs distance error 2.082e-16\n"
             "overlap: 3/3 pass, worst abs distance error 0.000e+00\n"
-            "note: 2 knife-edge touching case(s) with binary/SAT disagreement "
+            "note: 2 knife-edge touching case(s) with binary/oracle disagreement "
             "(reported, not asserted)\n"
             "all checks passed\n"
         )

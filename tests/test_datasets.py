@@ -7,7 +7,7 @@ import re
 import pytest
 
 import gjk2d.datasets
-from gjk2d.baseline import oracle_distance, sat_intersects
+from gjk2d.baseline import cso_contains_origin, oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetError,
     DatasetSpec,
@@ -238,14 +238,10 @@ class TestVerifyRegime:
     def cases(self):
         return generate_dataset(self.SPEC)
 
-    @staticmethod
-    def answers(case):
-        return oracle_distance(case.p, case.q), sat_intersects(case.p, case.q)
-
     def test_passed_answers_change_nothing(self, cases):
         for case in cases:
             assert verify_regime(case) is True
-            assert verify_regime(case, *self.answers(case)) is True
+            assert verify_regime(case, oracle_distance(case.p, case.q)) is True
 
     @pytest.mark.parametrize(
         "regime,label",
@@ -261,7 +257,30 @@ class TestVerifyRegime:
         for case in group_by_regime(cases)[regime]:
             relabelled = PairCase(case.p, case.q, label, case.seed)
             assert verify_regime(relabelled) is False
-            assert verify_regime(relabelled, *self.answers(case)) is False
+            assert verify_regime(relabelled, oracle_distance(case.p, case.q)) is False
+
+
+    @pytest.mark.parametrize("vertices", [3, 4, 8, 24, 64])
+    def test_strict_containment_implies_sat_on_overlap_candidates(self, monkeypatch, vertices):
+        # Overlap pairs are accepted on strict containment alone. On every
+        # placed candidate, accepted or not, that verdict implies the
+        # closed SAT's, so requiring the SAT too would reject no pair.
+        candidates = []
+        place = gjk2d.datasets._place_overlap
+
+        def recording(n, rng):
+            pair = place(n, rng)
+            if pair is not None:
+                candidates.append(pair)
+            return pair
+
+        monkeypatch.setitem(gjk2d.datasets._PLACEMENTS, Regime.OVERLAP, recording)
+        spec = DatasetSpec(vertex_count=vertices, cases_per_regime=60, seed=3)
+        for index in range(spec.cases_per_regime):
+            make_pair(spec, Regime.OVERLAP, derive_case_seed(3, vertices, Regime.OVERLAP, index))
+        assert len(candidates) >= spec.cases_per_regime
+        for p, q in candidates:
+            assert not cso_contains_origin(p, q) or sat_intersects(p, q)
 
 
 class TestSpecValidation:
