@@ -8,7 +8,8 @@ before the shared ones: a separating-hyperplane test (the new support
 point stays on the far side of the origin, so the shapes cannot
 intersect) and a vertical-angle test (the new support point lands in the
 angle vertically opposite the current 2-simplex as seen from the origin,
-so the new triangle must enclose the origin).
+so the new triangle must enclose the origin). The separating test also
+covers the first support point, taken against the start direction.
 """
 
 from __future__ import annotations
@@ -87,14 +88,6 @@ def witness_points(
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
-def _is_duplicate(verts: List[SimplexVertex], ip: int, iq: int) -> bool:
-    """Whether the vertex pair (ip, iq) already spans a simplex point."""
-    for _, sip, siq in verts:
-        if sip == ip and siq == iq:
-            return True
-    return False
-
-
 def _gjk(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
@@ -113,6 +106,8 @@ def _gjk(
     previous answer, so no call scans; without it every call is the
     brute-force scan. ``binary`` only adds the SeparatingHyperplane and
     VerticalAngleEnclosure exits; every other exit is a ``Termination``.
+    The separating test also covers the first support point, against the
+    start direction d0. ``support_calls`` is always ``iterations + 1``.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound.
@@ -124,13 +119,15 @@ def _gjk(
 
     d0x, d0y = initial_direction(p_poly, q_poly)
     first = support(p_poly, q_poly, -d0x, -d0y, (0, 0) if hcs else None)
-    support_calls = 1
     (vx, vy), ip, iq = first
-    warm = (ip, iq) if hcs else None
     verts = [first]
     lambdas = [1.0]
     v_sq = vx * vx + vy * vy
     tol_sq = eps_sq * v_sq
+    if binary and d0x * vx + d0y * vy > 0.0:
+        # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
+        return CollisionExit.SEPARATING_HYPERPLANE, 0, 1, verts, lambdas, vx, vy, tol_sq
+    warm = (ip, iq) if hcs else None
     if norm_trace is not None:
         norm_trace.append(math.sqrt(v_sq))
 
@@ -138,7 +135,6 @@ def _gjk(
     while k < _MAX_ITERATIONS:
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, warm)
-        support_calls += 1
         (wx, wy), ip, iq = w
         if hcs:
             warm = (ip, iq)
@@ -160,7 +156,7 @@ def _gjk(
                     # triangle (a, b, w) encloses the origin.
                     exit = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
                     break
-        if v_sq - v_dot_w <= eps * v_sq or _is_duplicate(verts, ip, iq):
+        if v_sq - v_dot_w <= eps * v_sq or w in verts:
             exit = Termination.CONVERGED
             break
         if len(verts) == 1:
@@ -178,7 +174,7 @@ def _gjk(
             break
     else:
         exit = Termination.MAX_ITERATIONS
-    return exit, k, support_calls, verts, lambdas, vx, vy, tol_sq
+    return exit, k, k + 1, verts, lambdas, vx, vy, tol_sq
 
 
 # Binary-query exit and verdict for each loop exit; None: the verdict is the
@@ -211,11 +207,10 @@ def distance(
     convergence; it cannot make progress and would otherwise cycle. Every
     test is relative, so scaling both polygons by a power of two scales
     every length in the result exactly, barring underflow and overflow.
-    ``support_calls`` counts
-    Minkowski-difference support evaluations. ``use_hill_climbing``
-    chooses warm-started hill-climbing support over the brute-force vertex
-    scan; both give the same support values. ``norm_trace``, when given,
-    receives the closest-point norm after every solve.
+    ``support_calls`` counts Minkowski-difference support evaluations;
+    ``use_hill_climbing`` picks warm-started hill-climbing support over the
+    brute-force scan (same support values), and ``norm_trace``, when
+    given, receives the closest-point norm after every solve.
     """
     termination, k, support_calls, verts, lambdas, vx, vy, _ = _gjk(
         p_poly, q_poly, use_hill_climbing, False, norm_trace
@@ -236,9 +231,11 @@ def intersects(
 ) -> CollisionResult:
     """Binary collision test: the ``distance`` loop plus two early exits.
 
-    All other exits are shared with ``distance``, so this never performs
-    more support evaluations than ``distance`` on the same input and
-    ``use_hill_climbing`` setting.
+    The separating-hyperplane exit covers every support point, the first
+    one included, which can end the query after one support call and zero
+    iterations. All other exits are shared with ``distance``, so this
+    never performs more support evaluations than ``distance`` on the same
+    input and ``use_hill_climbing`` setting.
     """
     exit, k, support_calls, _, _, vx, vy, tol_sq = _gjk(
         p_poly, q_poly, use_hill_climbing, True, None

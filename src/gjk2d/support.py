@@ -48,32 +48,35 @@ def _argmax_index(xs, ys, dx: float, dy: float) -> int:
 
 
 def _climb_index(xs, ys, dx: float, dy: float, start: int) -> int:
-    """Ring walk from ``start`` while a neighbor strictly improves the dot."""
+    """Ring walk from ``start`` while a neighbor strictly improves the dot.
+
+    Forward first, backward only if the first forward step fails. No step
+    bound is needed: the dot strictly increases at every step, so the walk
+    cannot revisit a vertex. A zero or NaN direction returns ``start``.
+    """
     n = len(xs)
     i = start
     best = xs[i] * dx + ys[i] * dy
-    j = i + 1 if i + 1 < n else 0
+    j = i + 1
+    if j == n:
+        j = 0
     d = xs[j] * dx + ys[j] * dy
-    if d > best:
-        step = 1
-    else:
-        j = i - 1 if i > 0 else n - 1
-        d = xs[j] * dx + ys[j] * dy
-        if d > best:
-            step = -1
-        else:
-            return i
-    for _ in range(n):
+    while d > best:
         i = j
         best = d
-        j = i + step
+        j += 1
         if j == n:
             j = 0
-        elif j < 0:
-            j = n - 1
         d = xs[j] * dx + ys[j] * dy
-        if d <= best:
-            break
+    if i != start:
+        return i
+    j = i - 1 if i else n - 1
+    d = xs[j] * dx + ys[j] * dy
+    while d > best:
+        i = j
+        best = d
+        j = i - 1 if i else n - 1
+        d = xs[j] * dx + ys[j] * dy
     return i
 
 

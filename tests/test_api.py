@@ -229,7 +229,7 @@ def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace, counters", [(0, "cf7baff84b84919d"), (1, "1f3cad25e111fc8e")])
+@pytest.mark.parametrize("trace, counters", [(0, "0b965510d691affb"), (1, "07a874251854206c")])
 def test_perfbench_prints_its_result_last(trace, counters):
     # A one-second perfbench run from the repository root: its last line is
     # the JSON result holding every BENCHMARK.json metric of the mode, and a

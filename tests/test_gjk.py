@@ -38,7 +38,7 @@ from gjk2d.gjk import (
 )
 from gjk2d.support import SimplexVertex
 
-from oracle_utils import sub, vertices
+from oracle_utils import exact_sat_intersects, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
@@ -197,6 +197,40 @@ class TestIntersects:
                     intersects(p, q, use_hill_climbing=hcs).support_calls
                     <= distance(p, q, use_hill_climbing=hcs).support_calls
                 )
+
+    def test_first_support_exit_is_exactly_sound(self):
+        # An exit after zero iterations is the separating test on the first
+        # support point; on contact pairs it may only fire where the exact
+        # rational SAT finds the pair disjoint. The exact SAT runs only on
+        # the pairs that exit there.
+        fired = 0
+        for n, count in ((4, 60), (8, 60), (24, 20), (64, 20)):
+            spec = DatasetSpec(vertex_count=n, cases_per_regime=count, seed=1)
+            for regime in (Regime.TOUCHING, Regime.OVERLAP):
+                for i in range(count):
+                    case = make_pair(spec, regime, derive_case_seed(1, n, regime, i))
+                    res = intersects(case.p, case.q)
+                    if res.iterations == 0:
+                        fired += 1
+                        assert res.exit is CollisionExit.SEPARATING_HYPERPLANE
+                        assert not exact_sat_intersects(case.p, case.q), (n, regime, i)
+        assert fired > 0
+
+    @pytest.mark.parametrize("n", [4, 8, 24, 64])
+    def test_distant_pairs_exit_on_the_first_support_point(self, n):
+        spec = DatasetSpec(vertex_count=n, cases_per_regime=30, seed=6)
+        for regime in Regime:
+            for i in range(30):
+                case = make_pair(spec, regime, derive_case_seed(6, n, regime, i))
+                for hcs in (True, False):
+                    res = intersects(case.p, case.q, use_hill_climbing=hcs)
+                    dist = distance(case.p, case.q, use_hill_climbing=hcs)
+                    assert res.support_calls <= dist.support_calls
+                    assert res.support_calls == res.iterations + 1
+                    if regime is Regime.DISTANT:
+                        assert res.exit is CollisionExit.SEPARATING_HYPERPLANE
+                        assert (res.support_calls, res.iterations) == (1, 0)
+                        assert not res.colliding
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -446,10 +480,15 @@ class TestScale:
 
 
 class TestGolden:
-    # sha256 over every field of every distance and intersects result on
-    # the make_pair cases below, with floats as float.hex: any change to an
-    # answer, a counter or an exit, in the last bit, changes it.
-    DIGEST = "412e94139e2621f8a54d27a2946b8285e9d079e77289cc6263e1094c1138cb02"
+    # sha256 over every field of every result of one query on the make_pair
+    # cases below, with floats as float.hex: any change to an answer, a
+    # counter or an exit, in the last bit, changes it. The distance digest
+    # predates the first-support separating exit, which moved only the
+    # intersects digest.
+    DIGESTS = {
+        "distance": "cf2167fd5811fd748cbd51f41a202259aa73abcdc1960a977576d76e0ffe879c",
+        "intersects": "d634c8afae0d3347c45f0c4c8de2c80e1e9ba7489f514677e7bc8b1f86cc14cf",
+    }
 
     @staticmethod
     def _fields(value):
@@ -463,7 +502,8 @@ class TestGolden:
         else:
             yield repr(value)
 
-    def test_query_results_are_pinned(self):
+    @pytest.mark.parametrize("query", [distance, intersects], ids=lambda q: q.__name__)
+    def test_query_results_are_pinned(self, query):
         h = hashlib.sha256()
         for n in (4, 8, 24, 64):
             spec = DatasetSpec(vertex_count=n, cases_per_regime=20, seed=5)
@@ -471,13 +511,10 @@ class TestGolden:
                 for i in range(20):
                     case = make_pair(spec, regime, derive_case_seed(5, n, regime, i))
                     for hcs in (True, False):
-                        for res in (
-                            distance(case.p, case.q, use_hill_climbing=hcs),
-                            intersects(case.p, case.q, use_hill_climbing=hcs),
-                        ):
-                            h.update(" ".join(self._fields(res)).encode())
-                            h.update(b"\n")
-        assert h.hexdigest() == self.DIGEST
+                        res = query(case.p, case.q, use_hill_climbing=hcs)
+                        h.update(" ".join(self._fields(res)).encode())
+                        h.update(b"\n")
+        assert h.hexdigest() == self.DIGESTS[query.__name__]
 
 
 class TestTouchingClassifier:

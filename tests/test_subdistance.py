@@ -142,6 +142,28 @@ class TestComputeBarycode:
         with pytest.raises(DegenerateTriangle):
             compute_barycode(Vec2(-1, -1), Vec2(1, 1), Vec2(3, 3))
 
+    def test_zero_total_with_code_seven_still_raises(self):
+        # every sub-area is 0, so every sign bit agrees with total == 0.0 and
+        # the code reads 7; only the degeneracy test stops it
+        for a, b, c in (
+            ((0, 0), (0, 0), (0, 0)),
+            ((-1, -1), (1, 1), (3, 3)),
+            ((2, -1), (-4, 2), (6, -3)),
+        ):
+            assert a[0] * b[1] - a[1] * b[0] == 0 and b[0] * c[1] - b[1] * c[0] == 0
+            with pytest.raises(DegenerateTriangle):
+                compute_barycode(Vec2(*a), Vec2(*b), Vec2(*c))
+
+    @pytest.mark.parametrize("k", [-500, -250, 0, 250, 500])
+    def test_code_seven_does_not_raise_at_extreme_scales(self, k):
+        # a power-of-two scale multiplies every sub-area by f*f exactly
+        f = 2.0**k
+        for tri in (((1, 0), (-1, 1), (-1, -1)), ((-1, -1), (3, -1), (-1, 3))):
+            code, *areas = compute_barycode(*(Vec2(x, y) for x, y in tri))
+            assert code == 7
+            scaled = compute_barycode(*(Vec2(x * f, y * f) for x, y in tri))
+            assert scaled == (7, *(area * f * f for area in areas))
+
     def test_code_matches_barycentric_signs(self):
         rng = random.Random(21)
         done = 0

@@ -4,13 +4,15 @@ import random
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import ConvexPolygon, Vec2
 from gjk2d.support import (
+    _argmax_index,
+    _climb_index,
     cso_support,
     initial_direction,
     support_brute,
     support_hill_climb,
 )
 
-from oracle_utils import dot, sub, vertices
+from oracle_utils import convex_hull, dot, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -82,6 +84,77 @@ class TestSupportHillClimb:
             hc = support_hill_climb(poly, d, start)
             br = support_brute(poly, d)
             assert dot(hc.point, d) == dot(br.point, d)
+
+
+def first_maximizer_reached(poly, d, start):
+    """The first vertex of maximal dot a strict-improvement walk from ``start``
+    reaches, in exact arithmetic: forward when the next vertex is strictly
+    better, backward otherwise."""
+    vals = [dot(v, d) for v in vertices(poly)]
+    n, top = len(vals), max(vals)
+    step = 1 if vals[(start + 1) % n] > vals[start] else -1
+    i = start
+    while vals[i] != top:
+        i = (i + step) % n
+    return i
+
+
+def lattice_polygons(rng, count):
+    """Integer rectangles and hulls of random integer points: exact dots, exact ties."""
+    for _ in range(count):
+        x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        yield ConvexPolygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+        hull = convex_hull((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(12))
+        if len(hull) >= 3:
+            yield ConvexPolygon(hull)
+
+
+def edge_normals(poly):
+    """Outward normal (dy, -dx) of every edge of a CCW polygon, and the axes."""
+    verts = vertices(poly)
+    n = len(verts)
+    normals = [
+        Vec2(verts[(i + 1) % n][1] - verts[i][1], verts[i][0] - verts[(i + 1) % n][0])
+        for i in range(n)
+    ]
+    return normals + [Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)]
+
+
+class TestClimbIndex:
+    # _climb_index is the only climb routine: support_hill_climb and the
+    # warm-started cso_support both call it.
+
+    def test_every_start_reaches_the_brute_value(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            poly = random_convex_polygon(rng.choice([3, 4, 5, 8, 16, 24, 64]), rng)
+            dx, dy = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            best = dot(vertices(poly)[_argmax_index(poly.xs, poly.ys, dx, dy)], (dx, dy))
+            for start in range(len(poly)):
+                i = _climb_index(poly.xs, poly.ys, dx, dy, start)
+                assert dot(vertices(poly)[i], (dx, dy)) == best
+
+    def test_exact_ties_stop_on_the_first_tied_vertex_reached(self):
+        rng = random.Random(13)
+        ties = 0
+        for poly in lattice_polygons(rng, 150):
+            for d in edge_normals(poly):
+                vals = [dot(v, d) for v in vertices(poly)]
+                best = vals[_argmax_index(poly.xs, poly.ys, d.x, d.y)]
+                ties += vals.count(best) > 1
+                for start in range(len(poly)):
+                    i = _climb_index(poly.xs, poly.ys, d.x, d.y, start)
+                    assert vals[i] == best
+                    assert i == first_maximizer_reached(poly, d, start)
+        assert ties > 500
+
+    def test_zero_or_nan_direction_returns_start(self):
+        nan = float("nan")
+        poly = random_convex_polygon(9, random.Random(14))
+        for dx, dy in ((0.0, 0.0), (-0.0, 0.0), (nan, nan), (nan, 1.0), (1.0, nan)):
+            for start in range(len(poly)):
+                assert _climb_index(poly.xs, poly.ys, dx, dy, start) == start
 
 
 class TestCsoSupport:
