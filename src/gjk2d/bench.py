@@ -19,7 +19,7 @@ import gc
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .baseline import sat_intersects
 from .datasets import PairCase, Regime, group_by_regime
@@ -82,22 +82,21 @@ def run_benchmark(
     algorithms: Sequence[Algorithm],
     repetitions: int = 20,
     warmup: int = 5,
-    regimes: Optional[Sequence[Regime]] = None,
 ) -> List[BenchRecord]:
     """Benchmark the given algorithms over each regime slice of ``cases``.
 
-    Returns records sorted by algorithm then regime name. ``regimes``
-    restricts the measured slices (all three by default). ``ValueError``
-    when ``repetitions`` is below 1 or ``warmup`` is negative.
+    Returns records sorted by algorithm then regime name, one per
+    non-empty slice; pass only one regime's cases to measure that regime
+    alone. ``ValueError`` when ``repetitions`` is below 1 or ``warmup``
+    is negative.
     """
     if repetitions < 1 or warmup < 0:
         raise ValueError(f"need repetitions >= 1 and warmup >= 0, got {repetitions}, {warmup}")
     groups = group_by_regime(cases)
-    wanted = list(regimes) if regimes is not None else list(Regime)
     records = []
     for algorithm in algorithms:
         fn = _runner(algorithm)
-        for regime in wanted:
+        for regime in Regime:
             pairs = [(c.p, c.q) for c in groups[regime]]
             if not pairs:
                 continue

@@ -47,6 +47,8 @@ DISTANT_MARGIN = 0.05
 DISTANT_SPREAD = 2.0
 
 RNG_NAME = "mt19937/sha256-case-seeds"
+# Placements ``make_pair`` tries per case before giving up.
+MAX_ATTEMPTS = 50
 
 _SCHEMA = 1
 # Minimum doubled sub-area of a unit-disc polygon the generator accepts,
@@ -218,19 +220,17 @@ _PLACEMENTS = {
 }
 
 
-def make_pair(
-    spec: DatasetSpec, regime: Regime, case_seed: int, max_attempts: int = 50
-) -> PairCase:
+def make_pair(spec: DatasetSpec, regime: Regime, case_seed: int) -> PairCase:
     """Construct one verified pair for ``regime`` from its case seed.
 
     Construction draws from a stream seeded with ``case_seed`` and is
     fully deterministic. Each placed pair is accepted iff
     ``verify_regime`` holds; other attempts are logged and retried on the
-    same stream, and ``RegimeConstructionFailed`` follows ``max_attempts``.
+    same stream, and ``RegimeConstructionFailed`` follows ``MAX_ATTEMPTS``.
     """
     place = _PLACEMENTS[regime]
     rng = random.Random(case_seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         pair = place(spec.vertex_count, rng)
         if pair is not None:
             case = PairCase(*pair, regime, case_seed)
@@ -243,7 +243,7 @@ def make_pair(
             attempt,
         )
     raise RegimeConstructionFailed(
-        f"{regime.value} case for seed {case_seed} failed after {max_attempts} attempts"
+        f"{regime.value} case for seed {case_seed} failed after {MAX_ATTEMPTS} attempts"
     )
 
 

@@ -1,12 +1,14 @@
-"""Session fixtures shared by the acceptance suite.
+"""Session fixtures and inputs shared by the acceptance suite.
 
 The full six-count dataset grid and the per-case evaluation sweep are
 expensive, so they are built once per session and reused by every
-criterion that needs them.
+criterion that needs them. ``sweep_triangles`` rebuilds criterion 3's
+triangle set, which the exact oracle check samples too.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -19,6 +21,17 @@ from gjk2d.gjk import CollisionResult, DistanceResult, distance, intersects
 VERTEX_COUNTS = (4, 8, 12, 16, 20, 24)
 CASES_PER_REGIME = 1000
 DATASET_SEED = 20240811
+TRIANGLE_SWEEP_SEED = 987654
+TRIANGLE_SWEEP_SIZE = 100_000
+
+
+def sweep_triangles():
+    """Criterion 3's triangles: three uniform points in [-10, 10]**2 each."""
+    rng = random.Random(TRIANGLE_SWEEP_SEED)
+    return [
+        [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
+        for _ in range(TRIANGLE_SWEEP_SIZE)
+    ]
 
 
 @dataclass

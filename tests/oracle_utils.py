@@ -1,9 +1,10 @@
 """Independent geometric oracles for the test suite.
 
 These deliberately avoid the library's solver routines: segments are
-handled by a dense parameter grid plus analytic refinement inside the
-bracketing cell, triangles by a closed inside test plus the segment
-oracle per edge, and barycentric coordinates by a Cramer solve of the
+handled by the closed-form clamped projection, triangles by a closed
+inside test plus the segment oracle per edge (both also in exact
+``Fraction`` arithmetic, the truth the float versions' error bound is
+checked against), and barycentric coordinates by a Cramer solve of the
 edge-dot linear system. The brute-force Minkowski-difference references
 (monotone-chain hull of all n*m vertex differences, all-pairs vertex-edge
 scan) cross-check the linear-time oracles of ``gjk2d.baseline``, and the
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-GRID = 1024
+ORIGIN = (0.0, 0.0)
 
 
 def dot(a, b) -> float:
@@ -45,32 +46,43 @@ def signed_area(poly) -> float:
     return 0.5 * sum(cross(verts[i], verts[(i + 1) % n]) for i in range(n))
 
 
-def segment_distance_to_origin(a, b, grid: int = GRID) -> float:
-    """Min over t in [0,1] of |(1-t)a + t b| by grid scan + refinement."""
+def point_segment_distance(p, a, b) -> float:
+    """Distance from p to segment [a, b] by clamped projection.
+
+    The closed form of Ericson, *Real-Time Collision Detection* (2004),
+    section 5.1.2; points are any (x, y) pairs, ``Vec2`` included.
+    """
+    px, py = p
     ax, ay = a
-    bx, by = b
-    ux, uy = bx - ax, by - ay
-    best_i = 0
-    best = ax * ax + ay * ay
-    for i in range(1, grid + 1):
-        t = i / grid
-        px, py = ax + t * ux, ay + t * uy
-        d = px * px + py * py
-        if d < best:
-            best = d
-            best_i = i
-    # refine inside the bracketing cell; the squared distance is a convex
-    # quadratic in t, so the vertex clipped to the bracket is exact
-    lo = max(0.0, (best_i - 1) / grid)
-    hi = min(1.0, (best_i + 1) / grid)
+    ux = b[0] - ax
+    uy = b[1] - ay
     den = ux * ux + uy * uy
     if den > 0.0:
-        t = -(ax * ux + ay * uy) / den
-        t = min(max(t, lo), hi)
+        t = ((px - ax) * ux + (py - ay) * uy) / den
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
     else:
         t = 0.0
-    px, py = ax + t * ux, ay + t * uy
-    return math.hypot(px, py)
+    dx = px - (ax + t * ux)
+    dy = py - (ay + t * uy)
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def exact_segment_distance_sq(p, a, b) -> Fraction:
+    """Squared distance from p to segment [a, b] in ``Fraction`` arithmetic.
+
+    The same clamped projection as ``point_segment_distance``, but every
+    input double converts to a ``Fraction`` exactly, so the result is the
+    true squared distance.
+    """
+    px, py, ax, ay, bx, by = (Fraction(c) for c in (*p, *a, *b))
+    ux, uy = bx - ax, by - ay
+    den = ux * ux + uy * uy
+    t = min(max(((px - ax) * ux + (py - ay) * uy) / den, 0), 1) if den else 0
+    dx, dy = px - ax - t * ux, py - ay - t * uy
+    return dx * dx + dy * dy
 
 
 def origin_inside_triangle(a, b, c, strict: bool = False) -> bool:
@@ -83,13 +95,58 @@ def origin_inside_triangle(a, b, c, strict: bool = False) -> bool:
     return (s1 >= 0 and s2 >= 0 and s3 >= 0) or (s1 <= 0 and s2 <= 0 and s3 <= 0)
 
 
-def triangle_distance_to_origin(a, b, c, grid: int = GRID) -> float:
+# 32 units of roundoff (2**-53 each); see triangle_distance_to_origin.
+TRIANGLE_ORACLE_ERROR = 2.0**-48
+
+
+def triangle_distance_to_origin(a, b, c) -> float:
+    """Distance from the origin to the closed triangle abc.
+
+    0.0 when the closed inside test holds, else the nearest of the three
+    edges by ``point_segment_distance``.
+
+    Error bound, barring underflow. Let u = 2**-53, M the largest
+    |coordinate| of a, b, c, and d the exact distance to one edge [a, b]
+    with U = b - a. The computed clamped parameter t is within
+    5u + 3u|a|/|U| of the exact one t*: the dot product a.U carries at
+    most 3u|a||U| absolute error (the rounded U, two products, one sum),
+    the quotient by |U|**2 at most 5u relative, and clamping to [0, 1]
+    only shrinks the gap. So the point a + tU of the exact segment lies
+    between d and d + |U||t - t*| <= d + 13*sqrt(2)*u*M from the origin.
+    Forming it from the rounded U moves it by at most 5*sqrt(2)*u*M, and
+    sqrt(dx*dx + dy*dy) adds 2u relative, at most 2*sqrt(2)*u*M since
+    every point of the segment is within sqrt(2)*M of the origin. The
+    edge distance is thus within 20*sqrt(2)*u*M (about 28.3u*M) of d to
+    first order, the minimum over three edges keeps that bound, and
+    ``TRIANGLE_ORACLE_ERROR`` * M = 32u*M also covers the higher-order
+    terms. The bound is for the edge branch: the inside test rounds its
+    cross products, so within rounding of an edge it may answer 0.0 for
+    an origin just outside, where the exact distance is itself tiny.
+    """
     if origin_inside_triangle(a, b, c):
         return 0.0
     return min(
-        segment_distance_to_origin(a, b, grid),
-        segment_distance_to_origin(b, c, grid),
-        segment_distance_to_origin(c, a, grid),
+        point_segment_distance(ORIGIN, a, b),
+        point_segment_distance(ORIGIN, b, c),
+        point_segment_distance(ORIGIN, c, a),
+    )
+
+
+def exact_origin_inside_triangle(a, b, c) -> bool:
+    """Closed half-plane test of the origin in ``Fraction`` arithmetic."""
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in (a, b, c))
+    sides = (ax * by - ay * bx, bx * cy - by * cx, cx * ay - cy * ax)
+    return min(sides) >= 0 or max(sides) <= 0
+
+
+def exact_triangle_distance_sq(a, b, c) -> Fraction:
+    """Exact squared distance from the origin to the closed triangle abc."""
+    if exact_origin_inside_triangle(a, b, c):
+        return Fraction(0)
+    return min(
+        exact_segment_distance_sq(ORIGIN, a, b),
+        exact_segment_distance_sq(ORIGIN, b, c),
+        exact_segment_distance_sq(ORIGIN, c, a),
     )
 
 
@@ -232,24 +289,6 @@ def exact_sat_intersects(p_poly, q_poly) -> bool:
     return True
 
 
-def point_segment_distance(p, a, b) -> float:
-    """Distance from p to segment [a, b] by clamped projection."""
-    ux = b.x - a.x
-    uy = b.y - a.y
-    den = ux * ux + uy * uy
-    if den > 0.0:
-        t = ((p.x - a.x) * ux + (p.y - a.y) * uy) / den
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-    else:
-        t = 0.0
-    dx = p.x - (a.x + t * ux)
-    dy = p.y - (a.y + t * uy)
-    return math.sqrt(dx * dx + dy * dy)
-
-
 def cso_origin_clearance(p_poly, q_poly) -> float:
     """Signed distance from the origin to the Minkowski-difference hull.
 
@@ -273,47 +312,3 @@ def cso_origin_clearance(p_poly, q_poly) -> float:
     )
     return dist if inside else -dist
 
-
-def triangle_distance_batch(tris, grid: int = 256):
-    """Vectorized triangle oracle for large sweeps; tris has shape (N, 3, 2)."""
-    import numpy as np
-
-    tris = np.asarray(tris, dtype=float)
-    n = len(tris)
-    out = np.empty(n)
-    # closed inside test
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-
-    def edge_cross(p, q):
-        return (q[:, 0] - p[:, 0]) * (-p[:, 1]) - (q[:, 1] - p[:, 1]) * (-p[:, 0])
-
-    s1, s2, s3 = edge_cross(a, b), edge_cross(b, c), edge_cross(c, a)
-    inside = ((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | ((s1 <= 0) & (s2 <= 0) & (s3 <= 0))
-
-    def edge_min(p, q):
-        u = q - p
-        ts = np.linspace(0.0, 1.0, grid + 1)
-        best = np.full(len(p), np.inf)
-        best_i = np.zeros(len(p), dtype=int)
-        # chunk the grid to bound memory
-        step = 64
-        for start in range(0, grid + 1, step):
-            chunk = ts[start : start + step]
-            pts = p[:, None, :] + chunk[None, :, None] * u[:, None, :]
-            d = (pts * pts).sum(axis=2)
-            i = d.argmin(axis=1)
-            dmin = d[np.arange(len(p)), i]
-            better = dmin < best
-            best = np.where(better, dmin, best)
-            best_i = np.where(better, i + start, best_i)
-        lo = np.clip((best_i - 1) / grid, 0.0, 1.0)
-        hi = np.clip((best_i + 1) / grid, 0.0, 1.0)
-        den = (u * u).sum(axis=1)
-        t = np.where(den > 0, -(p * u).sum(axis=1) / np.where(den > 0, den, 1.0), 0.0)
-        t = np.clip(t, lo, hi)
-        pt = p + t[:, None] * u
-        return np.sqrt((pt * pt).sum(axis=1))
-
-    d = np.minimum(edge_min(a, b), np.minimum(edge_min(b, c), edge_min(c, a)))
-    out = np.where(inside, 0.0, d)
-    return out

@@ -9,10 +9,12 @@ import pytest
 import gjk2d.datasets
 from gjk2d.baseline import cso_contains_origin, oracle_distance, sat_intersects
 from gjk2d.datasets import (
+    MAX_ATTEMPTS,
     DatasetError,
     DatasetSpec,
     PairCase,
     Regime,
+    RegimeConstructionFailed,
     derive_case_seed,
     generate_dataset,
     group_by_regime,
@@ -107,6 +109,13 @@ class TestMakePair:
         place(self.SPEC.vertex_count, rng)
         assert (case.p, case.q) == place(self.SPEC.vertex_count, rng)
         assert case.regime is regime and case.seed == 2024
+
+    def test_refused_attempts_end_in_construction_failure(self, monkeypatch, caplog):
+        monkeypatch.setattr(gjk2d.datasets, "verify_regime", lambda case, *answers: False)
+        with caplog.at_level(logging.WARNING, logger="gjk2d.datasets"):
+            with pytest.raises(RegimeConstructionFailed, match=f"after {MAX_ATTEMPTS} attempts"):
+                make_pair(self.SPEC, Regime.TOUCHING, 2024)
+        assert len(caplog.records) == MAX_ATTEMPTS
 
     def test_case_seed_derivation_is_stable(self):
         s1 = derive_case_seed(7, 8, Regime.DISTANT, 0)

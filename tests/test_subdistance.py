@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -14,10 +15,16 @@ from gjk2d.subdistance import (
 )
 from gjk2d.support import SimplexVertex
 
+from conftest import sweep_triangles
 from oracle_utils import (
+    ORIGIN,
+    TRIANGLE_ORACLE_ERROR,
     barycentric_of_origin,
+    exact_origin_inside_triangle,
+    exact_segment_distance_sq,
+    exact_triangle_distance_sq,
     origin_inside_triangle,
-    segment_distance_to_origin,
+    point_segment_distance,
     triangle_distance_to_origin,
 )
 
@@ -81,8 +88,8 @@ class TestS1d:
         assert len(verts) == 1
 
     def test_interior_foot_against_segment_oracle(self):
-        # derived: grid + refinement oracle gives distance 4 at (0, 4)
-        assert segment_distance_to_origin((-3, 4), (2, 4)) == pytest.approx(4.0)
+        # derived: the clamped projection gives distance 4 at (0, 4)
+        assert point_segment_distance(ORIGIN, (-3, 4), (2, 4)) == pytest.approx(4.0)
         res = s1d(sv(-3, 4), sv(2, 4))
         _, lambdas, vx, vy = res
         assert vx == pytest.approx(0.0, abs=1e-12)
@@ -100,7 +107,7 @@ class TestS1d:
         for _ in range(2000):
             a, b = random_sv(rng), random_sv(rng)
             res = s1d(a, b)
-            expected = segment_distance_to_origin(tuple(a.w), tuple(b.w))
+            expected = point_segment_distance(ORIGIN, a.w, b.w)
             assert norm(res) == pytest.approx(expected, abs=1e-9)
             check_lambdas(res)
 
@@ -256,9 +263,7 @@ class TestS2d:
         for _ in range(20_000):
             a, b, c = (random_sv(rng) for _ in range(3))
             res = s2d(a, b, c)
-            expected = triangle_distance_to_origin(
-                tuple(a.w), tuple(b.w), tuple(c.w), grid=512
-            )
+            expected = triangle_distance_to_origin(a.w, b.w, c.w)
             assert norm(res) == pytest.approx(expected, abs=1e-9)
 
     def test_lambda_validity_bulk(self):
@@ -291,12 +296,71 @@ class TestS2d:
                 if len(rest) == 1:
                     d = math.hypot(*rest[0].w)
                 else:
-                    d = segment_distance_to_origin(tuple(rest[0].w), tuple(rest[1].w))
+                    d = point_segment_distance(ORIGIN, rest[0].w, rest[1].w)
                 margins.append(d - full)
             if min(margins) < 1e-9:
                 continue  # boundary tie; either support set is valid there
             assert all(m > 1e-9 for m in margins)
             checked += 1
+
+
+def within_oracle_error(got, exact_sq, *points):
+    """|got - sqrt(exact_sq)| <= TRIANGLE_ORACLE_ERROR * max|coordinate|.
+
+    Decided in ``Fraction`` arithmetic by comparing squares, so no
+    rounding enters the check itself.
+    """
+    bound = Fraction(TRIANGLE_ORACLE_ERROR) * max(abs(Fraction(c)) for p in points for c in p)
+    got = Fraction(got)
+    return max(got - bound, 0) ** 2 <= exact_sq <= (got + bound) ** 2
+
+
+class TestFloatOraclesAgainstExact:
+    """The float oracles above stay within their derived error bound."""
+
+    def test_hand_segments(self):
+        for a, b, want_sq in (
+            ((3.0, 4.0), (3.0, 4.0), 25),  # zero-length segment
+            ((1.0, 1.0), (3.0, 1.0), 2),  # foot clamped at t = 0
+            ((3.0, 1.0), (1.0, 1.0), 2),  # foot clamped at t = 1
+            ((-3.0, 4.0), (2.0, 4.0), 16),  # interior foot
+            ((-1.0, 0.0), (1.0, 0.0), 0),  # origin on the segment
+        ):
+            assert exact_segment_distance_sq(ORIGIN, a, b) == want_sq
+            assert within_oracle_error(
+                point_segment_distance(ORIGIN, a, b), Fraction(want_sq), a, b
+            )
+
+    def test_hand_triangles(self):
+        # origin on an edge, at a vertex and inside; then nearest a vertex,
+        # an edge, and the apex of an obtuse vertex region
+        for tri, want_sq in (
+            (((-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)), 0),
+            (((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), 0),
+            (((1.0, 0.0), (-1.0, 1.0), (-1.0, -1.0)), 0),
+            (((1.0, 0.0), (2.0, 1.0), (2.0, -1.0)), 1),
+            (((1.0, 1.0), (1.0, -1.0), (3.0, 0.0)), 1),
+            (((0.0, 2.0), (-4.0, 2.1), (4.0, 2.1)), 4),
+        ):
+            assert exact_triangle_distance_sq(*tri) == want_sq
+            got = triangle_distance_to_origin(*tri)
+            if want_sq == 0:
+                assert exact_origin_inside_triangle(*tri) and got == 0.0
+            else:
+                assert within_oracle_error(got, Fraction(want_sq), *tri)
+
+    def test_sweep_sample(self):
+        # a seeded 1,000-triangle sample of criterion 3's sweep
+        tris = random.Random(17).sample(sweep_triangles(), 1000)
+        inside = 0
+        for tri in tris:
+            got = triangle_distance_to_origin(*tri)
+            if exact_origin_inside_triangle(*tri):
+                inside += 1
+                assert got == 0.0
+            else:
+                assert within_oracle_error(got, exact_triangle_distance_sq(*tri), *tri)
+        assert 0 < inside < len(tris)
 
 
 class TestPointInTriangle:
