@@ -95,8 +95,9 @@ class RegimeConstructionFailed(RuntimeError):
     pass
 
 
-def _valtr_points(rng: random.Random, n: int) -> List[Tuple[float, float]]:
-    """Random convex position of exactly n points (Valtr's construction).
+def _valtr_points(rng: random.Random, n: int) -> Tuple[List[float], List[float]]:
+    """Random convex position of exactly n points (Valtr's construction),
+    as per-axis coordinate lists ``(xs, ys)``.
 
     Sorted coordinate pools are split into two monotone chains per axis,
     the resulting deltas are paired up at random and sorted by angle, and
@@ -126,45 +127,41 @@ def _valtr_points(rng: random.Random, n: int) -> List[Tuple[float, float]]:
     rng.shuffle(dy)
     vecs = sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0]))
     px = py = 0.0
-    pts = []
+    pxs = []
+    pys = []
     for vx, vy in vecs:
-        pts.append((px, py))
+        pxs.append(px)
+        pys.append(py)
         px += vx
         py += vy
-    return pts
+    return pxs, pys
 
 
 def random_convex_polygon(n: int, rng: random.Random) -> ConvexPolygon:
     """Random strictly convex CCW polygon with exactly n vertices.
 
     The polygon is centered on its vertex mean and fitted to the unit
-    disc around the origin. Candidates whose smallest turn falls below a
-    fixed margin are rejected and redrawn; ``PolygonGenerationFailed``
-    after 1000 attempts.
+    disc around the origin. A candidate is accepted iff its smallest turn,
+    ``ConvexPolygon.min_turn``, exceeds ``_MIN_CROSS``; others are redrawn,
+    and ``PolygonGenerationFailed`` follows 1000 attempts.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
     for _ in range(1000):
-        pts = _valtr_points(rng, n)
-        cx = sum(p[0] for p in pts) / n
-        cy = sum(p[1] for p in pts) / n
-        centered = [(p[0] - cx, p[1] - cy) for p in pts]
-        radius = max(math.hypot(x, y) for x, y in centered)
+        xs, ys = _valtr_points(rng, n)
+        cx = sum(xs) / n
+        cy = sum(ys) / n
+        xs = [x - cx for x in xs]
+        ys = [y - cy for y in ys]
+        radius = max(map(math.hypot, xs, ys))
         if radius <= 0.0:
             continue
         f = 1.0 / radius
-        verts = [(x * f, y * f) for x, y in centered]
         try:
-            poly = ConvexPolygon(verts)
+            poly = ConvexPolygon(zip([x * f for x in xs], [y * f for y in ys]))
         except PolygonError:
             continue
-        xs, ys = poly.xs, poly.ys
-        for i in range(n):
-            j = (i + 1) % n
-            k = (i + 2) % n
-            if (xs[j] - xs[i]) * (ys[k] - ys[j]) - (ys[j] - ys[i]) * (xs[k] - xs[j]) <= _MIN_CROSS:
-                break
-        else:
+        if poly.min_turn > _MIN_CROSS:
             return poly
     raise PolygonGenerationFailed(f"no valid {n}-gon after 1000 attempts")
 

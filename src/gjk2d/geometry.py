@@ -68,11 +68,13 @@ class ConvexPolygon:
     every consecutive vertex triple turns left by at least the smallest
     normal double and the boundary winds around once, so there are no
     duplicate or collinear vertices and no star polygons. The polygon is
-    its per-axis coordinate tuples ``xs`` and ``ys`` plus the vertex
-    centroid. Instances are immutable.
+    its per-axis coordinate tuples ``xs`` and ``ys``, the vertex centroid,
+    and ``min_turn``: the smallest turn, the cross product
+    (b - a) x (c - b) over every consecutive vertex triple (a, b, c).
+    Instances are immutable.
     """
 
-    __slots__ = ("xs", "ys", "centroid")
+    __slots__ = ("xs", "ys", "centroid", "min_turn")
 
     def __init__(self, vertices: Iterable):
         xs, ys = [], []
@@ -91,30 +93,26 @@ class ConvexPolygon:
         # the bound check raises at once, so it reports the lowest bad index
         # even though the turn at b reads vertices not yet checked; the other
         # violations wait for the whole area sum.
+        hi = MAX_COORDINATE
+        lo = -hi
         area2 = 0.0
-        bent = None  # first middle vertex whose turn is not strictly left
+        least = math.inf  # smallest turn so far
         wound = None  # vertex where the edge direction passes angle 0 again
-        tiny = None  # first middle vertex whose turn is below _MIN_TURN
         wraps = 0
         ax, ay, bx, by = xs[0], ys[0], xs[1], ys[1]
         ex = bx - ax
         ey = by - ay
         upper = ey > 0.0 or (ey == 0.0 and ex > 0.0)
-        for i in range(n):
-            if not (abs(ax) <= MAX_COORDINATE and abs(ay) <= MAX_COORDINATE):
+        for i, cx, cy in zip(range(n), xs[2:] + xs[:2], ys[2:] + ys[:2]):
+            # the same predicate as abs(ax) <= hi, NaN and infinities included
+            if not (lo <= ax <= hi and lo <= ay <= hi):
                 raise NonFiniteCoordinate(i)
-            j = i + 1 if i + 1 < n else 0
-            k = j + 1 if j + 1 < n else 0
-            cx = xs[k]
-            cy = ys[k]
             area2 += ax * by - bx * ay
             fx = cx - bx
             fy = cy - by
             turn = ex * fy - ey * fx
-            if not turn > 0.0 and bent is None:
-                bent = j
-            if not turn >= _MIN_TURN and tiny is None:
-                tiny = j
+            if turn < least:
+                least = turn
             # Left turns are each below pi, so the edge direction passes
             # angle 0 exactly when it moves from the lower half-plane to the
             # upper one; a convex boundary does so once.
@@ -123,7 +121,7 @@ class ConvexPolygon:
             if upper and not was_upper:
                 wraps += 1
                 if wraps == 2:
-                    wound = j
+                    wound = i + 1 if i + 1 < n else 0
             ax = bx
             ay = by
             bx = cx
@@ -132,12 +130,19 @@ class ConvexPolygon:
             ey = fy
         if area2 < 0.0:
             raise NotCounterClockwise()
-        for index in (bent, wound, tiny):
-            if index is not None:
-                raise NotStrictlyConvex(index)
+        # Every coordinate passed the bound, so every turn is finite. A bend
+        # (a turn not strictly left) outranks winding, which outranks a turn
+        # below _MIN_TURN; the rescan names the first one in loop order.
+        if least <= 0.0:
+            raise NotStrictlyConvex(next(j for j, t in _turns(xs, ys) if t <= 0.0))
+        if wound is not None:
+            raise NotStrictlyConvex(wound)
+        if least < _MIN_TURN:
+            raise NotStrictlyConvex(next(j for j, t in _turns(xs, ys) if t < _MIN_TURN))
         self.xs = tuple(xs)
         self.ys = tuple(ys)
         self.centroid = Vec2(sum(xs) / n, sum(ys) / n)
+        self.min_turn = least
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -152,6 +157,16 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({list(zip(self.xs, self.ys))!r})"
+
+
+def _turns(xs, ys):
+    """(b, turn at b) for each consecutive vertex triple (a, b, c), in the
+    order ``ConvexPolygon`` validates them: vertex 0 last."""
+    n = len(xs)
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        k = j + 1 if j + 1 < n else 0
+        yield j, (xs[j] - xs[i]) * (ys[k] - ys[j]) - (ys[j] - ys[i]) * (xs[k] - xs[j])
 
 
 def apply_transform(

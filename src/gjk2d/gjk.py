@@ -177,16 +177,17 @@ def _gjk(
     return exit, k, k + 1, verts, lambdas, vx, vy, tol_sq
 
 
-# Binary-query exit and verdict for each loop exit; None: the verdict is the
-# ContainsOrigin test on the last v, |v|^2 <= tol_sq.
-_COLLISION = {
-    Termination.CONVERGED: (CollisionExit.CONVERGED, None),
-    Termination.MAX_ITERATIONS: (CollisionExit.MAX_ITERATIONS, None),
-    Termination.CONTAINS_ORIGIN: (CollisionExit.SUBDISTANCE_ENCLOSURE, True),
-    Termination.SIMPLEX_FULL: (CollisionExit.SUBDISTANCE_ENCLOSURE, True),
-    CollisionExit.SEPARATING_HYPERPLANE: (CollisionExit.SEPARATING_HYPERPLANE, False),
-    CollisionExit.VERTICAL_ANGLE_ENCLOSURE: (CollisionExit.VERTICAL_ANGLE_ENCLOSURE, True),
-}
+# ``intersects`` maps the loop's exit to its own by identity against these.
+# A dict keyed by members would hash each in Python (``Enum.__hash__``), and
+# reading a member off its class goes through ``EnumType.__getattr__``.
+_EXIT_SEPARATING = CollisionExit.SEPARATING_HYPERPLANE
+_EXIT_VERTICAL_ANGLE = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
+_EXIT_SUBDISTANCE = CollisionExit.SUBDISTANCE_ENCLOSURE
+_EXIT_CONVERGED = CollisionExit.CONVERGED
+_EXIT_MAX_ITERATIONS = CollisionExit.MAX_ITERATIONS
+_TERM_CONVERGED = Termination.CONVERGED
+_TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
+_TERM_SIMPLEX_FULL = Termination.SIMPLEX_FULL
 
 
 def distance(
@@ -240,7 +241,15 @@ def intersects(
     exit, k, support_calls, _, _, vx, vy, tol_sq = _gjk(
         p_poly, q_poly, use_hill_climbing, True, None
     )
-    exit, colliding = _COLLISION[exit]
-    if colliding is None:
+    if exit is _EXIT_SEPARATING:
+        colliding = False
+    elif exit is _EXIT_VERTICAL_ANGLE:
+        colliding = True
+    elif exit is _TERM_CONTAINS_ORIGIN or exit is _TERM_SIMPLEX_FULL:
+        exit = _EXIT_SUBDISTANCE
+        colliding = True
+    else:
+        # Converged or MaxIterations: the ContainsOrigin test on the last v.
+        exit = _EXIT_CONVERGED if exit is _TERM_CONVERGED else _EXIT_MAX_ITERATIONS
         colliding = vx * vx + vy * vy <= tol_sq
     return _new(CollisionResult, (colliding, k, support_calls, exit))

@@ -312,3 +312,85 @@ def cso_origin_clearance(p_poly, q_poly) -> float:
     )
     return dist if inside else -dist
 
+
+
+def reference_validate(vertices):
+    """``(xs, ys)`` float lists of a valid polygon, else the ``PolygonError``
+    that ``ConvexPolygon`` raises.
+
+    The validation loop ``ConvexPolygon`` ran before it tracked the
+    smallest turn, kept verbatim: one first-index tracker per violation,
+    ``abs()`` bound tests and module-level constants. The constructor is
+    tested against it for the same exception class and index on any input.
+    """
+    from gjk2d.geometry import (
+        FewerThanThreeVertices,
+        NonFiniteCoordinate,
+        NotCounterClockwise,
+        NotStrictlyConvex,
+    )
+
+    MAX_COORDINATE = 2.0**500
+    _MIN_TURN = 2.0**-1022
+
+    xs, ys = [], []
+    try:
+        for x, y in vertices:
+            xs.append(float(x))
+            ys.append(float(y))
+    except OverflowError:
+        # float() rejects an int beyond the double range; ys holds one
+        # coordinate per vertex converted before the failing one.
+        raise NonFiniteCoordinate(len(ys)) from None
+    n = len(xs)
+    if n < 3:
+        raise FewerThanThreeVertices(n)
+    # One pass over the triples (a, b, c) = vertices (i, i+1, i+2). Only
+    # the bound check raises at once, so it reports the lowest bad index
+    # even though the turn at b reads vertices not yet checked; the other
+    # violations wait for the whole area sum.
+    area2 = 0.0
+    bent = None  # first middle vertex whose turn is not strictly left
+    wound = None  # vertex where the edge direction passes angle 0 again
+    tiny = None  # first middle vertex whose turn is below _MIN_TURN
+    wraps = 0
+    ax, ay, bx, by = xs[0], ys[0], xs[1], ys[1]
+    ex = bx - ax
+    ey = by - ay
+    upper = ey > 0.0 or (ey == 0.0 and ex > 0.0)
+    for i in range(n):
+        if not (abs(ax) <= MAX_COORDINATE and abs(ay) <= MAX_COORDINATE):
+            raise NonFiniteCoordinate(i)
+        j = i + 1 if i + 1 < n else 0
+        k = j + 1 if j + 1 < n else 0
+        cx = xs[k]
+        cy = ys[k]
+        area2 += ax * by - bx * ay
+        fx = cx - bx
+        fy = cy - by
+        turn = ex * fy - ey * fx
+        if not turn > 0.0 and bent is None:
+            bent = j
+        if not turn >= _MIN_TURN and tiny is None:
+            tiny = j
+        # Left turns are each below pi, so the edge direction passes
+        # angle 0 exactly when it moves from the lower half-plane to the
+        # upper one; a convex boundary does so once.
+        was_upper = upper
+        upper = fy > 0.0 or (fy == 0.0 and fx > 0.0)
+        if upper and not was_upper:
+            wraps += 1
+            if wraps == 2:
+                wound = j
+        ax = bx
+        ay = by
+        bx = cx
+        by = cy
+        ex = fx
+        ey = fy
+    if area2 < 0.0:
+        raise NotCounterClockwise()
+    for index in (bent, wound, tiny):
+        if index is not None:
+            raise NotStrictlyConvex(index)
+    return xs, ys

@@ -24,6 +24,7 @@ from gjk2d.datasets import (
     verify_regime,
     write_dataset,
 )
+from gjk2d.geometry import ConvexPolygon
 
 from oracle_utils import cross, signed_area, sub, vertices
 
@@ -60,6 +61,21 @@ class TestRandomConvexPolygon:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             random_convex_polygon(2, random.Random(0))
+
+    def test_redraws_a_valid_candidate_below_the_margin(self, monkeypatch):
+        # Both candidates are centrally symmetric with radius 1, so centering
+        # and scaling leave them exactly as given. The first turns by
+        # 2 * 2**-31 < _MIN_CROSS at (1/2 + e, -1/2 - e) and its mirror.
+        e = 2.0**-31
+        thin = ([0.0, 0.5 + e, 1.0, 0.0, -0.5 - e, -1.0], [-1.0, -0.5 - e, 0.0, 1.0, 0.5 + e, 0.0])
+        good = ([1.0, 0.5, -0.5, -1.0, -0.5, 0.5], [0.0, 0.75, 0.75, 0.0, -0.75, -0.75])
+        thin_poly = ConvexPolygon(zip(*thin))
+        assert thin_poly.min_turn == 2.0**-30 < gjk2d.datasets._MIN_CROSS
+        candidates = iter([thin, good])
+        monkeypatch.setattr(gjk2d.datasets, "_valtr_points", lambda rng, n: next(candidates))
+        poly = random_convex_polygon(6, random.Random(0))
+        assert poly == ConvexPolygon(zip(*good))
+        assert next(candidates, None) is None
 
 
 class TestMakePair:

@@ -21,7 +21,17 @@ from gjk2d.geometry import (
     polygon_to_jsonable,
 )
 
-from oracle_utils import convex_hull, cross, dot, signed_area, sub, vertices
+from gjk2d.datasets import random_convex_polygon
+
+from oracle_utils import (
+    convex_hull,
+    cross,
+    dot,
+    reference_validate,
+    signed_area,
+    sub,
+    vertices,
+)
 
 UNIT_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -236,6 +246,172 @@ class TestValidatePolygon:
         assert accepted == is_rotation
 
 
+def _generated(seed, sizes=(3, 4, 5, 8, 16, 33, 64)):
+    rng = random.Random(seed)
+    return [vertices(random_convex_polygon(n, rng)) for n in sizes]
+
+
+def _moved(verts, angle, tx, ty):
+    c, s = math.cos(angle), math.sin(angle)
+    return [(x * c - y * s + tx, x * s + y * c + ty) for x, y in verts]
+
+
+def _corpus_generated_moved():
+    rng = random.Random(21)
+    out = []
+    for verts in _generated(1) + _generated(2):
+        for shift in (0.0, 1.0, 1e3, 1e6, 1e9, 1e12, 1e15):
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            out.append(_moved(verts, angle, shift * rng.uniform(-1, 1), shift * rng.uniform(-1, 1)))
+    return out
+
+
+def _corpus_collinear_and_reflex():
+    out = []
+    for verts in _generated(3, sizes=(3, 4, 6, 9)) + [UNIT_SQUARE]:
+        n = len(verts)
+        cx = sum(x for x, _ in verts) / n
+        cy = sum(y for _, y in verts) / n
+        for i in range(n):
+            (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+            # a collinear midpoint and a duplicate after vertex i
+            out.append(verts[: i + 1] + [((ax + bx) / 2, (ay + by) / 2)] + verts[i + 1 :])
+            out.append(verts[: i + 1] + [verts[i]] + verts[i + 1 :])
+            # vertex i dented toward the centroid
+            dent = (cx + 0.2 * (ax - cx), cy + 0.2 * (ay - cy))
+            out.append(verts[:i] + [dent] + verts[i + 1 :])
+    return out
+
+
+def _corpus_clockwise_and_stars():
+    out = []
+    for verts in _generated(4, sizes=(3, 4, 7, 20)):
+        for start in range(3):
+            ring = verts[start:] + verts[:start]
+            out.append(ring[::-1])
+    for n, step in ((5, 2), (7, 3)):
+        for rotation in (0.0, 0.3, 1.1, math.pi / 2):
+            star = [star_vertex(k * step % n, n, rotation) for k in range(n)]
+            for start in range(n):
+                ring = star[start:] + star[:start]
+                out.append(ring)
+                out.append(ring[::-1])
+    return out
+
+
+def _corpus_tiny_turns():
+    out = []
+    for e in (-505, -511, -512, -513, -520, -537):
+        a = 2.0**e
+        out.append([(0, 0), (a, 0), (0, a)])
+        out.append([(0, 0), (a, 0), (a, a), (0, a)])
+    t = 1e-310
+    out.append([(0, 0), (1, 0), (1, t), (0.5, t), (0, t)])
+    out.append([(0, 0), (1, 0), (1, t), (0, t)])
+    # stars shrunk until their turns underflow: winding outranks a tiny turn
+    stars = [[star_vertex(k * step % n, n) for k in range(n)] for n, step in ((5, 2), (7, 3))]
+    for verts in _generated(5, sizes=(3, 5, 12, 40)) + stars:
+        for scale in (1e-150, 1e-155, 1e-160, 1e-165, 2.0**-511):
+            out.append([(x * scale, y * scale) for x, y in verts])
+    return out
+
+
+_BAD_COORDINATES = (
+    float("nan"), float("inf"), float("-inf"),
+    2.0**501, -(2.0**501), 2**501, 10**400, -(10**400),
+)
+
+
+def _corpus_bad_coordinates():
+    out = []
+    square = [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]  # vertex 1 collinear
+    for verts in _generated(6, sizes=(3, 6)) + [square]:
+        for i in range(len(verts)):
+            for bad in _BAD_COORDINATES:
+                x, y = verts[i]
+                out.append(verts[:i] + [(bad, y)] + verts[i + 1 :])
+                out.append(verts[:i] + [(x, bad)] + verts[i + 1 :])
+                # a second bad coordinate later in the ring
+                later = verts[:i] + [(bad, y)] + verts[i + 1 :]
+                later[-1] = (later[-1][0], float("nan"))
+                out.append(later)
+    return out
+
+
+def _corpus_shuffled():
+    rng = random.Random(7)
+    out = []
+    for verts in _generated(8, sizes=(4, 5, 7)):
+        for _ in range(40):
+            ring = list(verts)
+            rng.shuffle(ring)
+            out.append(ring)
+    return out
+
+
+def _outcome(build, verts):
+    try:
+        result = build(verts)
+    except PolygonError as exc:
+        return type(exc), getattr(exc, "index", None)
+    return result
+
+
+class TestValidationMatchesReference:
+    """The single-pass constructor raises what the pre-``min_turn`` loop
+    (``oracle_utils.reference_validate``) raises, with the same index, and
+    its ``min_turn`` is the smallest per-triple turn."""
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            _corpus_generated_moved,
+            _corpus_collinear_and_reflex,
+            _corpus_clockwise_and_stars,
+            _corpus_tiny_turns,
+            _corpus_bad_coordinates,
+            _corpus_shuffled,
+        ],
+        ids=lambda f: f.__name__[len("_corpus_"):],
+    )
+    def test_same_class_index_and_min_turn(self, corpus):
+        failures = set()
+        for verts in corpus():
+            want = _outcome(reference_validate, verts)
+            got = _outcome(ConvexPolygon, verts)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                failures.add(want[0])
+                assert got == want, verts
+                continue
+            xs, ys = want
+            assert (got.xs, got.ys) == (tuple(xs), tuple(ys))
+            ring = list(zip(xs, ys))
+            n = len(ring)
+            turns = [
+                cross(sub(ring[(i + 1) % n], ring[i]), sub(ring[(i + 2) % n], ring[(i + 1) % n]))
+                for i in range(n)
+            ]
+            assert got.min_turn == min(turns)
+        # every corpus exercises at least one rejection
+        assert failures
+
+    _COORDINATE = st.one_of(
+        st.integers(-3, 3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([2.0**500, 2.0**501, 10**400, 1e-160, 2.0**-512]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_COORDINATE, _COORDINATE), max_size=7))
+    def test_same_class_and_index_on_arbitrary_input(self, verts):
+        want = _outcome(reference_validate, verts)
+        got = _outcome(ConvexPolygon, verts)
+        if isinstance(got, ConvexPolygon):
+            got = [list(got.xs), list(got.ys)]
+            want = list(want)
+        assert got == want
+
+
 class TestRepresentation:
     """A polygon is its coordinate tuples ``xs`` and ``ys`` plus the centroid."""
 
@@ -276,7 +452,7 @@ class TestRepresentation:
 
     def test_holds_no_per_vertex_copy(self):
         poly = ConvexPolygon(UNIT_SQUARE)
-        assert ConvexPolygon.__slots__ == ("xs", "ys", "centroid")
+        assert ConvexPolygon.__slots__ == ("xs", "ys", "centroid", "min_turn")
         with pytest.raises(AttributeError):
             poly.vertices
         with pytest.raises(AttributeError):
