@@ -14,21 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .geometry import ConvexPolygon
-
-
-class ClosestFeature(Enum):
-    VERTEX_VERTEX = "VertexVertex"
-    VERTEX_EDGE = "VertexEdge"
-    OVERLAP = "Overlap"
 
 
 @dataclass(frozen=True)
 class OracleReport:
     distance: float
-    closest_feature: ClosestFeature
+    intersecting: bool
     depth: float
 
 
@@ -108,46 +101,41 @@ def _difference_polygon(p_poly: ConvexPolygon, q_poly: ConvexPolygon):
 def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleReport:
     """Ground-truth distance: the origin against the difference polygon.
 
-    The origin inside P - Q (boundary included) means overlap, and
-    ``depth`` is then its distance to the nearest edge line of P - Q: the
-    shortest translation of Q to contact. Otherwise ``depth`` is 0.0 and
-    the distance is the minimum over the polygon's edges of the origin's
-    distance to the edge, realized between a vertex of one polygon and an
-    edge of the other (``VERTEX_EDGE``) unless the closest point is a
-    vertex pair (``VERTEX_VERTEX``).
+    ``intersecting`` is closed containment: the origin inside P - Q,
+    boundary included, which is exactly when no edge of P - Q has the
+    origin strictly outside its line. ``depth`` is then the origin's
+    distance to the nearest edge line of P - Q, the shortest translation
+    of Q to contact, and the distance is 0.0. Otherwise ``depth`` is 0.0
+    and the distance is the minimum over the polygon's edges of the
+    origin's distance to the edge.
     """
     verts = _difference_polygon(p_poly, q_poly)
     best_sq = math.inf
-    best_k = -1
-    at_vertex = True
     ax, ay = verts[-1][0], verts[-1][1]
-    for k, (bx, by, _, _) in enumerate(verts):
+    for bx, by, _, _ in verts:
         ux = bx - ax
         uy = by - ay
         # Only an edge with the origin strictly outside its line can hold
-        # the closest point; none means the origin is inside (closed).
+        # the closest point. Coordinates are bounded by MAX_COORDINATE, so
+        # every such edge gives a finite d_sq and best_sq stays inf only
+        # when the origin is inside.
         if ax * uy - ay * ux < 0.0:
             t = -(ax * ux + ay * uy)
             den = ux * ux + uy * uy
             if t <= 0.0:
                 d_sq = ax * ax + ay * ay
-                clamped = True
             elif t >= den:
                 d_sq = bx * bx + by * by
-                clamped = True
             else:
                 t /= den
                 dx = ax + t * ux
                 dy = ay + t * uy
                 d_sq = dx * dx + dy * dy
-                clamped = False
             if d_sq < best_sq:
                 best_sq = d_sq
-                best_k = k
-                at_vertex = clamped
         ax, ay = bx, by
-    pxs, pys, qxs, qys = p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys
-    if best_k < 0:
+    if best_sq == math.inf:
+        pxs, pys, qxs, qys = p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys
         depth = math.inf
         ax, ay, i0, j0 = verts[-1]
         for bx, by, i1, j1 in verts:
@@ -160,23 +148,8 @@ def oracle_distance(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> OracleRepor
             if d < depth:
                 depth = d
             ax, ay, i0, j0 = bx, by, i1, j1
-        return OracleReport(0.0, ClosestFeature.OVERLAP, depth)
-    if not at_vertex:
-        _, _, i0, j0 = verts[best_k - 1]
-        _, _, i1, j1 = verts[best_k]
-        if i0 != i1 and j0 != j1:
-            # A merged pair of parallel edges hides the vertex pairs
-            # P[i1] - Q[j0] and P[i0] - Q[j1]. When they coincide and hold
-            # the closest point, every realizing pair is vertex-vertex.
-            wx = pxs[i1] - qxs[j0]
-            wy = pys[i1] - qys[j0]
-            at_vertex = (
-                wx == pxs[i0] - qxs[j1]
-                and wy == pys[i0] - qys[j1]
-                and wx * wx + wy * wy <= best_sq
-            )
-    feature = ClosestFeature.VERTEX_VERTEX if at_vertex else ClosestFeature.VERTEX_EDGE
-    return OracleReport(math.sqrt(best_sq), feature, 0.0)
+        return OracleReport(0.0, True, depth)
+    return OracleReport(math.sqrt(best_sq), False, 0.0)
 
 
 def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
@@ -184,7 +157,7 @@ def cso_contains_origin(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> bool:
 
     Half-plane-tests the origin against every edge of P - Q, built in
     O(n + m). Closed containment, boundary included, is
-    ``oracle_distance(...).closest_feature is ClosestFeature.OVERLAP``.
+    ``oracle_distance(...).intersecting``.
     """
     verts = _difference_polygon(p_poly, q_poly)
     ax, ay = verts[-1][0], verts[-1][1]

@@ -13,7 +13,7 @@ import os
 import sys
 
 # sat_intersects is not called here; it stays bound as a perfbench patch point.
-from .baseline import ClosestFeature, oracle_distance, sat_intersects
+from .baseline import oracle_distance, sat_intersects
 from .bench import Algorithm, gnuplot_script, records_to_csv, run_benchmark
 from .datasets import (
     DatasetError,
@@ -73,7 +73,7 @@ def _cmd_check(args) -> int:
             ok = False
         collision = intersects(case.p, case.q)
         capped_intersects += collision.exit is CollisionExit.MAX_ITERATIONS
-        if collision.colliding != (report.closest_feature is ClosestFeature.OVERLAP):
+        if collision.colliding != report.intersecting:
             # exact-touching inputs sit on a numerical knife edge, so the
             # binary answer is reported there rather than asserted
             if case.regime is Regime.TOUCHING:

@@ -66,6 +66,20 @@ class CollisionResult(NamedTuple):
     exit: CollisionExit
 
 
+# The loop names its exits, and ``intersects`` maps them by identity, through
+# these. A dict keyed by members would hash each in Python (``Enum.__hash__``),
+# and reading a member off its class goes through ``EnumType.__getattr__``.
+_EXIT_SEPARATING = CollisionExit.SEPARATING_HYPERPLANE
+_EXIT_VERTICAL_ANGLE = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
+_EXIT_SUBDISTANCE = CollisionExit.SUBDISTANCE_ENCLOSURE
+_EXIT_CONVERGED = CollisionExit.CONVERGED
+_EXIT_MAX_ITERATIONS = CollisionExit.MAX_ITERATIONS
+_TERM_CONVERGED = Termination.CONVERGED
+_TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
+_TERM_SIMPLEX_FULL = Termination.SIMPLEX_FULL
+_TERM_MAX_ITERATIONS = Termination.MAX_ITERATIONS
+
+
 def witness_points(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
@@ -97,17 +111,17 @@ def _gjk(
 ) -> tuple:
     """The loop behind ``distance`` and ``intersects``.
 
-    Returns ``(exit, iterations, support_calls, verts, lambdas, vx, vy,
-    tol_sq)``: the final simplex, its barycentric coordinates, closest
-    point v, and the squared norm at or below which v counts as the
-    origin, ``_EPSILON**2`` times the largest |w|^2 over the query's
-    support points. ``hcs`` selects hill-climbing support: the first call
-    climbs from the vertex pair (0, 0) and every later one from the
-    previous answer, so no call scans; without it every call is the
-    brute-force scan. ``binary`` only adds the SeparatingHyperplane and
+    Returns ``(exit, iterations, verts, lambdas, vx, vy, tol_sq)``: the
+    final simplex, its barycentric coordinates, closest point v (zeroed at
+    the ContainsOrigin and SimplexFull exits), and the squared norm at or
+    below which v counts as the origin, ``_EPSILON**2`` times the largest
+    |w|^2 over the query's support points. ``hcs`` selects hill-climbing
+    support: the first call climbs from the vertex pair (0, 0) and every
+    later one from the previous answer, so no call scans; without it
+    every call is the brute-force scan. ``binary`` only adds the SeparatingHyperplane and
     VerticalAngleEnclosure exits; every other exit is a ``Termination``.
     The separating test also covers the first support point, against the
-    start direction d0. ``support_calls`` is always ``iterations + 1``.
+    start direction d0. It makes ``iterations + 1`` support calls.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound.
@@ -126,7 +140,7 @@ def _gjk(
     tol_sq = eps_sq * v_sq
     if binary and d0x * vx + d0y * vy > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
-        return CollisionExit.SEPARATING_HYPERPLANE, 0, 1, verts, lambdas, vx, vy, tol_sq
+        return _EXIT_SEPARATING, 0, verts, lambdas, vx, vy, tol_sq
     warm = (ip, iq) if hcs else None
     if norm_trace is not None:
         norm_trace.append(math.sqrt(v_sq))
@@ -146,7 +160,7 @@ def _gjk(
             if v_dot_w > 0.0:
                 # A hyperplane through the origin perpendicular to v separates
                 # the origin from the whole Minkowski difference.
-                exit = CollisionExit.SEPARATING_HYPERPLANE
+                exit = _EXIT_SEPARATING
                 break
             if len(verts) == 2:
                 ax, ay = verts[0][0]
@@ -154,10 +168,10 @@ def _gjk(
                 if (ax * wy - ay * wx) * (bx * wy - by * wx) <= 0.0:
                     # w lies in the vertical angle opposite cone(a, b), so
                     # triangle (a, b, w) encloses the origin.
-                    exit = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
+                    exit = _EXIT_VERTICAL_ANGLE
                     break
         if v_sq - v_dot_w <= eps * v_sq or w in verts:
-            exit = Termination.CONVERGED
+            exit = _TERM_CONVERGED
             break
         if len(verts) == 1:
             verts, lambdas, vx, vy = solve_segment(w, verts[0])
@@ -167,27 +181,16 @@ def _gjk(
         if norm_trace is not None:
             norm_trace.append(math.sqrt(v_sq))
         if v_sq <= tol_sq:
-            exit = Termination.CONTAINS_ORIGIN
+            exit = _TERM_CONTAINS_ORIGIN
+            vx = vy = 0.0
             break
         if len(verts) == 3:
-            exit = Termination.SIMPLEX_FULL
+            exit = _TERM_SIMPLEX_FULL
+            vx = vy = 0.0
             break
     else:
-        exit = Termination.MAX_ITERATIONS
-    return exit, k, k + 1, verts, lambdas, vx, vy, tol_sq
-
-
-# ``intersects`` maps the loop's exit to its own by identity against these.
-# A dict keyed by members would hash each in Python (``Enum.__hash__``), and
-# reading a member off its class goes through ``EnumType.__getattr__``.
-_EXIT_SEPARATING = CollisionExit.SEPARATING_HYPERPLANE
-_EXIT_VERTICAL_ANGLE = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
-_EXIT_SUBDISTANCE = CollisionExit.SUBDISTANCE_ENCLOSURE
-_EXIT_CONVERGED = CollisionExit.CONVERGED
-_EXIT_MAX_ITERATIONS = CollisionExit.MAX_ITERATIONS
-_TERM_CONVERGED = Termination.CONVERGED
-_TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
-_TERM_SIMPLEX_FULL = Termination.SIMPLEX_FULL
+        exit = _TERM_MAX_ITERATIONS
+    return exit, k, verts, lambdas, vx, vy, tol_sq
 
 
 def distance(
@@ -213,15 +216,13 @@ def distance(
     brute-force scan (same support values), and ``norm_trace``, when
     given, receives the closest-point norm after every solve.
     """
-    termination, k, support_calls, verts, lambdas, vx, vy, _ = _gjk(
+    termination, k, verts, lambdas, vx, vy, _ = _gjk(
         p_poly, q_poly, use_hill_climbing, False, norm_trace
     )
-    if termination in (Termination.CONTAINS_ORIGIN, Termination.SIMPLEX_FULL):
-        vx = vy = 0.0
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)
     dist = math.sqrt(vx * vx + vy * vy)
     return _new(
-        DistanceResult, (dist, wp, wq, _new(Vec2, (vx, vy)), k, support_calls, termination)
+        DistanceResult, (dist, wp, wq, _new(Vec2, (vx, vy)), k, k + 1, termination)
     )
 
 
@@ -238,9 +239,7 @@ def intersects(
     never performs more support evaluations than ``distance`` on the same
     input and ``use_hill_climbing`` setting.
     """
-    exit, k, support_calls, _, _, vx, vy, tol_sq = _gjk(
-        p_poly, q_poly, use_hill_climbing, True, None
-    )
+    exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True, None)
     if exit is _EXIT_SEPARATING:
         colliding = False
     elif exit is _EXIT_VERTICAL_ANGLE:
@@ -252,4 +251,4 @@ def intersects(
         # Converged or MaxIterations: the ContainsOrigin test on the last v.
         exit = _EXIT_CONVERGED if exit is _TERM_CONVERGED else _EXIT_MAX_ITERATIONS
         colliding = vx * vx + vy * vy <= tol_sq
-    return _new(CollisionResult, (colliding, k, support_calls, exit))
+    return _new(CollisionResult, (colliding, k, k + 1, exit))

@@ -229,12 +229,11 @@ def brute_oracle_distance(p_poly, q_poly):
     an edge (possibly an endpoint) of the other, so scanning all such
     pairs both ways is exact.
     """
-    from gjk2d.baseline import ClosestFeature, OracleReport, sat_intersects
+    from gjk2d.baseline import OracleReport, sat_intersects
 
     if sat_intersects(p_poly, q_poly):
-        return OracleReport(0.0, ClosestFeature.OVERLAP, cso_origin_clearance(p_poly, q_poly))
+        return OracleReport(0.0, True, cso_origin_clearance(p_poly, q_poly))
     best_sq = math.inf
-    at_endpoint = True
     for vxs, vys, exs, eys in (
         (p_poly.xs, p_poly.ys, q_poly.xs, q_poly.ys),
         (q_poly.xs, q_poly.ys, p_poly.xs, p_poly.ys),
@@ -249,21 +248,16 @@ def brute_oracle_distance(p_poly, q_poly):
             den = ux * ux + uy * uy
             for px, py in zip(vxs, vys):
                 t = ((px - ax) * ux + (py - ay) * uy) / den
-                clamped = False
                 if t <= 0.0:
                     t = 0.0
-                    clamped = True
                 elif t >= 1.0:
                     t = 1.0
-                    clamped = True
                 dx = px - (ax + t * ux)
                 dy = py - (ay + t * uy)
                 d_sq = dx * dx + dy * dy
                 if d_sq < best_sq:
                     best_sq = d_sq
-                    at_endpoint = clamped
-    feature = ClosestFeature.VERTEX_VERTEX if at_endpoint else ClosestFeature.VERTEX_EDGE
-    return OracleReport(math.sqrt(best_sq), feature, 0.0)
+    return OracleReport(math.sqrt(best_sq), False, 0.0)
 
 
 def exact_sat_intersects(p_poly, q_poly) -> bool:

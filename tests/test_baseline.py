@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gjk2d.baseline
-from gjk2d.baseline import ClosestFeature, cso_contains_origin, oracle_distance, sat_intersects
+from gjk2d.baseline import cso_contains_origin, oracle_distance, sat_intersects
 from gjk2d.datasets import (
     DatasetSpec,
     Regime,
@@ -55,7 +55,7 @@ class TestSatIntersects:
             p = random_placed(rng, rng.choice([3, 4, 6, 8]), 1.5)
             q = random_placed(rng, rng.choice([3, 4, 6, 8]), 1.5)
             sat = sat_intersects(p, q)
-            closed = oracle_distance(p, q).closest_feature is ClosestFeature.OVERLAP
+            closed = oracle_distance(p, q).intersecting
             assert sat == closed
             hits += sat
         # the sweep must exercise both outcomes to mean anything
@@ -95,7 +95,7 @@ class TestExactSatIntersects:
                 seed = derive_case_seed(spec.seed, n, Regime.TOUCHING, index)
                 case = make_pair(spec, Regime.TOUCHING, seed)
                 truth = exact_sat_intersects(case.p, case.q)
-                closed = oracle_distance(case.p, case.q).closest_feature is ClosestFeature.OVERLAP
+                closed = oracle_distance(case.p, case.q).intersecting
                 sat_wrong += sat_intersects(case.p, case.q) is not truth
                 oracle_wrong += closed is not truth
         assert oracle_wrong < sat_wrong, (oracle_wrong, sat_wrong)
@@ -121,26 +121,22 @@ class TestOracleDistance:
         report = oracle_distance(UNIT_SQUARE, FAR_SQUARE)
         assert report.distance == 2.0
         assert report.depth == 0.0
-        # the realizing pairs anchor at edge endpoints here
-        assert report.closest_feature is ClosestFeature.VERTEX_VERTEX
 
     def test_vertex_against_edge_interior(self):
         offset = ConvexPolygon([(3, 0.5), (4, 0.5), (4, 1.5), (3, 1.5)])
         report = oracle_distance(UNIT_SQUARE, offset)
         assert report.distance == 2.0
-        assert report.closest_feature is ClosestFeature.VERTEX_EDGE
 
     def test_vertex_to_vertex_gap(self):
         a = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
         b = ConvexPolygon([(3, 0), (4, 0), (3, 1)])
         report = oracle_distance(a, b)
         assert report.distance == 2.0
-        assert report.closest_feature is ClosestFeature.VERTEX_VERTEX
 
     def test_overlap_reports_zero(self):
         report = oracle_distance(UNIT_SQUARE, UNIT_SQUARE)
         assert report.distance == 0.0
-        assert report.closest_feature is ClosestFeature.OVERLAP
+        assert report.intersecting
 
     def test_symmetry_exact(self):
         rng = random.Random(52)
@@ -158,9 +154,7 @@ class TestOracleDistance:
             q = random_placed(rng, rng.choice([3, 4, 8]), 1.5)
             report = oracle_distance(p, q)
             assert (report.distance > 0.0) == (not sat_intersects(p, q))
-            assert (report.distance == 0.0) == (
-                report.closest_feature is ClosestFeature.OVERLAP
-            )
+            assert (report.distance == 0.0) == report.intersecting
 
 
 class TestCsoContainsOrigin:
@@ -168,9 +162,22 @@ class TestCsoContainsOrigin:
         assert cso_contains_origin(UNIT_SQUARE, UNIT_SQUARE)
 
     def test_touching_is_boundary_only(self):
-        closed = oracle_distance(UNIT_SQUARE, TOUCH_SQUARE).closest_feature
-        assert closed is ClosestFeature.OVERLAP
-        assert not cso_contains_origin(UNIT_SQUARE, TOUCH_SQUARE)
+        corner = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
+        for q in (TOUCH_SQUARE, corner):
+            report = oracle_distance(UNIT_SQUARE, q)
+            assert (report.intersecting, report.distance, report.depth) == (True, 0.0, 0.0)
+            assert not cso_contains_origin(UNIT_SQUARE, q)
+        # the corner pair one ulp apart on both axes: P - Q has its corner
+        # at (-ulp, -ulp), exactly, so no edge holds the origin any more
+        x = math.nextafter(1.0, 2.0)
+        apart = ConvexPolygon([(x, x), (2, x), (2, 2), (x, 2)])
+        report = oracle_distance(UNIT_SQUARE, apart)
+        assert (report.intersecting, report.distance, report.depth) == (
+            False,
+            math.sqrt(2.0) * (x - 1.0),
+            0.0,
+        )
+        assert not cso_contains_origin(UNIT_SQUARE, apart)
 
     def test_distant_pair_excluded(self):
         assert not cso_contains_origin(UNIT_SQUARE, FAR_SQUARE)
@@ -193,7 +200,7 @@ class TestPenetrationDepth:
         # (1, 1), whose line passes through the origin
         p = ConvexPolygon([(0, 0), (2 * e, e), (1000, 700), (0, 1000)])
         q = ConvexPolygon([(2000, 0), (1000, 1000), (0, 0), (1000, -1000)])
-        assert oracle_distance(p, q).closest_feature is ClosestFeature.OVERLAP
+        assert oracle_distance(p, q).intersecting
         depth = cso_origin_clearance(p, q)
         assert depth == pytest.approx(150 * math.sqrt(2), rel=1e-12)
         assert abs(oracle_distance(p, q).depth - depth) <= 1e-12 * depth
@@ -226,19 +233,17 @@ def lattice_polygon(points):
 def assert_matches_brute(p, q):
     """The linear oracles agree with the brute O(n*m) references.
 
-    Returns the linear and the brute ``OracleReport``.
+    Returns the linear ``OracleReport``.
     """
     assert cso_contains_origin(p, q) == brute_cso_contains_origin(p, q, strict=True)
     report = oracle_distance(p, q)
-    assert (report.closest_feature is ClosestFeature.OVERLAP) == (
-        brute_cso_contains_origin(p, q)
-    )
+    assert report.intersecting == brute_cso_contains_origin(p, q)
     brute = brute_oracle_distance(p, q)
     d = report.distance
     assert abs(d - brute.distance) <= 1e-12 * max(1.0, brute.distance)
     assert oracle_distance(q, p).distance == d
     assert abs(report.depth - brute.depth) <= 1e-12 * max(1.0, brute.depth)
-    return report, brute
+    return report
 
 
 class TestAgainstBruteReferences:
@@ -252,9 +257,7 @@ class TestAgainstBruteReferences:
                 for _ in range(6 if max(n, m) == 64 else 25):
                     p = random_placed(rng, n, 1.5)
                     q = random_placed(rng, m, 1.5)
-                    report, brute = assert_matches_brute(p, q)
-                    # generic pairs have one realizing feature pair
-                    assert report.closest_feature is brute.closest_feature
+                    report = assert_matches_brute(p, q)
                     overlaps.append(report.distance == 0.0)
         assert any(overlaps) and not all(overlaps)
 

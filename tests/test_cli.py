@@ -8,7 +8,7 @@ import gjk2d.baseline
 import gjk2d.cli
 import gjk2d.datasets
 import gjk2d.gjk
-from gjk2d.baseline import ClosestFeature, oracle_distance
+from gjk2d.baseline import oracle_distance
 from gjk2d.bench import CSV_COLUMNS, Algorithm, run_benchmark
 from gjk2d.cli import main
 from gjk2d.datasets import DatasetSpec, PairCase, Regime, read_dataset, write_dataset
@@ -100,7 +100,7 @@ class TestCheck:
         # a touching pair with the origin inside P - Q still takes one build
         assert any(
             c.regime is Regime.TOUCHING
-            and oracle_distance(c.p, c.q).closest_feature is ClosestFeature.OVERLAP
+            and oracle_distance(c.p, c.q).intersecting
             for c in cases
         )
         calls = dict.fromkeys(

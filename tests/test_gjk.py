@@ -144,6 +144,31 @@ class TestDistance:
         assert res.termination is Termination.MAX_ITERATIONS
         assert res.distance >= oracle_distance(p, q).distance
 
+    def test_simplex_full_exit_reports_contact(self, monkeypatch):
+        # An honest triangle solve that keeps all three vertices puts v on
+        # the origin, so ContainsOrigin exits first. A solver that keeps
+        # the whole triangle with v far off the origin reaches SimplexFull,
+        # which must report contact all the same.
+        q = ConvexPolygon([(0.9, 0.2), (3, 0.1), (3, 3)])
+        assert intersects(UNIT_SQUARE, q).colliding
+        solves = []
+
+        def full_triangle(w, a, b):
+            solves.append(w)
+            return [w, a, b], [1 / 3, 1 / 3, 1 / 3], 1.0, 0.0
+
+        monkeypatch.setattr(gjk2d.gjk, "s2d", full_triangle)
+        for hcs in (True, False):
+            del solves[:]
+            res = distance(UNIT_SQUARE, q, use_hill_climbing=hcs)
+            assert res.termination is Termination.SIMPLEX_FULL
+            assert res.distance == 0.0
+            assert tuple(res.separating_vector) == (0.0, 0.0)
+            hit = intersects(UNIT_SQUARE, q, use_hill_climbing=hcs)
+            assert hit.exit is CollisionExit.SUBDISTANCE_ENCLOSURE
+            assert hit.colliding
+            assert len(solves) == 2
+
 
 class TestIntersects:
     def test_distant_pair_exits_by_separating_hyperplane(self):
