@@ -54,11 +54,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     """Each case against one ``oracle_distance`` report: its regime, its distance,
-    and the binary verdict against the report's closed origin-in-P - Q test."""
+    and the binary verdict against the report's closed origin-in-P - Q test.
+
+    Also prints, per regime, how often each ``Termination`` of ``distance``
+    and each ``CollisionExit`` of ``intersects`` ended a query."""
     _, cases = read_dataset(args.dataset)
-    stats = {r: {"cases": 0, "failures": 0, "worst": 0.0} for r in Regime}
+    stats = {
+        r: {"cases": 0, "failures": 0, "worst": 0.0, "distance": [], "intersects": []}
+        for r in Regime
+    }
     touch_binary_disagreements = 0
-    capped_distance = capped_intersects = 0
     failed_seeds = []
     for case in cases:
         entry = stats[case.regime]
@@ -66,13 +71,13 @@ def _cmd_check(args) -> int:
         report = oracle_distance(case.p, case.q)
         ok = verify_regime(case, report)
         result = distance(case.p, case.q)
-        capped_distance += result.termination is Termination.MAX_ITERATIONS
+        entry["distance"].append(result.termination)
         err = abs(result.distance - report.distance)
         entry["worst"] = max(entry["worst"], err)
         if err > REL_TOL * max(1.0, report.distance) + ABS_TOL:
             ok = False
         collision = intersects(case.p, case.q)
-        capped_intersects += collision.exit is CollisionExit.MAX_ITERATIONS
+        entry["intersects"].append(collision.exit)
         if collision.colliding != report.intersecting:
             # exact-touching inputs sit on a numerical knife edge, so the
             # binary answer is reported there rather than asserted
@@ -90,11 +95,20 @@ def _cmd_check(args) -> int:
             f"{regime.value}: {passed}/{entry['cases']} pass, "
             f"worst abs distance error {entry['worst']:.3e}"
         )
+        parts = []
+        for label, members in (("distance", Termination), ("intersects", CollisionExit)):
+            exits = entry[label]
+            counts = [f"{m.value}={exits.count(m)}" for m in members if m in exits]
+            parts.append(" ".join([label] + (counts or ["none"])))
+        print(f"{regime.value} exits: {'; '.join(parts)}")
     if touch_binary_disagreements:
         print(
             f"note: {touch_binary_disagreements} knife-edge touching case(s) "
             f"with binary/oracle disagreement (reported, not asserted)"
         )
+    entries = stats.values()
+    capped_distance = sum(e["distance"].count(Termination.MAX_ITERATIONS) for e in entries)
+    capped_intersects = sum(e["intersects"].count(CollisionExit.MAX_ITERATIONS) for e in entries)
     if capped_distance or capped_intersects:
         # answers at the cap are still checked; the count flags queries
         # that stopped without any exit test firing

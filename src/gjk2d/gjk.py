@@ -117,9 +117,11 @@ def _gjk(
     below which v counts as the origin, ``_EPSILON**2`` times the largest
     |w|^2 over the query's support points. ``hcs`` selects hill-climbing
     support: the first call climbs from the vertex pair (0, 0) and every
-    later one from the previous answer, so no call scans; without it
-    every call is the brute-force scan. ``binary`` only adds the SeparatingHyperplane and
-    VerticalAngleEnclosure exits; every other exit is a ``Termination``.
+    later one from the previous answer, both polygons' climbs inline in
+    one ``_cso_support_xy`` call, so no call scans; without it every
+    call is the brute-force scan, two ``_argmax_index`` calls. ``binary``
+    only adds the SeparatingHyperplane and VerticalAngleEnclosure exits;
+    every other exit is a ``Termination``.
     The separating test also covers the first support point, against the
     start direction d0. It makes ``iterations + 1`` support calls.
     """

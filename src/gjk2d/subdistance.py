@@ -111,18 +111,26 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     lies in the angle opposite the triangle at that vertex, so at most
     one of its edges has the foot of the perpendicular inside it; when
     neither does, both solves return the vertex itself.
+
+    The code and the degeneracy test are ``compute_barycode``'s, computed
+    inline; code 7 with a nonzero total returns before the test, which
+    it would pass anyway, and a collinear triangle is recognized without
+    raising.
     """
-    aw = a[0]
-    bw = b[0]
-    cw = c[0]
-    try:
-        code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
-    except DegenerateTriangle:
-        return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
-    if code == 7:
-        ax, ay = aw
-        bx, by = bw
-        cx, cy = cw
+    ax, ay = a[0]
+    bx, by = b[0]
+    cx, cy = c[0]
+    # compute_barycode inline: the code's three bits, and the enclosing
+    # case returned before the degeneracy test.
+    su = bx * cy - by * cx
+    sv = cx * ay - cy * ax
+    sw = ax * by - ay * bx
+    total = su + sv + sw
+    pos = total > 0.0
+    bit_u = (su > 0.0) == pos
+    bit_v = (sv > 0.0) == pos
+    bit_w = (sw > 0.0) == pos
+    if bit_u and bit_v and bit_w and total != 0.0:
         lam_u = su / total
         lam_v = sv / total
         lam_w = 1.0 - lam_u - lam_v
@@ -132,14 +140,18 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
             lam_u * ax + lam_v * bx + lam_w * cx,
             lam_u * ay + lam_v * by + lam_w * cy,
         )
-    if code == 6:
-        return s1d(a, b)
-    if code == 5:
-        return s1d(a, c)
-    if code == 3:
-        return s1d(b, c)
-    if code == 4:
-        return _nearer(s1d(a, b), s1d(a, c))
-    if code == 2:
-        return _nearer(s1d(b, a), s1d(b, c))
+    # A zero total is always degenerate here, so code 7 never reaches the
+    # dispatch below.
+    if abs(total) <= _DEGENERATE_REL * max(abs(su), abs(sv), abs(sw)):
+        return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
+    if bit_u:
+        if bit_v:
+            return s1d(a, b)  # code 6
+        if bit_w:
+            return s1d(a, c)  # code 5
+        return _nearer(s1d(a, b), s1d(a, c))  # code 4
+    if bit_v:
+        if bit_w:
+            return s1d(b, c)  # code 3
+        return _nearer(s1d(b, a), s1d(b, c))  # code 2
     return _nearer(s1d(c, a), s1d(c, b))  # code 1

@@ -6,6 +6,10 @@ hill-climbing walk along the CCW vertex ring that is warm-started from a
 previous query's result. Ties are broken deterministically: the brute
 scan keeps the first (lowest-index) maximizer, and the hill climb stops
 as soon as neither neighbor is strictly better.
+
+The query loop calls ``_cso_support_xy``, which runs both polygons'
+warm-started climbs inline in one frame; ``_climb_index`` is the same
+walk as a routine of its own, behind ``support_hill_climb``.
 """
 
 from __future__ import annotations
@@ -104,13 +108,70 @@ def _cso_support_xy(
     dy: float,
     warm: Optional[Tuple[int, int]],
 ) -> SimplexVertex:
+    """``cso_support`` on a flat direction: the query loop's support call.
+
+    The warm path is ``_climb_index`` on P along d and on Q along -d, run
+    inline in this one frame. Q's climb minimizes d.q instead of
+    maximizing (-d).q: float negation is exact, so every dot product and
+    comparison is the exact mirror of the two-call form and the indices
+    are the same.
+    """
+    pxs = p_poly.xs
+    pys = p_poly.ys
+    qxs = q_poly.xs
+    qys = q_poly.ys
     if warm is None:
-        ip = _argmax_index(p_poly.xs, p_poly.ys, dx, dy)
-        iq = _argmax_index(q_poly.xs, q_poly.ys, -dx, -dy)
+        ip = _argmax_index(pxs, pys, dx, dy)
+        iq = _argmax_index(qxs, qys, -dx, -dy)
     else:
-        ip = _climb_index(p_poly.xs, p_poly.ys, dx, dy, warm[0])
-        iq = _climb_index(q_poly.xs, q_poly.ys, -dx, -dy, warm[1])
-    w = _new(Vec2, (p_poly.xs[ip] - q_poly.xs[iq], p_poly.ys[ip] - q_poly.ys[iq]))
+        pstart, qstart = warm
+        # P: maximize d.p
+        n = len(pxs)
+        ip = pstart
+        best = pxs[ip] * dx + pys[ip] * dy
+        j = ip + 1
+        if j == n:
+            j = 0
+        d = pxs[j] * dx + pys[j] * dy
+        while d > best:
+            ip = j
+            best = d
+            j += 1
+            if j == n:
+                j = 0
+            d = pxs[j] * dx + pys[j] * dy
+        if ip == pstart:
+            j = ip - 1 if ip else n - 1
+            d = pxs[j] * dx + pys[j] * dy
+            while d > best:
+                ip = j
+                best = d
+                j = ip - 1 if ip else n - 1
+                d = pxs[j] * dx + pys[j] * dy
+        # Q: minimize d.q
+        n = len(qxs)
+        iq = qstart
+        best = qxs[iq] * dx + qys[iq] * dy
+        j = iq + 1
+        if j == n:
+            j = 0
+        d = qxs[j] * dx + qys[j] * dy
+        while d < best:
+            iq = j
+            best = d
+            j += 1
+            if j == n:
+                j = 0
+            d = qxs[j] * dx + qys[j] * dy
+        if iq == qstart:
+            j = iq - 1 if iq else n - 1
+            d = qxs[j] * dx + qys[j] * dy
+            while d < best:
+                iq = j
+                best = d
+                j = iq - 1 if iq else n - 1
+                d = qxs[j] * dx + qys[j] * dy
+    w = _new(Vec2, (pxs[ip] - qxs[iq], pys[ip] - qys[iq]))
     return _new(SimplexVertex, (w, ip, iq))
 
 

@@ -388,3 +388,46 @@ def reference_validate(vertices):
         if index is not None:
             raise NotStrictlyConvex(index)
     return xs, ys
+
+
+def reference_s2d(a, b, c):
+    """``s2d`` as it was before its region code was computed inline.
+
+    Kept verbatim: ``compute_barycode`` (which raises on a degenerate
+    triangle) and then the same dispatch. ``s2d`` is tested against it
+    for the same vertex objects and bit-identical lambdas and closest
+    point.
+    """
+    from gjk2d.subdistance import DegenerateTriangle, _nearer, compute_barycode, s1d
+
+    aw = a[0]
+    bw = b[0]
+    cw = c[0]
+    try:
+        code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
+    except DegenerateTriangle:
+        return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
+    if code == 7:
+        ax, ay = aw
+        bx, by = bw
+        cx, cy = cw
+        lam_u = su / total
+        lam_v = sv / total
+        lam_w = 1.0 - lam_u - lam_v
+        return (
+            [a, b, c],
+            [lam_u, lam_v, lam_w],
+            lam_u * ax + lam_v * bx + lam_w * cx,
+            lam_u * ay + lam_v * by + lam_w * cy,
+        )
+    if code == 6:
+        return s1d(a, b)
+    if code == 5:
+        return s1d(a, c)
+    if code == 3:
+        return s1d(b, c)
+    if code == 4:
+        return _nearer(s1d(a, b), s1d(a, c))
+    if code == 2:
+        return _nearer(s1d(b, a), s1d(b, c))
+    return _nearer(s1d(c, a), s1d(c, b))  # code 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -141,8 +142,12 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         assert capsys.readouterr().out == (
             "distant: 3/3 pass, worst abs distance error 0.000e+00\n"
+            "distant exits: distance Converged=3; intersects SeparatingHyperplane=3\n"
             "touching: 3/3 pass, worst abs distance error 2.082e-16\n"
+            "touching exits: distance ContainsOrigin=3; "
+            "intersects VerticalAngleEnclosure=1 SubdistanceEnclosure=2\n"
             "overlap: 3/3 pass, worst abs distance error 0.000e+00\n"
+            "overlap exits: distance ContainsOrigin=3; intersects VerticalAngleEnclosure=3\n"
             "note: 2 knife-edge touching case(s) with binary/oracle disagreement "
             "(reported, not asserted)\n"
             "all checks passed\n"
@@ -287,6 +292,32 @@ class TestCheck:
             f"note: MaxIterations reached by {n_distance} distance and "
             f"{n_intersects} intersects queries"
         ) in out
+
+    def test_exit_counts_per_regime(self, tmp_path, capsys):
+        path = tmp_path / "mixed.jsonl"
+        assert main(["gen", "--vertices", "6", "--cases", "20", "--seed", "3", str(path)]) == 0
+        capsys.readouterr()
+        _, cases = read_dataset(path)
+        counts = {r: (Counter(), Counter()) for r in Regime}
+        for c in cases:
+            counts[c.regime][0][distance(c.p, c.q).termination] += 1
+            counts[c.regime][1][intersects(c.p, c.q).exit] += 1
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        for regime, (terminations, exits) in counts.items():
+            # nonzero counts only, in declaration order
+            d = " ".join(f"{m.value}={terminations[m]}" for m in Termination if terminations[m])
+            i = " ".join(f"{m.value}={exits[m]}" for m in CollisionExit if exits[m])
+            assert f"{regime.value} exits: distance {d}; intersects {i}\n" in out
+        assert len(set().union(*(e for _, e in counts.values()))) >= 3
+
+    def test_exit_counts_of_an_empty_regime_read_none(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        write_dataset(path, DatasetSpec(4, 1, 0), [])
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        for regime in Regime:
+            assert f"{regime.value} exits: distance none; intersects none\n" in out
 
     @pytest.mark.parametrize("command", ["check", "bench"])
     @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import math
 import random
-from collections import Counter
 from enum import Enum
 
 import pytest
@@ -284,35 +283,31 @@ class TestIntersects:
 
 class TestSupportVariants:
     # The paper's two variants: warm-started hill-climbing support that
-    # never scans (its first call climbs from vertex 0), and the scan.
+    # never scans (its first call climbs from vertex 0, inline in
+    # _cso_support_xy), and the scan, one _argmax_index per polygon.
     @pytest.mark.parametrize(
-        "kwargs,used,unused",
-        [
-            ({}, "_climb_index", "_argmax_index"),
-            ({"use_hill_climbing": False}, "_argmax_index", "_climb_index"),
-        ],
+        "kwargs,scans_per_call",
+        [({}, 0), ({"use_hill_climbing": False}, 2)],
         ids=["default-climbs", "brute-scans"],
     )
-    def test_each_variant_uses_only_its_support(self, monkeypatch, kwargs, used, unused):
-        calls = Counter()
+    def test_each_variant_uses_only_its_support(self, monkeypatch, kwargs, scans_per_call):
+        scans = 0
+        argmax = gjk2d.support._argmax_index
 
-        def counting(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counting(*args):
+            nonlocal scans
+            scans += 1
+            return argmax(*args)
 
-            return wrapper
-
-        for name in (used, unused):
-            monkeypatch.setattr(gjk2d.support, name, counting(name, getattr(gjk2d.support, name)))
+        monkeypatch.setattr(gjk2d.support, "_argmax_index", counting)
         rng = random.Random(37)
         pairs = [random_pair(rng, span=1.5) for _ in range(200)]
         pairs += [(UNIT_SQUARE, UNIT_SQUARE), (UNIT_SQUARE, FAR_SQUARE)]
+        support_calls = 0
         for p, q in pairs:
-            distance(p, q, **kwargs)
-            intersects(p, q, **kwargs)
-        assert calls[unused] == 0
-        assert calls[used] > 0
+            support_calls += distance(p, q, **kwargs).support_calls
+            support_calls += intersects(p, q, **kwargs).support_calls
+        assert scans == scans_per_call * support_calls
 
 
 def regular_polygon(n, center, phase=0.0):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -25,6 +26,7 @@ from oracle_utils import (
     exact_triangle_distance_sq,
     origin_inside_triangle,
     point_segment_distance,
+    reference_s2d,
     triangle_distance_to_origin,
 )
 
@@ -257,6 +259,42 @@ class TestS2d:
             h.update(repr(answer).encode())
         assert set(codes) == {1, 2, 3, 4, 5, 6, 7, "degenerate"}
         assert h.hexdigest() == "83dbd1fd76cf31f4fca22a83c2450a185cf2c5c3edf8b450dbc5eb770d73087a"
+
+    def test_matches_reference_bit_for_bit(self):
+        # the dispatch through compute_barycode that s2d inlines
+        tris = list(pinned_triangles())
+        # zero totals and collinear triples, code 7 included
+        tris += [
+            [(0, 0), (0, 0), (0, 0)],
+            [(-1, -1), (1, 1), (3, 3)],
+            [(2, -1), (-4, 2), (6, -3)],
+            [(0, 1), (1, 1), (2, 1)],
+            [(1, 0), (1, 0), (2, 5)],
+        ]
+        # power-of-two scales, where code 7 must not read as degenerate
+        for k in (-500, -250, -30, 30, 250, 500):
+            for tri in (((1, 0), (-1, 1), (-1, -1)), ((-1, -1), (3, -1), (-1, 3)),
+                        ((1, 1), (1, -1), (3, 0)), ((0, 2), (-4, 2.1), (4, 2.1))):
+                tris.append([(x * 2.0**k, y * 2.0**k) for x, y in tri])
+        # every placement of -0.0 over the zero coordinates
+        for base in (((1, 0), (-1, 1), (-1, -1)), ((0, 1), (2, 0), (2, 1)),
+                     ((0, 0), (1, 0), (0, 1)), ((0, 1), (0, 2), (0, 3))):
+            flat = [float(v) for point in base for v in point]
+            zeros = [i for i, v in enumerate(flat) if v == 0.0]
+            for signs in itertools.product((0.0, -0.0), repeat=len(zeros)):
+                for i, z in zip(zeros, signs):
+                    flat[i] = z
+                tris.append([(flat[0], flat[1]), (flat[2], flat[3]), (flat[4], flat[5])])
+        for tri in tris:
+            a, b, c = (
+                SimplexVertex(Vec2(float(x), float(y)), i, i) for i, (x, y) in enumerate(tri)
+            )
+            verts, lambdas, vx, vy = s2d(a, b, c)
+            ref_verts, ref_lambdas, ref_vx, ref_vy = reference_s2d(a, b, c)
+            assert len(verts) == len(ref_verts)
+            assert all(v is r for v, r in zip(verts, ref_verts))
+            assert [l.hex() for l in lambdas] == [l.hex() for l in ref_lambdas]
+            assert (vx.hex(), vy.hex()) == (ref_vx.hex(), ref_vy.hex())
 
     def test_matches_triangle_oracle_bulk(self):
         rng = random.Random(12)

@@ -4,8 +4,10 @@ import random
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import ConvexPolygon, Vec2
 from gjk2d.support import (
+    SimplexVertex,
     _argmax_index,
     _climb_index,
+    _cso_support_xy,
     cso_support,
     initial_direction,
     support_brute,
@@ -122,8 +124,8 @@ def edge_normals(poly):
 
 
 class TestClimbIndex:
-    # _climb_index is the only climb routine: support_hill_climb and the
-    # warm-started cso_support both call it.
+    # _climb_index backs support_hill_climb, and is the reference for the
+    # two climbs that the warm path of _cso_support_xy runs inline.
 
     def test_every_start_reaches_the_brute_value(self):
         rng = random.Random(12)
@@ -205,6 +207,68 @@ class TestCsoSupport:
             fwd2 = cso_support(a, b, d, warm=(fwd.ip, fwd.iq))
             rev2 = cso_support(b, a, Vec2(-d.x, -d.y), warm=(fwd.iq, fwd.ip))
             assert fwd2.w == Vec2(-rev2.w.x, -rev2.w.y)
+
+
+def two_climbs(p, q, dx, dy, warm):
+    """The warm support as two ``_climb_index`` calls: P along d, Q along -d."""
+    ip = _climb_index(p.xs, p.ys, dx, dy, warm[0])
+    iq = _climb_index(q.xs, q.ys, -dx, -dy, warm[1])
+    return (Vec2(p.xs[ip] - q.xs[iq], p.ys[ip] - q.ys[iq]), ip, iq)
+
+
+def assert_fused_matches(p, q, dx, dy, warm):
+    res = _cso_support_xy(p, q, dx, dy, warm)
+    assert type(res) is SimplexVertex and type(res.w) is Vec2
+    assert res == two_climbs(p, q, dx, dy, warm)
+    return res
+
+
+class TestFusedWarmSupport:
+    # _cso_support_xy climbs P and Q in one frame; Q's climb minimizes d.q,
+    # the exact mirror of maximizing (-d).q.
+
+    def test_random_pairs_match_two_climbs(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            p = random_convex_polygon(rng.randint(4, 64), rng)
+            q = random_convex_polygon(rng.randint(4, 64), rng)
+            for _ in range(5):
+                dx, dy = rng.uniform(-2, 2), rng.uniform(-2, 2)
+                warm = (rng.randrange(len(p)), rng.randrange(len(q)))
+                assert_fused_matches(p, q, dx, dy, warm)
+
+    def test_every_start_pair_on_small_polygons(self):
+        rng = random.Random(42)
+        for _ in range(40):
+            p = random_convex_polygon(rng.randint(3, 8), rng)
+            q = random_convex_polygon(rng.randint(3, 8), rng)
+            dx, dy = rng.uniform(-2, 2), rng.uniform(-2, 2)
+            for i in range(len(p)):
+                for j in range(len(q)):
+                    assert_fused_matches(p, q, dx, dy, (i, j))
+
+    def test_axis_directions_on_squares_stop_on_the_same_tied_vertex(self):
+        other = ConvexPolygon([(2, -1), (4, -1), (4, 1), (2, 1)])
+        moved = set()
+        for p, q in ((UNIT_SQUARE, UNIT_SQUARE), (UNIT_SQUARE, other), (other, UNIT_SQUARE)):
+            for dx, dy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-0.0, 2.0)):
+                for i in range(4):
+                    for j in range(4):
+                        res = assert_fused_matches(p, q, dx, dy, (i, j))
+                        moved.add((res.ip != i, res.iq != j))
+        # every side of a square ties two vertices; some climbs stay, some move
+        assert moved == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_zero_or_nan_direction_returns_the_warm_pair(self):
+        nan = float("nan")
+        rng = random.Random(43)
+        p = random_convex_polygon(7, rng)
+        q = random_convex_polygon(5, rng)
+        for dx, dy in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (nan, nan), (nan, 1.0), (1.0, nan)):
+            for i in range(len(p)):
+                for j in range(len(q)):
+                    res = assert_fused_matches(p, q, dx, dy, (i, j))
+                    assert (res.ip, res.iq) == (i, j)
 
 
 class TestInitialDirection:
