@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .geometry import ConvexPolygon, Vec2
 from .subdistance import s1d, s2d
@@ -102,13 +102,7 @@ def witness_points(
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
-def _gjk(
-    p_poly: ConvexPolygon,
-    q_poly: ConvexPolygon,
-    hcs: bool,
-    binary: bool,
-    norm_trace: Optional[List[float]],
-) -> tuple:
+def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) -> tuple:
     """The loop behind ``distance`` and ``intersects``.
 
     Returns ``(exit, iterations, verts, lambdas, vx, vy, tol_sq)``: the
@@ -126,7 +120,7 @@ def _gjk(
     start direction d0. It makes ``iterations + 1`` support calls.
     """
     # Layers and constants are looked up per call, not bound at import, so
-    # they can be rebound.
+    # they can be rebound; wrapping the layers is how a query is traced.
     eps = _EPSILON
     eps_sq = eps * eps
     support = _cso_support_xy
@@ -144,8 +138,6 @@ def _gjk(
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
         return _EXIT_SEPARATING, 0, verts, lambdas, vx, vy, tol_sq
     warm = (ip, iq) if hcs else None
-    if norm_trace is not None:
-        norm_trace.append(math.sqrt(v_sq))
 
     k = 0
     while k < _MAX_ITERATIONS:
@@ -180,8 +172,6 @@ def _gjk(
         else:
             verts, lambdas, vx, vy = solve_triangle(w, verts[0], verts[1])
         v_sq = vx * vx + vy * vy
-        if norm_trace is not None:
-            norm_trace.append(math.sqrt(v_sq))
         if v_sq <= tol_sq:
             exit = _TERM_CONTAINS_ORIGIN
             vx = vy = 0.0
@@ -199,7 +189,6 @@ def distance(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
     use_hill_climbing: bool = True,
-    norm_trace: Optional[List[float]] = None,
 ) -> DistanceResult:
     """Minimum distance between two convex polygons with witness points.
 
@@ -215,12 +204,9 @@ def distance(
     every length in the result exactly, barring underflow and overflow.
     ``support_calls`` counts Minkowski-difference support evaluations;
     ``use_hill_climbing`` picks warm-started hill-climbing support over the
-    brute-force scan (same support values), and ``norm_trace``, when
-    given, receives the closest-point norm after every solve.
+    brute-force scan (same support values).
     """
-    termination, k, verts, lambdas, vx, vy, _ = _gjk(
-        p_poly, q_poly, use_hill_climbing, False, norm_trace
-    )
+    termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)
     dist = math.sqrt(vx * vx + vy * vy)
     return _new(
@@ -241,7 +227,7 @@ def intersects(
     never performs more support evaluations than ``distance`` on the same
     input and ``use_hill_climbing`` setting.
     """
-    exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True, None)
+    exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:
         colliding = False
     elif exit is _EXIT_VERTICAL_ANGLE:

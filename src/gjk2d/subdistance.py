@@ -104,13 +104,13 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     7 keeps the full simplex with the origin's barycentric coordinates
     (the closest point is then the origin itself); 6/5/3 solve the edge
     that drops c/b/a; 4/2/1 solve the two edges at a/b/c and keep the
-    nearer; a collinear triangle keeps the nearest of its three edges.
-    A tie keeps the edge named first: (a, b) before (a, c) at a, (b, a)
-    before (b, c) at b, (c, a) before (c, b) at c, and (a, b), (b, c),
-    (c, a) in that order when collinear. In a vertex region the origin
-    lies in the angle opposite the triangle at that vertex, so at most
-    one of its edges has the foot of the perpendicular inside it; when
-    neither does, both solves return the vertex itself.
+    nearer; a collinear triangle keeps the nearest of its three edges,
+    the first of (a, b), (b, c), (c, a) on a tie. In a vertex region the
+    origin lies in the angle opposite the triangle at that vertex, so at
+    most one of the vertex's two edges has the foot of the perpendicular
+    inside it (inside both would need the cosine of the angle at the
+    vertex to exceed 1). One solve is thus the vertex itself and the
+    other the vertex or that edge's foot, in either order.
 
     The code and the degeneracy test are ``compute_barycode``'s, computed
     inline; code 7 with a nonzero total returns before the test, which

@@ -4,16 +4,22 @@ The full six-count dataset grid and the per-case evaluation sweep are
 expensive, so they are built once per session and reused by every
 criterion that needs them. ``sweep_triangles`` rebuilds criterion 3's
 triangle set, which the exact oracle check samples too.
+``recorded_layers`` traces a query through the layers ``gjk2d.gjk``
+looks up at call time, and ``descent_trace`` reads the query's |v|
+after each step from that record.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
+import gjk2d.gjk
 from gjk2d.baseline import oracle_distance
 from gjk2d.datasets import DatasetSpec, PairCase, generate_dataset
 from gjk2d.gjk import CollisionResult, DistanceResult, distance, intersects
@@ -32,6 +38,56 @@ def sweep_triangles():
         [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
         for _ in range(TRIANGLE_SWEEP_SIZE)
     ]
+
+
+# The layers the query loop calls through ``gjk2d.gjk`` module globals.
+LOOP_LAYERS = ("_cso_support_xy", "initial_direction", "s1d", "s2d")
+
+
+@contextmanager
+def recorded_layers() -> Iterator[List[Tuple[str, tuple, object]]]:
+    """Rebind the loop's layers on ``gjk2d.gjk`` to record every call.
+
+    Yields a list that receives ``(name, args, result)`` for each call, in
+    call order; the original layers are back on exit.
+    """
+    calls: List[Tuple[str, tuple, object]] = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls.append((name, args, out))
+            return out
+
+        return wrapper
+
+    originals = {name: getattr(gjk2d.gjk, name) for name in LOOP_LAYERS}
+    for name, fn in originals.items():
+        setattr(gjk2d.gjk, name, recording(name, fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in originals.items():
+            setattr(gjk2d.gjk, name, fn)
+
+
+def descent_trace(calls) -> List[float]:
+    """|v| after each step of one recorded ``distance`` query.
+
+    The first entry is |w| of the query's first support point, the loop's
+    first v; then one entry per ``s1d`` or ``s2d`` solve, computed as the
+    loop squares its v, so every entry is bit for bit the loop's |v|.
+    """
+    trace = []
+    for name, _, out in calls:
+        if name == "s1d" or name == "s2d":
+            _, _, vx, vy = out
+        elif name == "_cso_support_xy" and not trace:
+            vx, vy = out[0]
+        else:
+            continue
+        trace.append(math.sqrt(vx * vx + vy * vy))
+    return trace
 
 
 @dataclass
@@ -62,8 +118,8 @@ def case_evaluations(full_datasets) -> Dict[int, List[CaseEval]]:
         rows = []
         for case in cases:
             report = oracle_distance(case.p, case.q)
-            trace: List[float] = []
-            dist = distance(case.p, case.q, norm_trace=trace)
+            with recorded_layers() as calls:
+                dist = distance(case.p, case.q)
             coll = intersects(case.p, case.q)
             rows.append(
                 CaseEval(
@@ -72,7 +128,7 @@ def case_evaluations(full_datasets) -> Dict[int, List[CaseEval]]:
                     sat=report.distance == 0.0,
                     dist=dist,
                     coll=coll,
-                    trace=trace,
+                    trace=descent_trace(calls),
                 )
             )
         evaluations[n] = rows

@@ -222,8 +222,9 @@ def test_criterion_6_binary_never_out_supports_distance(case_evaluations):
 
 def test_criterion_7_descent_property(case_evaluations):
     violations = []
-    steps = 0
+    steps = queries = 0
     for n, rows in case_evaluations.items():
+        queries += len(rows)
         for row in rows:
             for earlier, later in zip(row.trace, row.trace[1:]):
                 steps += 1
@@ -232,7 +233,8 @@ def test_criterion_7_descent_property(case_evaluations):
     _report(
         "criterion 7: descent property",
         not violations and steps > 0,
-        f"{steps} iteration steps checked, violations {violations[:5]}",
+        f"{steps} iteration steps checked over {queries} traced queries, "
+        f"{len(violations)} violations {violations[:5]}",
     )
 
 

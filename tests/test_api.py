@@ -28,6 +28,8 @@ from gjk2d.geometry import Vec2, apply_transform
 from gjk2d.gjk import CollisionResult, DistanceResult
 from gjk2d.support import SimplexVertex
 
+from conftest import LOOP_LAYERS, recorded_layers
+
 BENCHMARK_NAMES = (
     "cso_support",
     "support_brute",
@@ -56,7 +58,6 @@ ROOT_NAMES = set(BENCHMARK_NAMES) | {
     "DistanceResult",
     "CollisionResult",
 }
-LOOP_LAYERS = ("_cso_support_xy", "initial_direction", "s1d", "s2d")
 PIPELINE_PATCH_POINTS = {
     gjk2d.cli: (
         "generate_dataset",
@@ -156,20 +157,11 @@ def test_gen_and_check_make_every_timed_pipeline_call(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("query", [gjk2d.distance, gjk2d.intersects])
-def test_query_loop_calls_layers_through_module_globals(monkeypatch, query):
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    for name in LOOP_LAYERS:
-        monkeypatch.setattr(gjk2d.gjk, name, counting(name, getattr(gjk2d.gjk, name)))
-    for p, q in random_pairs(71, 200):
-        query(p, q)
+def test_query_loop_calls_layers_through_module_globals(query):
+    with recorded_layers() as recorded:
+        for p, q in random_pairs(71, 200):
+            query(p, q)
+    calls = Counter(name for name, _, _ in recorded)
     assert all(calls[name] > 0 for name in LOOP_LAYERS), calls
 
 
@@ -179,26 +171,19 @@ def assert_shape(value, cls):
     assert type(value) is cls and len(value) == len(cls._fields), (cls.__name__, value)
 
 
-def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
+def test_loop_tuples_keep_their_class_and_arity():
+    with recorded_layers() as recorded:
+        for p, q in random_pairs(72, 300):
+            for hill_climbing in (True, False):
+                res = gjk2d.distance(p, q, use_hill_climbing=hill_climbing)
+                assert_shape(res, DistanceResult)
+                for point in (res.witness_p, res.witness_q, res.separating_vector):
+                    assert_shape(point, Vec2)
+                coll = gjk2d.intersects(p, q, use_hill_climbing=hill_climbing)
+                assert_shape(coll, CollisionResult)
     seen = {name: [] for name in LOOP_LAYERS}
-
-    def recording(name, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            seen[name].append((args, out))
-            return out
-
-        return wrapper
-
-    for name in LOOP_LAYERS:
-        monkeypatch.setattr(gjk2d.gjk, name, recording(name, getattr(gjk2d.gjk, name)))
-    for p, q in random_pairs(72, 300):
-        for hill_climbing in (True, False):
-            res = gjk2d.distance(p, q, use_hill_climbing=hill_climbing)
-            assert_shape(res, DistanceResult)
-            for point in (res.witness_p, res.witness_q, res.separating_vector):
-                assert_shape(point, Vec2)
-            assert_shape(gjk2d.intersects(p, q, use_hill_climbing=hill_climbing), CollisionResult)
+    for name, args, out in recorded:
+        seen[name].append((args, out))
     # every return of the subdistance layers, on triangles the loop rarely builds
     rng = random.Random(73)
     for _ in range(300):

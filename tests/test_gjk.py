@@ -37,6 +37,7 @@ from gjk2d.gjk import (
 )
 from gjk2d.support import SimplexVertex
 
+from conftest import descent_trace, recorded_layers
 from oracle_utils import exact_sat_intersects, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -60,8 +61,12 @@ class TestQueryConstants:
     def test_defaults(self):
         assert gjk2d.gjk._EPSILON == 1e-10
         assert gjk2d.gjk._MAX_ITERATIONS == 64
+        # the queries take no option but the paper's two variants; a trace
+        # is read by rebinding the loop's layers (conftest.recorded_layers)
         for query in (distance, intersects):
-            assert inspect.signature(query).parameters["use_hill_climbing"].default is True
+            params = inspect.signature(query).parameters
+            assert list(params) == ["p_poly", "q_poly", "use_hill_climbing"]
+            assert params["use_hill_climbing"].default is True
 
 
 class TestDistance:
@@ -99,8 +104,9 @@ class TestDistance:
         rng = random.Random(32)
         for _ in range(500):
             p, q = random_pair(rng)
-            trace = []
-            distance(p, q, norm_trace=trace)
+            with recorded_layers() as calls:
+                distance(p, q)
+            trace = descent_trace(calls)
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier + 1e-12
 

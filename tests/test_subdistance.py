@@ -9,6 +9,7 @@ import pytest
 
 from gjk2d.geometry import Vec2
 from gjk2d.subdistance import (
+    _DEGENERATE_REL,
     DegenerateTriangle,
     compute_barycode,
     s1d,
@@ -67,6 +68,25 @@ def pinned_triangles():
         px, py = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
         dx, dy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
         yield [(px + t * dx, py + t * dy) for t in (rng.uniform(-5.0, 5.0) for _ in range(3))]
+
+
+def thin_triangles(rng, count):
+    """Triangles whose doubled area is 1-4 times ``_DEGENERATE_REL`` of their largest sub-area.
+
+    The third vertex sits on the line through the first two, then moves
+    off it by the height that gives that area; the order is shuffled.
+    """
+    for _ in range(count):
+        ax, ay, bx, by = (rng.uniform(-10.0, 10.0) for _ in range(4))
+        ex, ey = bx - ax, by - ay
+        length = math.hypot(ex, ey)
+        t = rng.uniform(-2.0, 3.0)
+        cx, cy = ax + t * ex, ay + t * ey
+        largest = max(abs(bx * cy - by * cx), abs(cx * ay - cy * ax), abs(ax * by - ay * bx))
+        h = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 4.0) * _DEGENERATE_REL * largest / length
+        tri = [(ax, ay), (bx, by), (cx - h * ey / length, cy + h * ex / length)]
+        rng.shuffle(tri)
+        yield tri
 
 
 class TestS1d:
@@ -229,6 +249,38 @@ class TestS2d:
         verts, _, vx, vy = s2d(a, b, c)
         assert (vx, vy) == (0.0, 2.0)
         assert len(verts) == 1
+
+    def test_vertex_region_keeps_at_most_one_edge(self):
+        # In the angle opposite a vertex, the foot of the perpendicular falls
+        # inside at most one of that vertex's edges: inside both would need
+        # the cosine of the angle at the vertex to exceed 1. So at most one
+        # of the two solves s2d compares there keeps two vertices.
+        edges_at = {4: (0, 1, 2), 2: (1, 0, 2), 1: (2, 0, 1)}
+        rng = random.Random(2025)
+        families = {"pinned": pinned_triangles(), "thin": thin_triangles(rng, 10_000)}
+        for scale in (1e-6, 1.0, 1e6):
+            families[scale] = [
+                [(rng.uniform(-10.0, 10.0) * scale, rng.uniform(-10.0, 10.0) * scale)
+                 for _ in range(3)]
+                for _ in range(20_000)
+            ]
+        both = []
+        for family, tris in families.items():
+            codes = Counter()
+            for tri in tris:
+                tau = [sv(float(x), float(y)) for x, y in tri]
+                try:
+                    code = compute_barycode(*(v.w for v in tau))[0]
+                except DegenerateTriangle:
+                    continue
+                if code not in edges_at:
+                    continue
+                codes[code] += 1
+                i, j, k = edges_at[code]
+                if len(s1d(tau[i], tau[j])[0]) == 2 and len(s1d(tau[i], tau[k])[0]) == 2:
+                    both.append((family, tri))
+            assert min(codes[code] for code in edges_at) >= 200, (family, codes)
+        assert both == []
 
     def test_edge_region(self):
         assert triangle_distance_to_origin((1, 1), (1, -1), (3, 0)) == pytest.approx(1.0)
