@@ -88,13 +88,14 @@ def witness_points(
 ) -> Tuple[Vec2, Vec2]:
     """Witness pair (sum lambda_i * P[ip_i], sum lambda_i * Q[iq_i]) of a solved simplex.
 
-    The simplex vertices carry only indices, so the witnesses are rebuilt
-    from the polygons' coordinates here, once per query.
+    Each flat ``(wx, wy, ip, iq)`` simplex vertex keeps only the indices
+    of its polygon vertices, so the witnesses are rebuilt from the
+    polygons' coordinates here, once per query.
     """
     pxs, pys = p_poly.xs, p_poly.ys
     qxs, qys = q_poly.xs, q_poly.ys
     px = py = qx = qy = 0.0
-    for (_, ip, iq), lam in zip(verts, lambdas):
+    for (_, _, ip, iq), lam in zip(verts, lambdas):
         px += lam * pxs[ip]
         py += lam * pys[ip]
         qx += lam * qxs[iq]
@@ -129,7 +130,7 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
 
     d0x, d0y = initial_direction(p_poly, q_poly)
     first = support(p_poly, q_poly, -d0x, -d0y, (0, 0) if hcs else None)
-    (vx, vy), ip, iq = first
+    vx, vy, ip, iq = first
     verts = [first]
     lambdas = [1.0]
     v_sq = vx * vx + vy * vy
@@ -143,7 +144,7 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     while k < _MAX_ITERATIONS:
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, warm)
-        (wx, wy), ip, iq = w
+        wx, wy, ip, iq = w
         if hcs:
             warm = (ip, iq)
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
@@ -157,8 +158,8 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                 exit = _EXIT_SEPARATING
                 break
             if len(verts) == 2:
-                ax, ay = verts[0][0]
-                bx, by = verts[1][0]
+                ax, ay, _, _ = verts[0]
+                bx, by, _, _ = verts[1]
                 if (ax * wy - ay * wx) * (bx * wy - by * wx) <= 0.0:
                     # w lies in the vertical angle opposite cone(a, b), so
                     # triangle (a, b, w) encloses the origin.

@@ -20,7 +20,8 @@ from .support import SimplexVertex
 # Relative degeneracy threshold on the triangle's doubled signed area.
 _DEGENERATE_REL = 1e-12
 
-# What every solver returns: the supporting sub-simplex, its barycentric
+# What every solver returns: the supporting sub-simplex (flat
+# ``(wx, wy, ip, iq)`` vertices, passed through as given), its barycentric
 # coordinates, and the closest point (vx, vy).
 Solve = Tuple[List[SimplexVertex], List[float], float, float]
 
@@ -32,6 +33,9 @@ class DegenerateTriangle(ArithmeticError):
 def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
     """Closest point to the origin on segment [a.w, b.w].
 
+    ``a`` and ``b`` are flat ``SimplexVertex`` records, read as
+    ``(wx, wy, _, _)``; the answer's sub-simplex holds them as given.
+
     The two vertex regions are identified by the orthogonality tests
     dot(A, B-A) >= 0 (answer A) and dot(B, B-A) <= 0 (answer B); otherwise
     the foot of the perpendicular lies inside the segment and the same
@@ -39,8 +43,8 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
     coincident endpoints give dot(A, B-A) = 0, so the answer is {a}; any
     other segment is solved as it is, however short.
     """
-    ax, ay = a[0]
-    bx, by = b[0]
+    ax, ay, _, _ = a
+    bx, by, _, _ = b
     ux = bx - ax
     uy = by - ay
     oa_ab = ax * ux + ay * uy
@@ -100,6 +104,9 @@ def _nearer(r1: Solve, r2: Solve) -> Solve:
 def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     """Closest point to the origin on triangle (a.w, b.w, c.w).
 
+    The vertices are flat ``SimplexVertex`` records, read as
+    ``(wx, wy, _, _)``; the answer's sub-simplex holds them as given.
+
     Dispatches on the region code, with one rule for every edge answer:
     7 keeps the full simplex with the origin's barycentric coordinates
     (the closest point is then the origin itself); 6/5/3 solve the edge
@@ -117,9 +124,9 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     it would pass anyway, and a collinear triangle is recognized without
     raising.
     """
-    ax, ay = a[0]
-    bx, by = b[0]
-    cx, cy = c[0]
+    ax, ay, _, _ = a
+    bx, by, _, _ = b
+    cx, cy, _, _ = c
     # compute_barycode inline: the code's three bits, and the enclosing
     # case returned before the degeneracy test.
     su = bx * cy - by * cx

@@ -28,15 +28,23 @@ class SupportResult(NamedTuple):
 
 
 class SimplexVertex(NamedTuple):
-    """One Minkowski-difference point w = P[ip] - Q[iq] with its vertex indices.
+    """One Minkowski-difference point w = P[ip] - Q[iq], flat: ``(wx, wy, ip, iq)``.
 
-    The indices name the originating vertices; ``witness_points`` reads
-    them back from the polygons once, when the query ends.
+    The query loop, ``s1d``, ``s2d`` and ``witness_points`` unpack the four
+    fields directly. The indices name the originating vertices;
+    ``witness_points`` reads them back from the polygons once, when the
+    query ends. ``w`` builds the point as a ``Vec2`` for readers off the
+    hot path.
     """
 
-    w: Vec2
+    wx: float
+    wy: float
     ip: int
     iq: int
+
+    @property
+    def w(self) -> Vec2:
+        return Vec2(self.wx, self.wy)
 
 
 def _argmax_index(xs, ys, dx: float, dy: float) -> int:
@@ -110,6 +118,9 @@ def _cso_support_xy(
 ) -> SimplexVertex:
     """``cso_support`` on a flat direction: the query loop's support call.
 
+    Returns the flat ``SimplexVertex`` ``(wx, wy, ip, iq)``; no ``Vec2``
+    is built.
+
     The warm path is ``_climb_index`` on P along d and on Q along -d, run
     inline in this one frame. Q's climb minimizes d.q instead of
     maximizing (-d).q: float negation is exact, so every dot product and
@@ -171,8 +182,7 @@ def _cso_support_xy(
                 best = d
                 j = iq - 1 if iq else n - 1
                 d = qxs[j] * dx + qys[j] * dy
-    w = _new(Vec2, (pxs[ip] - qxs[iq], pys[ip] - qys[iq]))
-    return _new(SimplexVertex, (w, ip, iq))
+    return _new(SimplexVertex, (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq))
 
 
 def cso_support(
@@ -183,9 +193,10 @@ def cso_support(
 ) -> SimplexVertex:
     """Support of the Minkowski difference P - Q in ``direction``.
 
-    Returns the point w = P[ip] - Q[iq] with the indices of the P and Q
-    vertices it is the difference of; vertex ``i`` of a polygon is
-    ``(poly.xs[i], poly.ys[i])``.
+    Returns the point w = P[ip] - Q[iq] as the flat ``SimplexVertex``
+    ``(wx, wy, ip, iq)``, with the indices of the P and Q vertices it is
+    the difference of; vertex ``i`` of a polygon is
+    ``(poly.xs[i], poly.ys[i])``, and ``.w`` gives the point as a ``Vec2``.
 
     ``warm`` is the (index in P, index in Q) pair to start from: a previous
     call's answer, or ``(0, 0)`` for a cold start. When present both

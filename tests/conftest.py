@@ -6,7 +6,8 @@ criterion that needs them. ``sweep_triangles`` rebuilds criterion 3's
 triangle set, which the exact oracle check samples too.
 ``recorded_layers`` traces a query through the layers ``gjk2d.gjk``
 looks up at call time, and ``descent_trace`` reads the query's |v|
-after each step from that record.
+after each step from that record. ``vertex`` builds a simplex vertex,
+so the tests name its layout in one place.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import gjk2d.gjk
 from gjk2d.baseline import oracle_distance
 from gjk2d.datasets import DatasetSpec, PairCase, generate_dataset
 from gjk2d.gjk import CollisionResult, DistanceResult, distance, intersects
+from gjk2d.support import SimplexVertex
 
 VERTEX_COUNTS = (4, 8, 12, 16, 20, 24)
 CASES_PER_REGIME = 1000
@@ -38,6 +40,11 @@ def sweep_triangles():
         [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3)]
         for _ in range(TRIANGLE_SWEEP_SIZE)
     ]
+
+
+def vertex(x, y, ip=0, iq=0) -> SimplexVertex:
+    """Simplex vertex at w = (x, y), from polygon vertices ``ip`` and ``iq``."""
+    return SimplexVertex(x, y, ip, iq)
 
 
 # The layers the query loop calls through ``gjk2d.gjk`` module globals.
@@ -83,7 +90,7 @@ def descent_trace(calls) -> List[float]:
         if name == "s1d" or name == "s2d":
             _, _, vx, vy = out
         elif name == "_cso_support_xy" and not trace:
-            vx, vy = out[0]
+            vx, vy = out[0], out[1]
         else:
             continue
         trace.append(math.sqrt(vx * vx + vy * vy))

@@ -393,16 +393,16 @@ def reference_validate(vertices):
 def reference_s2d(a, b, c):
     """``s2d`` as it was before its region code was computed inline.
 
-    Kept verbatim: ``compute_barycode`` (which raises on a degenerate
-    triangle) and then the same dispatch. ``s2d`` is tested against it
-    for the same vertex objects and bit-identical lambdas and closest
-    point.
+    Kept as it was, apart from reading the points through ``.w``:
+    ``compute_barycode`` (which raises on a degenerate triangle) and then
+    the same dispatch. ``s2d`` is tested against it for the same vertex
+    objects and bit-identical lambdas and closest point.
     """
     from gjk2d.subdistance import DegenerateTriangle, _nearer, compute_barycode, s1d
 
-    aw = a[0]
-    bw = b[0]
-    cw = c[0]
+    aw = a.w
+    bw = b.w
+    cw = c.w
     try:
         code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
     except DegenerateTriangle:

@@ -18,12 +18,10 @@ from gjk2d.datasets import (
     derive_case_seed,
     make_pair,
 )
-from gjk2d.geometry import Vec2
 from gjk2d.gjk import CollisionExit
 from gjk2d.subdistance import DegenerateTriangle, compute_barycode, s2d
-from gjk2d.support import SimplexVertex
 
-from conftest import CASES_PER_REGIME, VERTEX_COUNTS, sweep_triangles
+from conftest import CASES_PER_REGIME, VERTEX_COUNTS, sweep_triangles, vertex
 from oracle_utils import (
     cso_origin_clearance,
     origin_inside_triangle,
@@ -90,9 +88,9 @@ def test_criterion_3_triangle_subdistance_matches_dense_oracle():
     code_failures = 0
     degenerate = 0
     for tri, want in zip(tris, expected):
-        a = SimplexVertex(Vec2(*tri[0]), 0, 0)
-        b = SimplexVertex(Vec2(*tri[1]), 0, 0)
-        c = SimplexVertex(Vec2(*tri[2]), 0, 0)
+        a = vertex(*tri[0])
+        b = vertex(*tri[1])
+        c = vertex(*tri[2])
         got = math.hypot(*s2d(a, b, c)[2:])
         err = abs(got - want)
         worst = max(worst, err)

@@ -28,7 +28,7 @@ from gjk2d.geometry import Vec2, apply_transform
 from gjk2d.gjk import CollisionResult, DistanceResult
 from gjk2d.support import SimplexVertex
 
-from conftest import LOOP_LAYERS, recorded_layers
+from conftest import LOOP_LAYERS, recorded_layers, vertex
 
 BENCHMARK_NAMES = (
     "cso_support",
@@ -188,15 +188,18 @@ def test_loop_tuples_keep_their_class_and_arity():
     rng = random.Random(73)
     for _ in range(300):
         tau = [
-            SimplexVertex(Vec2(x, y), 0, 0)
+            vertex(x, y)
             for x, y in ((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
         ]
         seen["s1d"].append((tau[:2], gjk2d.subdistance.s1d(*tau[:2])))
         seen["s2d"].append((tau, gjk2d.subdistance.s2d(*tau)))
     assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
     for _, out in seen["_cso_support_xy"]:
+        # the flat (wx, wy, ip, iq) support point, and its point as a Vec2
         assert_shape(out, SimplexVertex)
+        assert len(out) == 4
         assert_shape(out.w, Vec2)
+        assert isinstance(out.w.x, float) and isinstance(out.w.y, float)
     for _, out in seen["initial_direction"]:
         assert_shape(out, Vec2)
     # the loop unpacks every solve as (verts, lambdas, vx, vy)
@@ -207,8 +210,8 @@ def test_loop_tuples_keep_their_class_and_arity():
     # perfbench's region-code replay calls compute_barycode(a.w, b.w, c.w)
     # on captured s2d arguments.
     for args, _ in seen["s2d"]:
-        for vertex in args:
-            assert isinstance(vertex.w.x, float) and isinstance(vertex.w.y, float)
+        for point in args:
+            assert isinstance(point.w.x, float) and isinstance(point.w.y, float)
 
 
 REPO = Path(__file__).resolve().parent.parent

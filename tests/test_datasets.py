@@ -133,6 +133,22 @@ class TestMakePair:
                 make_pair(self.SPEC, Regime.TOUCHING, 2024)
         assert len(caplog.records) == MAX_ATTEMPTS
 
+    def test_refused_placement_is_retried_without_patching(self, caplog):
+        # Case 10 of the overlap block of DatasetSpec(3, 20, 2): its first
+        # placement finds no target inside the thin triangle P, so make_pair
+        # logs one retry and accepts the stream's second placement.
+        spec = DatasetSpec(vertex_count=3, cases_per_regime=20, seed=2)
+        seed = derive_case_seed(2, 3, Regime.OVERLAP, 10)
+        assert seed == 605652142714752971
+        assert gjk2d.datasets._place_overlap(3, random.Random(seed)) is None
+        with caplog.at_level(logging.WARNING, logger="gjk2d.datasets"):
+            case = make_pair(spec, Regime.OVERLAP, seed)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"regenerating overlap case (seed {seed}, attempt 1 failed verification)"
+        ]
+        assert case.regime is Regime.OVERLAP and case.seed == seed
+        assert verify_regime(case)
+
     def test_case_seed_derivation_is_stable(self):
         s1 = derive_case_seed(7, 8, Regime.DISTANT, 0)
         s2 = derive_case_seed(7, 8, Regime.DISTANT, 0)

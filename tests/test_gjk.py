@@ -35,9 +35,8 @@ from gjk2d.gjk import (
     intersects,
     witness_points,
 )
-from gjk2d.support import SimplexVertex
 
-from conftest import descent_trace, recorded_layers
+from conftest import descent_trace, recorded_layers, vertex
 from oracle_utils import exact_sat_intersects, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -556,7 +555,7 @@ class TestWitnessPoints:
     def test_single_vertex(self):
         p = ConvexPolygon([(4, 5), (5, 5), (4, 6)])
         q = ConvexPolygon([(3, 3), (4, 3), (3, 4)])
-        sv = SimplexVertex(Vec2(1, 2), 0, 0)
+        sv = vertex(1, 2)
         wp, wq = witness_points(p, q, [sv], [1.0])
         assert wp == Vec2(4, 5)
         assert wq == Vec2(3, 3)
@@ -564,8 +563,8 @@ class TestWitnessPoints:
     def test_symmetric_combination(self):
         p = ConvexPolygon([(0, 0), (4, 0), (0, 4)])
         q = ConvexPolygon([(0, 0), (2, -2), (2, 2)])
-        a = SimplexVertex(Vec2(0, 0), 0, 0)
-        b = SimplexVertex(Vec2(2, 2), 1, 1)
+        a = vertex(0, 0)
+        b = vertex(2, 2, 1, 1)
         wp, wq = witness_points(p, q, [a, b], [0.5, 0.5])
         assert wp == Vec2(2, 0)
         assert wq == Vec2(1, -1)

@@ -15,9 +15,8 @@ from gjk2d.subdistance import (
     s1d,
     s2d,
 )
-from gjk2d.support import SimplexVertex
 
-from conftest import sweep_triangles
+from conftest import sweep_triangles, vertex
 from oracle_utils import (
     ORIGIN,
     TRIANGLE_ORACLE_ERROR,
@@ -34,7 +33,7 @@ from oracle_utils import (
 
 def sv(x, y):
     """Simplex vertex whose originating vertex indices are irrelevant here."""
-    return SimplexVertex(Vec2(x, y), 0, 0)
+    return vertex(x, y)
 
 
 def random_sv(rng, lo=-10.0, hi=10.0):
@@ -301,7 +300,7 @@ class TestS2d:
         h = hashlib.sha256()
         codes = Counter()
         for tri in pinned_triangles():
-            a, b, c = (SimplexVertex(Vec2(x, y), i, i) for i, (x, y) in enumerate(tri))
+            a, b, c = (vertex(x, y, i, i) for i, (x, y) in enumerate(tri))
             try:
                 codes[compute_barycode(a.w, b.w, c.w)[0]] += 1
             except DegenerateTriangle:
@@ -338,9 +337,7 @@ class TestS2d:
                     flat[i] = z
                 tris.append([(flat[0], flat[1]), (flat[2], flat[3]), (flat[4], flat[5])])
         for tri in tris:
-            a, b, c = (
-                SimplexVertex(Vec2(float(x), float(y)), i, i) for i, (x, y) in enumerate(tri)
-            )
+            a, b, c = (vertex(float(x), float(y), i, i) for i, (x, y) in enumerate(tri))
             verts, lambdas, vx, vy = s2d(a, b, c)
             ref_verts, ref_lambdas, ref_vx, ref_vy = reference_s2d(a, b, c)
             assert len(verts) == len(ref_verts)

@@ -213,7 +213,7 @@ def two_climbs(p, q, dx, dy, warm):
     """The warm support as two ``_climb_index`` calls: P along d, Q along -d."""
     ip = _climb_index(p.xs, p.ys, dx, dy, warm[0])
     iq = _climb_index(q.xs, q.ys, -dx, -dy, warm[1])
-    return (Vec2(p.xs[ip] - q.xs[iq], p.ys[ip] - q.ys[iq]), ip, iq)
+    return (p.xs[ip] - q.xs[iq], p.ys[ip] - q.ys[iq], ip, iq)
 
 
 def assert_fused_matches(p, q, dx, dy, warm):
@@ -221,6 +221,29 @@ def assert_fused_matches(p, q, dx, dy, warm):
     assert type(res) is SimplexVertex and type(res.w) is Vec2
     assert res == two_climbs(p, q, dx, dy, warm)
     return res
+
+
+class TestSimplexVertexLayout:
+    def test_fields_are_flat(self):
+        assert SimplexVertex._fields == ("wx", "wy", "ip", "iq")
+
+    def test_w_is_the_point_as_a_vec2(self):
+        rng = random.Random(45)
+        p = random_convex_polygon(6, rng)
+        q = random_convex_polygon(9, rng)
+        for warm in (None, (0, 0), (3, 5)):
+            v = _cso_support_xy(p, q, 0.3, -1.7, warm)
+            assert type(v.w) is Vec2
+            assert v.w == Vec2(v.wx, v.wy)
+
+    def test_cso_support_is_the_flat_call(self):
+        rng = random.Random(46)
+        for _ in range(200):
+            p = random_convex_polygon(rng.randint(3, 16), rng)
+            q = random_convex_polygon(rng.randint(3, 16), rng)
+            d = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            for warm in (None, (rng.randrange(len(p)), rng.randrange(len(q)))):
+                assert cso_support(p, q, d, warm) == _cso_support_xy(p, q, d.x, d.y, warm)
 
 
 class TestFusedWarmSupport:
