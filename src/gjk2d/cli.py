@@ -106,16 +106,6 @@ def _cmd_check(args) -> int:
             f"note: {touch_binary_disagreements} knife-edge touching case(s) "
             f"with binary/oracle disagreement (reported, not asserted)"
         )
-    entries = stats.values()
-    capped_distance = sum(e["distance"].count(Termination.MAX_ITERATIONS) for e in entries)
-    capped_intersects = sum(e["intersects"].count(CollisionExit.MAX_ITERATIONS) for e in entries)
-    if capped_distance or capped_intersects:
-        # answers at the cap are still checked; the count flags queries
-        # that stopped without any exit test firing
-        print(
-            f"note: MaxIterations reached by {capped_distance} distance and "
-            f"{capped_intersects} intersects queries"
-        )
     if failed_seeds:
         print(f"FAILED case seeds: {failed_seeds}", file=sys.stderr)
         return 1

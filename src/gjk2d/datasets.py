@@ -97,7 +97,7 @@ class RegimeConstructionFailed(RuntimeError):
 
 def _valtr_points(rng: random.Random, n: int) -> Tuple[List[float], List[float]]:
     """Random convex position of exactly n points (Valtr's construction),
-    as per-axis coordinate lists ``(xs, ys)``.
+    as per-axis coordinate lists ``(xs, ys)`` centered on their mean.
 
     Sorted coordinate pools are split into two monotone chains per axis,
     the resulting deltas are paired up at random and sorted by angle, and
@@ -127,14 +127,19 @@ def _valtr_points(rng: random.Random, n: int) -> Tuple[List[float], List[float]]
     rng.shuffle(dy)
     vecs = sorted(zip(dx, dy), key=lambda v: math.atan2(v[1], v[0]))
     px = py = 0.0
+    sx = sy = 0.0  # folded left, as in ConvexPolygon: sum() compensates from 3.12 on
     pxs = []
     pys = []
     for vx, vy in vecs:
         pxs.append(px)
         pys.append(py)
+        sx += px
+        sy += py
         px += vx
         py += vy
-    return pxs, pys
+    cx = sx / n
+    cy = sy / n
+    return [x - cx for x in pxs], [y - cy for y in pys]
 
 
 def random_convex_polygon(n: int, rng: random.Random) -> ConvexPolygon:
@@ -149,10 +154,6 @@ def random_convex_polygon(n: int, rng: random.Random) -> ConvexPolygon:
         raise ValueError("n must be at least 3")
     for _ in range(1000):
         xs, ys = _valtr_points(rng, n)
-        cx = sum(xs) / n
-        cy = sum(ys) / n
-        xs = [x - cx for x in xs]
-        ys = [y - cy for y in ys]
         radius = max(map(math.hypot, xs, ys))
         if radius <= 0.0:
             continue
@@ -222,22 +223,27 @@ def make_pair(spec: DatasetSpec, regime: Regime, case_seed: int) -> PairCase:
 
     Construction draws from a stream seeded with ``case_seed`` and is
     fully deterministic. Each placed pair is accepted iff
-    ``verify_regime`` holds; other attempts are logged and retried on the
-    same stream, and ``RegimeConstructionFailed`` follows ``MAX_ATTEMPTS``.
+    ``verify_regime`` holds; other attempts, a placement that gave up
+    included, are logged with their cause and retried on the same stream,
+    and ``RegimeConstructionFailed`` follows ``MAX_ATTEMPTS``.
     """
     place = _PLACEMENTS[regime]
     rng = random.Random(case_seed)
     for attempt in range(1, MAX_ATTEMPTS + 1):
         pair = place(spec.vertex_count, rng)
-        if pair is not None:
+        if pair is None:
+            cause = "placed no pair"
+        else:
             case = PairCase(*pair, regime, case_seed)
             if verify_regime(case):
                 return case
+            cause = "failed verification"
         logger.warning(
-            "regenerating %s case (seed %d, attempt %d failed verification)",
+            "regenerating %s case (seed %d, attempt %d %s)",
             regime.value,
             case_seed,
             attempt,
+            cause,
         )
     raise RegimeConstructionFailed(
         f"{regime.value} case for seed {case_seed} failed after {MAX_ATTEMPTS} attempts"

@@ -68,8 +68,9 @@ class ConvexPolygon:
     every consecutive vertex triple turns left by at least the smallest
     normal double and the boundary winds around once, so there are no
     duplicate or collinear vertices and no star polygons. The polygon is
-    its per-axis coordinate tuples ``xs`` and ``ys``, the vertex centroid,
-    and ``min_turn``: the smallest turn, the cross product
+    its per-axis coordinate tuples ``xs`` and ``ys``, the vertex centroid
+    (each coordinate sum added left to right from 0.0, so the same on every
+    Python version), and ``min_turn``: the smallest turn, the cross product
     (b - a) x (c - b) over every consecutive vertex triple (a, b, c).
     Instances are immutable.
     """
@@ -96,6 +97,7 @@ class ConvexPolygon:
         hi = MAX_COORDINATE
         lo = -hi
         area2 = 0.0
+        sx = sy = 0.0  # coordinate sums, folded left: sum() compensates from 3.12
         least = math.inf  # smallest turn so far
         wound = None  # vertex where the edge direction passes angle 0 again
         wraps = 0
@@ -107,6 +109,8 @@ class ConvexPolygon:
             # the same predicate as abs(ax) <= hi, NaN and infinities included
             if not (lo <= ax <= hi and lo <= ay <= hi):
                 raise NonFiniteCoordinate(i)
+            sx += ax
+            sy += ay
             area2 += ax * by - bx * ay
             fx = cx - bx
             fy = cy - by
@@ -141,7 +145,7 @@ class ConvexPolygon:
             raise NotStrictlyConvex(next(j for j, t in _turns(xs, ys) if t < _MIN_TURN))
         self.xs = tuple(xs)
         self.ys = tuple(ys)
-        self.centroid = Vec2(sum(xs) / n, sum(ys) / n)
+        self.centroid = Vec2(sx / n, sy / n)
         self.min_turn = least
 
     def __len__(self) -> int:

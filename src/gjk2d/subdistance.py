@@ -87,10 +87,8 @@ def compute_barycode(
         | (((sv > 0.0) == pos) << 1)
         | ((sw > 0.0) == pos)
     )
-    # Code 7 and total != 0: every sigma has total's sign, so |total| >= max|sigma|.
-    if code != 7 or total == 0.0:
-        if abs(total) <= _DEGENERATE_REL * max(abs(su), abs(sv), abs(sw)):
-            raise DegenerateTriangle(f"collinear simplex points (area sum {total!r})")
+    if abs(total) <= _DEGENERATE_REL * max(abs(su), abs(sv), abs(sw)):
+        raise DegenerateTriangle(f"collinear simplex points (area sum {total!r})")
     return code, su, sv, sw, total
 
 

@@ -7,9 +7,9 @@ previous query's result. Ties are broken deterministically: the brute
 scan keeps the first (lowest-index) maximizer, and the hill climb stops
 as soon as neither neighbor is strictly better.
 
-The query loop calls ``_cso_support_xy``, which runs both polygons'
-warm-started climbs inline in one frame; ``_climb_index`` is the same
-walk as a routine of its own, behind ``support_hill_climb``.
+``support_hill_climb`` holds the one standalone walk. The query loop
+calls ``_cso_support_xy``, which runs the same walk inline for both
+polygons in one frame.
 """
 
 from __future__ import annotations
@@ -59,13 +59,25 @@ def _argmax_index(xs, ys, dx: float, dy: float) -> int:
     return best_i
 
 
-def _climb_index(xs, ys, dx: float, dy: float, start: int) -> int:
-    """Ring walk from ``start`` while a neighbor strictly improves the dot.
+def support_brute(poly: ConvexPolygon, direction: Vec2) -> SupportResult:
+    """First vertex attaining max dot(v, direction); index 0 for a zero direction."""
+    i = _argmax_index(poly.xs, poly.ys, direction.x, direction.y)
+    return SupportResult(_new(Vec2, (poly.xs[i], poly.ys[i])), i)
 
-    Forward first, backward only if the first forward step fails. No step
-    bound is needed: the dot strictly increases at every step, so the walk
-    cannot revisit a vertex. A zero or NaN direction returns ``start``.
+
+def support_hill_climb(poly: ConvexPolygon, direction: Vec2, start: int) -> SupportResult:
+    """Walk the vertex ring from ``start`` while a neighbor strictly improves.
+
+    Forward first, backward only if the first forward step fails. On a
+    strictly convex polygon the dot products along the ring are cyclically
+    unimodal, so the walk reaches a vertex whose support value equals the
+    brute-force maximum. No step bound is needed: the dot strictly
+    increases at every step, so the walk cannot revisit a vertex. A zero
+    or NaN direction returns ``start``.
     """
+    xs = poly.xs
+    ys = poly.ys
+    dx, dy = direction
     n = len(xs)
     i = start
     best = xs[i] * dx + ys[i] * dy
@@ -80,33 +92,15 @@ def _climb_index(xs, ys, dx: float, dy: float, start: int) -> int:
         if j == n:
             j = 0
         d = xs[j] * dx + ys[j] * dy
-    if i != start:
-        return i
-    j = i - 1 if i else n - 1
-    d = xs[j] * dx + ys[j] * dy
-    while d > best:
-        i = j
-        best = d
+    if i == start:
         j = i - 1 if i else n - 1
         d = xs[j] * dx + ys[j] * dy
-    return i
-
-
-def support_brute(poly: ConvexPolygon, direction: Vec2) -> SupportResult:
-    """First vertex attaining max dot(v, direction); index 0 for a zero direction."""
-    i = _argmax_index(poly.xs, poly.ys, direction.x, direction.y)
-    return SupportResult(_new(Vec2, (poly.xs[i], poly.ys[i])), i)
-
-
-def support_hill_climb(poly: ConvexPolygon, direction: Vec2, start: int) -> SupportResult:
-    """Walk the vertex ring from ``start`` while a neighbor strictly improves.
-
-    On a strictly convex polygon the dot products along the ring are
-    cyclically unimodal, so the walk reaches a vertex whose support value
-    equals the brute-force maximum in at most ``len(poly)`` steps.
-    """
-    i = _climb_index(poly.xs, poly.ys, direction.x, direction.y, start)
-    return SupportResult(_new(Vec2, (poly.xs[i], poly.ys[i])), i)
+        while d > best:
+            i = j
+            best = d
+            j = i - 1 if i else n - 1
+            d = xs[j] * dx + ys[j] * dy
+    return SupportResult(_new(Vec2, (xs[i], ys[i])), i)
 
 
 def _cso_support_xy(
@@ -121,11 +115,11 @@ def _cso_support_xy(
     Returns the flat ``SimplexVertex`` ``(wx, wy, ip, iq)``; no ``Vec2``
     is built.
 
-    The warm path is ``_climb_index`` on P along d and on Q along -d, run
-    inline in this one frame. Q's climb minimizes d.q instead of
-    maximizing (-d).q: float negation is exact, so every dot product and
-    comparison is the exact mirror of the two-call form and the indices
-    are the same.
+    The warm path is ``support_hill_climb``'s walk on P along d and on Q
+    along -d, run inline in this one frame. Q's climb minimizes d.q
+    instead of maximizing (-d).q: float negation is exact, so every dot
+    product and comparison is the exact mirror of the two-call form and
+    the indices are the same.
     """
     pxs = p_poly.xs
     pys = p_poly.ys

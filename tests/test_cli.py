@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from gjk2d.datasets import DatasetSpec, PairCase, Regime, read_dataset, write_da
 from gjk2d.geometry import ConvexPolygon
 from gjk2d.gjk import CollisionExit, Termination, distance, intersects
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 FAR_SQUARE = {"vertices": [[3, 0], [4, 0], [4, 1], [3, 1]]}
 
@@ -275,7 +280,7 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "touching: 0/1 pass" in capsys.readouterr().out
 
-    def test_max_iterations_note_counts_capped_queries(
+    def test_max_iterations_exits_count_capped_queries(
         self, small_dataset, capsys, monkeypatch
     ):
         monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", 1)
@@ -288,10 +293,20 @@ class TestCheck:
         assert n_distance > 0 and n_intersects > 0
         main(["check", str(small_dataset)])
         out = capsys.readouterr().out
-        assert (
-            f"note: MaxIterations reached by {n_distance} distance and "
-            f"{n_intersects} intersects queries"
-        ) in out
+        # Only the exits: lines count; "distance" also appears in the
+        # "worst abs distance error" lines.
+        totals = Counter()
+        for line in out.splitlines():
+            if " exits: " not in line:
+                continue
+            for part in line.split(" exits: ", 1)[1].split("; "):
+                label, *counts = part.split()
+                for item in counts:
+                    name, _, value = item.partition("=")
+                    if name == "MaxIterations":
+                        totals[label] += int(value)
+        assert totals == {"distance": n_distance, "intersects": n_intersects}
+        assert "note: MaxIterations" not in out
 
     def test_exit_counts_per_regime(self, tmp_path, capsys):
         path = tmp_path / "mixed.jsonl"
@@ -494,3 +509,29 @@ class TestQuery:
     def test_missing_file_fails(self, tmp_path):
         q = write_polygon(tmp_path, "q.json", SQUARE)
         assert main(["query", str(tmp_path / "missing.json"), str(q)]) == 1
+
+
+def run_module(*args):
+    """``python -m gjk2d`` in a child process, with the package's source on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gjk2d", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestModuleEntryPoint:
+    def test_binary_query(self, tmp_path):
+        p = write_polygon(tmp_path, "p.json", SQUARE)
+        q = write_polygon(tmp_path, "q.json", FAR_SQUARE)
+        proc = run_module("query", str(p), str(q), "--mode", "binary")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout.splitlines()[-1])
+        assert payload["colliding"] is False
+        assert payload["exit"] == "SeparatingHyperplane"
+
+    def test_usage_error_exits_2(self):
+        proc = run_module("query", "--mode", "binary")
+        assert proc.returncode == 2
+        assert "usage: gjk2d" in proc.stderr

@@ -63,9 +63,10 @@ class TestRandomConvexPolygon:
             random_convex_polygon(2, random.Random(0))
 
     def test_redraws_a_valid_candidate_below_the_margin(self, monkeypatch):
-        # Both candidates are centrally symmetric with radius 1, so centering
-        # and scaling leave them exactly as given. The first turns by
-        # 2 * 2**-31 < _MIN_CROSS at (1/2 + e, -1/2 - e) and its mirror.
+        # Both candidates are centered, as _valtr_points returns its points,
+        # and have radius 1, so scaling leaves them exactly as given. The
+        # first turns by 2 * 2**-31 < _MIN_CROSS at (1/2 + e, -1/2 - e) and
+        # its mirror.
         e = 2.0**-31
         thin = ([0.0, 0.5 + e, 1.0, 0.0, -0.5 - e, -1.0], [-1.0, -0.5 - e, 0.0, 1.0, 0.5 + e, 0.0])
         good = ([1.0, 0.5, -0.5, -1.0, -0.5, 0.5], [0.0, 0.75, 0.75, 0.0, -0.75, -0.75])
@@ -144,7 +145,7 @@ class TestMakePair:
         with caplog.at_level(logging.WARNING, logger="gjk2d.datasets"):
             case = make_pair(spec, Regime.OVERLAP, seed)
         assert [r.getMessage() for r in caplog.records] == [
-            f"regenerating overlap case (seed {seed}, attempt 1 failed verification)"
+            f"regenerating overlap case (seed {seed}, attempt 1 placed no pair)"
         ]
         assert case.regime is Regime.OVERLAP and case.seed == seed
         assert verify_regime(case)

@@ -120,6 +120,17 @@ class TestValidatePolygon:
         poly = ConvexPolygon(UNIT_SQUARE)
         assert poly.centroid == Vec2(0.5, 0.5)
 
+    def test_centroid_sums_fold_left_on_every_python(self):
+        # 1 + 1e16 rounds to 1e16, so the left fold of the x coordinates is
+        # 0.0; the compensated sum() of Python 3.12 and later gives 1.0.
+        verts = [(1.0, 0.0), (1e16, 1.0), (-1e16, 1.0)]
+        xs = [x for x, _ in verts]
+        left = 0.0
+        for x in xs:
+            left += x
+        assert left == 0.0 and math.fsum(xs) == 1.0
+        assert ConvexPolygon(verts).centroid == Vec2(left / 3, 2.0 / 3)
+
     @pytest.mark.parametrize("n,step", [(5, 2), (7, 2), (7, 3)])
     def test_rejects_star_polygons(self, n, step):
         # {n/step} with the vertices in star order: every turn is left and

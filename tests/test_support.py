@@ -6,7 +6,6 @@ from gjk2d.geometry import ConvexPolygon, Vec2
 from gjk2d.support import (
     SimplexVertex,
     _argmax_index,
-    _climb_index,
     _cso_support_xy,
     cso_support,
     initial_direction,
@@ -123,9 +122,9 @@ def edge_normals(poly):
     return normals + [Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)]
 
 
-class TestClimbIndex:
-    # _climb_index backs support_hill_climb, and is the reference for the
-    # two climbs that the warm path of _cso_support_xy runs inline.
+class TestHillClimbWalk:
+    # support_hill_climb holds the standalone walk, and is the reference for
+    # the two climbs that the warm path of _cso_support_xy runs inline.
 
     def test_every_start_reaches_the_brute_value(self):
         rng = random.Random(12)
@@ -134,7 +133,7 @@ class TestClimbIndex:
             dx, dy = rng.uniform(-2, 2), rng.uniform(-2, 2)
             best = dot(vertices(poly)[_argmax_index(poly.xs, poly.ys, dx, dy)], (dx, dy))
             for start in range(len(poly)):
-                i = _climb_index(poly.xs, poly.ys, dx, dy, start)
+                i = support_hill_climb(poly, Vec2(dx, dy), start).index
                 assert dot(vertices(poly)[i], (dx, dy)) == best
 
     def test_exact_ties_stop_on_the_first_tied_vertex_reached(self):
@@ -146,7 +145,7 @@ class TestClimbIndex:
                 best = vals[_argmax_index(poly.xs, poly.ys, d.x, d.y)]
                 ties += vals.count(best) > 1
                 for start in range(len(poly)):
-                    i = _climb_index(poly.xs, poly.ys, d.x, d.y, start)
+                    i = support_hill_climb(poly, d, start).index
                     assert vals[i] == best
                     assert i == first_maximizer_reached(poly, d, start)
         assert ties > 500
@@ -156,7 +155,7 @@ class TestClimbIndex:
         poly = random_convex_polygon(9, random.Random(14))
         for dx, dy in ((0.0, 0.0), (-0.0, 0.0), (nan, nan), (nan, 1.0), (1.0, nan)):
             for start in range(len(poly)):
-                assert _climb_index(poly.xs, poly.ys, dx, dy, start) == start
+                assert support_hill_climb(poly, Vec2(dx, dy), start).index == start
 
 
 class TestCsoSupport:
@@ -210,9 +209,9 @@ class TestCsoSupport:
 
 
 def two_climbs(p, q, dx, dy, warm):
-    """The warm support as two ``_climb_index`` calls: P along d, Q along -d."""
-    ip = _climb_index(p.xs, p.ys, dx, dy, warm[0])
-    iq = _climb_index(q.xs, q.ys, -dx, -dy, warm[1])
+    """The warm support as two ``support_hill_climb`` calls: P along d, Q along -d."""
+    ip = support_hill_climb(p, Vec2(dx, dy), warm[0]).index
+    iq = support_hill_climb(q, Vec2(-dx, -dy), warm[1]).index
     return (p.xs[ip] - q.xs[iq], p.ys[ip] - q.ys[iq], ip, iq)
 
 
