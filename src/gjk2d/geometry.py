@@ -67,15 +67,25 @@ class ConvexPolygon:
     and at most ``MAX_COORDINATE`` in magnitude. Strict convexity means
     every consecutive vertex triple turns left by at least the smallest
     normal double and the boundary winds around once, so there are no
-    duplicate or collinear vertices and no star polygons. The polygon is
-    its per-axis coordinate tuples ``xs`` and ``ys``, the vertex centroid
-    (each coordinate sum added left to right from 0.0, so the same on every
-    Python version), and ``min_turn``: the smallest turn, the cross product
-    (b - a) x (c - b) over every consecutive vertex triple (a, b, c).
-    Instances are immutable.
+    duplicate or collinear vertices and no star polygons. Such a ring is
+    counter-clockwise by its turns and its single wrap alone, so no area
+    sum decides orientation, and a translated copy of a valid polygon
+    stays valid wherever its rounded coordinates still turn left by that
+    much. Only a rejected ring has its signed area computed; a negative
+    one is reported as ``NotCounterClockwise`` before any convexity
+    violation. The polygon is its per-axis coordinate tuples ``xs`` and
+    ``ys``, the vertex centroid (each coordinate sum added left to right
+    from 0.0, so the same on every Python version), ``min_turn``: the
+    smallest turn, the cross product (b - a) x (c - b) over every
+    consecutive vertex triple (a, b, c), and four vertex indices that
+    hill-climbing support starts from: ``bottom`` and ``top``, the lowest
+    and the highest vertex (the left end of a lowest or highest edge), and
+    ``right`` and ``left``, the middle vertex of the ring from ``bottom``
+    up to ``top`` and of the ring from ``top`` back down to ``bottom``,
+    both counted from ``bottom``. Instances are immutable.
     """
 
-    __slots__ = ("xs", "ys", "centroid", "min_turn")
+    __slots__ = ("xs", "ys", "centroid", "min_turn", "bottom", "right", "top", "left")
 
     def __init__(self, vertices: Iterable):
         xs, ys = [], []
@@ -93,14 +103,14 @@ class ConvexPolygon:
         # One pass over the triples (a, b, c) = vertices (i, i+1, i+2). Only
         # the bound check raises at once, so it reports the lowest bad index
         # even though the turn at b reads vertices not yet checked; the other
-        # violations wait for the whole area sum.
+        # violations wait for the whole pass.
         hi = MAX_COORDINATE
         lo = -hi
-        area2 = 0.0
         sx = sy = 0.0  # coordinate sums, folded left: sum() compensates from 3.12
         least = math.inf  # smallest turn so far
         wound = None  # vertex where the edge direction passes angle 0 again
         wraps = 0
+        bottom = top = 0  # lowest and highest vertex, counted from 0 up to n + 1
         ax, ay, bx, by = xs[0], ys[0], xs[1], ys[1]
         ex = bx - ax
         ey = by - ay
@@ -111,7 +121,6 @@ class ConvexPolygon:
                 raise NonFiniteCoordinate(i)
             sx += ax
             sy += ay
-            area2 += ax * by - bx * ay
             fx = cx - bx
             fy = cy - by
             turn = ex * fy - ey * fx
@@ -119,34 +128,56 @@ class ConvexPolygon:
                 least = turn
             # Left turns are each below pi, so the edge direction passes
             # angle 0 exactly when it moves from the lower half-plane to the
-            # upper one; a convex boundary does so once.
+            # upper one, at the lowest vertex b, and angle pi on the way
+            # back, at the highest; a convex boundary does each once.
             was_upper = upper
             upper = fy > 0.0 or (fy == 0.0 and fx > 0.0)
-            if upper and not was_upper:
-                wraps += 1
-                if wraps == 2:
-                    wound = i + 1 if i + 1 < n else 0
+            if upper is not was_upper:
+                if upper:
+                    # b, the left end of a lowest edge
+                    wraps += 1
+                    bottom = i + 1
+                    if wraps == 2:
+                        wound = bottom if bottom < n else 0
+                else:
+                    # the left end of a highest edge: c when b to c runs along it
+                    top = i + 2 if fy == 0.0 else i + 1
             ax = bx
             ay = by
             bx = cx
             by = cy
             ex = fx
             ey = fy
-        if area2 < 0.0:
-            raise NotCounterClockwise()
-        # Every coordinate passed the bound, so every turn is finite. A bend
-        # (a turn not strictly left) outranks winding, which outranks a turn
-        # below _MIN_TURN; the rescan names the first one in loop order.
-        if least <= 0.0:
-            raise NotStrictlyConvex(next(j for j, t in _turns(xs, ys) if t <= 0.0))
-        if wound is not None:
-            raise NotStrictlyConvex(wound)
-        if least < _MIN_TURN:
+        if least < _MIN_TURN or wound is not None:
+            # Turns all at least _MIN_TURN with one wrap make a CCW ring, so
+            # only a rejected ring needs the orientation: the signed area,
+            # which outranks a bend (a turn not strictly left), which
+            # outranks winding, which outranks a turn below _MIN_TURN; the
+            # rescan names the first one in loop order. Every coordinate
+            # passed the bound, so every turn is finite.
+            if _area2(xs, ys) < 0.0:
+                raise NotCounterClockwise()
+            if least <= 0.0:
+                raise NotStrictlyConvex(next(j for j, t in _turns(xs, ys) if t <= 0.0))
+            if wound is not None:
+                raise NotStrictlyConvex(wound)
             raise NotStrictlyConvex(next(j for j, t in _turns(xs, ys) if t < _MIN_TURN))
         self.xs = tuple(xs)
         self.ys = tuple(ys)
         self.centroid = Vec2(sx / n, sy / n)
         self.min_turn = least
+        # bottom and top are both left ends, and both middles count from
+        # bottom. An exactly tied edge along an axis then starts its climb
+        # at the end with the smaller other coordinate in P and in Q alike,
+        # so the first support point of P - Q falls inside that edge of
+        # P - Q, not at a corner.
+        bottom %= n
+        top %= n
+        up = (top - bottom) % n
+        self.bottom = bottom
+        self.right = (bottom + up // 2) % n
+        self.top = top
+        self.left = (bottom - (n - up) // 2) % n
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -161,6 +192,16 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({list(zip(self.xs, self.ys))!r})"
+
+
+def _area2(xs, ys) -> float:
+    """Twice the signed area: the shoelace sum over edges (i, i+1), folded left."""
+    n = len(xs)
+    area2 = 0.0
+    for i in range(n):
+        j = i + 1 if i + 1 < n else 0
+        area2 += xs[i] * ys[j] - xs[j] * ys[i]
+    return area2
 
 
 def _turns(xs, ys):

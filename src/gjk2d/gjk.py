@@ -111,12 +111,14 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     the ContainsOrigin and SimplexFull exits), and the squared norm at or
     below which v counts as the origin, ``_EPSILON**2`` times the largest
     |w|^2 over the query's support points. ``hcs`` selects hill-climbing
-    support: the first call climbs from the vertex pair (0, 0) and every
-    later one from the previous answer, both polygons' climbs inline in
-    one ``_cso_support_xy`` call, so no call scans; without it every
-    call is the brute-force scan, two ``_argmax_index`` calls. ``binary``
-    only adds the SeparatingHyperplane and VerticalAngleEnclosure exits;
-    every other exit is a ``Termination``.
+    support, both polygons' climbs inline in one ``_cso_support_xy``
+    call, so no call scans: the first call starts at the polygons'
+    extremes for -d0, the second at their extremes for -w1 when
+    d0.w1 <= 0 and at the first answer otherwise, and every later call at
+    the previous answer (the start rule is at the first call below).
+    Without ``hcs`` every call is the brute-force scan, two
+    ``_argmax_index`` calls. ``binary`` only adds the SeparatingHyperplane
+    and VerticalAngleEnclosure exits; every other exit is a ``Termination``.
     The separating test also covers the first support point, against the
     start direction d0. It makes ``iterations + 1`` support calls.
     """
@@ -129,16 +131,38 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     solve_triangle = s2d
 
     d0x, d0y = initial_direction(p_poly, q_poly)
-    first = support(p_poly, q_poly, -d0x, -d0y, (0, 0) if hcs else None)
+    if hcs:
+        # The start rule for a climb along -s over P - Q: P starts at its
+        # extreme (ConvexPolygon.bottom, right, top, left) nearest -s and Q
+        # at its extreme nearest s; the diagonals sx = sy and sx = -sy split
+        # the directions into the four quarters around the axes. Here s = d0.
+        if d0x > d0y:
+            warm = (p_poly.left, q_poly.right) if d0x > -d0y else (p_poly.top, q_poly.bottom)
+        else:
+            warm = (p_poly.bottom, q_poly.top) if d0x > -d0y else (p_poly.right, q_poly.left)
+    else:
+        warm = None
+    first = support(p_poly, q_poly, -d0x, -d0y, warm)
     vx, vy, ip, iq = first
     verts = [first]
     lambdas = [1.0]
     v_sq = vx * vx + vy * vy
     tol_sq = eps_sq * v_sq
-    if binary and d0x * vx + d0y * vy > 0.0:
+    ahead = d0x * vx + d0y * vy
+    if binary and ahead > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
         return _EXIT_SEPARATING, 0, verts, lambdas, vx, vy, tol_sq
-    warm = (ip, iq) if hcs else None
+    if hcs:
+        # A w1 past the origin along d0 leaves -w1 near -d0, so the second
+        # climb starts from the first answer, as every later one starts from
+        # the one before. Otherwise -w1 turns back toward d0, and the climb
+        # restarts by the start rule above with s = w1.
+        if ahead > 0.0:
+            warm = (ip, iq)
+        elif vx > vy:
+            warm = (p_poly.left, q_poly.right) if vx > -vy else (p_poly.top, q_poly.bottom)
+        else:
+            warm = (p_poly.bottom, q_poly.top) if vx > -vy else (p_poly.right, q_poly.left)
 
     k = 0
     while k < _MAX_ITERATIONS:

@@ -2,10 +2,12 @@
 
 A support query returns the vertex maximizing the dot product with a
 direction. Two variants are provided: a brute-force scan and a
-hill-climbing walk along the CCW vertex ring that is warm-started from a
-previous query's result. Ties are broken deterministically: the brute
-scan keeps the first (lowest-index) maximizer, and the hill climb stops
-as soon as neither neighbor is strictly better.
+hill-climbing walk along the CCW vertex ring from a given start (the
+query loop picks the starts; see ``gjk._gjk``). Ties are broken
+deterministically: the
+brute scan keeps the first (lowest-index) maximizer, and the hill climb
+stops as soon as neither neighbor is strictly better, so on a tied edge it
+stops at the start or at the first tied vertex it reaches.
 
 ``support_hill_climb`` holds the one standalone walk. The query loop
 calls ``_cso_support_xy``, which runs the same walk inline for both
@@ -193,7 +195,7 @@ def cso_support(
     ``(poly.xs[i], poly.ys[i])``, and ``.w`` gives the point as a ``Vec2``.
 
     ``warm`` is the (index in P, index in Q) pair to start from: a previous
-    call's answer, or ``(0, 0)`` for a cold start. When present both
+    call's answer, or polygon extremes for a cold start. When present both
     per-polygon queries hill-climb from it, otherwise they scan brute
     force. Both reach the same support value; where several vertices tie,
     the scan keeps the lowest index and the climb stops on the first tied

@@ -217,14 +217,28 @@ def test_loop_tuples_keep_their_class_and_arity():
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace, counters", [(0, "0b965510d691affb"), (1, "07a874251854206c")])
-def test_perfbench_prints_its_result_last(trace, counters):
+# Seed-7 fingerprint and counters of every workload in both trace modes.
+PERFBENCH_PINS = [
+    ("small-polys", 0, "28adbf09a1bde9dc", "0b965510d691affb"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "07a874251854206c"),
+    ("large-polys", 0, "f2bf178e31a89175", "ab52b33740abc7cd"),
+    ("large-polys", 1, "f2bf178e31a89175", "a45d04f3ba9a1d5b"),
+    ("gen-check", 0, "f264b0c698189d94", "093096e95dae5527"),
+    ("gen-check", 1, "f264b0c698189d94", "500bdb696c2b40c4"),
+]
+
+
+@pytest.mark.parametrize(
+    "workload, trace, fingerprint, counters",
+    PERFBENCH_PINS,
+    ids=[f"{workload}-{trace}" for workload, trace, _, _ in PERFBENCH_PINS],
+)
+def test_perfbench_prints_its_result_last(workload, trace, fingerprint, counters):
     # A one-second perfbench run from the repository root: its last line is
     # the JSON result holding every BENCHMARK.json metric of the mode, and a
     # patch point that is gone or never called would print a "missing" line.
-    # The fingerprint and counters are those of small-polys at seed 7.
     command = [
-        sys.executable, "perfbench/run.py", "--workload", "small-polys",
+        sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", "7", "--seconds", "1", "--trace", str(trace),
     ]
     proc = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=300)
@@ -236,5 +250,5 @@ def test_perfbench_prints_its_result_last(trace, counters):
     wanted = {m["name"] for m in spec["per_layer" if trace else "end_to_end"]}
     assert sorted(wanted - set(result["metrics"])) == []
     assert [line for line in lines if line.startswith("missing")] == []
-    assert "fingerprint 28adbf09a1bde9dc" in lines
+    assert f"fingerprint {fingerprint}" in lines
     assert f"counters {counters}" in lines

@@ -198,6 +198,17 @@ class TestValidatePolygon:
             ConvexPolygon([(0, 0), (1, 0), (1, t), (0.5, t), (0, t)])
         assert exc.value.index == 3
 
+    def test_orientation_does_not_depend_on_the_distance_from_the_origin(self):
+        # the rounded shoelace sum of this unit right triangle is negative
+        t = 1e12
+        poly = ConvexPolygon([(t, t), (t + 1, t), (t, t + 1)])
+        assert poly.min_turn == 1.0
+        # at 1e16, t + 1 rounds to t and the three vertices coincide
+        t = 1e16
+        with pytest.raises(NotStrictlyConvex) as exc:
+            ConvexPolygon([(t, t), (t + 1, t), (t, t + 1)])
+        assert exc.value.index == 1
+
     @pytest.mark.parametrize(
         "points,error,index",
         [
@@ -274,6 +285,18 @@ def _corpus_generated_moved():
         for shift in (0.0, 1.0, 1e3, 1e6, 1e9, 1e12, 1e15):
             angle = rng.uniform(0.0, 2.0 * math.pi)
             out.append(_moved(verts, angle, shift * rng.uniform(-1, 1), shift * rng.uniform(-1, 1)))
+    return out
+
+
+def _corpus_far_translated():
+    # 3- to 24-gons moved by 10**6..10**15 along each axis, either sign: the
+    # rounded shoelace sum of many of them is negative
+    rng = random.Random(1)
+    out = []
+    for _ in range(2000):
+        verts = vertices(random_convex_polygon(rng.randint(3, 24), rng))
+        tx, ty = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(6.0, 15.0) for _ in range(2))
+        out.append([(x + tx, y + ty) for x, y in verts])
     return out
 
 
@@ -368,15 +391,45 @@ def _outcome(build, verts):
     return result
 
 
+def _turns_left_and_winds_once(xs, ys):
+    """Every turn at least the smallest normal double, and the edge
+    direction passes angle 0 once: the rings ``ConvexPolygon`` accepts."""
+    ring = list(zip(xs, ys))
+    n = len(ring)
+    edges = [sub(ring[(i + 1) % n], ring[i]) for i in range(n)]
+    if any(cross(edges[i], edges[(i + 1) % n]) < sys.float_info.min for i in range(n)):
+        return False
+    upper = [ey > 0.0 or (ey == 0.0 and ex > 0.0) for ex, ey in edges]
+    return sum(upper[(i + 1) % n] and not upper[i] for i in range(n)) == 1
+
+
+def _expected(verts):
+    """``reference_validate``'s outcome, except that a ring it rejects as
+    ``NotCounterClockwise`` is accepted when it turns left everywhere and
+    winds once: such a ring is counter-clockwise, and only its rounded
+    shoelace sum, far from the origin, said otherwise."""
+    want = _outcome(reference_validate, verts)
+    if want == (NotCounterClockwise, None):
+        xs = [float(x) for x, _ in verts]
+        ys = [float(y) for _, y in verts]
+        if _turns_left_and_winds_once(xs, ys):
+            return xs, ys
+    return want
+
+
 class TestValidationMatchesReference:
     """The single-pass constructor raises what the pre-``min_turn`` loop
     (``oracle_utils.reference_validate``) raises, with the same index, and
-    its ``min_turn`` is the smallest per-triple turn."""
+    its ``min_turn`` is the smallest per-triple turn. The one difference
+    is orientation: the constructor reads it from the turns and the single
+    wrap, so a ring the reference calls ``NotCounterClockwise`` only for
+    its shoelace sum is accepted (``_expected``)."""
 
     @pytest.mark.parametrize(
         "corpus",
         [
             _corpus_generated_moved,
+            _corpus_far_translated,
             _corpus_collinear_and_reflex,
             _corpus_clockwise_and_stars,
             _corpus_tiny_turns,
@@ -388,7 +441,7 @@ class TestValidationMatchesReference:
     def test_same_class_index_and_min_turn(self, corpus):
         failures = set()
         for verts in corpus():
-            want = _outcome(reference_validate, verts)
+            want = _expected(verts)
             got = _outcome(ConvexPolygon, verts)
             if isinstance(want, tuple) and isinstance(want[0], type):
                 failures.add(want[0])
@@ -406,6 +459,19 @@ class TestValidationMatchesReference:
         # every corpus exercises at least one rejection
         assert failures
 
+    def test_far_translated_rings_turning_left_are_accepted(self):
+        # both sides of _expected's exception occur: rings the reference
+        # rejects for their shoelace sum alone, and rings that also fail a
+        # turn and keep NotCounterClockwise
+        accepted = kept = 0
+        for verts in _corpus_far_translated():
+            if _outcome(reference_validate, verts) == (NotCounterClockwise, None):
+                if isinstance(_outcome(ConvexPolygon, verts), ConvexPolygon):
+                    accepted += 1
+                else:
+                    kept += 1
+        assert accepted > 0 and kept > 0
+
     _COORDINATE = st.one_of(
         st.integers(-3, 3),
         st.floats(allow_nan=True, allow_infinity=True),
@@ -415,7 +481,7 @@ class TestValidationMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_COORDINATE, _COORDINATE), max_size=7))
     def test_same_class_and_index_on_arbitrary_input(self, verts):
-        want = _outcome(reference_validate, verts)
+        want = _expected(verts)
         got = _outcome(ConvexPolygon, verts)
         if isinstance(got, ConvexPolygon):
             got = [list(got.xs), list(got.ys)]
@@ -424,7 +490,8 @@ class TestValidationMatchesReference:
 
 
 class TestRepresentation:
-    """A polygon is its coordinate tuples ``xs`` and ``ys`` plus the centroid."""
+    """A polygon is its coordinate tuples ``xs`` and ``ys`` plus the centroid,
+    the smallest turn and four extreme vertex indices."""
 
     @pytest.mark.parametrize(
         "build",
@@ -463,7 +530,9 @@ class TestRepresentation:
 
     def test_holds_no_per_vertex_copy(self):
         poly = ConvexPolygon(UNIT_SQUARE)
-        assert ConvexPolygon.__slots__ == ("xs", "ys", "centroid", "min_turn")
+        assert ConvexPolygon.__slots__ == (
+            "xs", "ys", "centroid", "min_turn", "bottom", "right", "top", "left"
+        )
         with pytest.raises(AttributeError):
             poly.vertices
         with pytest.raises(AttributeError):

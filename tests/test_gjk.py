@@ -288,8 +288,8 @@ class TestIntersects:
 
 class TestSupportVariants:
     # The paper's two variants: warm-started hill-climbing support that
-    # never scans (its first call climbs from vertex 0, inline in
-    # _cso_support_xy), and the scan, one _argmax_index per polygon.
+    # never scans (its first call climbs from the polygons' extremes,
+    # inline in _cso_support_xy), and the scan, one _argmax_index per polygon.
     @pytest.mark.parametrize(
         "kwargs,scans_per_call",
         [({}, 0), ({"use_hill_climbing": False}, 2)],
@@ -313,6 +313,143 @@ class TestSupportVariants:
             support_calls += distance(p, q, **kwargs).support_calls
             support_calls += intersects(p, q, **kwargs).support_calls
         assert scans == scans_per_call * support_calls
+
+
+def nearest_extremes(p, q, ux, uy):
+    """Starts of a climb of P along u and of Q along -u: each polygon's
+    extreme whose axis direction has the largest dot with its direction,
+    or None for a u on a diagonal, where two of them tie."""
+    if abs(ux) == abs(uy):
+        return None
+    axes = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+
+    def nearest(poly, dx, dy):
+        k = max(range(4), key=lambda k: axes[k][0] * dx + axes[k][1] * dy)
+        return (poly.bottom, poly.right, poly.top, poly.left)[k]
+
+    return nearest(p, ux, uy), nearest(q, -ux, -uy)
+
+
+class TestClimbStarts:
+    # The first call climbs from the extremes nearest its direction; the
+    # second from the extremes nearest -w1 when w1 is not past the origin
+    # along d0, else from the first answer; every later call from the
+    # answer before it.
+
+    def test_each_call_starts_where_the_rule_says(self):
+        rng = random.Random(61)
+        pairs = [random_pair(rng, span=rng.choice([0.5, 1.5, 3.0])) for _ in range(300)]
+        # integer rectangles tie along the axes
+        pairs += tie_rectangles(count=300, seed=62)
+        second = {"restart": 0, "ahead": 0}
+        for p, q in pairs:
+            for query in (distance, intersects):
+                with recorded_layers() as calls:
+                    query(p, q)
+                support = [(args, out) for name, args, out in calls if name == "_cso_support_xy"]
+                (_, _, dx, dy, warm), first = support[0]
+                assert nearest_extremes(p, q, dx, dy) in (warm, None)
+                if len(support) > 1:
+                    (_, _, _, _, warm), _ = support[1]
+                    if -(dx * first.wx + dy * first.wy) > 0.0:
+                        second["ahead"] += 1
+                        assert warm == (first.ip, first.iq)
+                    else:
+                        second["restart"] += 1
+                        assert nearest_extremes(p, q, -first.wx, -first.wy) in (warm, None)
+                for k in range(2, len(support)):
+                    (_, _, _, _, warm), _ = support[k]
+                    before = support[k - 1][1]
+                    assert warm == (before.ip, before.iq)
+                with recorded_layers() as calls:
+                    query(p, q, use_hill_climbing=False)
+                assert all(args[4] is None for name, args, _ in calls if name == "_cso_support_xy")
+        assert min(second.values()) > 20, second
+
+
+def tie_rectangles(count=4000, seed=5):
+    """Pairs of integer axis-aligned rectangles, each ring at a random start."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            x, y = rng.randint(-10, 10), rng.randint(-10, 10)
+            w, h = rng.randint(1, 10), rng.randint(1, 10)
+            ring = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+            start = rng.randrange(4)
+            pair.append(ConvexPolygon(ring[start:] + ring[:start]))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+def symmetric_regular_ring(n, half_step):
+    """Unit regular n-gon, n a multiple of 8, with a vertex at angle 0 or,
+    with ``half_step``, an edge across it. The first octant is mirrored
+    through the square's symmetries, so every axis-parallel edge ties
+    exactly. Vertex 0 is the first at or above angle 0."""
+    octant = []
+    for k in range(n // 8 + 1):
+        twice = 2 * k + (1 if half_step else 0)
+        if 4 * twice > n:
+            break
+        if 4 * twice == n:
+            h = math.sqrt(0.5)
+            octant.append((h, h))
+        else:
+            t = twice * math.pi / n
+            octant.append((math.cos(t), math.sin(t)))
+    ring = set()
+    for x, y in octant:
+        for a, b in ((x, y), (y, x)):
+            for sx in (1.0, -1.0):
+                for sy in (1.0, -1.0):
+                    ring.add((sx * a + 0.0, sy * b + 0.0))
+    ring = sorted(ring, key=lambda v: math.atan2(v[1], v[0]) % (2 * math.pi))
+    assert len(ring) == n
+    return ring
+
+
+def tie_regular_polygons():
+    """Regular 8- to 64-gons with a copy centred on each half-axis, at
+    distances that keep them apart, touching or overlapping."""
+    pairs = []
+    for n in range(8, 65, 8):
+        for half_step in (False, True):
+            ring = symmetric_regular_ring(n, half_step)
+            p = ConvexPolygon(ring)
+            for gap in (3.0, 2.0, 1.0, 0.5):
+                for cx, cy in ((gap, 0.0), (0.0, gap), (-gap, 0.0), (0.0, -gap)):
+                    pairs.append((p, ConvexPolygon((x + cx, y + cy) for x, y in ring)))
+    return pairs
+
+
+class TestTieCorpus:
+    # Exactly tied support vertices, where the start of a climb picks the
+    # tied vertex it stops on. Mean support calls per query, with every
+    # climb from the vertex pair (0, 0) and then from the previous answer:
+    # rectangles 2.58275 (distance) and 1.463 (intersects), regular
+    # polygons 2.0 and 1.625. The extremes' tie rule may cost at most 0.1.
+    VERTEX_ZERO_MEANS = {"tie_rectangles": (2.58275, 1.463), "tie_regular_polygons": (2.0, 1.625)}
+
+    @pytest.mark.parametrize(
+        "corpus", [tie_rectangles, tie_regular_polygons], ids=lambda f: f.__name__
+    )
+    def test_no_max_iterations_and_calls_near_the_vertex_zero_start(self, corpus):
+        pairs = corpus()
+        calls_d = calls_i = 0
+        for p, q in pairs:
+            d = distance(p, q)
+            hit = intersects(p, q)
+            assert d.termination is not Termination.MAX_ITERATIONS
+            assert hit.exit is not CollisionExit.MAX_ITERATIONS
+            oracle = oracle_distance(p, q).distance
+            assert abs(d.distance - oracle) <= REL_TOL * max(1.0, oracle) + ABS_TOL
+            calls_d += d.support_calls
+            calls_i += hit.support_calls
+        want_d, want_i = self.VERTEX_ZERO_MEANS[corpus.__name__]
+        assert calls_d / len(pairs) <= want_d + 0.1
+        assert calls_i / len(pairs) <= want_i + 0.1
 
 
 def regular_polygon(n, center, phase=0.0):

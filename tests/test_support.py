@@ -293,6 +293,70 @@ class TestFusedWarmSupport:
                     assert (res.ip, res.iq) == (i, j)
 
 
+def extremes(poly):
+    return (poly.bottom, poly.right, poly.top, poly.left)
+
+
+def extremes_corpus():
+    """Generated 3- to 128-gons; rectangles and regular n-gons at every ring start."""
+    rng = random.Random(47)
+    polys = [random_convex_polygon(n, rng) for n in (3, 4, 5, 7, 12, 24, 48, 128)]
+    rings = [
+        [(0, 0), (3, 0), (3, 1), (0, 1)],
+        [(-2, -5), (1, -5), (1, 4), (-2, 4)],
+    ]
+    rings += [vertices(regular_polygon(n)) for n in (3, 4, 6, 8)]
+    for ring in rings:
+        for start in range(len(ring)):
+            polys.append(ConvexPolygon(ring[start:] + ring[:start]))
+    return polys
+
+
+class TestExtremes:
+    # ConvexPolygon records four vertex indices that the query loop's first
+    # climbs start from; any start reaches the support value.
+
+    def test_bottom_and_top_are_the_left_ends_of_the_lowest_and_highest_edges(self):
+        for poly in extremes_corpus():
+            ring = vertices(poly)
+            n = len(ring)
+            assert all(0 <= i < n and type(i) is int for i in extremes(poly))
+            assert ring[poly.bottom] == min(ring, key=lambda v: (v[1], v[0]))
+            assert ring[poly.top] == min(ring, key=lambda v: (-v[1], v[0]))
+            # right lies on the ring from bottom up to top, left on the way back
+            up = (poly.top - poly.bottom) % n
+            assert (poly.right - poly.bottom) % n <= up
+            assert (poly.left - poly.bottom) % n >= up or poly.left == poly.bottom
+
+    def test_axis_parallel_edges_start_at_their_lower_or_left_end(self):
+        for start in range(4):
+            ring = [(0, 0), (3, 0), (3, 1), (0, 1)]
+            poly = ConvexPolygon(ring[start:] + ring[:start])
+            at = [vertices(poly)[i] for i in extremes(poly)]
+            assert at == [(0, 0), (3, 0), (0, 1), (0, 0)]
+
+    def test_a_climb_from_each_extreme_reaches_the_brute_value(self):
+        rng = random.Random(48)
+        directions = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (1.0, 1.0), (1.0, -1.0)]
+        for _ in range(4000 - len(directions)):
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            directions.append((math.cos(t), math.sin(t)))
+        for poly in extremes_corpus():
+            xs, ys = poly.xs, poly.ys
+            b, r, t, l = extremes(poly)
+            for dx, dy in directions:
+                brute = _cso_support_xy(poly, poly, dx, dy, None)
+                top = xs[brute.ip] * dx + ys[brute.ip] * dy
+                low = xs[brute.iq] * dx + ys[brute.iq] * dy
+                # P climbs along d from bottom and right, Q along -d from top
+                # and left: each extreme in one role, over directions of
+                # both signs
+                for warm in ((b, t), (r, l)):
+                    res = _cso_support_xy(poly, poly, dx, dy, warm)
+                    assert xs[res.ip] * dx + ys[res.ip] * dy == top
+                    assert xs[res.iq] * dx + ys[res.iq] * dy == low
+
+
 class TestInitialDirection:
     def test_centroid_difference(self):
         shifted = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
