@@ -85,16 +85,17 @@ def run_benchmark(
 ) -> List[BenchRecord]:
     """Benchmark the given algorithms over each regime slice of ``cases``.
 
-    Returns records sorted by algorithm then regime name, one per
-    non-empty slice; pass only one regime's cases to measure that regime
-    alone. ``ValueError`` when ``repetitions`` is below 1 or ``warmup``
-    is negative.
+    Each distinct algorithm is timed once, in the order given. Returns
+    records sorted by algorithm then regime name, one per non-empty slice;
+    pass only one regime's cases to measure that regime alone.
+    ``ValueError`` when ``repetitions`` is below 1 or ``warmup`` is
+    negative.
     """
     if repetitions < 1 or warmup < 0:
         raise ValueError(f"need repetitions >= 1 and warmup >= 0, got {repetitions}, {warmup}")
     groups = group_by_regime(cases)
     records = []
-    for algorithm in algorithms:
+    for algorithm in dict.fromkeys(algorithms):
         fn = _runner(algorithm)
         for regime in Regime:
             pairs = [(c.p, c.q) for c in groups[regime]]

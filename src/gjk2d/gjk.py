@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .geometry import ConvexPolygon, Vec2
 from .subdistance import s1d, s2d
-from .support import SimplexVertex, _cso_support_xy, initial_direction
+from .support import SimplexVertex, _cso_scan_xy, _cso_support_xy, initial_direction
 
 # The loop's only tolerance, relative so every test reads the same at any
 # scale: the support-progress test stops once v.w is within _EPSILON * |v|^2
@@ -110,15 +110,14 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     final simplex, its barycentric coordinates, closest point v (zeroed at
     the ContainsOrigin and SimplexFull exits), and the squared norm at or
     below which v counts as the origin, ``_EPSILON**2`` times the largest
-    |w|^2 over the query's support points. ``hcs`` selects hill-climbing
-    support, both polygons' climbs inline in one ``_cso_support_xy``
-    call, so no call scans: the first call starts at the polygons'
-    extremes for -d0, the second at their extremes for -w1 when
-    d0.w1 <= 0 and at the first answer otherwise, and every later call at
-    the previous answer (the start rule is at the first call below).
-    Without ``hcs`` every call is the brute-force scan, two
-    ``_argmax_index`` calls. ``binary`` only adds the SeparatingHyperplane
-    and VerticalAngleEnclosure exits; every other exit is a ``Termination``.
+    |w|^2 over the query's support points. ``hcs`` picks the support
+    function once: ``_cso_support_xy``, which climbs both polygons inline,
+    or ``_cso_scan_xy``, the brute-force scan. Each support call passes the
+    previous answer as its warm pair, except that the first call passes
+    ``None`` and so does the second when d0.w1 <= 0; a climb given ``None``
+    starts cold, at the polygons' extremes for its direction, and the scan
+    ignores the pair. ``binary`` only adds the SeparatingHyperplane and
+    VerticalAngleEnclosure exits; every other exit is a ``Termination``.
     The separating test also covers the first support point, against the
     start direction d0. It makes ``iterations + 1`` support calls.
     """
@@ -126,23 +125,12 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     # they can be rebound; wrapping the layers is how a query is traced.
     eps = _EPSILON
     eps_sq = eps * eps
-    support = _cso_support_xy
+    support = _cso_support_xy if hcs else _cso_scan_xy
     solve_segment = s1d
     solve_triangle = s2d
 
     d0x, d0y = initial_direction(p_poly, q_poly)
-    if hcs:
-        # The start rule for a climb along -s over P - Q: P starts at its
-        # extreme (ConvexPolygon.bottom, right, top, left) nearest -s and Q
-        # at its extreme nearest s; the diagonals sx = sy and sx = -sy split
-        # the directions into the four quarters around the axes. Here s = d0.
-        if d0x > d0y:
-            warm = (p_poly.left, q_poly.right) if d0x > -d0y else (p_poly.top, q_poly.bottom)
-        else:
-            warm = (p_poly.bottom, q_poly.top) if d0x > -d0y else (p_poly.right, q_poly.left)
-    else:
-        warm = None
-    first = support(p_poly, q_poly, -d0x, -d0y, warm)
+    first = support(p_poly, q_poly, -d0x, -d0y, None)
     vx, vy, ip, iq = first
     verts = [first]
     lambdas = [1.0]
@@ -152,25 +140,17 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     if binary and ahead > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
         return _EXIT_SEPARATING, 0, verts, lambdas, vx, vy, tol_sq
-    if hcs:
-        # A w1 past the origin along d0 leaves -w1 near -d0, so the second
-        # climb starts from the first answer, as every later one starts from
-        # the one before. Otherwise -w1 turns back toward d0, and the climb
-        # restarts by the start rule above with s = w1.
-        if ahead > 0.0:
-            warm = (ip, iq)
-        elif vx > vy:
-            warm = (p_poly.left, q_poly.right) if vx > -vy else (p_poly.top, q_poly.bottom)
-        else:
-            warm = (p_poly.bottom, q_poly.top) if vx > -vy else (p_poly.right, q_poly.left)
+    # A w1 past the origin along d0 leaves -w1 near -d0, so the second climb
+    # starts from the first answer, as every later one starts from the one
+    # before. Otherwise -w1 turns back toward d0, and the climb starts cold.
+    warm = (ip, iq) if ahead > 0.0 else None
 
     k = 0
     while k < _MAX_ITERATIONS:
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, warm)
         wx, wy, ip, iq = w
-        if hcs:
-            warm = (ip, iq)
+        warm = (ip, iq)
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
@@ -228,7 +208,8 @@ def distance(
     test is relative, so scaling both polygons by a power of two scales
     every length in the result exactly, barring underflow and overflow.
     ``support_calls`` counts Minkowski-difference support evaluations;
-    ``use_hill_climbing`` picks warm-started hill-climbing support over the
+    ``use_hill_climbing`` picks hill-climbing support, each climb started
+    from the previous answer or cold from the polygons' extremes, over the
     brute-force scan (same support values).
     """
     termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)

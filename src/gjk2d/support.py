@@ -2,16 +2,15 @@
 
 A support query returns the vertex maximizing the dot product with a
 direction. Two variants are provided: a brute-force scan and a
-hill-climbing walk along the CCW vertex ring from a given start (the
-query loop picks the starts; see ``gjk._gjk``). Ties are broken
-deterministically: the
-brute scan keeps the first (lowest-index) maximizer, and the hill climb
-stops as soon as neither neighbor is strictly better, so on a tied edge it
-stops at the start or at the first tied vertex it reaches.
+hill-climbing walk along the CCW vertex ring from a start vertex. Ties
+are broken deterministically: the brute scan keeps the first
+(lowest-index) maximizer, and the hill climb stops as soon as neither
+neighbor is strictly better, so on a tied edge it stops at the start or
+at the first tied vertex it reaches.
 
-``support_hill_climb`` holds the one standalone walk. The query loop
-calls ``_cso_support_xy``, which runs the same walk inline for both
-polygons in one frame.
+The query loop calls ``_cso_scan_xy`` (brute) or ``_cso_support_xy``,
+which runs ``support_hill_climb``'s walk inline for both polygons in one
+frame and, without a warm pair, starts at their extremes.
 """
 
 from __future__ import annotations
@@ -112,72 +111,92 @@ def _cso_support_xy(
     dy: float,
     warm: Optional[Tuple[int, int]],
 ) -> SimplexVertex:
-    """``cso_support`` on a flat direction: the query loop's support call.
+    """``cso_support`` on a flat direction: the hill-climbing query's support call.
 
     Returns the flat ``SimplexVertex`` ``(wx, wy, ip, iq)``; no ``Vec2``
-    is built.
-
-    The warm path is ``support_hill_climb``'s walk on P along d and on Q
-    along -d, run inline in this one frame. Q's climb minimizes d.q
-    instead of maximizing (-d).q: float negation is exact, so every dot
-    product and comparison is the exact mirror of the two-call form and
-    the indices are the same.
+    is built. P climbs along d and Q along -d from the (index in P, index
+    in Q) pair ``warm``, with ``support_hill_climb``'s walk run inline in
+    this one frame; ``warm=None`` starts cold, at P's extreme
+    (``ConvexPolygon.bottom``, ``right``, ``top``, ``left``) nearest d and
+    Q's nearest -d. Q's climb minimizes d.q instead of maximizing (-d).q:
+    float negation is exact, so every dot product and comparison is the
+    exact mirror of the two-call form and the indices are the same.
     """
     pxs = p_poly.xs
     pys = p_poly.ys
     qxs = q_poly.xs
     qys = q_poly.ys
     if warm is None:
-        ip = _argmax_index(pxs, pys, dx, dy)
-        iq = _argmax_index(qxs, qys, -dx, -dy)
-    else:
-        pstart, qstart = warm
-        # P: maximize d.p
-        n = len(pxs)
-        ip = pstart
-        best = pxs[ip] * dx + pys[ip] * dy
-        j = ip + 1
+        # The diagonals dx = dy and dx = -dy bound the quarter around each axis.
+        if dy > dx:
+            warm = (p_poly.left, q_poly.right) if -dx > dy else (p_poly.top, q_poly.bottom)
+        else:
+            warm = (p_poly.bottom, q_poly.top) if -dx > dy else (p_poly.right, q_poly.left)
+    pstart, qstart = warm
+    # P: maximize d.p
+    n = len(pxs)
+    ip = pstart
+    best = pxs[ip] * dx + pys[ip] * dy
+    j = ip + 1
+    if j == n:
+        j = 0
+    d = pxs[j] * dx + pys[j] * dy
+    while d > best:
+        ip = j
+        best = d
+        j += 1
         if j == n:
             j = 0
+        d = pxs[j] * dx + pys[j] * dy
+    if ip == pstart:
+        j = ip - 1 if ip else n - 1
         d = pxs[j] * dx + pys[j] * dy
         while d > best:
             ip = j
             best = d
-            j += 1
-            if j == n:
-                j = 0
-            d = pxs[j] * dx + pys[j] * dy
-        if ip == pstart:
             j = ip - 1 if ip else n - 1
             d = pxs[j] * dx + pys[j] * dy
-            while d > best:
-                ip = j
-                best = d
-                j = ip - 1 if ip else n - 1
-                d = pxs[j] * dx + pys[j] * dy
-        # Q: minimize d.q
-        n = len(qxs)
-        iq = qstart
-        best = qxs[iq] * dx + qys[iq] * dy
-        j = iq + 1
+    # Q: minimize d.q
+    n = len(qxs)
+    iq = qstart
+    best = qxs[iq] * dx + qys[iq] * dy
+    j = iq + 1
+    if j == n:
+        j = 0
+    d = qxs[j] * dx + qys[j] * dy
+    while d < best:
+        iq = j
+        best = d
+        j += 1
         if j == n:
             j = 0
+        d = qxs[j] * dx + qys[j] * dy
+    if iq == qstart:
+        j = iq - 1 if iq else n - 1
         d = qxs[j] * dx + qys[j] * dy
         while d < best:
             iq = j
             best = d
-            j += 1
-            if j == n:
-                j = 0
-            d = qxs[j] * dx + qys[j] * dy
-        if iq == qstart:
             j = iq - 1 if iq else n - 1
             d = qxs[j] * dx + qys[j] * dy
-            while d < best:
-                iq = j
-                best = d
-                j = iq - 1 if iq else n - 1
-                d = qxs[j] * dx + qys[j] * dy
+    return _new(SimplexVertex, (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq))
+
+
+def _cso_scan_xy(
+    p_poly: ConvexPolygon,
+    q_poly: ConvexPolygon,
+    dx: float,
+    dy: float,
+    warm: Optional[Tuple[int, int]],
+) -> SimplexVertex:
+    """The brute-force ``_cso_support_xy``: ``_argmax_index`` scans of P along d
+    and of Q along -d, each keeping the lowest tied index; ``warm`` is ignored."""
+    pxs = p_poly.xs
+    pys = p_poly.ys
+    qxs = q_poly.xs
+    qys = q_poly.ys
+    ip = _argmax_index(pxs, pys, dx, dy)
+    iq = _argmax_index(qxs, qys, -dx, -dy)
     return _new(SimplexVertex, (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq))
 
 
@@ -187,19 +206,17 @@ def cso_support(
     direction: Vec2,
     warm: Optional[Tuple[int, int]] = None,
 ) -> SimplexVertex:
-    """Support of the Minkowski difference P - Q in ``direction``.
+    """Support of the Minkowski difference P - Q in ``direction``, by hill climbing.
 
     Returns the point w = P[ip] - Q[iq] as the flat ``SimplexVertex``
     ``(wx, wy, ip, iq)``, with the indices of the P and Q vertices it is
     the difference of; vertex ``i`` of a polygon is
     ``(poly.xs[i], poly.ys[i])``, and ``.w`` gives the point as a ``Vec2``.
 
-    ``warm`` is the (index in P, index in Q) pair to start from: a previous
-    call's answer, or polygon extremes for a cold start. When present both
-    per-polygon queries hill-climb from it, otherwise they scan brute
-    force. Both reach the same support value; where several vertices tie,
-    the scan keeps the lowest index and the climb stops on the first tied
-    vertex it reaches.
+    ``warm`` is the (index in P, index in Q) pair to climb from, such as a
+    previous call's answer; ``None`` starts cold, as the query loop's
+    first call does (see ``_cso_support_xy``). Where several vertices tie,
+    the climb stops on the first tied vertex it reaches.
     """
     return _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm)
 

@@ -7,7 +7,9 @@ triangle set, which the exact oracle check samples too.
 ``recorded_layers`` traces a query through the layers ``gjk2d.gjk``
 looks up at call time, and ``descent_trace`` reads the query's |v|
 after each step from that record. ``vertex`` builds a simplex vertex,
-so the tests name its layout in one place.
+so the tests name its layout in one place. ``nearest_extremes`` names
+where a cold climb may start, and ``symmetric_regular_ring`` builds
+regular polygons whose axis-parallel edges tie exactly.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ def vertex(x, y, ip=0, iq=0) -> SimplexVertex:
     return SimplexVertex(x, y, ip, iq)
 
 
-# The layers the query loop calls through ``gjk2d.gjk`` module globals.
-LOOP_LAYERS = ("_cso_support_xy", "initial_direction", "s1d", "s2d")
+# The layers the query loop calls through ``gjk2d.gjk`` module globals; a
+# query calls one of the two support layers, by ``use_hill_climbing``.
+SUPPORT_LAYERS = ("_cso_support_xy", "_cso_scan_xy")
+LOOP_LAYERS = SUPPORT_LAYERS + ("initial_direction", "s1d", "s2d")
 
 
 @contextmanager
@@ -89,12 +93,56 @@ def descent_trace(calls) -> List[float]:
     for name, _, out in calls:
         if name == "s1d" or name == "s2d":
             _, _, vx, vy = out
-        elif name == "_cso_support_xy" and not trace:
+        elif name in SUPPORT_LAYERS and not trace:
             vx, vy = out[0], out[1]
         else:
             continue
         trace.append(math.sqrt(vx * vx + vy * vy))
     return trace
+
+
+def nearest_extremes(p, q, ux, uy) -> List[Tuple[int, int]]:
+    """Every start pair of a cold climb of P along u and of Q along -u.
+
+    Each polygon starts at an extreme whose axis direction has the largest
+    dot with its climb direction; on a diagonal of u two extremes tie for
+    each polygon, so either may be the start.
+    """
+    axes = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
+
+    def nearest(poly, dx, dy):
+        dots = [ax * dx + ay * dy for ax, ay in axes]
+        extremes = (poly.bottom, poly.right, poly.top, poly.left)
+        return [extremes[k] for k in range(4) if dots[k] == max(dots)]
+
+    return [(ip, iq) for ip in nearest(p, ux, uy) for iq in nearest(q, -ux, -uy)]
+
+
+def symmetric_regular_ring(n, half_step):
+    """Unit regular n-gon, n a multiple of 8, with a vertex at angle 0 or,
+    with ``half_step``, an edge across it. The first octant is mirrored
+    through the square's symmetries, so every axis-parallel edge ties
+    exactly. Vertex 0 is the first at or above angle 0."""
+    octant = []
+    for k in range(n // 8 + 1):
+        twice = 2 * k + (1 if half_step else 0)
+        if 4 * twice > n:
+            break
+        if 4 * twice == n:
+            h = math.sqrt(0.5)
+            octant.append((h, h))
+        else:
+            t = twice * math.pi / n
+            octant.append((math.cos(t), math.sin(t)))
+    ring = set()
+    for x, y in octant:
+        for a, b in ((x, y), (y, x)):
+            for sx in (1.0, -1.0):
+                for sy in (1.0, -1.0):
+                    ring.add((sx * a + 0.0, sy * b + 0.0))
+    ring = sorted(ring, key=lambda v: math.atan2(v[1], v[0]) % (2 * math.pi))
+    assert len(ring) == n
+    return ring
 
 
 @dataclass

@@ -158,11 +158,20 @@ def test_gen_and_check_make_every_timed_pipeline_call(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("query", [gjk2d.distance, gjk2d.intersects])
 def test_query_loop_calls_layers_through_module_globals(query):
-    with recorded_layers() as recorded:
-        for p, q in random_pairs(71, 200):
-            query(p, q)
-    calls = Counter(name for name, _, _ in recorded)
-    assert all(calls[name] > 0 for name in LOOP_LAYERS), calls
+    calls = {}
+    for hill_climbing in (True, False):
+        with recorded_layers() as recorded:
+            for p, q in random_pairs(71, 200):
+                query(p, q, use_hill_climbing=hill_climbing)
+        calls[hill_climbing] = Counter(name for name, _, _ in recorded)
+    # each variant calls every layer through its own support layer, and
+    # never the other's
+    own = {True: "_cso_support_xy", False: "_cso_scan_xy"}
+    for hill_climbing, support in own.items():
+        other = own[not hill_climbing]
+        names = (support, "initial_direction", "s1d", "s2d")
+        assert all(calls[hill_climbing][name] > 0 for name in names), calls
+        assert calls[hill_climbing][other] == 0, calls
 
 
 def assert_shape(value, cls):
@@ -194,7 +203,7 @@ def test_loop_tuples_keep_their_class_and_arity():
         seen["s1d"].append((tau[:2], gjk2d.subdistance.s1d(*tau[:2])))
         seen["s2d"].append((tau, gjk2d.subdistance.s2d(*tau)))
     assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
-    for _, out in seen["_cso_support_xy"]:
+    for _, out in seen["_cso_support_xy"] + seen["_cso_scan_xy"]:
         # the flat (wx, wy, ip, iq) support point, and its point as a Vec2
         assert_shape(out, SimplexVertex)
         assert len(out) == 4
@@ -228,22 +237,53 @@ PERFBENCH_PINS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def perfbench_runs(tmp_path_factory):
+    """One-second perfbench runs of every pin, all started at once.
+
+    Maps ``(workload, trace)`` to a function that waits for that run and
+    returns ``(returncode, stdout, stderr)``. The pinned fingerprints and
+    counters are exact counts, so running side by side cannot move them.
+    """
+    out = tmp_path_factory.mktemp("perfbench")
+    runs = {}
+    for workload, trace, _, _ in PERFBENCH_PINS:
+        command = [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", "7", "--seconds", "1", "--trace", str(trace),
+        ]
+        stdout = out / f"{workload}-{trace}.out"
+        stderr = out / f"{workload}-{trace}.err"
+        with open(stdout, "w") as so, open(stderr, "w") as se:
+            proc = subprocess.Popen(command, cwd=REPO, stdout=so, stderr=se)
+        runs[workload, trace] = (proc, stdout, stderr)
+
+    def wait(workload, trace):
+        proc, stdout, stderr = runs[workload, trace]
+        proc.wait(timeout=300)
+        return proc.returncode, stdout.read_text(), stderr.read_text()
+
+    try:
+        yield wait
+    finally:
+        for proc, _, _ in runs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
 @pytest.mark.parametrize(
     "workload, trace, fingerprint, counters",
     PERFBENCH_PINS,
     ids=[f"{workload}-{trace}" for workload, trace, _, _ in PERFBENCH_PINS],
 )
-def test_perfbench_prints_its_result_last(workload, trace, fingerprint, counters):
+def test_perfbench_prints_its_result_last(perfbench_runs, workload, trace, fingerprint, counters):
     # A one-second perfbench run from the repository root: its last line is
     # the JSON result holding every BENCHMARK.json metric of the mode, and a
     # patch point that is gone or never called would print a "missing" line.
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", "7", "--seconds", "1", "--trace", str(trace),
-    ]
-    proc = subprocess.run(command, cwd=REPO, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    returncode, stdout, stderr = perfbench_runs(workload, trace)
+    assert returncode == 0, stderr
+    lines = stdout.splitlines()
     result = json.loads(lines[-1])
     assert result["failed"] == 0
     spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gjk2d.baseline
+import gjk2d.bench
 import gjk2d.cli
 import gjk2d.datasets
 import gjk2d.gjk
@@ -409,6 +410,22 @@ class TestBench:
         assert first[1] == "distant"
         assert first[2] == "4"
         assert float(first[4]) <= float(first[5])  # p50 <= p99
+
+    def test_repeated_algorithm_is_timed_once(self, small_dataset, capsys, monkeypatch):
+        timed = []
+        runner = gjk2d.bench._runner
+
+        def recording(algorithm):
+            timed.append(algorithm)
+            return runner(algorithm)
+
+        monkeypatch.setattr(gjk2d.bench, "_runner", recording)
+        argv = ["bench", str(small_dataset), "--algorithms", "Sat", "BinaryGjk", "Sat"]
+        assert main(argv + ["--repetitions", "1", "--warmup", "0"]) == 0
+        assert timed == [Algorithm.SAT, Algorithm.BINARY_GJK]
+        rows = [line.split(",")[:2] for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        regimes = [regime.value for regime in sorted(Regime, key=lambda r: r.value)]
+        assert rows == [[a, r] for a in ("BinaryGjk", "Sat") for r in regimes]
 
     def test_unknown_algorithm_is_usage_error(self, small_dataset):
         with pytest.raises(SystemExit) as exc:

@@ -36,7 +36,7 @@ from gjk2d.gjk import (
     witness_points,
 )
 
-from conftest import descent_trace, recorded_layers, vertex
+from conftest import descent_trace, recorded_layers, symmetric_regular_ring, vertex
 from oracle_utils import exact_sat_intersects, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -287,9 +287,9 @@ class TestIntersects:
 
 
 class TestSupportVariants:
-    # The paper's two variants: warm-started hill-climbing support that
-    # never scans (its first call climbs from the polygons' extremes,
-    # inline in _cso_support_xy), and the scan, one _argmax_index per polygon.
+    # The paper's two variants: hill-climbing support that never scans
+    # (_cso_support_xy, whose cold calls climb from the polygons' extremes),
+    # and the scan, one _argmax_index per polygon (_cso_scan_xy).
     @pytest.mark.parametrize(
         "kwargs,scans_per_call",
         [({}, 0), ({"use_hill_climbing": False}, 2)],
@@ -315,26 +315,11 @@ class TestSupportVariants:
         assert scans == scans_per_call * support_calls
 
 
-def nearest_extremes(p, q, ux, uy):
-    """Starts of a climb of P along u and of Q along -u: each polygon's
-    extreme whose axis direction has the largest dot with its direction,
-    or None for a u on a diagonal, where two of them tie."""
-    if abs(ux) == abs(uy):
-        return None
-    axes = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
-
-    def nearest(poly, dx, dy):
-        k = max(range(4), key=lambda k: axes[k][0] * dx + axes[k][1] * dy)
-        return (poly.bottom, poly.right, poly.top, poly.left)[k]
-
-    return nearest(p, ux, uy), nearest(q, -ux, -uy)
-
-
 class TestClimbStarts:
-    # The first call climbs from the extremes nearest its direction; the
-    # second from the extremes nearest -w1 when w1 is not past the origin
-    # along d0, else from the first answer; every later call from the
-    # answer before it.
+    # The first call starts cold, and so does the second when w1 is not
+    # past the origin along d0; otherwise the second starts from the first
+    # answer, and every later call from the answer before it. A cold climb
+    # picks its own start (tests/test_support.py::TestColdStart).
 
     def test_each_call_starts_where_the_rule_says(self):
         rng = random.Random(61)
@@ -348,7 +333,7 @@ class TestClimbStarts:
                     query(p, q)
                 support = [(args, out) for name, args, out in calls if name == "_cso_support_xy"]
                 (_, _, dx, dy, warm), first = support[0]
-                assert nearest_extremes(p, q, dx, dy) in (warm, None)
+                assert warm is None
                 if len(support) > 1:
                     (_, _, _, _, warm), _ = support[1]
                     if -(dx * first.wx + dy * first.wy) > 0.0:
@@ -356,14 +341,11 @@ class TestClimbStarts:
                         assert warm == (first.ip, first.iq)
                     else:
                         second["restart"] += 1
-                        assert nearest_extremes(p, q, -first.wx, -first.wy) in (warm, None)
+                        assert warm is None
                 for k in range(2, len(support)):
                     (_, _, _, _, warm), _ = support[k]
                     before = support[k - 1][1]
                     assert warm == (before.ip, before.iq)
-                with recorded_layers() as calls:
-                    query(p, q, use_hill_climbing=False)
-                assert all(args[4] is None for name, args, _ in calls if name == "_cso_support_xy")
         assert min(second.values()) > 20, second
 
 
@@ -381,33 +363,6 @@ def tie_rectangles(count=4000, seed=5):
             pair.append(ConvexPolygon(ring[start:] + ring[:start]))
         pairs.append(tuple(pair))
     return pairs
-
-
-def symmetric_regular_ring(n, half_step):
-    """Unit regular n-gon, n a multiple of 8, with a vertex at angle 0 or,
-    with ``half_step``, an edge across it. The first octant is mirrored
-    through the square's symmetries, so every axis-parallel edge ties
-    exactly. Vertex 0 is the first at or above angle 0."""
-    octant = []
-    for k in range(n // 8 + 1):
-        twice = 2 * k + (1 if half_step else 0)
-        if 4 * twice > n:
-            break
-        if 4 * twice == n:
-            h = math.sqrt(0.5)
-            octant.append((h, h))
-        else:
-            t = twice * math.pi / n
-            octant.append((math.cos(t), math.sin(t)))
-    ring = set()
-    for x, y in octant:
-        for a, b in ((x, y), (y, x)):
-            for sx in (1.0, -1.0):
-                for sy in (1.0, -1.0):
-                    ring.add((sx * a + 0.0, sy * b + 0.0))
-    ring = sorted(ring, key=lambda v: math.atan2(v[1], v[0]) % (2 * math.pi))
-    assert len(ring) == n
-    return ring
 
 
 def tie_regular_polygons():

@@ -1,11 +1,13 @@
 import math
 import random
+from types import SimpleNamespace
 
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import ConvexPolygon, Vec2
 from gjk2d.support import (
     SimplexVertex,
     _argmax_index,
+    _cso_scan_xy,
     _cso_support_xy,
     cso_support,
     initial_direction,
@@ -13,6 +15,7 @@ from gjk2d.support import (
     support_hill_climb,
 )
 
+from conftest import nearest_extremes, symmetric_regular_ring
 from oracle_utils import convex_hull, dot, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -180,7 +183,8 @@ class TestCsoSupport:
         assert res.w.x == 4.0  # 1 + 3
 
     def test_zero_direction_uses_first_vertices(self):
-        res = cso_support(UNIT_SQUARE, UNIT_SQUARE, Vec2(0, 0))
+        # the brute-force scan; a cold climb stays at its starting extremes
+        res = _cso_scan_xy(UNIT_SQUARE, UNIT_SQUARE, 0.0, 0.0, None)
         assert res.ip == 0 and res.iq == 0
         assert res.w == Vec2(0, 0)
 
@@ -199,6 +203,10 @@ class TestCsoSupport:
             a = random_convex_polygon(rng.choice([3, 4, 8, 13]), rng)
             b = random_convex_polygon(rng.choice([3, 4, 8, 13]), rng)
             d = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            fwd = _cso_scan_xy(a, b, d.x, d.y, None)
+            rev = _cso_scan_xy(b, a, -d.x, -d.y, None)
+            assert fwd.w == Vec2(-rev.w.x, -rev.w.y)
+            # a cold climb off the diagonals starts at mirrored extremes
             fwd = cso_support(a, b, d)
             rev = cso_support(b, a, Vec2(-d.x, -d.y))
             assert fwd.w == Vec2(-rev.w.x, -rev.w.y)
@@ -230,10 +238,11 @@ class TestSimplexVertexLayout:
         rng = random.Random(45)
         p = random_convex_polygon(6, rng)
         q = random_convex_polygon(9, rng)
-        for warm in (None, (0, 0), (3, 5)):
-            v = _cso_support_xy(p, q, 0.3, -1.7, warm)
-            assert type(v.w) is Vec2
-            assert v.w == Vec2(v.wx, v.wy)
+        for support in (_cso_support_xy, _cso_scan_xy):
+            for warm in (None, (0, 0), (3, 5)):
+                v = support(p, q, 0.3, -1.7, warm)
+                assert type(v) is SimplexVertex and type(v.w) is Vec2
+                assert v.w == Vec2(v.wx, v.wy)
 
     def test_cso_support_is_the_flat_call(self):
         rng = random.Random(46)
@@ -345,7 +354,7 @@ class TestExtremes:
             xs, ys = poly.xs, poly.ys
             b, r, t, l = extremes(poly)
             for dx, dy in directions:
-                brute = _cso_support_xy(poly, poly, dx, dy, None)
+                brute = _cso_scan_xy(poly, poly, dx, dy, None)
                 top = xs[brute.ip] * dx + ys[brute.ip] * dy
                 low = xs[brute.iq] * dx + ys[brute.iq] * dy
                 # P climbs along d from bottom and right, Q along -d from top
@@ -355,6 +364,83 @@ class TestExtremes:
                     res = _cso_support_xy(poly, poly, dx, dy, warm)
                     assert xs[res.ip] * dx + ys[res.ip] * dy == top
                     assert xs[res.iq] * dx + ys[res.iq] * dy == low
+
+
+def cold_start_corpus():
+    """Pairs from ``extremes_corpus`` and the symmetric regular rings at
+    every ring start, each polygon with itself and with the next."""
+    polys = extremes_corpus()
+    rings = [symmetric_regular_ring(n, half) for n in (8, 16) for half in (False, True)]
+    for ring in rings:
+        for start in range(len(ring)):
+            polys.append(ConvexPolygon(ring[start:] + ring[:start]))
+    polys += [ConvexPolygon(symmetric_regular_ring(64, half)) for half in (False, True)]
+    return [(p, p) for p in polys] + list(zip(polys, polys[1:] + polys[:1]))
+
+
+class ReadLog:
+    """A coordinate sequence that logs the index of every read."""
+
+    def __init__(self, values):
+        self.values = values
+        self.reads = []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.values[i]
+
+
+def logged(poly):
+    """A stand-in for ``poly`` whose ``xs`` logs the climb's reads."""
+    return SimpleNamespace(
+        xs=ReadLog(poly.xs), ys=poly.ys,
+        bottom=poly.bottom, right=poly.right, top=poly.top, left=poly.left,
+    )
+
+
+class TestColdStart:
+    # A climb given no warm pair starts at P's extreme nearest d and Q's
+    # nearest -d, the start the query loop's cold calls rely on.
+
+    def test_cold_climb_reads_the_nearest_extremes_first(self):
+        # The first vertex each climb reads is its start, so a wrong start
+        # shows on untied input too. It also costs ring steps: on a regular
+        # 256-gon the nearest extreme is at most an eighth of a turn, 32
+        # steps, from the answer, and the climb reads at most 4 more: the
+        # start, a failed step each way and the answer's coordinates.
+        rng = random.Random(51)
+        ring = ConvexPolygon(symmetric_regular_ring(256, False))
+        polys = [random_convex_polygon(n, rng) for n in (3, 8, 24, 64, 128)] + [ring]
+        for p, q in zip(polys, polys[1:] + polys[:1]):
+            for _ in range(100):
+                t = rng.uniform(0.0, 2.0 * math.pi)
+                dx, dy = math.cos(t), math.sin(t)
+                lp, lq = logged(p), logged(q)
+                res = _cso_support_xy(lp, lq, dx, dy, None)
+                assert (lp.xs.reads[0], lq.xs.reads[0]) in nearest_extremes(p, q, dx, dy)
+                assert res == _cso_support_xy(p, q, dx, dy, None)
+                for poly, log in ((p, lp), (q, lq)):
+                    if poly is ring:
+                        assert len(log.xs.reads) <= 256 // 8 + 4
+
+    def test_cold_climb_starts_at_the_nearest_extremes(self):
+        rng = random.Random(50)
+        directions = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-0.0, 2.0)]
+        directions += [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)]
+        for _ in range(150):
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            directions.append((math.cos(t), math.sin(t)))
+        diagonal = 0
+        for p, q in cold_start_corpus():
+            for dx, dy in directions:
+                starts = nearest_extremes(p, q, dx, dy)
+                diagonal += len(starts) > 1
+                climbs = [_cso_support_xy(p, q, dx, dy, warm) for warm in starts]
+                assert _cso_support_xy(p, q, dx, dy, None) in climbs
+        assert diagonal > 0
 
 
 class TestInitialDirection:
