@@ -77,15 +77,23 @@ class ConvexPolygon:
     ``ys``, the vertex centroid (each coordinate sum added left to right
     from 0.0, so the same on every Python version), ``min_turn``: the
     smallest turn, the cross product (b - a) x (c - b) over every
-    consecutive vertex triple (a, b, c), and four vertex indices that
-    hill-climbing support starts from: ``bottom`` and ``top``, the lowest
-    and the highest vertex (the left end of a lowest or highest edge), and
-    ``right`` and ``left``, the middle vertex of the ring from ``bottom``
-    up to ``top`` and of the ring from ``top`` back down to ``bottom``,
-    both counted from ``bottom``. Instances are immutable.
+    consecutive vertex triple (a, b, c), and eight vertex indices that
+    hill-climbing support starts from, in ring order: ``bottom``,
+    ``lower_right``, ``right``, ``upper_right``, ``top``, ``upper_left``,
+    ``left``, ``lower_left``. ``bottom`` and ``top`` are the lowest and the
+    highest vertex (the left end of a lowest or highest edge). The other
+    six split the ring from ``bottom`` up to ``top`` and the ring from
+    ``top`` back down to ``bottom`` into quarters: ``right`` and ``left``
+    are their middle vertices, the other four the vertices a quarter of
+    each ring from its ends, all counted from ``bottom``. Instances are
+    immutable.
     """
 
-    __slots__ = ("xs", "ys", "centroid", "min_turn", "bottom", "right", "top", "left")
+    __slots__ = (
+        "xs", "ys", "centroid", "min_turn",
+        "bottom", "lower_right", "right", "upper_right",
+        "top", "upper_left", "left", "lower_left",
+    )
 
     def __init__(self, vertices: Iterable):
         xs, ys = [], []
@@ -166,7 +174,7 @@ class ConvexPolygon:
         self.ys = tuple(ys)
         self.centroid = Vec2(sx / n, sy / n)
         self.min_turn = least
-        # bottom and top are both left ends, and both middles count from
+        # bottom and top are both left ends, and the other six count from
         # bottom. An exactly tied edge along an axis then starts its climb
         # at the end with the smaller other coordinate in P and in Q alike,
         # so the first support point of P - Q falls inside that edge of
@@ -174,10 +182,15 @@ class ConvexPolygon:
         bottom %= n
         top %= n
         up = (top - bottom) % n
+        down = n - up
         self.bottom = bottom
+        self.lower_right = (bottom + up // 4) % n
         self.right = (bottom + up // 2) % n
+        self.upper_right = (bottom + 3 * up // 4) % n
         self.top = top
-        self.left = (bottom - (n - up) // 2) % n
+        self.upper_left = (bottom - 3 * down // 4) % n
+        self.left = (bottom - down // 2) % n
+        self.lower_left = (bottom - down // 4) % n
 
     def __len__(self) -> int:
         return len(self.xs)

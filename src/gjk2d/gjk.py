@@ -112,11 +112,10 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     below which v counts as the origin, ``_EPSILON**2`` times the largest
     |w|^2 over the query's support points. ``hcs`` picks the support
     function once: ``_cso_support_xy``, which climbs both polygons inline,
-    or ``_cso_scan_xy``, the brute-force scan. Each support call passes the
-    previous answer as its warm pair, except that the first call passes
-    ``None`` and so does the second when d0.w1 <= 0; a climb given ``None``
-    starts cold, at the polygons' extremes for its direction, and the scan
-    ignores the pair. ``binary`` only adds the SeparatingHyperplane and
+    or ``_cso_scan_xy``, the brute-force scan. Every support call passes
+    ``None`` as its warm pair, so each climb starts cold, at the polygons'
+    recorded starts nearest its direction, and the scan has no start.
+    ``binary`` only adds the SeparatingHyperplane and
     VerticalAngleEnclosure exits; every other exit is a ``Termination``.
     The separating test also covers the first support point, against the
     start direction d0. It makes ``iterations + 1`` support calls.
@@ -131,26 +130,20 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
 
     d0x, d0y = initial_direction(p_poly, q_poly)
     first = support(p_poly, q_poly, -d0x, -d0y, None)
-    vx, vy, ip, iq = first
+    vx, vy, _, _ = first
     verts = [first]
     lambdas = [1.0]
     v_sq = vx * vx + vy * vy
     tol_sq = eps_sq * v_sq
-    ahead = d0x * vx + d0y * vy
-    if binary and ahead > 0.0:
+    if binary and d0x * vx + d0y * vy > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
         return _EXIT_SEPARATING, 0, verts, lambdas, vx, vy, tol_sq
-    # A w1 past the origin along d0 leaves -w1 near -d0, so the second climb
-    # starts from the first answer, as every later one starts from the one
-    # before. Otherwise -w1 turns back toward d0, and the climb starts cold.
-    warm = (ip, iq) if ahead > 0.0 else None
 
     k = 0
     while k < _MAX_ITERATIONS:
         k += 1
-        w = support(p_poly, q_poly, -vx, -vy, warm)
-        wx, wy, ip, iq = w
-        warm = (ip, iq)
+        w = support(p_poly, q_poly, -vx, -vy, None)
+        wx, wy, _, _ = w
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
@@ -209,8 +202,8 @@ def distance(
     every length in the result exactly, barring underflow and overflow.
     ``support_calls`` counts Minkowski-difference support evaluations;
     ``use_hill_climbing`` picks hill-climbing support, each climb started
-    from the previous answer or cold from the polygons' extremes, over the
-    brute-force scan (same support values).
+    cold from the polygons' recorded starts nearest its direction, over
+    the brute-force scan (same support values).
     """
     termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)

@@ -10,17 +10,25 @@ at the first tied vertex it reaches.
 
 The query loop calls ``_cso_scan_xy`` (brute) or ``_cso_support_xy``,
 which runs ``support_hill_climb``'s walk inline for both polygons in one
-frame and, without a warm pair, starts at their extremes.
+frame. The loop passes no warm pair, so every climb starts cold, at the
+polygon's recorded start (one of eight, ``ConvexPolygon.bottom`` to
+``lower_left``) for the 45-degree sector of its direction. The public
+``support_hill_climb`` and ``cso_support`` check the starts they are
+given; ``_cso_support_xy`` takes its starts from the polygons and checks
+none.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Tuple
 
 from .geometry import ConvexPolygon, Vec2
 
 # Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
 _new = tuple.__new__
+# tan(22.5 degrees): the edges of the eight 45-degree sectors a cold climb starts by.
+_TAN_22_5 = math.sqrt(2.0) - 1.0
 
 
 class SupportResult(NamedTuple):
@@ -74,12 +82,15 @@ def support_hill_climb(poly: ConvexPolygon, direction: Vec2, start: int) -> Supp
     unimodal, so the walk reaches a vertex whose support value equals the
     brute-force maximum. No step bound is needed: the dot strictly
     increases at every step, so the walk cannot revisit a vertex. A zero
-    or NaN direction returns ``start``.
+    or NaN direction returns ``start``. A ``start`` outside ``[0, n)``
+    raises ``ValueError``.
     """
     xs = poly.xs
     ys = poly.ys
     dx, dy = direction
     n = len(xs)
+    if not 0 <= start < n:
+        raise ValueError(f"start {start!r} is not a vertex index in [0, {n})")
     i = start
     best = xs[i] * dx + ys[i] * dy
     j = i + 1
@@ -115,10 +126,15 @@ def _cso_support_xy(
 
     Returns the flat ``SimplexVertex`` ``(wx, wy, ip, iq)``; no ``Vec2``
     is built. P climbs along d and Q along -d from the (index in P, index
-    in Q) pair ``warm``, with ``support_hill_climb``'s walk run inline in
-    this one frame; ``warm=None`` starts cold, at P's extreme
-    (``ConvexPolygon.bottom``, ``right``, ``top``, ``left``) nearest d and
-    Q's nearest -d. Q's climb minimizes d.q instead of maximizing (-d).q:
+    in Q) pair ``warm``, unchecked, with ``support_hill_climb``'s walk run
+    inline in this one frame. ``warm=None``, which the query loop passes
+    on every call, starts cold: d falls in one of eight 45-degree sectors,
+    around an axis or a diagonal, and P starts at its recorded start for
+    that sector (``ConvexPolygon.bottom``, ``lower_right``, ``right``,
+    ``upper_right``, ``top``, ``upper_left``, ``left`` or ``lower_left``),
+    Q at its start for the opposite sector. A direction on a sector edge
+    takes the axis sector; a zero or NaN one starts P at ``right`` and Q at
+    ``left``. Q's climb minimizes d.q instead of maximizing (-d).q:
     float negation is exact, so every dot product and comparison is the
     exact mirror of the two-call form and the indices are the same.
     """
@@ -127,12 +143,57 @@ def _cso_support_xy(
     qxs = q_poly.xs
     qys = q_poly.ys
     if warm is None:
-        # The diagonals dx = dy and dx = -dy bound the quarter around each axis.
+        # The diagonals dx = dy and dx = -dy bound the quarter around each
+        # axis; lines at 22.5 degrees from the axis, |dy| = _TAN_22_5 * |dx|
+        # or its mirror, split the quarter into its axis sector and two
+        # diagonal ones. A zero or NaN direction fails every test: right.
         if dy > dx:
-            warm = (p_poly.left, q_poly.right) if -dx > dy else (p_poly.top, q_poly.bottom)
+            if -dx > dy:
+                t = _TAN_22_5 * dx
+                if dy > -t:
+                    pstart = p_poly.upper_left
+                    qstart = q_poly.lower_right
+                elif dy < t:
+                    pstart = p_poly.lower_left
+                    qstart = q_poly.upper_right
+                else:
+                    pstart = p_poly.left
+                    qstart = q_poly.right
+            else:
+                t = _TAN_22_5 * dy
+                if dx > t:
+                    pstart = p_poly.upper_right
+                    qstart = q_poly.lower_left
+                elif dx < -t:
+                    pstart = p_poly.upper_left
+                    qstart = q_poly.lower_right
+                else:
+                    pstart = p_poly.top
+                    qstart = q_poly.bottom
+        elif -dx > dy:
+            t = _TAN_22_5 * dy
+            if dx > -t:
+                pstart = p_poly.lower_right
+                qstart = q_poly.upper_left
+            elif dx < t:
+                pstart = p_poly.lower_left
+                qstart = q_poly.upper_right
+            else:
+                pstart = p_poly.bottom
+                qstart = q_poly.top
         else:
-            warm = (p_poly.bottom, q_poly.top) if -dx > dy else (p_poly.right, q_poly.left)
-    pstart, qstart = warm
+            t = _TAN_22_5 * dx
+            if dy > t:
+                pstart = p_poly.upper_right
+                qstart = q_poly.lower_left
+            elif dy < -t:
+                pstart = p_poly.lower_right
+                qstart = q_poly.upper_left
+            else:
+                pstart = p_poly.right
+                qstart = q_poly.left
+    else:
+        pstart, qstart = warm
     # P: maximize d.p
     n = len(pxs)
     ip = pstart
@@ -214,10 +275,15 @@ def cso_support(
     ``(poly.xs[i], poly.ys[i])``, and ``.w`` gives the point as a ``Vec2``.
 
     ``warm`` is the (index in P, index in Q) pair to climb from, such as a
-    previous call's answer; ``None`` starts cold, as the query loop's
-    first call does (see ``_cso_support_xy``). Where several vertices tie,
-    the climb stops on the first tied vertex it reaches.
+    previous call's answer; an index outside its polygon's ``[0, n)``
+    raises ``ValueError``. ``None`` starts cold, as every call of the query
+    loop does (see ``_cso_support_xy``). Where several vertices tie, the
+    climb stops on the first tied vertex it reaches.
     """
+    if warm is not None:
+        ip, iq = warm
+        if not (0 <= ip < len(p_poly.xs) and 0 <= iq < len(q_poly.xs)):
+            raise ValueError(f"warm pair {warm!r} is not a pair of vertex indices of P and Q")
     return _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm)
 
 

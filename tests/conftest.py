@@ -7,9 +7,11 @@ triangle set, which the exact oracle check samples too.
 ``recorded_layers`` traces a query through the layers ``gjk2d.gjk``
 looks up at call time, and ``descent_trace`` reads the query's |v|
 after each step from that record. ``vertex`` builds a simplex vertex,
-so the tests name its layout in one place. ``nearest_extremes`` names
-where a cold climb may start, and ``symmetric_regular_ring`` builds
-regular polygons whose axis-parallel edges tie exactly.
+so the tests name its layout in one place. ``starts`` lists a polygon's
+eight recorded climb starts and ``nearest_extremes`` names where a cold
+climb may start. ``symmetric_regular_ring`` builds regular polygons
+whose axis-parallel edges tie exactly, and ``tie_rectangles`` integer
+rectangles whose edges do.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 import gjk2d.gjk
 from gjk2d.baseline import oracle_distance
 from gjk2d.datasets import DatasetSpec, PairCase, generate_dataset
+from gjk2d.geometry import ConvexPolygon
 from gjk2d.gjk import CollisionResult, DistanceResult, distance, intersects
 from gjk2d.support import SimplexVertex
 
@@ -101,21 +104,53 @@ def descent_trace(calls) -> List[float]:
     return trace
 
 
+# A polygon's eight recorded climb starts in ring order, and their directions.
+START_NAMES = (
+    "bottom", "lower_right", "right", "upper_right", "top", "upper_left", "left", "lower_left"
+)
+_H = math.sqrt(0.5)
+START_DIRECTIONS = (
+    (0.0, -1.0), (_H, -_H), (1.0, 0.0), (_H, _H),
+    (0.0, 1.0), (-_H, _H), (-1.0, 0.0), (-_H, -_H),
+)
+
+
+def starts(poly) -> Tuple[int, ...]:
+    """A polygon's eight recorded climb starts, in ``START_NAMES`` order."""
+    return tuple(getattr(poly, name) for name in START_NAMES)
+
+
 def nearest_extremes(p, q, ux, uy) -> List[Tuple[int, int]]:
     """Every start pair of a cold climb of P along u and of Q along -u.
 
-    Each polygon starts at an extreme whose axis direction has the largest
-    dot with its climb direction; on a diagonal of u two extremes tie for
-    each polygon, so either may be the start.
+    Each polygon starts at the recorded start whose direction, an axis or
+    a diagonal, has the largest dot with its climb direction. On a sector
+    edge, 22.5 degrees off an axis, two dots tie to within rounding, so
+    either start may be taken.
     """
-    axes = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
 
     def nearest(poly, dx, dy):
-        dots = [ax * dx + ay * dy for ax, ay in axes]
-        extremes = (poly.bottom, poly.right, poly.top, poly.left)
-        return [extremes[k] for k in range(4) if dots[k] == max(dots)]
+        dots = [ax * dx + ay * dy for ax, ay in START_DIRECTIONS]
+        least = max(dots) - 1e-12 * math.hypot(dx, dy)
+        return [s for s, dot in zip(starts(poly), dots) if dot >= least]
 
     return [(ip, iq) for ip in nearest(p, ux, uy) for iq in nearest(q, -ux, -uy)]
+
+
+def tie_rectangles(count=4000, seed=5):
+    """Pairs of integer axis-aligned rectangles, each ring at a random start."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            x, y = rng.randint(-10, 10), rng.randint(-10, 10)
+            w, h = rng.randint(1, 10), rng.randint(1, 10)
+            ring = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
+            start = rng.randrange(4)
+            pair.append(ConvexPolygon(ring[start:] + ring[:start]))
+        pairs.append(tuple(pair))
+    return pairs
 
 
 def symmetric_regular_ring(n, half_step):

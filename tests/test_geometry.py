@@ -491,7 +491,7 @@ class TestValidationMatchesReference:
 
 class TestRepresentation:
     """A polygon is its coordinate tuples ``xs`` and ``ys`` plus the centroid,
-    the smallest turn and four extreme vertex indices."""
+    the smallest turn and eight climb-start vertex indices."""
 
     @pytest.mark.parametrize(
         "build",
@@ -531,7 +531,9 @@ class TestRepresentation:
     def test_holds_no_per_vertex_copy(self):
         poly = ConvexPolygon(UNIT_SQUARE)
         assert ConvexPolygon.__slots__ == (
-            "xs", "ys", "centroid", "min_turn", "bottom", "right", "top", "left"
+            "xs", "ys", "centroid", "min_turn",
+            "bottom", "lower_right", "right", "upper_right",
+            "top", "upper_left", "left", "lower_left",
         )
         with pytest.raises(AttributeError):
             poly.vertices

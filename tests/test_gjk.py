@@ -36,7 +36,14 @@ from gjk2d.gjk import (
     witness_points,
 )
 
-from conftest import descent_trace, recorded_layers, symmetric_regular_ring, vertex
+from conftest import (
+    SUPPORT_LAYERS,
+    descent_trace,
+    recorded_layers,
+    symmetric_regular_ring,
+    tie_rectangles,
+    vertex,
+)
 from oracle_utils import exact_sat_intersects, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -288,7 +295,7 @@ class TestIntersects:
 
 class TestSupportVariants:
     # The paper's two variants: hill-climbing support that never scans
-    # (_cso_support_xy, whose cold calls climb from the polygons' extremes),
+    # (_cso_support_xy, whose cold calls climb from the polygons' starts),
     # and the scan, one _argmax_index per polygon (_cso_scan_xy).
     @pytest.mark.parametrize(
         "kwargs,scans_per_call",
@@ -316,53 +323,26 @@ class TestSupportVariants:
 
 
 class TestClimbStarts:
-    # The first call starts cold, and so does the second when w1 is not
-    # past the origin along d0; otherwise the second starts from the first
-    # answer, and every later call from the answer before it. A cold climb
-    # picks its own start (tests/test_support.py::TestColdStart).
+    # The loop holds no start rule: every support call passes no warm pair,
+    # and a cold climb picks its own start
+    # (tests/test_support.py::TestColdStart).
 
     def test_each_call_starts_where_the_rule_says(self):
         rng = random.Random(61)
         pairs = [random_pair(rng, span=rng.choice([0.5, 1.5, 3.0])) for _ in range(300)]
         # integer rectangles tie along the axes
         pairs += tie_rectangles(count=300, seed=62)
-        second = {"restart": 0, "ahead": 0}
-        for p, q in pairs:
-            for query in (distance, intersects):
-                with recorded_layers() as calls:
-                    query(p, q)
-                support = [(args, out) for name, args, out in calls if name == "_cso_support_xy"]
-                (_, _, dx, dy, warm), first = support[0]
-                assert warm is None
-                if len(support) > 1:
-                    (_, _, _, _, warm), _ = support[1]
-                    if -(dx * first.wx + dy * first.wy) > 0.0:
-                        second["ahead"] += 1
-                        assert warm == (first.ip, first.iq)
-                    else:
-                        second["restart"] += 1
-                        assert warm is None
-                for k in range(2, len(support)):
-                    (_, _, _, _, warm), _ = support[k]
-                    before = support[k - 1][1]
-                    assert warm == (before.ip, before.iq)
-        assert min(second.values()) > 20, second
-
-
-def tie_rectangles(count=4000, seed=5):
-    """Pairs of integer axis-aligned rectangles, each ring at a random start."""
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(count):
-        pair = []
-        for _ in range(2):
-            x, y = rng.randint(-10, 10), rng.randint(-10, 10)
-            w, h = rng.randint(1, 10), rng.randint(1, 10)
-            ring = [(x, y), (x + w, y), (x + w, y + h), (x, y + h)]
-            start = rng.randrange(4)
-            pair.append(ConvexPolygon(ring[start:] + ring[:start]))
-        pairs.append(tuple(pair))
-    return pairs
+        for hcs in (True, False):
+            calls = 0
+            for p, q in pairs:
+                for query in (distance, intersects):
+                    with recorded_layers() as recorded:
+                        res = query(p, q, use_hill_climbing=hcs)
+                    support = [args for name, args, _ in recorded if name in SUPPORT_LAYERS]
+                    assert len(support) == res.support_calls
+                    assert all(warm is None for _, _, _, _, warm in support)
+                    calls += len(support)
+            assert calls > 2 * len(pairs)
 
 
 def tie_regular_polygons():
@@ -384,7 +364,7 @@ class TestTieCorpus:
     # tied vertex it stops on. Mean support calls per query, with every
     # climb from the vertex pair (0, 0) and then from the previous answer:
     # rectangles 2.58275 (distance) and 1.463 (intersects), regular
-    # polygons 2.0 and 1.625. The extremes' tie rule may cost at most 0.1.
+    # polygons 2.0 and 1.625. The starts' tie rule may cost at most 0.1.
     VERTEX_ZERO_MEANS = {"tie_rectangles": (2.58275, 1.463), "tie_regular_polygons": (2.0, 1.625)}
 
     @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import math
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from gjk2d.datasets import random_convex_polygon
 from gjk2d.geometry import ConvexPolygon, Vec2
 from gjk2d.support import (
@@ -15,7 +17,13 @@ from gjk2d.support import (
     support_hill_climb,
 )
 
-from conftest import nearest_extremes, symmetric_regular_ring
+from conftest import (
+    START_NAMES,
+    nearest_extremes,
+    starts,
+    symmetric_regular_ring,
+    tie_rectangles,
+)
 from oracle_utils import convex_hull, dot, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -183,10 +191,25 @@ class TestCsoSupport:
         assert res.w.x == 4.0  # 1 + 3
 
     def test_zero_direction_uses_first_vertices(self):
-        # the brute-force scan; a cold climb stays at its starting extremes
+        # the brute-force scan; a cold climb stays at its starts
         res = _cso_scan_xy(UNIT_SQUARE, UNIT_SQUARE, 0.0, 0.0, None)
         assert res.ip == 0 and res.iq == 0
         assert res.w == Vec2(0, 0)
+
+    def test_public_wrappers_reject_a_start_that_is_not_a_vertex(self):
+        # A negative index would wrap to the ring's end and walk on to
+        # another negative one; n would read past the end.
+        d = Vec2(-1.0, -0.1)
+        for warm in ((-1, -1), (-1, 0), (0, -1), (4, 0), (0, 4), (7, 7)):
+            with pytest.raises(ValueError):
+                cso_support(UNIT_SQUARE, UNIT_SQUARE, d, warm=warm)
+        for start in (-1, -4, 4, 5):
+            with pytest.raises(ValueError):
+                support_hill_climb(UNIT_SQUARE, d, start)
+        for i in range(4):
+            assert support_hill_climb(UNIT_SQUARE, d, i).point == Vec2(0.0, 0.0)
+            res = cso_support(UNIT_SQUARE, UNIT_SQUARE, d, warm=(i, 3 - i))
+            assert 0 <= res.ip < 4 and 0 <= res.iq < 4
 
     def test_w_equals_p_minus_q_exactly(self):
         rng = random.Random(5)
@@ -206,7 +229,8 @@ class TestCsoSupport:
             fwd = _cso_scan_xy(a, b, d.x, d.y, None)
             rev = _cso_scan_xy(b, a, -d.x, -d.y, None)
             assert fwd.w == Vec2(-rev.w.x, -rev.w.y)
-            # a cold climb off the diagonals starts at mirrored extremes
+            # the sector rule is odd in d (zero aside), so a cold climb
+            # starts at mirrored starts
             fwd = cso_support(a, b, d)
             rev = cso_support(b, a, Vec2(-d.x, -d.y))
             assert fwd.w == Vec2(-rev.w.x, -rev.w.y)
@@ -303,7 +327,8 @@ class TestFusedWarmSupport:
 
 
 def extremes(poly):
-    return (poly.bottom, poly.right, poly.top, poly.left)
+    """The four axis starts: ``bottom``, ``right``, ``top``, ``left``."""
+    return starts(poly)[::2]
 
 
 def extremes_corpus():
@@ -322,20 +347,31 @@ def extremes_corpus():
 
 
 class TestExtremes:
-    # ConvexPolygon records four vertex indices that the query loop's first
-    # climbs start from; any start reaches the support value.
+    # ConvexPolygon records eight vertex indices that cold climbs start
+    # from; any start reaches the support value.
 
     def test_bottom_and_top_are_the_left_ends_of_the_lowest_and_highest_edges(self):
         for poly in extremes_corpus():
             ring = vertices(poly)
             n = len(ring)
-            assert all(0 <= i < n and type(i) is int for i in extremes(poly))
+            assert all(0 <= i < n and type(i) is int for i in starts(poly))
             assert ring[poly.bottom] == min(ring, key=lambda v: (v[1], v[0]))
             assert ring[poly.top] == min(ring, key=lambda v: (-v[1], v[0]))
-            # right lies on the ring from bottom up to top, left on the way back
+            # the right-hand starts lie in order on the ring from bottom up
+            # to top, the left-hand ones on the way back down to bottom
             up = (poly.top - poly.bottom) % n
-            assert (poly.right - poly.bottom) % n <= up
-            assert (poly.left - poly.bottom) % n >= up or poly.left == poly.bottom
+            along = [(i - poly.bottom) % n for i in starts(poly)]
+            assert along[:5] == sorted(along[:5]) and along[4] == up
+            back = [a or n for a in along[4:]] + [n]
+            assert back == sorted(back)
+
+    def test_every_start_of_a_triangle_or_quad_is_a_vertex(self):
+        rng = random.Random(49)
+        for _ in range(300):
+            ring = vertices(random_convex_polygon(rng.choice([3, 4]), rng))
+            for start in range(len(ring)):
+                poly = ConvexPolygon(ring[start:] + ring[:start])
+                assert all(0 <= i < len(ring) and type(i) is int for i in starts(poly))
 
     def test_axis_parallel_edges_start_at_their_lower_or_left_end(self):
         for start in range(4):
@@ -352,18 +388,30 @@ class TestExtremes:
             directions.append((math.cos(t), math.sin(t)))
         for poly in extremes_corpus():
             xs, ys = poly.xs, poly.ys
-            b, r, t, l = extremes(poly)
+            ring = starts(poly)
+            # P climbs along d from the four starts from bottom to upper
+            # right, Q along -d from the four opposite ones: each start in
+            # one role, over directions of both signs
+            pairs = [(ring[k], ring[k + 4]) for k in range(4)]
             for dx, dy in directions:
                 brute = _cso_scan_xy(poly, poly, dx, dy, None)
                 top = xs[brute.ip] * dx + ys[brute.ip] * dy
                 low = xs[brute.iq] * dx + ys[brute.iq] * dy
-                # P climbs along d from bottom and right, Q along -d from top
-                # and left: each extreme in one role, over directions of
-                # both signs
-                for warm in ((b, t), (r, l)):
+                for warm in pairs:
                     res = _cso_support_xy(poly, poly, dx, dy, warm)
                     assert xs[res.ip] * dx + ys[res.ip] * dy == top
                     assert xs[res.iq] * dx + ys[res.iq] * dy == low
+
+
+_TAN = math.sqrt(2.0) - 1.0
+AXES = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-0.0, 2.0), (3.0, -0.0)]
+DIAGONALS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+# the eight sector edges, 22.5 degrees either side of each axis
+SECTOR_EDGES = [
+    (sx * a, sy * b) for a, b in ((1.0, _TAN), (_TAN, 1.0)) for sx in (1.0, -1.0) for sy in (1.0, -1.0)
+]
+ZEROS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+NANS = [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)]
 
 
 def cold_start_corpus():
@@ -396,19 +444,18 @@ class ReadLog:
 def logged(poly):
     """A stand-in for ``poly`` whose ``xs`` logs the climb's reads."""
     return SimpleNamespace(
-        xs=ReadLog(poly.xs), ys=poly.ys,
-        bottom=poly.bottom, right=poly.right, top=poly.top, left=poly.left,
+        xs=ReadLog(poly.xs), ys=poly.ys, **{name: getattr(poly, name) for name in START_NAMES}
     )
 
 
 class TestColdStart:
-    # A climb given no warm pair starts at P's extreme nearest d and Q's
-    # nearest -d, the start the query loop's cold calls rely on.
+    # A climb given no warm pair starts at P's recorded start nearest d and
+    # Q's nearest -d, the start every call of the query loop relies on.
 
     def test_cold_climb_reads_the_nearest_extremes_first(self):
         # The first vertex each climb reads is its start, so a wrong start
         # shows on untied input too. It also costs ring steps: on a regular
-        # 256-gon the nearest extreme is at most an eighth of a turn, 32
+        # 256-gon the nearest start is at most a sixteenth of a turn, 16
         # steps, from the answer, and the climb reads at most 4 more: the
         # start, a failed step each way and the answer's coordinates.
         rng = random.Random(51)
@@ -424,23 +471,63 @@ class TestColdStart:
                 assert res == _cso_support_xy(p, q, dx, dy, None)
                 for poly, log in ((p, lp), (q, lq)):
                     if poly is ring:
-                        assert len(log.xs.reads) <= 256 // 8 + 4
+                        assert len(log.xs.reads) <= 256 // 16 + 4
 
     def test_cold_climb_starts_at_the_nearest_extremes(self):
         rng = random.Random(50)
-        directions = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-0.0, 2.0)]
-        directions += [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (0.0, 0.0)]
+        directions = AXES + DIAGONALS + SECTOR_EDGES + [(0.0, 0.0)]
         for _ in range(150):
             t = rng.uniform(0.0, 2.0 * math.pi)
             directions.append((math.cos(t), math.sin(t)))
-        diagonal = 0
+        edge = 0
         for p, q in cold_start_corpus():
             for dx, dy in directions:
-                starts = nearest_extremes(p, q, dx, dy)
-                diagonal += len(starts) > 1
-                climbs = [_cso_support_xy(p, q, dx, dy, warm) for warm in starts]
+                pairs = nearest_extremes(p, q, dx, dy)
+                edge += len(pairs) > 1
+                climbs = [_cso_support_xy(p, q, dx, dy, warm) for warm in pairs]
                 assert _cso_support_xy(p, q, dx, dy, None) in climbs
-        assert diagonal > 0
+        assert edge > 0
+
+
+def sector_corpus():
+    """Generated 3- to 128-gons, integer rectangles, and symmetric regular
+    8- to 256-gons with a vertex or an edge across each axis."""
+    rng = random.Random(52)
+    polys = [random_convex_polygon(n, rng) for n in (3, 3, 4, 4, 5, 6, 8, 12, 16, 32, 64, 128)]
+    polys += [p for pair in tie_rectangles(count=20, seed=53) for p in pair]
+    polys += [
+        ConvexPolygon(symmetric_regular_ring(n, half))
+        for n in (8, 16, 32, 64, 128, 256)
+        for half in (False, True)
+    ]
+    return polys
+
+
+class TestSectorChoice:
+    # A cold climb picks its start by the 45-degree sector of d; whatever
+    # the sector, it must reach the brute-force support value.
+
+    def test_cold_climb_reaches_the_brute_value(self):
+        edges = [(dx, math.nextafter(dy, bound)) for dx, dy in SECTOR_EDGES for bound in (0.0, 2.0)]
+        edges += [(math.nextafter(dx, bound), dy) for dx, dy in SECTOR_EDGES for bound in (0.0, 2.0)]
+        directions = AXES + DIAGONALS + SECTOR_EDGES + edges + ZEROS + NANS
+
+        def same(a, b):
+            return a == b or (math.isnan(a) and math.isnan(b))
+
+        polys = sector_corpus()
+        for p, q in list(zip(polys, polys)) + list(zip(polys, polys[1:] + polys[:1])):
+            for dx, dy in directions:
+                brute = _cso_scan_xy(p, q, dx, dy, None)
+                cold = _cso_support_xy(p, q, dx, dy, None)
+                assert 0 <= cold.ip < len(p) and 0 <= cold.iq < len(q)
+                assert same(p.xs[cold.ip] * dx + p.ys[cold.ip] * dy,
+                            p.xs[brute.ip] * dx + p.ys[brute.ip] * dy)
+                assert same(q.xs[cold.iq] * dx + q.ys[cold.iq] * dy,
+                            q.xs[brute.iq] * dx + q.ys[brute.iq] * dy)
+                if (dx, dy) in ZEROS or math.isnan(dx) or math.isnan(dy):
+                    # every sector test fails, and no vertex improves
+                    assert (cold.ip, cold.iq) == (p.right, q.left)
 
 
 class TestInitialDirection:
