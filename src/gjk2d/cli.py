@@ -18,7 +18,6 @@ from .bench import Algorithm, gnuplot_script, records_to_csv, run_benchmark
 from .datasets import (
     DatasetError,
     DatasetSpec,
-    PolygonGenerationFailed,
     Regime,
     RegimeConstructionFailed,
     generate_dataset,
@@ -41,7 +40,7 @@ def _cmd_gen(args) -> int:
     )
     try:
         cases = generate_dataset(spec)
-    except (PolygonGenerationFailed, RegimeConstructionFailed) as exc:
+    except RegimeConstructionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_dataset(args.out, spec, cases)

@@ -51,9 +51,6 @@ RNG_NAME = "mt19937/sha256-case-seeds"
 MAX_ATTEMPTS = 50
 
 _SCHEMA = 1
-# Minimum doubled sub-area of a unit-disc polygon the generator accepts,
-# so later rigid transforms cannot flip a convexity sign by roundoff.
-_MIN_CROSS = 1e-9
 
 
 class Regime(Enum):
@@ -85,10 +82,6 @@ class PairCase:
 
 class DatasetError(Exception):
     """Dataset file violates the JSON-lines schema; message names the line."""
-
-
-class PolygonGenerationFailed(RuntimeError):
-    pass
 
 
 class RegimeConstructionFailed(RuntimeError):
@@ -145,26 +138,15 @@ def _valtr_points(rng: random.Random, n: int) -> Tuple[List[float], List[float]]
 def random_convex_polygon(n: int, rng: random.Random) -> ConvexPolygon:
     """Random strictly convex CCW polygon with exactly n vertices.
 
-    The polygon is centered on its vertex mean and fitted to the unit
-    disc around the origin. A candidate is accepted iff its smallest turn,
-    ``ConvexPolygon.min_turn``, exceeds ``_MIN_CROSS``; others are redrawn,
-    and ``PolygonGenerationFailed`` follows 1000 attempts.
+    One Valtr candidate, centered on its vertex mean and fitted to the unit
+    disc around the origin. ``ConvexPolygon`` alone judges it: a candidate
+    it rejects raises that ``PolygonError``, which ``make_pair`` retries.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
-    for _ in range(1000):
-        xs, ys = _valtr_points(rng, n)
-        radius = max(map(math.hypot, xs, ys))
-        if radius <= 0.0:
-            continue
-        f = 1.0 / radius
-        try:
-            poly = ConvexPolygon(zip([x * f for x in xs], [y * f for y in ys]))
-        except PolygonError:
-            continue
-        if poly.min_turn > _MIN_CROSS:
-            return poly
-    raise PolygonGenerationFailed(f"no valid {n}-gon after 1000 attempts")
+    xs, ys = _valtr_points(rng, n)
+    f = 1.0 / max(map(math.hypot, xs, ys))
+    return ConvexPolygon(zip([x * f for x in xs], [y * f for y in ys]))
 
 
 def derive_case_seed(seed: int, vertex_count: int, regime: Regime, index: int) -> int:
@@ -223,17 +205,21 @@ def make_pair(spec: DatasetSpec, regime: Regime, case_seed: int) -> PairCase:
 
     Construction draws from a stream seeded with ``case_seed`` and is
     fully deterministic. Each placed pair is accepted iff
-    ``verify_regime`` holds; other attempts, a placement that gave up
-    included, are logged with their cause and retried on the same stream,
-    and ``RegimeConstructionFailed`` follows ``MAX_ATTEMPTS``.
+    ``verify_regime`` holds. Other attempts are logged with their cause and
+    retried on the same stream: a placement that gave up, one whose
+    generated or moved polygon ``ConvexPolygon`` rejected (a
+    ``PolygonError``), and a pair that failed verification.
+    ``RegimeConstructionFailed`` follows ``MAX_ATTEMPTS``.
     """
     place = _PLACEMENTS[regime]
     rng = random.Random(case_seed)
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        pair = place(spec.vertex_count, rng)
-        if pair is None:
+        try:
+            pair = place(spec.vertex_count, rng)
             cause = "placed no pair"
-        else:
+        except PolygonError:
+            pair, cause = None, "placed an invalid polygon"
+        if pair is not None:
             case = PairCase(*pair, regime, case_seed)
             if verify_regime(case):
                 return case

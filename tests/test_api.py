@@ -230,10 +230,10 @@ REPO = Path(__file__).resolve().parent.parent
 PERFBENCH_PINS = [
     ("small-polys", 0, "28adbf09a1bde9dc", "0b965510d691affb"),
     ("small-polys", 1, "28adbf09a1bde9dc", "07a874251854206c"),
-    ("large-polys", 0, "f2bf178e31a89175", "ab52b33740abc7cd"),
-    ("large-polys", 1, "f2bf178e31a89175", "a45d04f3ba9a1d5b"),
-    ("gen-check", 0, "f264b0c698189d94", "093096e95dae5527"),
-    ("gen-check", 1, "f264b0c698189d94", "500bdb696c2b40c4"),
+    ("large-polys", 0, "d1c82372829d257e", "ab52b33740abc7cd"),
+    ("large-polys", 1, "d1c82372829d257e", "a45d04f3ba9a1d5b"),
+    ("gen-check", 0, "8c4f99c31a48dc27", "96c990c4335cbd47"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "f79da03060e1fff0"),
 ]
 
 

@@ -84,6 +84,14 @@ class TestGen:
         assert main(argv + [str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_huge_polygons_generate_and_check(self, tmp_path, capsys):
+        # The generator takes what ConvexPolygon accepts, whose smallest
+        # turn shrinks with n (a median of about 2e-12 at 2,048 vertices).
+        path = tmp_path / "huge.jsonl"
+        assert main(["gen", "--vertices", "2048", "--cases", "1", "--seed", "1", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
+        assert "wrote 3 cases" in capsys.readouterr().out
+
     def test_three_vertices_is_legal(self, tmp_path):
         path = tmp_path / "tri.jsonl"
         assert main(["gen", "--vertices", "3", "--cases", "2", "--seed", "5", str(path)]) == 0

@@ -24,7 +24,7 @@ from gjk2d.datasets import (
     verify_regime,
     write_dataset,
 )
-from gjk2d.geometry import ConvexPolygon
+from gjk2d.geometry import ConvexPolygon, NotStrictlyConvex, PolygonError
 
 from oracle_utils import cross, signed_area, sub, vertices
 
@@ -61,22 +61,6 @@ class TestRandomConvexPolygon:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             random_convex_polygon(2, random.Random(0))
-
-    def test_redraws_a_valid_candidate_below_the_margin(self, monkeypatch):
-        # Both candidates are centered, as _valtr_points returns its points,
-        # and have radius 1, so scaling leaves them exactly as given. The
-        # first turns by 2 * 2**-31 < _MIN_CROSS at (1/2 + e, -1/2 - e) and
-        # its mirror.
-        e = 2.0**-31
-        thin = ([0.0, 0.5 + e, 1.0, 0.0, -0.5 - e, -1.0], [-1.0, -0.5 - e, 0.0, 1.0, 0.5 + e, 0.0])
-        good = ([1.0, 0.5, -0.5, -1.0, -0.5, 0.5], [0.0, 0.75, 0.75, 0.0, -0.75, -0.75])
-        thin_poly = ConvexPolygon(zip(*thin))
-        assert thin_poly.min_turn == 2.0**-30 < gjk2d.datasets._MIN_CROSS
-        candidates = iter([thin, good])
-        monkeypatch.setattr(gjk2d.datasets, "_valtr_points", lambda rng, n: next(candidates))
-        poly = random_convex_polygon(6, random.Random(0))
-        assert poly == ConvexPolygon(zip(*good))
-        assert next(candidates, None) is None
 
 
 class TestMakePair:
@@ -133,6 +117,73 @@ class TestMakePair:
             with pytest.raises(RegimeConstructionFailed, match=f"after {MAX_ATTEMPTS} attempts"):
                 make_pair(self.SPEC, Regime.TOUCHING, 2024)
         assert len(caplog.records) == MAX_ATTEMPTS
+
+    # A centered hexagon of radius 1, which generation leaves exactly as
+    # given, and the same ring with vertex 1 moved onto the chord from
+    # vertex 0 to vertex 2, which ConvexPolygon rejects as not strictly
+    # convex.
+    HEXAGON = ([1.0, 0.5, -0.5, -1.0, -0.5, 0.5], [0.0, 0.75, 0.75, 0.0, -0.75, -0.75])
+    COLLINEAR = ([1.0, 0.25, -0.5, -1.0, -0.5, 0.5], [0.0, 0.375, 0.75, 0.0, -0.75, -0.75])
+
+    @classmethod
+    def reject_first_candidate(cls, monkeypatch):
+        """Generation yields the collinear ring, then the hexagon; each draw
+        takes one number from the stream, as a Valtr draw takes many."""
+        candidates = iter([cls.COLLINEAR])
+
+        def valtr(rng, n):
+            rng.random()
+            return next(candidates, cls.HEXAGON)
+
+        monkeypatch.setattr(gjk2d.datasets, "_valtr_points", valtr)
+
+    @staticmethod
+    def reject_first_transform(monkeypatch):
+        """The first rigid motion raises, as ConvexPolygon would on its
+        rebuilt polygon; the rest move as usual."""
+        real = gjk2d.datasets.apply_transform
+        calls = []
+
+        def transform(poly, *motion):
+            calls.append(motion)
+            if len(calls) == 1:
+                raise NotStrictlyConvex(0)
+            return real(poly, *motion)
+
+        monkeypatch.setattr(gjk2d.datasets, "apply_transform", transform)
+
+    @pytest.mark.parametrize("rejected", ["candidate", "transform"])
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_invalid_polygon_is_a_failed_attempt(self, monkeypatch, caplog, regime, rejected):
+        # A PolygonError from the placement is logged once and retried on
+        # the same stream: the accepted pair is the stream's second placement.
+        reject_first = getattr(self, f"reject_first_{rejected}")
+        reject_first(monkeypatch)
+        spec = DatasetSpec(vertex_count=6, cases_per_regime=1, seed=7)
+        with caplog.at_level(logging.WARNING, logger="gjk2d.datasets"):
+            case = make_pair(spec, regime, 2024)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"regenerating {regime.value} case (seed 2024, attempt 1 placed an invalid polygon)"
+        ]
+        assert verify_regime(case)
+        reject_first(monkeypatch)
+        rng = random.Random(2024)
+        place = gjk2d.datasets._PLACEMENTS[regime]
+        with pytest.raises(PolygonError):
+            place(6, rng)
+        assert (case.p, case.q) == place(6, rng)
+
+    def test_always_invalid_candidates_end_in_construction_failure(self, monkeypatch, caplog):
+        with pytest.raises(PolygonError):
+            ConvexPolygon(zip(*self.COLLINEAR))
+        monkeypatch.setattr(gjk2d.datasets, "_valtr_points", lambda rng, n: self.COLLINEAR)
+        with caplog.at_level(logging.WARNING, logger="gjk2d.datasets"):
+            with pytest.raises(RegimeConstructionFailed, match=f"after {MAX_ATTEMPTS} attempts"):
+                make_pair(self.SPEC, Regime.DISTANT, 2024)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"regenerating distant case (seed 2024, attempt {k} placed an invalid polygon)"
+            for k in range(1, MAX_ATTEMPTS + 1)
+        ]
 
     def test_refused_placement_is_retried_without_patching(self, caplog):
         # Case 10 of the overlap block of DatasetSpec(3, 20, 2): its first

@@ -576,6 +576,49 @@ class TestScale:
         assert moved == [scaled_result(res, factor) for res in base]
 
 
+class TestHugePolygons:
+    # Huge inputs: every query ends on a documented exit, never the
+    # iteration cap, and `distance` stays inside `gjk2d check`'s band of
+    # the oracle. Binary verdicts are judged off the contact knife edge.
+    @staticmethod
+    def assert_answers(p, q, judge_binary):
+        """The oracle's report on (p, q), once the queries are judged against it."""
+        report = oracle_distance(p, q)
+        result = distance(p, q)
+        assert result.termination in (
+            Termination.CONVERGED, Termination.SIMPLEX_FULL, Termination.CONTAINS_ORIGIN
+        )
+        assert abs(result.distance - report.distance) <= REL_TOL * max(1.0, report.distance) + ABS_TOL
+        collision = intersects(p, q)
+        assert collision.exit is not CollisionExit.MAX_ITERATIONS
+        if judge_binary:
+            assert collision.colliding == report.intersecting
+        return report
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
+    def test_generated_pairs(self, n, regime):
+        case = make_pair(DatasetSpec(n, 1, 1), regime, derive_case_seed(1, n, regime, 0))
+        assert len(case.p) == len(case.q) == n
+        self.assert_answers(case.p, case.q, regime is not Regime.TOUCHING)
+
+    @pytest.mark.parametrize("n", [16384, 65536])
+    @pytest.mark.parametrize(
+        "separation", [3.0, 2.0, 1.0], ids=["distant", "near-contact", "overlap"]
+    )
+    def test_regular_rings(self, n, separation):
+        # Unit circumradius at random phases: centres 2 apart leave a gap of
+        # at most (pi / n)**2, the two polygons' sagittas, far below 1e-6.
+        rng = random.Random(n)
+        phi = rng.uniform(0.0, 2 * math.pi)
+        p = regular_polygon(n, (0.0, 0.0), rng.uniform(0.0, 1.0))
+        center = (separation * math.cos(phi), separation * math.sin(phi))
+        q = regular_polygon(n, center, rng.uniform(0.0, 1.0))
+        report = self.assert_answers(p, q, separation != 2.0)
+        if separation == 2.0:
+            assert 0.0 <= report.distance < 1e-6
+
+
 class TestGolden:
     # sha256 over every field of every result of one query on the make_pair
     # cases below, with floats as float.hex: any change to an answer, a
