@@ -75,22 +75,20 @@ class ConvexPolygon:
     one is reported as ``NotCounterClockwise`` before any convexity
     violation. The polygon is its per-axis coordinate tuples ``xs`` and
     ``ys``, the vertex centroid (each coordinate sum added left to right
-    from 0.0, so the same on every Python version), ``min_turn``: the
-    smallest turn, the cross product (b - a) x (c - b) over every
-    consecutive vertex triple (a, b, c), and eight vertex indices that
-    hill-climbing support starts from, in ring order: ``bottom``,
-    ``lower_right``, ``right``, ``upper_right``, ``top``, ``upper_left``,
-    ``left``, ``lower_left``. ``bottom`` and ``top`` are the lowest and the
-    highest vertex (the left end of a lowest or highest edge). The other
-    six split the ring from ``bottom`` up to ``top`` and the ring from
-    ``top`` back down to ``bottom`` into quarters: ``right`` and ``left``
-    are their middle vertices, the other four the vertices a quarter of
-    each ring from its ends, all counted from ``bottom``. Instances are
-    immutable.
+    from 0.0, so the same on every Python version), and eight vertex
+    indices that hill-climbing support starts from, in ring order:
+    ``bottom``, ``lower_right``, ``right``, ``upper_right``, ``top``,
+    ``upper_left``, ``left``, ``lower_left``. ``bottom`` and ``top`` are
+    the lowest and the highest vertex (the left end of a lowest or highest
+    edge). The other six split the ring from ``bottom`` up to ``top`` and
+    the ring from ``top`` back down to ``bottom`` into quarters: ``right``
+    and ``left`` are their middle vertices, the other four the vertices a
+    quarter of each ring from its ends, all counted from ``bottom``.
+    Instances are immutable.
     """
 
     __slots__ = (
-        "xs", "ys", "centroid", "min_turn",
+        "xs", "ys", "centroid",
         "bottom", "lower_right", "right", "upper_right",
         "top", "upper_left", "left", "lower_left",
     )
@@ -173,7 +171,6 @@ class ConvexPolygon:
         self.xs = tuple(xs)
         self.ys = tuple(ys)
         self.centroid = Vec2(sx / n, sy / n)
-        self.min_turn = least
         # bottom and top are both left ends, and the other six count from
         # bottom. An exactly tied edge along an axis then starts its climb
         # at the end with the smaller other coordinate in P and in Q alike,

@@ -8,7 +8,9 @@ barycentric coordinates, and that closest point, returned flat as
 by the signs of the origin's barycentric coordinates, and each sign is
 recovered from whether the corresponding sub-area cross product agrees
 in sign with the total. Codes 1/2/4 are vertex regions, 3/5/6 are edge
-regions, and 7 means the triangle encloses the origin.
+regions, and 7 means the triangle encloses the origin. A code other
+than 7 is kept only when its signs clear their rounding bounds; it is
+then exact, names the minimal simplex, and costs one solve.
 """
 
 from __future__ import annotations
@@ -17,17 +19,22 @@ from typing import List, Tuple
 
 from .support import SimplexVertex
 
-# Relative degeneracy threshold on the triangle's doubled signed area.
-_DEGENERATE_REL = 1e-12
-
 # What every solver returns: the supporting sub-simplex (flat
 # ``(wx, wy, ip, iq)`` vertices, passed through as given), its barycentric
 # coordinates, and the closest point (vx, vy).
 Solve = Tuple[List[SimplexVertex], List[float], float, float]
 
+# Shewchuk's ccwerrboundA (Discrete Comput. Geom. 18(3), 1997). Each signed
+# area here is p - q, p and q each a rounded difference times a coordinate
+# or another rounded difference, as in his orient2d. Barring underflow it
+# is within _SIGN_ERR * (|p| + |q|) of the exact value, so a magnitude at
+# least that large fixes the sign. |p + q| stands for |p| + |q|: they are
+# equal when p and q share a sign, and otherwise p - q cannot cancel.
+_SIGN_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
 
 class DegenerateTriangle(ArithmeticError):
-    """The three points are (nearly) collinear; the region code is undefined."""
+    """The area computes to 0, or a code other than 7 has a sign within rounding of 0."""
 
 
 def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
@@ -64,31 +71,34 @@ def compute_barycode(
 ) -> Tuple[int, float, float, float, float]:
     """Region code of the origin against triangle (a, b, c).
 
-    Returns ``(code, sigma_u, sigma_v, sigma_w, total)`` where the sigmas
-    are the doubled signed sub-areas cross(b, c), cross(c, a), cross(a, b)
-    and ``total`` their sum (the doubled signed area of the triangle).
-    Bit 2/1/0 of the code is set iff sigma_u/sigma_v/sigma_w has the same
-    strict positivity as ``total``, which encodes the sign of the
-    origin's barycentric coordinate tied to vertex a/b/c. Raises
-    ``DegenerateTriangle`` when ``|total|`` is at most a fixed fraction of
-    the largest sub-area, i.e. the points are collinear. The threshold has
-    no absolute floor, so the test reads the same at every scale.
+    Returns ``(code, sigma_u, sigma_v, sigma_w, total)``: the doubled
+    signed sub-areas cross(b, c), cross(c, a), cross(a, b), formed
+    edge-relatively as cross(b, c - b) and so on, so that their rounding
+    scales with edge length times distance, and the doubled signed area
+    cross(b - a, c - a), their sum. Bit 2/1/0 is set iff sigma_u/v/w has
+    the same strict positivity as ``total``: the sign of the origin's
+    barycentric coordinate for vertex a/b/c. Raises ``DegenerateTriangle``
+    when ``total`` is 0, or when the code is not 7 and ``total`` is within
+    its ``_SIGN_ERR`` bound or a sub-area below its own. Otherwise every
+    sign is exact (an exact 0 disagrees with a positive total and agrees
+    with a negative one), so the code is exact; code 0 cannot pass.
     """
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    su = bx * cy - by * cx
-    sv = cx * ay - cy * ax
-    sw = ax * by - ay * bx
-    total = su + sv + sw
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    pu, qu = bx * (cy - by), by * (cx - bx)
+    pv, qv = cx * (ay - cy), cy * (ax - cx)
+    pw, qw = ax * (by - ay), ay * (bx - ax)
+    pt, qt = (by - ay) * (ax - cx), (bx - ax) * (ay - cy)
+    su, sv, sw, total = pu - qu, pv - qv, pw - qw, pt - qt
     pos = total > 0.0
-    code = (
-        (((su > 0.0) == pos) << 2)
-        | (((sv > 0.0) == pos) << 1)
-        | ((sw > 0.0) == pos)
-    )
-    if abs(total) <= _DEGENERATE_REL * max(abs(su), abs(sv), abs(sw)):
-        raise DegenerateTriangle(f"collinear simplex points (area sum {total!r})")
+    code = ((su > 0.0) == pos) << 2 | ((sv > 0.0) == pos) << 1 | ((sw > 0.0) == pos)
+    if total == 0.0 or code != 7 and (
+        code == 0
+        or abs(total) <= _SIGN_ERR * abs(pt + qt)
+        or abs(su) < _SIGN_ERR * abs(pu + qu)
+        or abs(sv) < _SIGN_ERR * abs(pv + qv)
+        or abs(sw) < _SIGN_ERR * abs(pw + qw)
+    ):
+        raise DegenerateTriangle(f"no region code (area {total!r}, code {code})")
     return code, su, sv, sw, total
 
 
@@ -104,59 +114,51 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
 
     The vertices are flat ``SimplexVertex`` records, read as
     ``(wx, wy, _, _)``; the answer's sub-simplex holds them as given.
-
-    Dispatches on the region code, with one rule for every edge answer:
-    7 keeps the full simplex with the origin's barycentric coordinates
-    (the closest point is then the origin itself); 6/5/3 solve the edge
-    that drops c/b/a; 4/2/1 solve the two edges at a/b/c and keep the
-    nearer; a collinear triangle keeps the nearest of its three edges,
-    the first of (a, b), (b, c), (c, a) on a tie. In a vertex region the
-    origin lies in the angle opposite the triangle at that vertex, so at
-    most one of the vertex's two edges has the foot of the perpendicular
-    inside it (inside both would need the cosine of the angle at the
-    vertex to exceed 1). One solve is thus the vertex itself and the
-    other the vertex or that edge's foot, in either order.
-
-    The code and the degeneracy test are ``compute_barycode``'s, computed
-    inline; code 7 with a nonzero total returns before the test, which
-    it would pass anyway, and a collinear triangle is recognized without
-    raising.
+    One solve per region code, computed inline as ``compute_barycode``
+    does: 7 keeps the full simplex with the origin's barycentric
+    coordinates; 6/5/3 solve the edge that drops c/b/a; 4/2/1 solve one
+    edge at vertex a/b/c. The origin then lies in the angle opposite the
+    triangle there, so at most one of the two edges has the foot of the
+    perpendicular inside it (both would need a cosine above 1): the first
+    edge (toward b, a, a) when the vertex dotted with it is negative, else
+    the second. A triangle ``compute_barycode`` rejects keeps the nearest
+    of its three edges, the first of (a, b), (b, c), (c, a) on a tie: a
+    code read from rounding noise could name a far edge.
     """
     ax, ay, _, _ = a
     bx, by, _, _ = b
     cx, cy, _, _ = c
-    # compute_barycode inline: the code's three bits, and the enclosing
-    # case returned before the degeneracy test.
-    su = bx * cy - by * cx
-    sv = cx * ay - cy * ax
-    sw = ax * by - ay * bx
-    total = su + sv + sw
+    abx, aby = bx - ax, by - ay
+    cax, cay = ax - cx, ay - cy
+    pu, qu = bx * (cy - by), by * (cx - bx)
+    pv, qv = cx * cay, cy * cax
+    pw, qw = ax * aby, ay * abx
+    pt, qt = aby * cax, abx * cay
+    su, sv = pu - qu, pv - qv
+    sw, total = pw - qw, pt - qt
     pos = total > 0.0
-    bit_u = (su > 0.0) == pos
-    bit_v = (sv > 0.0) == pos
-    bit_w = (sw > 0.0) == pos
+    bit_u, bit_v, bit_w = (su > 0.0) == pos, (sv > 0.0) == pos, (sw > 0.0) == pos
     if bit_u and bit_v and bit_w and total != 0.0:
-        lam_u = su / total
-        lam_v = sv / total
+        lam_u, lam_v = su / total, sv / total
         lam_w = 1.0 - lam_u - lam_v
-        return (
-            [a, b, c],
-            [lam_u, lam_v, lam_w],
-            lam_u * ax + lam_v * bx + lam_w * cx,
-            lam_u * ay + lam_v * by + lam_w * cy,
-        )
-    # A zero total is always degenerate here, so code 7 never reaches the
-    # dispatch below.
-    if abs(total) <= _DEGENERATE_REL * max(abs(su), abs(sv), abs(sw)):
+        return ([a, b, c], [lam_u, lam_v, lam_w],
+                lam_u * ax + lam_v * bx + lam_w * cx, lam_u * ay + lam_v * by + lam_w * cy)
+    if (
+        not (bit_u or bit_v or bit_w)
+        or abs(total) <= _SIGN_ERR * abs(pt + qt)
+        or abs(su) < _SIGN_ERR * abs(pu + qu)
+        or abs(sv) < _SIGN_ERR * abs(pv + qv)
+        or abs(sw) < _SIGN_ERR * abs(pw + qw)
+    ):
         return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
     if bit_u:
         if bit_v:
             return s1d(a, b)  # code 6
         if bit_w:
             return s1d(a, c)  # code 5
-        return _nearer(s1d(a, b), s1d(a, c))  # code 4
+        return s1d(a, b) if ax * abx + ay * aby < 0.0 else s1d(a, c)  # code 4
     if bit_v:
         if bit_w:
             return s1d(b, c)  # code 3
-        return _nearer(s1d(b, a), s1d(b, c))  # code 2
-    return _nearer(s1d(c, a), s1d(c, b))  # code 1
+        return s1d(b, a) if bx * abx + by * aby > 0.0 else s1d(b, c)  # code 2: b·(a - b) < 0
+    return s1d(c, a) if cx * cax + cy * cay < 0.0 else s1d(c, b)  # code 1

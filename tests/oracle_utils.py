@@ -140,8 +140,14 @@ def exact_origin_inside_triangle(a, b, c) -> bool:
 
 
 def exact_triangle_distance_sq(a, b, c) -> Fraction:
-    """Exact squared distance from the origin to the closed triangle abc."""
-    if exact_origin_inside_triangle(a, b, c):
+    """Exact squared distance from the origin to the closed triangle abc.
+
+    A triangle of zero area is the union of its edges: the inside test
+    would pass for every origin on its line.
+    """
+    (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in (a, b, c))
+    area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if area != 0 and exact_origin_inside_triangle(a, b, c):
         return Fraction(0)
     return min(
         exact_segment_distance_sq(ORIGIN, a, b),
@@ -391,11 +397,13 @@ def reference_validate(vertices):
 
 
 def reference_s2d(a, b, c):
-    """``s2d`` as it was before its region code was computed inline.
+    """``s2d`` written as a dispatch through ``compute_barycode``.
 
-    Kept as it was, apart from reading the points through ``.w``:
-    ``compute_barycode`` (which raises on a degenerate triangle) and then
-    the same dispatch. ``s2d`` is tested against it for the same vertex
+    ``compute_barycode`` (which raises on a zero area, or on a code other
+    than 7 whose signs are within rounding of 0) and then one solve per
+    region code, reading the points through
+    ``.w``; the vertex-region dot products are taken as written in
+    ``s2d``'s docstring. ``s2d`` is tested against it for the same vertex
     objects and bit-identical lambdas and closest point.
     """
     from gjk2d.subdistance import DegenerateTriangle, _nearer, compute_barycode, s1d
@@ -407,10 +415,10 @@ def reference_s2d(a, b, c):
         code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
     except DegenerateTriangle:
         return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
+    ax, ay = aw
+    bx, by = bw
+    cx, cy = cw
     if code == 7:
-        ax, ay = aw
-        bx, by = bw
-        cx, cy = cw
         lam_u = su / total
         lam_v = sv / total
         lam_w = 1.0 - lam_u - lam_v
@@ -427,7 +435,7 @@ def reference_s2d(a, b, c):
     if code == 3:
         return s1d(b, c)
     if code == 4:
-        return _nearer(s1d(a, b), s1d(a, c))
+        return s1d(a, b) if ax * (bx - ax) + ay * (by - ay) < 0.0 else s1d(a, c)
     if code == 2:
-        return _nearer(s1d(b, a), s1d(b, c))
-    return _nearer(s1d(c, a), s1d(c, b))  # code 1
+        return s1d(b, a) if bx * (ax - bx) + by * (ay - by) < 0.0 else s1d(b, c)
+    return s1d(c, a) if cx * (ax - cx) + cy * (ay - cy) < 0.0 else s1d(c, b)  # code 1

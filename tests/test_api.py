@@ -229,11 +229,11 @@ REPO = Path(__file__).resolve().parent.parent
 # Seed-7 fingerprint and counters of every workload in both trace modes.
 PERFBENCH_PINS = [
     ("small-polys", 0, "28adbf09a1bde9dc", "0b965510d691affb"),
-    ("small-polys", 1, "28adbf09a1bde9dc", "07a874251854206c"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "58ca57c43da4e499"),
     ("large-polys", 0, "d1c82372829d257e", "ab52b33740abc7cd"),
-    ("large-polys", 1, "d1c82372829d257e", "a45d04f3ba9a1d5b"),
+    ("large-polys", 1, "d1c82372829d257e", "3817435c4c714cf4"),
     ("gen-check", 0, "8c4f99c31a48dc27", "96c990c4335cbd47"),
-    ("gen-check", 1, "8c4f99c31a48dc27", "f79da03060e1fff0"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "09dc47d482d357d0"),
 ]
 
 

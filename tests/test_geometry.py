@@ -201,8 +201,7 @@ class TestValidatePolygon:
     def test_orientation_does_not_depend_on_the_distance_from_the_origin(self):
         # the rounded shoelace sum of this unit right triangle is negative
         t = 1e12
-        poly = ConvexPolygon([(t, t), (t + 1, t), (t, t + 1)])
-        assert poly.min_turn == 1.0
+        ConvexPolygon([(t, t), (t + 1, t), (t, t + 1)])
         # at 1e16, t + 1 rounds to t and the three vertices coincide
         t = 1e16
         with pytest.raises(NotStrictlyConvex) as exc:
@@ -418,12 +417,12 @@ def _expected(verts):
 
 
 class TestValidationMatchesReference:
-    """The single-pass constructor raises what the pre-``min_turn`` loop
+    """The single-pass constructor raises what the reference loop
     (``oracle_utils.reference_validate``) raises, with the same index, and
-    its ``min_turn`` is the smallest per-triple turn. The one difference
-    is orientation: the constructor reads it from the turns and the single
-    wrap, so a ring the reference calls ``NotCounterClockwise`` only for
-    its shoelace sum is accepted (``_expected``)."""
+    otherwise keeps the coordinates. The one difference is orientation:
+    the constructor reads it from the turns and the single wrap, so a ring
+    the reference calls ``NotCounterClockwise`` only for its shoelace sum
+    is accepted (``_expected``)."""
 
     @pytest.mark.parametrize(
         "corpus",
@@ -438,7 +437,7 @@ class TestValidationMatchesReference:
         ],
         ids=lambda f: f.__name__[len("_corpus_"):],
     )
-    def test_same_class_index_and_min_turn(self, corpus):
+    def test_same_class_and_index(self, corpus):
         failures = set()
         for verts in corpus():
             want = _expected(verts)
@@ -449,13 +448,6 @@ class TestValidationMatchesReference:
                 continue
             xs, ys = want
             assert (got.xs, got.ys) == (tuple(xs), tuple(ys))
-            ring = list(zip(xs, ys))
-            n = len(ring)
-            turns = [
-                cross(sub(ring[(i + 1) % n], ring[i]), sub(ring[(i + 2) % n], ring[(i + 1) % n]))
-                for i in range(n)
-            ]
-            assert got.min_turn == min(turns)
         # every corpus exercises at least one rejection
         assert failures
 
@@ -531,7 +523,7 @@ class TestRepresentation:
     def test_holds_no_per_vertex_copy(self):
         poly = ConvexPolygon(UNIT_SQUARE)
         assert ConvexPolygon.__slots__ == (
-            "xs", "ys", "centroid", "min_turn",
+            "xs", "ys", "centroid",
             "bottom", "lower_right", "right", "upper_right",
             "top", "upper_left", "left", "lower_left",
         )

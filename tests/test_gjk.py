@@ -622,11 +622,11 @@ class TestHugePolygons:
 class TestGolden:
     # sha256 over every field of every result of one query on the make_pair
     # cases below, with floats as float.hex: any change to an answer, a
-    # counter or an exit, in the last bit, changes it. The distance digest
-    # predates the first-support separating exit, which moved only the
-    # intersects digest.
+    # counter or an exit, in the last bit, changes it. The first-support
+    # separating exit moved only the intersects digest, and edge-relative
+    # region codes only the witness points of ContainsOrigin answers.
     DIGESTS = {
-        "distance": "cf2167fd5811fd748cbd51f41a202259aa73abcdc1960a977576d76e0ffe879c",
+        "distance": "1282a704cf5d2da9ff6e7876dac43228d6a91d3edd7906f8665c5fa901730549",
         "intersects": "d634c8afae0d3347c45f0c4c8de2c80e1e9ba7489f514677e7bc8b1f86cc14cf",
     }
 

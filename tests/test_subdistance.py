@@ -8,13 +8,8 @@ from fractions import Fraction
 import pytest
 
 from gjk2d.geometry import Vec2
-from gjk2d.subdistance import (
-    _DEGENERATE_REL,
-    DegenerateTriangle,
-    compute_barycode,
-    s1d,
-    s2d,
-)
+import gjk2d.subdistance
+from gjk2d.subdistance import DegenerateTriangle, compute_barycode, s1d, s2d
 
 from conftest import sweep_triangles, vertex
 from oracle_utils import (
@@ -70,10 +65,13 @@ def pinned_triangles():
 
 
 def thin_triangles(rng, count):
-    """Triangles whose doubled area is 1-4 times ``_DEGENERATE_REL`` of their largest sub-area.
+    """Triangles whose doubled area is 1-4e-12 of their largest sub-area.
 
     The third vertex sits on the line through the first two, then moves
     off it by the height that gives that area; the order is shuffled.
+    1e-12 is the relative threshold below which ``compute_barycode`` once
+    called a triangle collinear; the literal keeps the same triangles,
+    whose sub-area signs are still at the mercy of rounding.
     """
     for _ in range(count):
         ax, ay, bx, by = (rng.uniform(-10.0, 10.0) for _ in range(4))
@@ -82,10 +80,51 @@ def thin_triangles(rng, count):
         t = rng.uniform(-2.0, 3.0)
         cx, cy = ax + t * ex, ay + t * ey
         largest = max(abs(bx * cy - by * cx), abs(cx * ay - cy * ax), abs(ax * by - ay * bx))
-        h = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 4.0) * _DEGENERATE_REL * largest / length
+        h = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 4.0) * 1e-12 * largest / length
         tri = [(ax, ay), (bx, by), (cx - h * ey / length, cy + h * ex / length)]
         rng.shuffle(tri)
         yield tri
+
+
+# Three points within rounding of one line through the origin: the total
+# computes to 5.6e-17 while every sub-area has the other sign or is 0.
+CODE_ZERO = (
+    Vec2(-0.12458543603282414, -0.048757531054061325),
+    Vec2(1.815851342065918, 0.7106482990275966),
+    Vec2(0.32052690731327654, 0.12544083108455653),
+)
+
+
+# Points at about t = -4.3, -0.39 and +3.9 along a line through the origin,
+# off it by rounding. The signs read code 4 at a, and a's dot product with
+# the edge toward b picks (a, b), whose nearest point b is 0.39 away; the
+# exact distance is 4.2e-17. The signs are within their rounding bound.
+NEAR_LINE_CODE_4 = (
+    Vec2(-3.200737522742568, 2.9274494623825227),
+    Vec2(-0.28733084365007816, 0.2627977201481354),
+    Vec2(2.898198753906718, -2.6507423128942103),
+)
+
+
+def near_line_triangles(rng, count):
+    """Triangles within 1e-17..1e-8 of a line through the origin; some reach code 0."""
+    for _ in range(count):
+        dx, dy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        e = 10.0 ** rng.uniform(-17.0, -8.0)
+        yield [
+            (t * dx + rng.uniform(-e, e), t * dy + rng.uniform(-e, e))
+            for t in (rng.uniform(-5.0, 5.0) for _ in range(3))
+        ]
+
+
+def tiny_far_triangles(rng, count):
+    """Triangles 1e-8..1 wide (log-uniform), centred 0.5..10 from the origin."""
+    for _ in range(count):
+        d = rng.uniform(0.5, 10.0)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        cx, cy = d * math.cos(theta), d * math.sin(theta)
+        w = 10.0 ** rng.uniform(-8.0, 0.0)
+        yield [(cx + w * rng.uniform(-0.5, 0.5), cy + w * rng.uniform(-0.5, 0.5)) for _ in range(3)]
 
 
 class TestS1d:
@@ -169,6 +208,37 @@ class TestComputeBarycode:
         # triangle (0,0), (2,2), (4,4) seen from (1,1), on its line
         with pytest.raises(DegenerateTriangle):
             compute_barycode(Vec2(-1, -1), Vec2(1, 1), Vec2(3, 3))
+        # a nonzero total whose signs every sub-area contradicts: code 0
+        with pytest.raises(DegenerateTriangle, match="code 0"):
+            compute_barycode(*CODE_ZERO)
+        # code 4 read from signs within their rounding bound
+        with pytest.raises(DegenerateTriangle, match="code 4"):
+            compute_barycode(*NEAR_LINE_CODE_4)
+
+    def test_codes_other_than_seven_are_exact(self):
+        # Every code other than 7 that compute_barycode returns has the
+        # signs of the exact sub-areas and area; a sign it cannot fix raises.
+        rng = random.Random(7)
+        families = (
+            pinned_triangles(),
+            thin_triangles(rng, 2000),
+            near_line_triangles(rng, 2000),
+            tiny_far_triangles(rng, 2000),
+        )
+        raised = 0
+        for tri in itertools.chain(*families):
+            try:
+                code = compute_barycode(*(Vec2(float(x), float(y)) for x, y in tri))[0]
+            except DegenerateTriangle:
+                raised += 1
+                continue
+            if code == 7:
+                continue
+            (ax, ay), (bx, by), (cx, cy) = ((Fraction(x), Fraction(y)) for x, y in tri)
+            su, sv_, sw = bx * cy - by * cx, cx * ay - cy * ax, ax * by - ay * bx
+            pos = su + sv_ + sw > 0
+            assert code == ((su > 0) == pos) << 2 | ((sv_ > 0) == pos) << 1 | ((sw > 0) == pos), tri
+        assert raised
 
     def test_zero_total_with_code_seven_still_raises(self):
         # every sub-area is 0, so every sign bit agrees with total == 0.0 and
@@ -252,8 +322,8 @@ class TestS2d:
     def test_vertex_region_keeps_at_most_one_edge(self):
         # In the angle opposite a vertex, the foot of the perpendicular falls
         # inside at most one of that vertex's edges: inside both would need
-        # the cosine of the angle at the vertex to exceed 1. So at most one
-        # of the two solves s2d compares there keeps two vertices.
+        # the cosine of the angle at the vertex to exceed 1. So s2d solves
+        # only the edge whose foot may lie past the vertex.
         edges_at = {4: (0, 1, 2), 2: (1, 0, 2), 1: (2, 0, 1)}
         rng = random.Random(2025)
         families = {"pinned": pinned_triangles(), "thin": thin_triangles(rng, 10_000)}
@@ -280,6 +350,76 @@ class TestS2d:
                     both.append((family, tri))
             assert min(codes[code] for code in edges_at) >= 200, (family, codes)
         assert both == []
+
+    def test_one_solve_per_region_code(self, monkeypatch):
+        # Each code names its simplex: one s1d call for codes 1-6, none for
+        # 7, and the three-edge solve only where compute_barycode raises.
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return s1d(a, b)
+
+        monkeypatch.setattr(gjk2d.subdistance, "s1d", counting)
+        rng = random.Random(2026)
+        families = {
+            "pinned": pinned_triangles(),
+            "thin": thin_triangles(rng, 10_000),
+            "near-line": near_line_triangles(rng, 3000),
+            "random": [[(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3)]
+                       for _ in range(5000)],
+        }
+        for family, tris in families.items():
+            codes = Counter()
+            for tri in tris:
+                a, b, c = (sv(float(x), float(y)) for x, y in tri)
+                try:
+                    code = compute_barycode(a.w, b.w, c.w)[0]
+                except DegenerateTriangle:
+                    code = "rejected"
+                codes[code] += 1
+                calls.clear()
+                s2d(a, b, c)
+                assert len(calls) == {7: 0, "rejected": 3}.get(code, 1), (family, tri)
+            assert all(codes[code] for code in range(1, 7)), (family, codes)
+            if family != "random":
+                assert codes["rejected"], (family, codes)
+
+    def test_near_line_triangles_match_exact_distance(self):
+        # Three points within rounding of one line through the origin give
+        # sub-area signs that are noise. A code other than 7 read from them
+        # could name an edge far from the origin; compute_barycode rejects
+        # it, and the nearest of the three edges is right. Code 7 keeps its
+        # barycentric answer and is left out here.
+        got = s2d(*(sv(p.x, p.y) for p in NEAR_LINE_CODE_4))
+        tri = [tuple(p) for p in NEAR_LINE_CODE_4]
+        assert within_oracle_error(math.hypot(got[2], got[3]), exact_triangle_distance_sq(*tri), *tri)
+        off = []
+        checked = 0
+        for tri in near_line_triangles(random.Random(1), 5000):
+            verts, _, vx, vy = s2d(*(sv(x, y) for x, y in tri))
+            if len(verts) == 3:
+                continue
+            checked += 1
+            if not within_oracle_error(math.hypot(vx, vy), exact_triangle_distance_sq(*tri), *tri):
+                off.append(tri)
+        assert checked > 3000
+        assert off == []
+
+    def test_tiny_far_triangles_match_exact_distance(self):
+        # Sub-areas of absolute coordinates round by about 1e-16 * |b| * |c|,
+        # more than the doubled area of a triangle this small this far out,
+        # and once named the wrong edge; edge-relative ones round by 1e-16
+        # times an edge length times the distance.
+        tol = Fraction(1, 10**12)
+        off = []
+        for tri in tiny_far_triangles(random.Random(5), 10_000):
+            res = s2d(*(sv(x, y) for x, y in tri))
+            exact_sq = exact_triangle_distance_sq(*tri)
+            got_sq = Fraction(res[2]) ** 2 + Fraction(res[3]) ** 2
+            if not (1 - tol) ** 2 * exact_sq <= got_sq <= (1 + tol) ** 2 * exact_sq:
+                off.append(tri)
+        assert off == []
 
     def test_edge_region(self):
         assert triangle_distance_to_origin((1, 1), (1, -1), (3, 0)) == pytest.approx(1.0)
@@ -309,7 +449,7 @@ class TestS2d:
             answer = ([v.ip for v in verts], [l.hex() for l in lambdas], vx.hex(), vy.hex())
             h.update(repr(answer).encode())
         assert set(codes) == {1, 2, 3, 4, 5, 6, 7, "degenerate"}
-        assert h.hexdigest() == "83dbd1fd76cf31f4fca22a83c2450a185cf2c5c3edf8b450dbc5eb770d73087a"
+        assert h.hexdigest() == "6ba73a34a1400a76678bd495bd46471adf8327b4c261dd218ce225297b6c4b72"
 
     def test_matches_reference_bit_for_bit(self):
         # the dispatch through compute_barycode that s2d inlines
@@ -321,6 +461,7 @@ class TestS2d:
             [(2, -1), (-4, 2), (6, -3)],
             [(0, 1), (1, 1), (2, 1)],
             [(1, 0), (1, 0), (2, 5)],
+            list(CODE_ZERO),
         ]
         # power-of-two scales, where code 7 must not read as degenerate
         for k in (-500, -250, -30, 30, 250, 500):
