@@ -98,7 +98,7 @@ def _cmd_check(args) -> int:
         for label, members in (("distance", Termination), ("intersects", CollisionExit)):
             exits = entry[label]
             counts = [f"{m.value}={exits.count(m)}" for m in members if m in exits]
-            parts.append(" ".join([label] + (counts or ["none"])))
+            parts.append(" ".join([label] + counts))
         print(f"{regime.value} exits: {'; '.join(parts)}")
     if touch_binary_disagreements:
         print(

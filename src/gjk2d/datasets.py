@@ -308,8 +308,12 @@ def _json_int(obj: dict, field: str) -> int:
 def read_dataset(path) -> Tuple[DatasetSpec, List[PairCase]]:
     """Parse and validate a dataset file; errors name the offending line.
 
-    The header must be the one ``write_dataset`` writes for its spec, and
-    every polygon must have the header's ``vertex_count`` vertices.
+    The header must be the one ``write_dataset`` writes for its spec, every
+    polygon must have the header's ``vertex_count`` vertices, each regime
+    must hold exactly ``cases_per_regime`` cases, and the seed of the
+    i-th case of a regime must be ``derive_case_seed(seed, vertex_count,
+    regime, i)``, as ``generate_dataset`` makes them. A missing case is
+    named at the line past the end of the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -341,7 +345,9 @@ def read_dataset(path) -> Tuple[DatasetSpec, List[PairCase]]:
             )
     cases = []
     regimes = {r.value: r for r in Regime}
+    counts = dict.fromkeys(Regime, 0)
     n = spec.vertex_count
+    per_regime = spec.cases_per_regime
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -369,7 +375,24 @@ def read_dataset(path) -> Tuple[DatasetSpec, List[PairCase]]:
             raise DatasetError(
                 f"line {lineno}: {name!r} has {count} vertices, not the header's vertex_count {n}"
             )
+        index = counts[regime]
+        if index == per_regime:
+            raise DatasetError(
+                f"line {lineno}: more than the header's cases_per_regime {per_regime} "
+                f"{regime.value} cases"
+            )
+        if seed != derive_case_seed(spec.seed, n, regime, index):
+            raise DatasetError(
+                f"line {lineno}: seed {seed} is not the seed of {regime.value} case {index}"
+            )
+        counts[regime] = index + 1
         cases.append(PairCase(p, q, regime, seed))
+    for regime, count in counts.items():
+        if count != per_regime:
+            raise DatasetError(
+                f"line {len(lines) + 1}: {count} {regime.value} cases, "
+                f"not the header's cases_per_regime {per_regime}"
+            )
     return spec, cases
 
 

@@ -90,16 +90,36 @@ def witness_points(
 
     Each flat ``(wx, wy, ip, iq)`` simplex vertex keeps only the indices
     of its polygon vertices, so the witnesses are rebuilt from the
-    polygons' coordinates here, once per query.
+    polygons' coordinates here, once per query. The sum is unrolled by
+    simplex size (1, 2 or 3 vertices) and reads the indices as ``v[2]``
+    and ``v[3]``; each coordinate is folded from ``0.0`` left to right,
+    so a ``-0.0`` term reads ``+0.0``, as a loop over the vertices gives.
     """
     pxs, pys = p_poly.xs, p_poly.ys
     qxs, qys = q_poly.xs, q_poly.ys
-    px = py = qx = qy = 0.0
-    for (_, _, ip, iq), lam in zip(verts, lambdas):
-        px += lam * pxs[ip]
-        py += lam * pys[ip]
-        qx += lam * qxs[iq]
-        qy += lam * qys[iq]
+    a = verts[0]
+    lam = lambdas[0]
+    i, j = a[2], a[3]
+    px = 0.0 + lam * pxs[i]
+    py = 0.0 + lam * pys[i]
+    qx = 0.0 + lam * qxs[j]
+    qy = 0.0 + lam * qys[j]
+    if len(verts) > 1:
+        b = verts[1]
+        lam = lambdas[1]
+        i, j = b[2], b[3]
+        px += lam * pxs[i]
+        py += lam * pys[i]
+        qx += lam * qxs[j]
+        qy += lam * qys[j]
+        if len(verts) > 2:
+            c = verts[2]
+            lam = lambdas[2]
+            i, j = c[2], c[3]
+            px += lam * pxs[i]
+            py += lam * pys[i]
+            qx += lam * qxs[j]
+            qy += lam * qys[j]
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
@@ -130,9 +150,11 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
 
     d0x, d0y = initial_direction(p_poly, q_poly)
     first = support(p_poly, q_poly, -d0x, -d0y, None)
-    vx, vy, _, _ = first
+    vx = first[0]
+    vy = first[1]
     verts = [first]
     lambdas = [1.0]
+    size = 1
     v_sq = vx * vx + vy * vy
     tol_sq = eps_sq * v_sq
     if binary and d0x * vx + d0y * vy > 0.0:
@@ -143,7 +165,8 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     while k < _MAX_ITERATIONS:
         k += 1
         w = support(p_poly, q_poly, -vx, -vy, None)
-        wx, wy, _, _ = w
+        wx = w[0]
+        wy = w[1]
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
@@ -154,10 +177,10 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                 # the origin from the whole Minkowski difference.
                 exit = _EXIT_SEPARATING
                 break
-            if len(verts) == 2:
-                ax, ay, _, _ = verts[0]
-                bx, by, _, _ = verts[1]
-                if (ax * wy - ay * wx) * (bx * wy - by * wx) <= 0.0:
+            if size == 2:
+                a = verts[0]
+                b = verts[1]
+                if (a[0] * wy - a[1] * wx) * (b[0] * wy - b[1] * wx) <= 0.0:
                     # w lies in the vertical angle opposite cone(a, b), so
                     # triangle (a, b, w) encloses the origin.
                     exit = _EXIT_VERTICAL_ANGLE
@@ -165,16 +188,17 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         if v_sq - v_dot_w <= eps * v_sq or w in verts:
             exit = _TERM_CONVERGED
             break
-        if len(verts) == 1:
+        if size == 1:
             verts, lambdas, vx, vy = solve_segment(w, verts[0])
         else:
             verts, lambdas, vx, vy = solve_triangle(w, verts[0], verts[1])
+        size = len(verts)
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
             exit = _TERM_CONTAINS_ORIGIN
             vx = vy = 0.0
             break
-        if len(verts) == 3:
+        if size == 3:
             exit = _TERM_SIMPLEX_FULL
             vx = vy = 0.0
             break

@@ -40,8 +40,10 @@ class DegenerateTriangle(ArithmeticError):
 def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
     """Closest point to the origin on segment [a.w, b.w].
 
-    ``a`` and ``b`` are flat ``SimplexVertex`` records, read as
-    ``(wx, wy, _, _)``; the answer's sub-simplex holds them as given.
+    ``a`` and ``b`` are flat ``SimplexVertex`` records whose coordinates
+    are read by index, ``a[0]`` and ``a[1]``, which costs less than
+    unpacking a ``NamedTuple``; the answer's sub-simplex holds them as
+    given.
 
     The two vertex regions are identified by the orthogonality tests
     dot(A, B-A) >= 0 (answer A) and dot(B, B-A) <= 0 (answer B); otherwise
@@ -50,8 +52,10 @@ def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
     coincident endpoints give dot(A, B-A) = 0, so the answer is {a}; any
     other segment is solved as it is, however short.
     """
-    ax, ay, _, _ = a
-    bx, by, _, _ = b
+    ax = a[0]
+    ay = a[1]
+    bx = b[0]
+    by = b[1]
     ux = bx - ax
     uy = by - ay
     oa_ab = ax * ux + ay * uy
@@ -112,8 +116,9 @@ def _nearer(r1: Solve, r2: Solve) -> Solve:
 def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     """Closest point to the origin on triangle (a.w, b.w, c.w).
 
-    The vertices are flat ``SimplexVertex`` records, read as
-    ``(wx, wy, _, _)``; the answer's sub-simplex holds them as given.
+    The vertices are flat ``SimplexVertex`` records whose coordinates are
+    read by index, as in ``s1d``, and ``_SIGN_ERR`` is bound once to a
+    local; the answer's sub-simplex holds them as given.
     One solve per region code, computed inline as ``compute_barycode``
     does: 7 keeps the full simplex with the origin's barycentric
     coordinates; 6/5/3 solve the edge that drops c/b/a; 4/2/1 solve one
@@ -125,9 +130,12 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     of its three edges, the first of (a, b), (b, c), (c, a) on a tie: a
     code read from rounding noise could name a far edge.
     """
-    ax, ay, _, _ = a
-    bx, by, _, _ = b
-    cx, cy, _, _ = c
+    ax = a[0]
+    ay = a[1]
+    bx = b[0]
+    by = b[1]
+    cx = c[0]
+    cy = c[1]
     abx, aby = bx - ax, by - ay
     cax, cay = ax - cx, ay - cy
     pu, qu = bx * (cy - by), by * (cx - bx)
@@ -143,12 +151,13 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
         lam_w = 1.0 - lam_u - lam_v
         return ([a, b, c], [lam_u, lam_v, lam_w],
                 lam_u * ax + lam_v * bx + lam_w * cx, lam_u * ay + lam_v * by + lam_w * cy)
+    err = _SIGN_ERR
     if (
         not (bit_u or bit_v or bit_w)
-        or abs(total) <= _SIGN_ERR * abs(pt + qt)
-        or abs(su) < _SIGN_ERR * abs(pu + qu)
-        or abs(sv) < _SIGN_ERR * abs(pv + qv)
-        or abs(sw) < _SIGN_ERR * abs(pw + qw)
+        or abs(total) <= err * abs(pt + qt)
+        or abs(su) < err * abs(pu + qu)
+        or abs(sv) < err * abs(pv + qv)
+        or abs(sw) < err * abs(pw + qw)
     ):
         return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
     if bit_u:

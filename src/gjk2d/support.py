@@ -39,11 +39,18 @@ class SupportResult(NamedTuple):
 class SimplexVertex(NamedTuple):
     """One Minkowski-difference point w = P[ip] - Q[iq], flat: ``(wx, wy, ip, iq)``.
 
-    The query loop, ``s1d``, ``s2d`` and ``witness_points`` unpack the four
-    fields directly. The indices name the originating vertices;
-    ``witness_points`` reads them back from the polygons once, when the
-    query ends. ``w`` builds the point as a ``Vec2`` for readers off the
-    hot path.
+    The query loop, ``s1d``, ``s2d`` and ``witness_points`` read the
+    fields by index (``v[0]``, ``v[1]``; ``witness_points`` also ``v[2]``,
+    ``v[3]``), never by unpacking: CPython unpacks a ``NamedTuple``
+    through the iterator protocol, about 3 times the cost of an exact
+    tuple. The indices name the originating vertices; ``witness_points``
+    reads them back from the polygons once, when the query ends. ``w``
+    builds the point as a ``Vec2`` for readers off the hot path.
+
+    The record stays a ``NamedTuple`` only for ``w``, which perfbench's
+    region-code replay reads on captured ``s2d`` arguments; building it
+    is about a fifth of a small-polygon support call, which a plain tuple
+    would save.
     """
 
     wx: float
@@ -287,17 +294,23 @@ def cso_support(
     return _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm)
 
 
-def initial_direction(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> Vec2:
+def initial_direction(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> Tuple[float, float]:
     """Heuristic start direction: a point of the Minkowski difference.
 
     Uses the centroid difference, and (1, 0) when it is exactly zero: the
     origin is then itself a point of P - Q, so any start direction serves.
     There is no length threshold.
+
+    Returns a plain ``(dx, dy)`` tuple, not a ``Vec2``, and reads the
+    centroids by index: CPython unpacks only an exact tuple on its fast
+    path, and a ``Vec2`` costs about 3 times as much to unpack and 5 times
+    as much to build as a plain pair, a few percent of a small-polygon
+    query.
     """
-    pcx, pcy = p_poly.centroid
-    qcx, qcy = q_poly.centroid
-    dx = pcx - qcx
-    dy = pcy - qcy
+    pc = p_poly.centroid
+    qc = q_poly.centroid
+    dx = pc[0] - qc[0]
+    dy = pc[1] - qc[1]
     if dx == 0.0 and dy == 0.0:
-        return _new(Vec2, (1.0, 0.0))
-    return _new(Vec2, (dx, dy))
+        return 1.0, 0.0
+    return dx, dy

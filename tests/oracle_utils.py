@@ -439,3 +439,18 @@ def reference_s2d(a, b, c):
     if code == 2:
         return s1d(b, a) if bx * (ax - bx) + by * (ay - by) < 0.0 else s1d(b, c)
     return s1d(c, a) if cx * (ax - cx) + cy * (ay - cy) < 0.0 else s1d(c, b)  # code 1
+
+
+def reference_witness_points(p_poly, q_poly, verts, lambdas):
+    """``witness_points`` as a loop over the simplex: each coordinate
+    folded from ``0.0``, one ``lambda * vertex`` term per simplex vertex,
+    in order. ``witness_points`` unrolls this by simplex size and is
+    tested against it bit for bit, signed zeros included.
+    """
+    px = py = qx = qy = 0.0
+    for (_, _, ip, iq), lam in zip(verts, lambdas):
+        px += lam * p_poly.xs[ip]
+        py += lam * p_poly.ys[ip]
+        qx += lam * q_poly.xs[iq]
+        qy += lam * q_poly.ys[iq]
+    return (px, py), (qx, qy)

@@ -209,8 +209,11 @@ def test_loop_tuples_keep_their_class_and_arity():
         assert len(out) == 4
         assert_shape(out.w, Vec2)
         assert isinstance(out.w.x, float) and isinstance(out.w.y, float)
+    # the start direction is an exact tuple, which the loop unpacks on
+    # CPython's fast path
     for _, out in seen["initial_direction"]:
-        assert_shape(out, Vec2)
+        assert type(out) is tuple and len(out) == 2, out
+        assert type(out[0]) is float and type(out[1]) is float, out
     # the loop unpacks every solve as (verts, lambdas, vx, vy)
     for layer in ("s1d", "s2d"):
         for _, out in seen[layer]:

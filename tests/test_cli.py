@@ -266,14 +266,18 @@ class TestCheck:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_overlap_pairs_labelled_touching_fail(self, tmp_path, capsys):
-        # P - Q holds the origin deep inside, so no gap makes them touching
+        # P - Q holds the origin deep inside, so no gap makes them touching;
+        # each touching case keeps its seed and takes the pair of the overlap
+        # case with its index
         path = tmp_path / "relabelled.jsonl"
         assert main(["gen", "--vertices", "8", "--cases", "10", "--seed", "1", str(path)]) == 0
-        lines = path.read_text().splitlines()
-        overlap = [line for line in lines[1:] if '"regime":"overlap"' in line]
-        assert len(overlap) == 10
-        relabelled = [line.replace('"regime":"overlap"', '"regime":"touching"') for line in overlap]
-        path.write_text("\n".join([lines[0]] + relabelled) + "\n")
+        spec, cases = read_dataset(path)
+        touching = [i for i, c in enumerate(cases) if c.regime is Regime.TOUCHING]
+        overlap = [c for c in cases if c.regime is Regime.OVERLAP]
+        assert len(touching) == len(overlap) == 10
+        for i, pair in zip(touching, overlap):
+            cases[i] = PairCase(pair.p, pair.q, Regime.TOUCHING, cases[i].seed)
+        write_dataset(path, spec, cases)
         capsys.readouterr()
         assert main(["check", str(path)]) == 1
         assert "touching: 0/10 pass" in capsys.readouterr().out
@@ -285,7 +289,12 @@ class TestCheck:
         p = ConvexPolygon([(0, 0), (2 * e, e), (1000, 700), (0, 1000)])
         q = ConvexPolygon([(2000, 0), (1000, 1000), (0, 0), (1000, -1000)])
         path = tmp_path / "tiny-edge.jsonl"
-        write_dataset(path, DatasetSpec(4, 1, 1), [PairCase(p, q, Regime.TOUCHING, 1)])
+        assert main(["gen", "--vertices", "4", "--cases", "1", "--seed", "1", str(path)]) == 0
+        spec, cases = read_dataset(path)
+        assert cases[1].regime is Regime.TOUCHING
+        cases[1] = PairCase(p, q, Regime.TOUCHING, cases[1].seed)
+        write_dataset(path, spec, cases)
+        capsys.readouterr()
         assert main(["check", str(path)]) == 1
         assert "touching: 0/1 pass" in capsys.readouterr().out
 
@@ -335,14 +344,6 @@ class TestCheck:
             assert f"{regime.value} exits: distance {d}; intersects {i}\n" in out
         assert len(set().union(*(e for _, e in counts.values()))) >= 3
 
-    def test_exit_counts_of_an_empty_regime_read_none(self, tmp_path, capsys):
-        path = tmp_path / "empty.jsonl"
-        write_dataset(path, DatasetSpec(4, 1, 0), [])
-        assert main(["check", str(path)]) == 0
-        out = capsys.readouterr().out
-        for regime in Regime:
-            assert f"{regime.value} exits: distance none; intersects none\n" in out
-
     @pytest.mark.parametrize("command", ["check", "bench"])
     @pytest.mark.parametrize(
         "line,message",
@@ -368,12 +369,16 @@ class TestCheck:
         assert main([command, str(small_dataset)]) == 1
         assert capsys.readouterr().err.startswith(f"error: line 3: {message}")
 
-    def test_empty_dataset_passes_vacuously(self, tmp_path, capsys):
-        from gjk2d.datasets import DatasetSpec, write_dataset
-
+    @pytest.mark.parametrize("command", ["check", "bench"])
+    def test_empty_dataset_fails_naming_the_line(self, tmp_path, capsys, command):
+        # every regime must hold cases_per_regime (at least 1) cases, so
+        # neither command ever sees an empty regime
         path = tmp_path / "empty.jsonl"
         write_dataset(path, DatasetSpec(4, 1, 0), [])
-        assert main(["check", str(path)]) == 0
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: 0 distant cases, not the header's cases_per_regime 1"
+        )
 
     def test_missing_file_is_operational_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.jsonl")]) == 1

@@ -219,13 +219,55 @@ class TestDatasetFiles:
         assert back == cases
         assert header == spec
 
-    def test_empty_dataset_round_trips(self, tmp_path):
+    def test_empty_dataset_is_rejected(self, tmp_path):
+        # cases_per_regime is at least 1, so a header alone is never a dataset
         spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=0)
         path = tmp_path / "empty.jsonl"
         write_dataset(path, spec, [])
-        header, back = read_dataset(path)
-        assert back == []
-        assert header == spec
+        with pytest.raises(
+            DatasetError, match="line 2: 0 distant cases, not the header's cases_per_regime 1"
+        ):
+            read_dataset(path)
+
+    def test_regime_case_count_must_match_header(self, tmp_path):
+        spec = DatasetSpec(vertex_count=4, cases_per_regime=3, seed=2)
+        path = tmp_path / "count.jsonl"
+        write_dataset(path, spec, generate_dataset(spec))
+        lines = path.read_text().splitlines()
+        # a missing case is named past the end of the file
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(
+            DatasetError, match="line 10: 2 overlap cases, not the header's cases_per_regime 3"
+        ):
+            read_dataset(path)
+        # an extra case is named at its own line, whatever its seed
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(
+            DatasetError, match="line 11: more than the header's cases_per_regime 3 distant cases"
+        ):
+            read_dataset(path)
+
+    def test_case_seed_must_match_its_regime_and_index(self, tmp_path):
+        spec = DatasetSpec(vertex_count=4, cases_per_regime=2, seed=4)
+        cases = generate_dataset(spec)
+        path = tmp_path / "seeds.jsonl"
+        write_dataset(path, spec, cases)
+        lines = path.read_text().splitlines()
+        # two cases of one regime swapped: each is read at the other's index
+        swapped = [lines[0], lines[2], lines[1]] + lines[3:]
+        path.write_text("\n".join(swapped) + "\n")
+        with pytest.raises(
+            DatasetError, match=f"line 2: seed {cases[1].seed} is not the seed of distant case 0"
+        ):
+            read_dataset(path)
+        # a relabelled case keeps the seed of its old regime: in place of a
+        # dropped distant case it is read as distant case 1
+        relabelled = lines[3].replace('"regime":"touching"', '"regime":"distant"')
+        path.write_text("\n".join(lines[:2] + [relabelled] + lines[4:]) + "\n")
+        with pytest.raises(
+            DatasetError, match=f"line 3: seed {cases[2].seed} is not the seed of distant case 1"
+        ):
+            read_dataset(path)
 
     def test_regime_blocks_in_order(self, tmp_path):
         spec = DatasetSpec(vertex_count=4, cases_per_regime=3, seed=1)
@@ -303,10 +345,11 @@ class TestDatasetFiles:
 
     def test_polygon_vertex_count_must_match_header(self, tmp_path):
         spec = DatasetSpec(vertex_count=4, cases_per_regime=1, seed=3)
-        case = generate_dataset(spec)[0]
+        cases = generate_dataset(spec)
         triangle = random_convex_polygon(3, random.Random(4))
+        cases[1] = PairCase(cases[1].p, triangle, cases[1].regime, cases[1].seed)
         path = tmp_path / "triangle.jsonl"
-        write_dataset(path, spec, [case, PairCase(case.p, triangle, case.regime, case.seed)])
+        write_dataset(path, spec, cases)
         with pytest.raises(DatasetError, match="line 3: 'q' has 3 vertices, not the header's vertex_count 4"):
             read_dataset(path)
 

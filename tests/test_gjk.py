@@ -44,7 +44,7 @@ from conftest import (
     tie_rectangles,
     vertex,
 )
-from oracle_utils import exact_sat_intersects, sub, vertices
+from oracle_utils import exact_sat_intersects, reference_witness_points, sub, vertices
 
 UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
@@ -683,6 +683,39 @@ class TestWitnessPoints:
         wp, wq = witness_points(p, q, [a, b], [0.5, 0.5])
         assert wp == Vec2(2, 0)
         assert wq == Vec2(1, -1)
+
+    @staticmethod
+    def bits(pair):
+        # repr tells -0.0 from 0.0 and prints every float exactly
+        return [repr(c) for point in pair for c in point]
+
+    def test_matches_the_loop_fold_bit_for_bit(self):
+        rng = random.Random(45)
+        for _ in range(300):
+            p, q = random_pair(rng)
+            for size in (1, 2, 3):
+                verts = [
+                    vertex(0.0, 0.0, rng.randrange(len(p)), rng.randrange(len(q)))
+                    for _ in range(size)
+                ]
+                lambdas = [rng.uniform(-0.5, 1.5) for _ in range(size)]
+                got = witness_points(p, q, verts, lambdas)
+                assert all(type(point) is Vec2 for point in got)
+                assert self.bits(got) == self.bits(
+                    reference_witness_points(p, q, verts, lambdas)
+                ), (size, verts, lambdas)
+
+    def test_negative_zero_coordinate_reads_positive_zero(self):
+        # 0.0 + (-0.0) is +0.0: the fold from 0.0 drops the sign, at any size
+        p = ConvexPolygon([(-0.0, -0.0), (1.0, 0.0), (0.0, 1.0)])
+        q = ConvexPolygon([(-0.0, 5.0), (-1.0, 4.0), (0.0, 4.0)])
+        assert [repr(c) for c in (p.xs[0], p.ys[0], q.xs[0])] == ["-0.0"] * 3
+        for size in (1, 2, 3):
+            verts = [vertex(0.0, 0.0, 0, 0)] * size
+            lambdas = [1.0] + [0.0] * (size - 1)
+            got = witness_points(p, q, verts, lambdas)
+            assert self.bits(got) == self.bits(reference_witness_points(p, q, verts, lambdas))
+            assert self.bits(got) == ["0.0", "0.0", "0.0", "5.0"]
 
     def test_difference_reconstructs_separating_vector(self):
         rng = random.Random(44)
