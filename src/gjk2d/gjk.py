@@ -78,6 +78,9 @@ _TERM_CONVERGED = Termination.CONVERGED
 _TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
 _TERM_SIMPLEX_FULL = Termination.SIMPLEX_FULL
 _TERM_MAX_ITERATIONS = Termination.MAX_ITERATIONS
+# The separating vector of every answer whose loop zeroed v (ContainsOrigin,
+# SimplexFull); a Vec2 is immutable, so all of them share this one.
+_ZERO_VECTOR = Vec2(0.0, 0.0)
 
 
 def witness_points(
@@ -137,8 +140,20 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     recorded starts nearest its direction, and the scan has no start.
     ``binary`` only adds the SeparatingHyperplane and
     VerticalAngleEnclosure exits; every other exit is a ``Termination``.
-    The separating test also covers the first support point, against the
-    start direction d0. It makes ``iterations + 1`` support calls.
+    It makes ``iterations + 1`` support calls.
+
+    Each exit pays only for what it reads. A support point comes back as
+    the plain tuple ``(wx, wy, ip, iq)``, and the exit tests run on it; it
+    is wrapped as a ``SimplexVertex`` (``tuple.__new__``) only when it
+    joins the simplex, so every vertex a solve receives or
+    ``witness_points`` reads is one, and the binary query's deciding point
+    never is. The separating test also covers the first support point,
+    against the start direction d0, and that exit returns before the
+    simplex lists exist (with ``verts`` and ``lambdas`` None and
+    ``tol_sq`` 0.0, which ``intersects`` does not read there). The
+    ContainsOrigin test also covers the one-point simplex, so a first
+    support point exactly at the origin ends the query after one call.
+    The binary exits never read ``tol_sq``, so its update follows them.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound; wrapping the layers is how a query is traced.
@@ -149,17 +164,20 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     solve_triangle = s2d
 
     d0x, d0y = initial_direction(p_poly, q_poly)
-    first = support(p_poly, q_poly, -d0x, -d0y, None)
-    vx = first[0]
-    vy = first[1]
-    verts = [first]
+    w = support(p_poly, q_poly, -d0x, -d0y, None)
+    vx = w[0]
+    vy = w[1]
+    if binary and d0x * vx + d0y * vy > 0.0:
+        # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
+        return _EXIT_SEPARATING, 0, None, None, vx, vy, 0.0
+    verts = [_new(SimplexVertex, w)]
     lambdas = [1.0]
     size = 1
     v_sq = vx * vx + vy * vy
     tol_sq = eps_sq * v_sq
-    if binary and d0x * vx + d0y * vy > 0.0:
-        # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
-        return _EXIT_SEPARATING, 0, verts, lambdas, vx, vy, tol_sq
+    if v_sq <= tol_sq:
+        # w1 is the origin itself, exact contact: P[ip] = Q[iq].
+        return _TERM_CONTAINS_ORIGIN, 0, verts, lambdas, 0.0, 0.0, tol_sq
 
     k = 0
     while k < _MAX_ITERATIONS:
@@ -167,9 +185,6 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         w = support(p_poly, q_poly, -vx, -vy, None)
         wx = w[0]
         wy = w[1]
-        w_tol_sq = eps_sq * (wx * wx + wy * wy)
-        if w_tol_sq > tol_sq:
-            tol_sq = w_tol_sq
         v_dot_w = vx * wx + vy * wy
         if binary:
             if v_dot_w > 0.0:
@@ -185,9 +200,13 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                     # triangle (a, b, w) encloses the origin.
                     exit = _EXIT_VERTICAL_ANGLE
                     break
+        w_tol_sq = eps_sq * (wx * wx + wy * wy)
+        if w_tol_sq > tol_sq:
+            tol_sq = w_tol_sq
         if v_sq - v_dot_w <= eps * v_sq or w in verts:
             exit = _TERM_CONVERGED
             break
+        w = _new(SimplexVertex, w)
         if size == 1:
             verts, lambdas, vx, vy = solve_segment(w, verts[0])
         else:
@@ -217,13 +236,18 @@ def distance(
     The loop terminates when the support point cannot improve the current
     estimate by more than a relative ``_EPSILON`` (Converged), when the
     closest simplex point lies within ``_EPSILON`` times the largest
-    support-point norm of the origin (ContainsOrigin), when the simplex
-    fills up, which means the origin is enclosed (SimplexFull), or at the
-    iteration cap (MaxIterations, reporting the best known estimate). A
-    support point from a vertex pair already in the simplex is treated as
-    convergence; it cannot make progress and would otherwise cycle. Every
-    test is relative, so scaling both polygons by a power of two scales
-    every length in the result exactly, barring underflow and overflow.
+    support-point norm of the origin (ContainsOrigin; a first support
+    point exactly at the origin, an exact vertex contact, ends the query
+    there after one support call), when the simplex fills up, which means
+    the origin is enclosed (SimplexFull), or at the iteration cap
+    (MaxIterations, reporting the best known estimate). At ContainsOrigin
+    and SimplexFull the distance is 0.0 and the separating vector is one
+    shared ``Vec2(0.0, 0.0)``, built once at import rather than per
+    query. A support point from a vertex pair already in the simplex is
+    treated as convergence; it cannot make progress and would otherwise
+    cycle. Every test is relative, so scaling both polygons by a power of
+    two scales every length in the result exactly, barring underflow and
+    overflow.
     ``support_calls`` counts Minkowski-difference support evaluations;
     ``use_hill_climbing`` picks hill-climbing support, each climb started
     cold from the polygons' recorded starts nearest its direction, over
@@ -231,6 +255,8 @@ def distance(
     """
     termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)
+    if termination is _TERM_CONTAINS_ORIGIN or termination is _TERM_SIMPLEX_FULL:
+        return _new(DistanceResult, (0.0, wp, wq, _ZERO_VECTOR, k, k + 1, termination))
     dist = math.sqrt(vx * vx + vy * vy)
     return _new(
         DistanceResult, (dist, wp, wq, _new(Vec2, (vx, vy)), k, k + 1, termination)
@@ -246,9 +272,10 @@ def intersects(
 
     The separating-hyperplane exit covers every support point, the first
     one included, which can end the query after one support call and zero
-    iterations. All other exits are shared with ``distance``, so this
-    never performs more support evaluations than ``distance`` on the same
-    input and ``use_hill_climbing`` setting.
+    iterations; so can a first support point exactly at the origin, which
+    reads as SubdistanceEnclosure. All other exits are shared with
+    ``distance``, so this never performs more support evaluations than
+    ``distance`` on the same input and ``use_hill_climbing`` setting.
     """
     exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:

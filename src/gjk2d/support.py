@@ -37,20 +37,24 @@ class SupportResult(NamedTuple):
 
 
 class SimplexVertex(NamedTuple):
-    """One Minkowski-difference point w = P[ip] - Q[iq], flat: ``(wx, wy, ip, iq)``.
+    """One simplex vertex w = P[ip] - Q[iq], flat: ``(wx, wy, ip, iq)``.
 
-    The query loop, ``s1d``, ``s2d`` and ``witness_points`` read the
-    fields by index (``v[0]``, ``v[1]``; ``witness_points`` also ``v[2]``,
-    ``v[3]``), never by unpacking: CPython unpacks a ``NamedTuple``
-    through the iterator protocol, about 3 times the cost of an exact
-    tuple. The indices name the originating vertices; ``witness_points``
-    reads them back from the polygons once, when the query ends. ``w``
-    builds the point as a ``Vec2`` for readers off the hot path.
+    The support layers return the same four fields as a plain tuple; the
+    query loop wraps one as a ``SimplexVertex`` (``tuple.__new__``, no
+    arity check) only when it joins the simplex, so every vertex ``s1d``,
+    ``s2d`` and ``witness_points`` receive is one, and a support point
+    that only decides an exit is never wrapped. ``cso_support`` wraps its
+    answer too. The loop and the solvers read the fields by index
+    (``v[0]``, ``v[1]``; ``witness_points`` also ``v[2]``, ``v[3]``),
+    never by unpacking: CPython unpacks a ``NamedTuple`` through the
+    iterator protocol, about 3 times the cost of an exact tuple. The
+    indices name the originating vertices; ``witness_points`` reads them
+    back from the polygons once, when the query ends. ``w`` builds the
+    point as a ``Vec2`` for readers off the hot path.
 
     The record stays a ``NamedTuple`` only for ``w``, which perfbench's
-    region-code replay reads on captured ``s2d`` arguments; building it
-    is about a fifth of a small-polygon support call, which a plain tuple
-    would save.
+    region-code replay reads on captured ``s2d`` arguments (ROADMAP item
+    7); the wrap of each stored point is what that read still costs.
     """
 
     wx: float
@@ -128,16 +132,19 @@ def _cso_support_xy(
     dx: float,
     dy: float,
     warm: Optional[Tuple[int, int]],
-) -> SimplexVertex:
+) -> Tuple[float, float, int, int]:
     """``cso_support`` on a flat direction: the hill-climbing query's support call.
 
-    Returns the flat ``SimplexVertex`` ``(wx, wy, ip, iq)``; no ``Vec2``
-    is built. P climbs along d and Q along -d from the (index in P, index
-    in Q) pair ``warm``, unchecked, with ``support_hill_climb``'s walk run
-    inline in this one frame. ``warm=None``, which the query loop passes
-    on every call, starts cold: d falls in one of eight 45-degree sectors,
-    around an axis or a diagonal, and P starts at its recorded start for
-    that sector (``ConvexPolygon.bottom``, ``lower_right``, ``right``,
+    Returns the plain tuple ``(wx, wy, ip, iq)``, the fields of a
+    ``SimplexVertex`` but no ``NamedTuple`` and no ``Vec2``: the query
+    loop runs its exit tests on it and wraps it only if it joins the
+    simplex, so a point that only decides an exit costs no wrap (about a
+    fifth of a small-polygon support call). P climbs along d and Q along
+    -d from the (index in P, index in Q) pair ``warm``, unchecked, with
+    ``support_hill_climb``'s walk run inline in this one frame.
+    ``warm=None``, which the query loop passes on every call, starts
+    cold: d falls in one of eight 45-degree sectors, around an axis or a
+    diagonal, and P starts at its recorded start for that sector (``ConvexPolygon.bottom``, ``lower_right``, ``right``,
     ``upper_right``, ``top``, ``upper_left``, ``left`` or ``lower_left``),
     Q at its start for the opposite sector. A direction on a sector edge
     takes the axis sector; a zero or NaN one starts P at ``right`` and Q at
@@ -247,7 +254,7 @@ def _cso_support_xy(
             best = d
             j = iq - 1 if iq else n - 1
             d = qxs[j] * dx + qys[j] * dy
-    return _new(SimplexVertex, (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq))
+    return (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq)
 
 
 def _cso_scan_xy(
@@ -256,16 +263,17 @@ def _cso_scan_xy(
     dx: float,
     dy: float,
     warm: Optional[Tuple[int, int]],
-) -> SimplexVertex:
+) -> Tuple[float, float, int, int]:
     """The brute-force ``_cso_support_xy``: ``_argmax_index`` scans of P along d
-    and of Q along -d, each keeping the lowest tied index; ``warm`` is ignored."""
+    and of Q along -d, each keeping the lowest tied index; ``warm`` is ignored.
+    Returns the same plain ``(wx, wy, ip, iq)`` tuple."""
     pxs = p_poly.xs
     pys = p_poly.ys
     qxs = q_poly.xs
     qys = q_poly.ys
     ip = _argmax_index(pxs, pys, dx, dy)
     iq = _argmax_index(qxs, qys, -dx, -dy)
-    return _new(SimplexVertex, (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq))
+    return (pxs[ip] - qxs[iq], pys[ip] - qys[iq], ip, iq)
 
 
 def cso_support(
@@ -280,6 +288,8 @@ def cso_support(
     ``(wx, wy, ip, iq)``, with the indices of the P and Q vertices it is
     the difference of; vertex ``i`` of a polygon is
     ``(poly.xs[i], poly.ys[i])``, and ``.w`` gives the point as a ``Vec2``.
+    It wraps the plain tuple of ``_cso_support_xy``, a wrap the query loop
+    pays only for the points it keeps.
 
     ``warm`` is the (index in P, index in Q) pair to climb from, such as a
     previous call's answer; an index outside its polygon's ``[0, n)``
@@ -291,7 +301,7 @@ def cso_support(
         ip, iq = warm
         if not (0 <= ip < len(p_poly.xs) and 0 <= iq < len(q_poly.xs)):
             raise ValueError(f"warm pair {warm!r} is not a pair of vertex indices of P and Q")
-    return _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm)
+    return _new(SimplexVertex, _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm))
 
 
 def initial_direction(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> Tuple[float, float]:

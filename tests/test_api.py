@@ -28,7 +28,7 @@ from gjk2d.geometry import Vec2, apply_transform
 from gjk2d.gjk import CollisionResult, DistanceResult
 from gjk2d.support import SimplexVertex
 
-from conftest import LOOP_LAYERS, recorded_layers, vertex
+from conftest import LOOP_LAYERS, SUPPORT_LAYERS, recorded_layers, tie_rectangles, vertex
 
 BENCHMARK_NAMES = (
     "cso_support",
@@ -174,13 +174,43 @@ def test_query_loop_calls_layers_through_module_globals(query):
         assert calls[hill_climbing][other] == 0, calls
 
 
+def test_no_query_passes_a_zero_direction_to_a_support_layer():
+    # Two unit squares that share a corner exactly: the first support point
+    # is the origin itself, which ends both queries after one support call,
+    # before any support call along the zero direction.
+    p = gjk2d.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    q = gjk2d.ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
+    pairs = [(p, q)] + tie_rectangles() + list(random_pairs(74, 300))
+    for hill_climbing in (True, False):
+        dist = gjk2d.distance(p, q, use_hill_climbing=hill_climbing)
+        hit = gjk2d.intersects(p, q, use_hill_climbing=hill_climbing)
+        assert (dist.support_calls, dist.termination.value) == (1, "ContainsOrigin")
+        assert (hit.support_calls, hit.exit.value) == (1, "SubdistanceEnclosure")
+        assert dist.distance == 0.0 and hit.colliding
+        with recorded_layers() as recorded:
+            for a, b in pairs:
+                gjk2d.distance(a, b, use_hill_climbing=hill_climbing)
+                gjk2d.intersects(a, b, use_hill_climbing=hill_climbing)
+        directions = [args[2:4] for name, args, _ in recorded if name in SUPPORT_LAYERS]
+        assert len(directions) > 2 * len(pairs)
+        assert [d for d in directions if d == (0.0, 0.0)] == []
+
+
 def assert_shape(value, cls):
     # The loop builds these with tuple.__new__, which skips the arity check
     # of the NamedTuple constructor.
     assert type(value) is cls and len(value) == len(cls._fields), (cls.__name__, value)
 
 
-def test_loop_tuples_keep_their_class_and_arity():
+def test_loop_tuples_keep_their_class_and_arity(monkeypatch):
+    witnessed = []
+    witness_points = gjk2d.gjk.witness_points
+
+    def recording_witness_points(p, q, verts, lambdas):
+        witnessed.extend(verts)
+        return witness_points(p, q, verts, lambdas)
+
+    monkeypatch.setattr(gjk2d.gjk, "witness_points", recording_witness_points)
     with recorded_layers() as recorded:
         for p, q in random_pairs(72, 300):
             for hill_climbing in (True, False):
@@ -204,11 +234,10 @@ def test_loop_tuples_keep_their_class_and_arity():
         seen["s2d"].append((tau, gjk2d.subdistance.s2d(*tau)))
     assert all(seen.values()), {name: len(calls) for name, calls in seen.items()}
     for _, out in seen["_cso_support_xy"] + seen["_cso_scan_xy"]:
-        # the flat (wx, wy, ip, iq) support point, and its point as a Vec2
-        assert_shape(out, SimplexVertex)
-        assert len(out) == 4
-        assert_shape(out.w, Vec2)
-        assert isinstance(out.w.x, float) and isinstance(out.w.y, float)
+        # the flat (wx, wy, ip, iq) support point, an exact tuple: the loop
+        # wraps it as a SimplexVertex only when it joins the simplex
+        assert type(out) is tuple, out
+        assert [type(field) for field in out] == [float, float, int, int], out
     # the start direction is an exact tuple, which the loop unpacks on
     # CPython's fast path
     for _, out in seen["initial_direction"]:
@@ -219,11 +248,15 @@ def test_loop_tuples_keep_their_class_and_arity():
         for _, out in seen[layer]:
             assert type(out) is tuple, out
             assert [type(field) for field in out] == [list, list, float, float], out
-    # perfbench's region-code replay calls compute_barycode(a.w, b.w, c.w)
-    # on captured s2d arguments.
-    for args, _ in seen["s2d"]:
-        for point in args:
-            assert isinstance(point.w.x, float) and isinstance(point.w.y, float)
+    # every vertex a solve receives or the witness rebuild reads is a
+    # SimplexVertex: perfbench's region-code replay calls
+    # compute_barycode(a.w, b.w, c.w) on captured s2d arguments.
+    assert witnessed
+    points = [point for layer in ("s1d", "s2d") for args, _ in seen[layer] for point in args]
+    for point in points + witnessed:
+        assert_shape(point, SimplexVertex)
+        assert_shape(point.w, Vec2)
+        assert type(point.w.x) is float and type(point.w.y) is float, point
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -231,12 +264,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Seed-7 fingerprint and counters of every workload in both trace modes.
 PERFBENCH_PINS = [
-    ("small-polys", 0, "28adbf09a1bde9dc", "0b965510d691affb"),
-    ("small-polys", 1, "28adbf09a1bde9dc", "58ca57c43da4e499"),
-    ("large-polys", 0, "d1c82372829d257e", "ab52b33740abc7cd"),
-    ("large-polys", 1, "d1c82372829d257e", "3817435c4c714cf4"),
-    ("gen-check", 0, "8c4f99c31a48dc27", "96c990c4335cbd47"),
-    ("gen-check", 1, "8c4f99c31a48dc27", "09dc47d482d357d0"),
+    ("small-polys", 0, "28adbf09a1bde9dc", "d7305150e1c944f3"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "3bf0b1e09e898f48"),
+    ("large-polys", 0, "d1c82372829d257e", "8f57a8dbd0f63e1d"),
+    ("large-polys", 1, "d1c82372829d257e", "5e111082e0ed3e0f"),
+    ("gen-check", 0, "8c4f99c31a48dc27", "2223802be9f7cb7c"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "f018ced62ea7a8c9"),
 ]
 
 

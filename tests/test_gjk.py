@@ -235,22 +235,32 @@ class TestIntersects:
                 )
 
     def test_first_support_exit_is_exactly_sound(self):
-        # An exit after zero iterations is the separating test on the first
-        # support point; on contact pairs it may only fire where the exact
-        # rational SAT finds the pair disjoint. The exact SAT runs only on
-        # the pairs that exit there.
-        fired = 0
+        # An exit after zero iterations is a test on the first support point
+        # alone: the separating test, which on contact pairs may only fire
+        # where the exact rational SAT finds the pair disjoint, or the
+        # ContainsOrigin test, which fires only on a point exactly at the
+        # origin, where the exact SAT finds the pair intersecting. The exact
+        # SAT runs only on the pairs that exit there.
+        fired = {CollisionExit.SEPARATING_HYPERPLANE: 0, CollisionExit.SUBDISTANCE_ENCLOSURE: 0}
         for n, count in ((4, 60), (8, 60), (24, 20), (64, 20)):
             spec = DatasetSpec(vertex_count=n, cases_per_regime=count, seed=1)
             for regime in (Regime.TOUCHING, Regime.OVERLAP):
                 for i in range(count):
                     case = make_pair(spec, regime, derive_case_seed(1, n, regime, i))
-                    res = intersects(case.p, case.q)
+                    with recorded_layers() as recorded:
+                        res = intersects(case.p, case.q)
                     if res.iterations == 0:
-                        fired += 1
-                        assert res.exit is CollisionExit.SEPARATING_HYPERPLANE
-                        assert not exact_sat_intersects(case.p, case.q), (n, regime, i)
-        assert fired > 0
+                        assert res.exit in fired, res
+                        fired[res.exit] += 1
+                        if res.exit is CollisionExit.SEPARATING_HYPERPLANE:
+                            assert not res.colliding
+                            assert not exact_sat_intersects(case.p, case.q), (n, regime, i)
+                        else:
+                            first = next(out for name, _, out in recorded if name in SUPPORT_LAYERS)
+                            assert (first[0], first[1]) == (0.0, 0.0)
+                            assert res.colliding
+                            assert exact_sat_intersects(case.p, case.q), (n, regime, i)
+        assert all(fired.values()), fired
 
     @pytest.mark.parametrize("n", [4, 8, 24, 64])
     def test_distant_pairs_exit_on_the_first_support_point(self, n):
@@ -624,10 +634,14 @@ class TestGolden:
     # cases below, with floats as float.hex: any change to an answer, a
     # counter or an exit, in the last bit, changes it. The first-support
     # separating exit moved only the intersects digest, and edge-relative
-    # region codes only the witness points of ContainsOrigin answers.
+    # region codes only the witness points of ContainsOrigin answers. The
+    # first-point ContainsOrigin test moved only the exact vertex contacts:
+    # 22 answers per query, from Converged after two support calls to
+    # ContainsOrigin (SubdistanceEnclosure) after one, every other field
+    # the same.
     DIGESTS = {
-        "distance": "1282a704cf5d2da9ff6e7876dac43228d6a91d3edd7906f8665c5fa901730549",
-        "intersects": "d634c8afae0d3347c45f0c4c8de2c80e1e9ba7489f514677e7bc8b1f86cc14cf",
+        "distance": "8e934a8a5eca26ab19260c335d4cc4e10ff0ca33da67bdb17d47e88c6bc91d75",
+        "intersects": "e037bec1e3f9219d2bc21f7d216db16c132356d45ebd66d96648790ea612f989",
     }
 
     @staticmethod

@@ -192,9 +192,9 @@ class TestCsoSupport:
 
     def test_zero_direction_uses_first_vertices(self):
         # the brute-force scan; a cold climb stays at its starts
-        res = _cso_scan_xy(UNIT_SQUARE, UNIT_SQUARE, 0.0, 0.0, None)
-        assert res.ip == 0 and res.iq == 0
-        assert res.w == Vec2(0, 0)
+        wx, wy, ip, iq = _cso_scan_xy(UNIT_SQUARE, UNIT_SQUARE, 0.0, 0.0, None)
+        assert ip == 0 and iq == 0
+        assert (wx, wy) == (0.0, 0.0)
 
     def test_public_wrappers_reject_a_start_that_is_not_a_vertex(self):
         # A negative index would wrap to the ring's end and walk on to
@@ -228,7 +228,7 @@ class TestCsoSupport:
             d = Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3))
             fwd = _cso_scan_xy(a, b, d.x, d.y, None)
             rev = _cso_scan_xy(b, a, -d.x, -d.y, None)
-            assert fwd.w == Vec2(-rev.w.x, -rev.w.y)
+            assert (fwd[0], fwd[1]) == (-rev[0], -rev[1])
             # the sector rule is odd in d (zero aside), so a cold climb
             # starts at mirrored starts
             fwd = cso_support(a, b, d)
@@ -248,10 +248,14 @@ def two_climbs(p, q, dx, dy, warm):
 
 
 def assert_fused_matches(p, q, dx, dy, warm):
+    """Check the warm support against two climbs, and return it as ``cso_support``
+    wraps it."""
     res = _cso_support_xy(p, q, dx, dy, warm)
-    assert type(res) is SimplexVertex and type(res.w) is Vec2
     assert res == two_climbs(p, q, dx, dy, warm)
-    return res
+    wrapped = cso_support(p, q, Vec2(dx, dy), warm)
+    assert type(wrapped) is SimplexVertex and type(wrapped.w) is Vec2
+    assert wrapped == res
+    return wrapped
 
 
 class TestSimplexVertexLayout:
@@ -262,11 +266,14 @@ class TestSimplexVertexLayout:
         rng = random.Random(45)
         p = random_convex_polygon(6, rng)
         q = random_convex_polygon(9, rng)
-        for support in (_cso_support_xy, _cso_scan_xy):
-            for warm in (None, (0, 0), (3, 5)):
-                v = support(p, q, 0.3, -1.7, warm)
-                assert type(v) is SimplexVertex and type(v.w) is Vec2
-                assert v.w == Vec2(v.wx, v.wy)
+        for warm in (None, (0, 0), (3, 5)):
+            v = cso_support(p, q, Vec2(0.3, -1.7), warm)
+            assert type(v) is SimplexVertex and type(v.w) is Vec2
+            assert v.w == Vec2(v.wx, v.wy)
+            # the scan's plain tuple holds the same fields
+            flat = _cso_scan_xy(p, q, 0.3, -1.7, warm)
+            v = SimplexVertex(*flat)
+            assert type(v.w) is Vec2 and v.w == Vec2(flat[0], flat[1])
 
     def test_cso_support_is_the_flat_call(self):
         rng = random.Random(46)
@@ -394,13 +401,13 @@ class TestExtremes:
             # one role, over directions of both signs
             pairs = [(ring[k], ring[k + 4]) for k in range(4)]
             for dx, dy in directions:
-                brute = _cso_scan_xy(poly, poly, dx, dy, None)
-                top = xs[brute.ip] * dx + ys[brute.ip] * dy
-                low = xs[brute.iq] * dx + ys[brute.iq] * dy
+                _, _, bp, bq = _cso_scan_xy(poly, poly, dx, dy, None)
+                top = xs[bp] * dx + ys[bp] * dy
+                low = xs[bq] * dx + ys[bq] * dy
                 for warm in pairs:
-                    res = _cso_support_xy(poly, poly, dx, dy, warm)
-                    assert xs[res.ip] * dx + ys[res.ip] * dy == top
-                    assert xs[res.iq] * dx + ys[res.iq] * dy == low
+                    _, _, ip, iq = _cso_support_xy(poly, poly, dx, dy, warm)
+                    assert xs[ip] * dx + ys[ip] * dy == top
+                    assert xs[iq] * dx + ys[iq] * dy == low
 
 
 _TAN = math.sqrt(2.0) - 1.0
@@ -518,16 +525,14 @@ class TestSectorChoice:
         polys = sector_corpus()
         for p, q in list(zip(polys, polys)) + list(zip(polys, polys[1:] + polys[:1])):
             for dx, dy in directions:
-                brute = _cso_scan_xy(p, q, dx, dy, None)
-                cold = _cso_support_xy(p, q, dx, dy, None)
-                assert 0 <= cold.ip < len(p) and 0 <= cold.iq < len(q)
-                assert same(p.xs[cold.ip] * dx + p.ys[cold.ip] * dy,
-                            p.xs[brute.ip] * dx + p.ys[brute.ip] * dy)
-                assert same(q.xs[cold.iq] * dx + q.ys[cold.iq] * dy,
-                            q.xs[brute.iq] * dx + q.ys[brute.iq] * dy)
+                _, _, bp, bq = _cso_scan_xy(p, q, dx, dy, None)
+                _, _, ip, iq = _cso_support_xy(p, q, dx, dy, None)
+                assert 0 <= ip < len(p) and 0 <= iq < len(q)
+                assert same(p.xs[ip] * dx + p.ys[ip] * dy, p.xs[bp] * dx + p.ys[bp] * dy)
+                assert same(q.xs[iq] * dx + q.ys[iq] * dy, q.xs[bq] * dx + q.ys[bq] * dy)
                 if (dx, dy) in ZEROS or math.isnan(dx) or math.isnan(dy):
                     # every sector test fails, and no vertex improves
-                    assert (cold.ip, cold.iq) == (p.right, q.left)
+                    assert (ip, iq) == (p.right, q.left)
 
 
 class TestInitialDirection:
