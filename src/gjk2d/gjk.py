@@ -10,6 +10,16 @@ intersect) and a vertical-angle test (the new support point lands in the
 angle vertically opposite the current 2-simplex as seen from the origin,
 so the new triangle must enclose the origin). The separating test also
 covers the first support point, taken against the start direction.
+
+The start point d0, the difference of the two vertex centroids, is a
+point of P - Q, so both modes run the portal step of Minkowski Portal
+Refinement (Snethen, "XenoCollide: Complex Collision Made Simple", Game
+Programming Gems 7, 2008) as their first pass: the second support call
+searches along the normal of the line through d0 and the first support
+point w1, on the origin's side, and the binary mode's vertical-angle test
+on that pass asks whether the origin is strictly inside triangle
+(d0, w1, w2). An overlapping pair is then answered after two support
+calls instead of three.
 """
 
 from __future__ import annotations
@@ -142,6 +152,23 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     VerticalAngleEnclosure exits; every other exit is a ``Termination``.
     It makes ``iterations + 1`` support calls.
 
+    The first pass is the portal step when w1 does not separate
+    (d0.w1 <= 0) and the origin is off the line through d0 and w1
+    (cross(d0, w1) != 0): its support call searches along that line's
+    normal m on the origin's side, not along -w1. In binary mode
+    m.w2 < 0 separates, and the origin strictly inside triangle
+    (d0, w1, w2), by the signs of its three cross products, is a
+    VerticalAngleEnclosure: w2 lies in the vertical angle opposite
+    cone(d0, w1). Otherwise w2 joins the simplex like any support point;
+    only the convergence test (progress, or a repeated vertex pair) is
+    skipped on that pass, since w2 is no support point along -v; a repeat
+    of w1 gives ``s1d`` a zero-length segment, which it answers with the
+    one point. The separating exit holds for any search direction;
+    the enclosure needs d0 in P - Q, which the centroids give up to their
+    rounding, far below the loop's tolerance. When the centroids are
+    equal, d0 is the fallback (1, 0), perhaps no point of P - Q, but the
+    origin itself is then one, so an enclosure verdict is still right.
+
     Each exit pays only for what it reads. A support point comes back as
     the plain tuple ``(wx, wy, ip, iq)``, and the exit tests run on it; it
     is wrapped as a ``SimplexVertex`` (``tuple.__new__``) only when it
@@ -167,7 +194,8 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     w = support(p_poly, q_poly, -d0x, -d0y, None)
     vx = w[0]
     vy = w[1]
-    if binary and d0x * vx + d0y * vy > 0.0:
+    d0_dot_w = d0x * vx + d0y * vy
+    if binary and d0_dot_w > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
         return _EXIT_SEPARATING, 0, None, None, vx, vy, 0.0
     verts = [_new(SimplexVertex, w)]
@@ -179,16 +207,30 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         # w1 is the origin itself, exact contact: P[ip] = Q[iq].
         return _TERM_CONTAINS_ORIGIN, 0, verts, lambdas, 0.0, 0.0, tol_sq
 
+    # (ux, uy) is the next search direction: -v, or on the portal pass the
+    # normal m of the line through d0 and w1, on the origin's side.
+    # ``side`` is cross(d0, w1), nonzero only until that pass ends.
+    ux = -vx
+    uy = -vy
+    side = 0.0
+    if d0_dot_w <= 0.0:
+        side = d0x * vy - d0y * vx
+        if side > 0.0:
+            ux = d0y - vy
+            uy = vx - d0x
+        elif side < 0.0:
+            ux = vy - d0y
+            uy = d0x - vx
     k = 0
     while k < _MAX_ITERATIONS:
         k += 1
-        w = support(p_poly, q_poly, -vx, -vy, None)
+        w = support(p_poly, q_poly, ux, uy, None)
         wx = w[0]
         wy = w[1]
-        v_dot_w = vx * wx + vy * wy
+        u_dot_w = ux * wx + uy * wy
         if binary:
-            if v_dot_w > 0.0:
-                # A hyperplane through the origin perpendicular to v separates
+            if u_dot_w < 0.0:
+                # A hyperplane through the origin perpendicular to u separates
                 # the origin from the whole Minkowski difference.
                 exit = _EXIT_SEPARATING
                 break
@@ -200,10 +242,20 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                     # triangle (a, b, w) encloses the origin.
                     exit = _EXIT_VERTICAL_ANGLE
                     break
+            elif side != 0.0:
+                a = verts[0]
+                if side * (a[0] * wy - a[1] * wx) > 0.0 and side * (wx * d0y - wy * d0x) > 0.0:
+                    # cross(d0, w1), cross(w1, w) and cross(w, d0) share a
+                    # sign: the origin is strictly inside (d0, w1, w).
+                    exit = _EXIT_VERTICAL_ANGLE
+                    break
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
-        if v_sq - v_dot_w <= eps * v_sq or w in verts:
+        if side != 0.0:
+            # w came from the portal direction, not -v: it proves no convergence.
+            side = 0.0
+        elif v_sq + u_dot_w <= eps * v_sq or w in verts:
             exit = _TERM_CONVERGED
             break
         w = _new(SimplexVertex, w)
@@ -221,6 +273,8 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
             exit = _TERM_SIMPLEX_FULL
             vx = vy = 0.0
             break
+        ux = -vx
+        uy = -vy
     else:
         exit = _TERM_MAX_ITERATIONS
     return exit, k, verts, lambdas, vx, vy, tol_sq
@@ -273,7 +327,10 @@ def intersects(
     The separating-hyperplane exit covers every support point, the first
     one included, which can end the query after one support call and zero
     iterations; so can a first support point exactly at the origin, which
-    reads as SubdistanceEnclosure. All other exits are shared with
+    reads as SubdistanceEnclosure. On the first pass, the portal step, the
+    vertical-angle exit tests triangle (d0, w1, w2), so an overlapping pair
+    is usually answered after two support calls and one iteration. All
+    other exits, and the portal step's search direction, are shared with
     ``distance``, so this never performs more support evaluations than
     ``distance`` on the same input and ``use_hill_climbing`` setting.
     """

@@ -264,12 +264,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Seed-7 fingerprint and counters of every workload in both trace modes.
 PERFBENCH_PINS = [
-    ("small-polys", 0, "28adbf09a1bde9dc", "d7305150e1c944f3"),
-    ("small-polys", 1, "28adbf09a1bde9dc", "3bf0b1e09e898f48"),
-    ("large-polys", 0, "d1c82372829d257e", "8f57a8dbd0f63e1d"),
-    ("large-polys", 1, "d1c82372829d257e", "5e111082e0ed3e0f"),
-    ("gen-check", 0, "8c4f99c31a48dc27", "2223802be9f7cb7c"),
-    ("gen-check", 1, "8c4f99c31a48dc27", "f018ced62ea7a8c9"),
+    ("small-polys", 0, "28adbf09a1bde9dc", "b6e3c6d63a735124"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "66574e37f7cf22e4"),
+    ("large-polys", 0, "d1c82372829d257e", "57db7044e2c94410"),
+    ("large-polys", 1, "d1c82372829d257e", "f29484301e20795a"),
+    ("gen-check", 0, "8c4f99c31a48dc27", "fb57ec653191160a"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "1369eb84f07fdbb2"),
 ]
 
 

@@ -3,6 +3,7 @@ import inspect
 import math
 import random
 from enum import Enum
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from gjk2d.datasets import (
     DatasetSpec,
     Regime,
     derive_case_seed,
+    generate_dataset,
     make_pair,
     random_convex_polygon,
 )
@@ -159,8 +161,10 @@ class TestDistance:
         # An honest triangle solve that keeps all three vertices puts v on
         # the origin, so ContainsOrigin exits first. A solver that keeps
         # the whole triangle with v far off the origin reaches SimplexFull,
-        # which must report contact all the same.
-        q = ConvexPolygon([(0.9, 0.2), (3, 0.1), (3, 3)])
+        # which must report contact all the same. The triangle of the portal
+        # pass (d0, w1, w2) misses the origin on this pair, so both queries
+        # reach the triangle solve.
+        q = ConvexPolygon([(0.8, 1.1), (0.9, 0.9), (2.5, 0.3)])
         assert intersects(UNIT_SQUARE, q).colliding
         solves = []
 
@@ -301,6 +305,110 @@ class TestIntersects:
         oracle = oracle_distance(p, q).distance
         if oracle == 0.0 or oracle > 1e-9:
             assert res.colliding == sat_intersects(p, q)
+
+
+def portal_calls(p, q, hcs):
+    """``intersects(p, q)`` and its first three recorded layer outputs:
+    ``(result, d0, w1, w2, portal)``, where ``portal`` says whether the
+    second support call searched along another direction than -w1. ``w2``
+    is None after one support call."""
+    with recorded_layers() as recorded:
+        res = intersects(p, q, use_hill_climbing=hcs)
+    d0 = next(out for name, _, out in recorded if name == "initial_direction")
+    calls = [(args, out) for name, args, out in recorded if name in SUPPORT_LAYERS]
+    w1 = calls[0][1]
+    if len(calls) == 1:
+        return res, d0, w1, None, False
+    args, w2 = calls[1]
+    return res, d0, w1, w2, (args[2], args[3]) != (-w1[0], -w1[1])
+
+
+def thin_pairs(count, seed):
+    """Long thin polygons near short ones: P - Q is long and thin, so the
+    origin often lies beside it, where the portal call separates."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        a = random_convex_polygon(rng.choice([4, 8, 16]), rng)
+        b = random_convex_polygon(rng.choice([4, 8, 16]), rng)
+        a = ConvexPolygon((8 * x, 0.5 * y) for x, y in zip(a.xs, a.ys))
+        p = apply_transform(a, rng.uniform(0, 7), 0.0, 0.0)
+        q = apply_transform(b, rng.uniform(0, 7), rng.uniform(-5, 5), rng.uniform(-5, 5))
+        pairs.append((p, q))
+    return pairs
+
+
+class TestPortalStep:
+    # The first pass searches along the normal of the line through d0 and
+    # w1, on the origin's side, when w1 does not separate and the origin is
+    # off that line; the binary query then exits on triangle (d0, w1, w2).
+
+    @pytest.mark.parametrize("n", [4, 8, 24, 64])
+    def test_overlap_pairs_close_in_two_support_calls(self, n):
+        overlap = [c for c in generate_dataset(DatasetSpec(n, 50, 3)) if c.regime is Regime.OVERLAP]
+        for hcs in (True, False):
+            results = [intersects(c.p, c.q, use_hill_climbing=hcs) for c in overlap]
+            assert all(res.colliding for res in results)
+            assert sum(res.support_calls for res in results) / len(results) <= 2.05, hcs
+
+    def test_portal_exits_are_exactly_sound(self):
+        # Enclosure: the origin strictly inside (d0, w1, w2) by exact
+        # orientations of the doubles. Separation: the exact SAT finds the
+        # pair disjoint.
+        fired = {CollisionExit.SEPARATING_HYPERPLANE: 0, CollisionExit.VERTICAL_ANGLE_ENCLOSURE: 0}
+        for p, q in tie_rectangles(1000) + thin_pairs(300, 5):
+            for hcs in (True, False):
+                res, d0, w1, w2, portal = portal_calls(p, q, hcs)
+                if res.iterations == 1 and res.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE:
+                    # at iteration 1 the simplex has one vertex, so only the
+                    # portal's triangle test can end there this way
+                    assert portal
+                if not (portal and res.iterations == 1 and res.exit in fired):
+                    continue
+                fired[res.exit] += 1
+                if res.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE:
+                    a, b, c = [(Fraction(x), Fraction(y)) for x, y, *_ in (d0, w1, w2)]
+                    turns = [u[0] * v[1] - u[1] * v[0] for u, v in ((a, b), (b, c), (c, a))]
+                    assert all(t > 0 for t in turns) or all(t < 0 for t in turns), (d0, w1, w2)
+                    assert res.colliding
+                else:
+                    assert not res.colliding
+                    assert not exact_sat_intersects(p, q), (vertices(p), vertices(q))
+        assert all(fired.values()), fired
+
+    def test_origin_on_the_portal_line_takes_the_minus_w1_call(self):
+        # Unit squares side by side along x: d0 = (-0.5, 0) or (0.5, 0) and
+        # w1 lies inside the edge of P - Q on the x axis, so the second call
+        # searches along -w1 as before the portal step, and the segment
+        # (w1, w2) through the origin ends both queries after two calls.
+        for dx in (0.5, -0.5):
+            q = ConvexPolygon([(dx, 0), (1 + dx, 0), (1 + dx, 1), (dx, 1)])
+            for hcs in (True, False):
+                res, d0, w1, _, portal = portal_calls(UNIT_SQUARE, q, hcs)
+                assert d0 == (-dx, 0.0) and w1[1] == 0.0, (d0, w1)
+                assert not portal
+                assert (res.support_calls, res.exit) == (2, CollisionExit.SUBDISTANCE_ENCLOSURE)
+                dist = distance(UNIT_SQUARE, q, use_hill_climbing=hcs)
+                assert (dist.support_calls, dist.termination) == (2, Termination.CONTAINS_ORIGIN)
+
+    def test_concentric_polygons_collide(self):
+        # Equal centroids make initial_direction fall back to (1, 0), which
+        # is no point of these small P - Q; the origin is one, so an
+        # enclosure verdict cannot be wrong, and every verdict is colliding.
+        square = ConvexPolygon([(-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25)])
+        diamond = ConvexPolygon([(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0), (0.0, -0.3)])
+        rng = random.Random(17)
+        pairs = [(square, diamond), (diamond, square), (square, square)]
+        for _ in range(50):
+            a = random_convex_polygon(rng.choice([3, 4, 8, 24]), rng)
+            a = ConvexPolygon((0.25 * x, 0.25 * y) for x, y in zip(a.xs, a.ys))
+            pairs.append((a, a))
+        for p, q in pairs:
+            assert gjk2d.gjk.initial_direction(p, q) == (1.0, 0.0)
+            assert max(p.xs) - min(q.xs) < 1.0
+            for hcs in (True, False):
+                assert intersects(p, q, use_hill_climbing=hcs).colliding
+                assert distance(p, q, use_hill_climbing=hcs).distance == 0.0
 
 
 class TestSupportVariants:
@@ -638,10 +746,13 @@ class TestGolden:
     # first-point ContainsOrigin test moved only the exact vertex contacts:
     # 22 answers per query, from Converged after two support calls to
     # ContainsOrigin (SubdistanceEnclosure) after one, every other field
-    # the same.
+    # the same. The portal step moved overlap and touching answers only:
+    # 152 overlap and 58 touching distance answers (witness points and
+    # counters; no distance or termination) and 160 overlap and 52
+    # touching intersects answers (counters only).
     DIGESTS = {
-        "distance": "8e934a8a5eca26ab19260c335d4cc4e10ff0ca33da67bdb17d47e88c6bc91d75",
-        "intersects": "e037bec1e3f9219d2bc21f7d216db16c132356d45ebd66d96648790ea612f989",
+        "distance": "e2c0ef935313377fc0d23a6deeeb71a713c707bea2897977377a10c3c5999b93",
+        "intersects": "1c05ce63e81aba8de0355d928b0993c1ec9b54d6035e864e8fffcd73cd554373",
     }
 
     @staticmethod
