@@ -16,10 +16,12 @@ point of P - Q, so both modes run the portal step of Minkowski Portal
 Refinement (Snethen, "XenoCollide: Complex Collision Made Simple", Game
 Programming Gems 7, 2008) as their first pass: the second support call
 searches along the normal of the line through d0 and the first support
-point w1, on the origin's side, and the binary mode's vertical-angle test
-on that pass asks whether the origin is strictly inside triangle
-(d0, w1, w2). An overlapping pair is then answered after two support
-calls instead of three.
+point w1, on the origin's side, and both modes then ask whether the
+origin is strictly inside triangle (d0, w1, w2). If it is, the binary
+mode answers VerticalAngleEnclosure and the distance mode ContainsOrigin,
+with witness points from the origin's barycentric coordinates in that
+triangle and no solve. An overlapping pair is then answered after two
+support calls instead of three.
 """
 
 from __future__ import annotations
@@ -88,6 +90,9 @@ _TERM_CONVERGED = Termination.CONVERGED
 _TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
 _TERM_SIMPLEX_FULL = Termination.SIMPLEX_FULL
 _TERM_MAX_ITERATIONS = Termination.MAX_ITERATIONS
+# The loop's exit, in distance mode, for the origin strictly inside its portal
+# triangle; ``distance`` answers it as ContainsOrigin.
+_EXIT_PORTAL = object()
 # The separating vector of every answer whose loop zeroed v (ContainsOrigin,
 # SimplexFull); a Vec2 is immutable, so all of them share this one.
 _ZERO_VECTOR = Vec2(0.0, 0.0)
@@ -136,6 +141,38 @@ def witness_points(
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
 
 
+def _portal_witnesses(
+    p_poly: ConvexPolygon,
+    q_poly: ConvexPolygon,
+    ends: Sequence[tuple],
+    lambdas: Sequence[float],
+) -> Tuple[Vec2, Vec2]:
+    """Witness pair of the origin inside the portal triangle (d0, w1, w2).
+
+    ``ends`` holds the support points w1 and w2, ``(wx, wy, ip, iq)``, and
+    ``lambdas`` the origin's barycentric coordinates against d0, w1 and
+    w2. Since d0 = cP - cQ, the witnesses are l0*cP + l1*P[ip1] + l2*P[ip2]
+    and the same for Q. When the centroids are equal, d0 is
+    ``initial_direction``'s (1, 0) fallback, but then cP - cQ is the origin
+    itself, so the witnesses are cP and cQ.
+    """
+    pc = p_poly.centroid
+    qc = q_poly.centroid
+    if pc[0] == qc[0] and pc[1] == qc[1]:
+        return pc, qc
+    l0, l1, l2 = lambdas
+    a, b = ends
+    xs, ys = p_poly.xs, p_poly.ys
+    i, j = a[2], b[2]
+    px = l0 * pc[0] + l1 * xs[i] + l2 * xs[j]
+    py = l0 * pc[1] + l1 * ys[i] + l2 * ys[j]
+    xs, ys = q_poly.xs, q_poly.ys
+    i, j = a[3], b[3]
+    qx = l0 * qc[0] + l1 * xs[i] + l2 * xs[j]
+    qy = l0 * qc[1] + l1 * ys[i] + l2 * ys[j]
+    return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
+
+
 def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) -> tuple:
     """The loop behind ``distance`` and ``intersects``.
 
@@ -149,25 +186,36 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     ``None`` as its warm pair, so each climb starts cold, at the polygons'
     recorded starts nearest its direction, and the scan has no start.
     ``binary`` only adds the SeparatingHyperplane and
-    VerticalAngleEnclosure exits; every other exit is a ``Termination``.
+    VerticalAngleEnclosure exits; every other exit is a ``Termination``,
+    or in distance mode ``_EXIT_PORTAL`` (below).
     It makes ``iterations + 1`` support calls.
 
-    The first pass is the portal step when w1 does not separate
-    (d0.w1 <= 0) and the origin is off the line through d0 and w1
-    (cross(d0, w1) != 0): its support call searches along that line's
-    normal m on the origin's side, not along -w1. In binary mode
-    m.w2 < 0 separates, and the origin strictly inside triangle
-    (d0, w1, w2), by the signs of its three cross products, is a
-    VerticalAngleEnclosure: w2 lies in the vertical angle opposite
-    cone(d0, w1). Otherwise w2 joins the simplex like any support point;
-    only the convergence test (progress, or a repeated vertex pair) is
-    skipped on that pass, since w2 is no support point along -v; a repeat
-    of w1 gives ``s1d`` a zero-length segment, which it answers with the
-    one point. The separating exit holds for any search direction;
-    the enclosure needs d0 in P - Q, which the centroids give up to their
-    rounding, far below the loop's tolerance. When the centroids are
-    equal, d0 is the fallback (1, 0), perhaps no point of P - Q, but the
-    origin itself is then one, so an enclosure verdict is still right.
+    The first pass, peeled out of the loop, is the portal step when w1
+    does not separate (d0.w1 <= 0) and the origin is off the line through
+    d0 and w1 (cross(d0, w1) != 0): its support call searches along that
+    line's normal m on the origin's side, not along -w1. In binary mode
+    m.w2 < 0 separates. In both modes the origin strictly inside triangle
+    (d0, w1, w2), by the strict signs of its three cross products, ends
+    the query: w2 lies in the vertical angle opposite cone(d0, w1). The
+    binary mode reports a VerticalAngleEnclosure; the distance mode
+    returns ``_EXIT_PORTAL`` with ``verts`` the support points
+    ``(w1, w2)`` and ``lambdas`` the origin's barycentric coordinates
+    against d0, w1 and w2: cross(w1, w2), cross(w2, d0) and cross(d0, w1)
+    over their sum. ``distance`` turns them into witness points. Otherwise
+    w2 joins the simplex like any support point; only the convergence
+    test (progress, or a repeated vertex pair) is skipped on that pass,
+    since w2 is no support point along -v; a repeat of w1 gives ``s1d`` a
+    zero-length segment, which it answers with the one point. The
+    separating exit holds for any search direction; the enclosure needs
+    d0 in P - Q, which the centroids give up to their rounding, far below
+    the loop's tolerance. When the centroids are equal, d0 is the
+    fallback (1, 0), perhaps no point of P - Q, but the origin itself is
+    then one, so an enclosure verdict is still right. Every later pass
+    searches along -v.
+
+    Every enclosure test compares the signs of cross products, never
+    their product: the product of two crosses underflows once the
+    coordinates fall below about 1e-77, and could read as zero.
 
     Each exit pays only for what it reads. A support point comes back as
     the plain tuple ``(wx, wy, ip, iq)``, and the exit tests run on it; it
@@ -207,55 +255,74 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         # w1 is the origin itself, exact contact: P[ip] = Q[iq].
         return _TERM_CONTAINS_ORIGIN, 0, verts, lambdas, 0.0, 0.0, tol_sq
 
-    # (ux, uy) is the next search direction: -v, or on the portal pass the
-    # normal m of the line through d0 and w1, on the origin's side.
-    # ``side`` is cross(d0, w1), nonzero only until that pass ends.
-    ux = -vx
-    uy = -vy
-    side = 0.0
-    if d0_dot_w <= 0.0:
-        side = d0x * vy - d0y * vx
-        if side > 0.0:
-            ux = d0y - vy
-            uy = vx - d0x
-        elif side < 0.0:
-            ux = vy - d0y
-            uy = d0x - vx
     k = 0
-    while k < _MAX_ITERATIONS:
-        k += 1
-        w = support(p_poly, q_poly, ux, uy, None)
+    side = d0x * vy - d0y * vx if d0_dot_w <= 0.0 else 0.0
+    if side != 0.0:
+        # The portal pass: search along the normal m of the line through d0
+        # and w1, on the origin's side, where side = cross(d0, w1).
+        k = 1
+        if side > 0.0:
+            mx = d0y - vy
+            my = vx - d0x
+        else:
+            mx = vy - d0y
+            my = d0x - vx
+        w = support(p_poly, q_poly, mx, my, None)
         wx = w[0]
         wy = w[1]
-        u_dot_w = ux * wx + uy * wy
+        if binary and mx * wx + my * wy < 0.0:
+            # The line through the origin perpendicular to m separates.
+            return _EXIT_SEPARATING, k, verts, lambdas, vx, vy, tol_sq
+        c1 = vx * wy - vy * wx
+        c2 = wx * d0y - wy * d0x
+        if (0.0 < c1 and 0.0 < c2) if side > 0.0 else (c1 < 0.0 and c2 < 0.0):
+            # cross(d0, w1), cross(w1, w) and cross(w, d0) share a strict
+            # sign: the origin is strictly inside (d0, w1, w), and each cross
+            # is twice the area of the sub-triangle opposite one corner.
+            if binary:
+                return _EXIT_VERTICAL_ANGLE, k, verts, lambdas, vx, vy, tol_sq
+            total = side + c1 + c2
+            return (
+                _EXIT_PORTAL, k, (verts[0], w), (c1 / total, c2 / total, side / total),
+                0.0, 0.0, tol_sq,
+            )
+        w_tol_sq = eps_sq * (wx * wx + wy * wy)
+        if w_tol_sq > tol_sq:
+            tol_sq = w_tol_sq
+        # w came from m, not -v: it proves no convergence, and a repeat of
+        # w1 gives s1d a zero-length segment, answered with the one point.
+        verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), verts[0])
+        size = len(verts)
+        v_sq = vx * vx + vy * vy
+        if v_sq <= tol_sq:
+            return _TERM_CONTAINS_ORIGIN, k, verts, lambdas, 0.0, 0.0, tol_sq
+
+    while k < _MAX_ITERATIONS:
+        k += 1
+        w = support(p_poly, q_poly, -vx, -vy, None)
+        wx = w[0]
+        wy = w[1]
+        v_dot_w = vx * wx + vy * wy
         if binary:
-            if u_dot_w < 0.0:
-                # A hyperplane through the origin perpendicular to u separates
+            if v_dot_w > 0.0:
+                # A hyperplane through the origin perpendicular to v separates
                 # the origin from the whole Minkowski difference.
                 exit = _EXIT_SEPARATING
                 break
             if size == 2:
                 a = verts[0]
                 b = verts[1]
-                if (a[0] * wy - a[1] * wx) * (b[0] * wy - b[1] * wx) <= 0.0:
+                ca = a[0] * wy - a[1] * wx
+                cb = b[0] * wy - b[1] * wx
+                if ca <= 0.0 <= cb or cb <= 0.0 <= ca:
                     # w lies in the vertical angle opposite cone(a, b), so
                     # triangle (a, b, w) encloses the origin.
-                    exit = _EXIT_VERTICAL_ANGLE
-                    break
-            elif side != 0.0:
-                a = verts[0]
-                if side * (a[0] * wy - a[1] * wx) > 0.0 and side * (wx * d0y - wy * d0x) > 0.0:
-                    # cross(d0, w1), cross(w1, w) and cross(w, d0) share a
-                    # sign: the origin is strictly inside (d0, w1, w).
                     exit = _EXIT_VERTICAL_ANGLE
                     break
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
-        if side != 0.0:
-            # w came from the portal direction, not -v: it proves no convergence.
-            side = 0.0
-        elif v_sq + u_dot_w <= eps * v_sq or w in verts:
+        if v_sq - v_dot_w <= eps * v_sq or w in verts:
             exit = _TERM_CONVERGED
             break
         w = _new(SimplexVertex, w)
@@ -273,8 +340,6 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
             exit = _TERM_SIMPLEX_FULL
             vx = vy = 0.0
             break
-        ux = -vx
-        uy = -vy
     else:
         exit = _TERM_MAX_ITERATIONS
     return exit, k, verts, lambdas, vx, vy, tol_sq
@@ -294,7 +359,13 @@ def distance(
     point exactly at the origin, an exact vertex contact, ends the query
     there after one support call), when the simplex fills up, which means
     the origin is enclosed (SimplexFull), or at the iteration cap
-    (MaxIterations, reporting the best known estimate). At ContainsOrigin
+    (MaxIterations, reporting the best known estimate). The first pass,
+    the portal step, also ends the query as ContainsOrigin when the origin
+    lies strictly inside triangle (d0, w1, w2), d0 = cP - cQ, after two
+    support calls and no solve; its witnesses are l0*cP + l1*P[ip1] +
+    l2*P[ip2] and the same for Q, with (l0, l1, l2) the origin's
+    barycentric coordinates in that triangle, or cP and cQ themselves
+    when the centroids are equal. At ContainsOrigin
     and SimplexFull the distance is 0.0 and the separating vector is one
     shared ``Vec2(0.0, 0.0)``, built once at import rather than per
     query. A support point from a vertex pair already in the simplex is
@@ -308,6 +379,9 @@ def distance(
     the brute-force scan (same support values).
     """
     termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)
+    if termination is _EXIT_PORTAL:
+        wp, wq = _portal_witnesses(p_poly, q_poly, verts, lambdas)
+        return _new(DistanceResult, (0.0, wp, wq, _ZERO_VECTOR, k, k + 1, _TERM_CONTAINS_ORIGIN))
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)
     if termination is _TERM_CONTAINS_ORIGIN or termination is _TERM_SIMPLEX_FULL:
         return _new(DistanceResult, (0.0, wp, wq, _ZERO_VECTOR, k, k + 1, termination))
@@ -328,11 +402,13 @@ def intersects(
     one included, which can end the query after one support call and zero
     iterations; so can a first support point exactly at the origin, which
     reads as SubdistanceEnclosure. On the first pass, the portal step, the
-    vertical-angle exit tests triangle (d0, w1, w2), so an overlapping pair
-    is usually answered after two support calls and one iteration. All
-    other exits, and the portal step's search direction, are shared with
-    ``distance``, so this never performs more support evaluations than
-    ``distance`` on the same input and ``use_hill_climbing`` setting.
+    origin strictly inside triangle (d0, w1, w2) reads as
+    VerticalAngleEnclosure, so an overlapping pair is usually answered
+    after two support calls and one iteration. That triangle test, the
+    portal step's search direction and every exit other than the
+    separating tests and the two-vertex vertical-angle test are shared
+    with ``distance``, so this never performs more support evaluations
+    than ``distance`` on the same input and ``use_hill_climbing`` setting.
     """
     exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:

@@ -323,6 +323,16 @@ def portal_calls(p, q, hcs):
     return res, d0, w1, w2, (args[2], args[3]) != (-w1[0], -w1[1])
 
 
+def distance_portal_exit(p, q, hcs):
+    """``distance(p, q)`` and whether it ended on the portal triangle: in
+    contact after two support calls, with no solve."""
+    with recorded_layers() as recorded:
+        res = distance(p, q, use_hill_climbing=hcs)
+    solved = any(name in ("s1d", "s2d") for name, _, _ in recorded)
+    contact = res.termination is Termination.CONTAINS_ORIGIN
+    return res, contact and res.support_calls == 2 and not solved
+
+
 def thin_pairs(count, seed):
     """Long thin polygons near short ones: P - Q is long and thin, so the
     origin often lies beside it, where the portal call separates."""
@@ -341,7 +351,8 @@ def thin_pairs(count, seed):
 class TestPortalStep:
     # The first pass searches along the normal of the line through d0 and
     # w1, on the origin's side, when w1 does not separate and the origin is
-    # off that line; the binary query then exits on triangle (d0, w1, w2).
+    # off that line; both queries then exit on triangle (d0, w1, w2) when it
+    # encloses the origin.
 
     @pytest.mark.parametrize("n", [4, 8, 24, 64])
     def test_overlap_pairs_close_in_two_support_calls(self, n):
@@ -350,6 +361,36 @@ class TestPortalStep:
             results = [intersects(c.p, c.q, use_hill_climbing=hcs) for c in overlap]
             assert all(res.colliding for res in results)
             assert sum(res.support_calls for res in results) / len(results) <= 2.05, hcs
+            results = [distance(c.p, c.q, use_hill_climbing=hcs) for c in overlap]
+            assert all(res.distance == 0.0 for res in results)
+            assert sum(res.support_calls for res in results) / len(results) <= 2.05, hcs
+
+    def test_distance_ends_on_the_portal_triangle_when_intersects_does(self):
+        # The enclosure test is shared, so distance ends on the portal
+        # triangle exactly when intersects ends there, on VerticalAngleEnclosure
+        # at iteration 1 (the one-vertex simplex has no other vertical-angle
+        # test). The answer is contact, with barycentric witnesses of the
+        # origin in (d0, w1, w2) that lie in their polygons and coincide.
+        pairs = tie_rectangles(1000) + thin_pairs(300, 5)
+        for n in (4, 8, 24):
+            pairs += [(c.p, c.q) for c in generate_dataset(DatasetSpec(n, 50, 3))]
+        ended = 0
+        for p, q in pairs:
+            for hcs in (True, False):
+                res, portal = distance_portal_exit(p, q, hcs)
+                hit = intersects(p, q, use_hill_climbing=hcs)
+                enclosure = hit.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE
+                assert portal == (enclosure and hit.iterations == 1), (vertices(p), vertices(q))
+                if not portal:
+                    continue
+                ended += 1
+                assert (res.distance, res.iterations) == (0.0, 1)
+                assert res.separating_vector is gjk2d.gjk._ZERO_VECTOR
+                wp, wq = res.witness_p, res.witness_q
+                assert contains_point(p, wp, tolerance=1e-9), (vertices(p), wp)
+                assert contains_point(q, wq, tolerance=1e-9), (vertices(q), wq)
+                assert math.hypot(wp.x - wq.x, wp.y - wq.y) <= 1e-12, (wp, wq)
+        assert ended
 
     def test_portal_exits_are_exactly_sound(self):
         # Enclosure: the origin strictly inside (d0, w1, w2) by exact
@@ -403,12 +444,19 @@ class TestPortalStep:
             a = random_convex_polygon(rng.choice([3, 4, 8, 24]), rng)
             a = ConvexPolygon((0.25 * x, 0.25 * y) for x, y in zip(a.xs, a.ys))
             pairs.append((a, a))
+        ended = 0
         for p, q in pairs:
             assert gjk2d.gjk.initial_direction(p, q) == (1.0, 0.0)
             assert max(p.xs) - min(q.xs) < 1.0
             for hcs in (True, False):
                 assert intersects(p, q, use_hill_climbing=hcs).colliding
-                assert distance(p, q, use_hill_climbing=hcs).distance == 0.0
+                res, portal = distance_portal_exit(p, q, hcs)
+                assert res.distance == 0.0
+                if portal:
+                    # the origin is cP - cQ itself, whatever (1, 0) says
+                    ended += 1
+                    assert (res.witness_p, res.witness_q) == (p.centroid, q.centroid)
+        assert ended > len(pairs)
 
 
 class TestSupportVariants:
@@ -604,6 +652,23 @@ class TestScale:
                     moved = queries(scaled(case.p, factor), scaled(case.q, factor))
                     assert list(moved) == [scaled_result(res, factor) for res in base], (cap, k)
 
+    def test_intersects_is_unchanged_by_extreme_power_of_two_scales(self):
+        # Crosses of coordinates near 2**-280 are about 2**-560: their
+        # product underflows to zero, so the enclosure tests compare the
+        # signs of the crosses, never their product. Scaling by 2**k is
+        # exact, so every verdict and every support call must stay.
+        for n in (4, 8, 24):
+            for case in generate_dataset(DatasetSpec(n, 100, 3)):
+                for hcs in (True, False):
+                    base = intersects(case.p, case.q, use_hill_climbing=hcs)
+                    for k in (-280, -300, 280):
+                        factor = 2.0**k
+                        p, q = scaled(case.p, factor), scaled(case.q, factor)
+                        res = intersects(p, q, use_hill_climbing=hcs)
+                        assert (res.colliding, res.support_calls) == (
+                            base.colliding, base.support_calls,
+                        ), (k, hcs, vertices(case.p), vertices(case.q))
+
     def test_underflowing_scales_are_rejected_or_answered(self):
         # Below about 1e-153 the turns of a unit-sized polygon fall under the
         # smallest normal double and the polygon is rejected; above it, every
@@ -749,9 +814,11 @@ class TestGolden:
     # the same. The portal step moved overlap and touching answers only:
     # 152 overlap and 58 touching distance answers (witness points and
     # counters; no distance or termination) and 160 overlap and 52
-    # touching intersects answers (counters only).
+    # touching intersects answers (counters only). The distance query's own
+    # exit on the portal triangle moved the 160 overlap distance answers
+    # (witness points and counters; no distance or termination).
     DIGESTS = {
-        "distance": "e2c0ef935313377fc0d23a6deeeb71a713c707bea2897977377a10c3c5999b93",
+        "distance": "26f9494a952de7e945d909682533714b1a48f1fd147943b53bfcb4d7f1515ef7",
         "intersects": "1c05ce63e81aba8de0355d928b0993c1ec9b54d6035e864e8fffcd73cd554373",
     }
 
