@@ -56,10 +56,14 @@ def _cmd_check(args) -> int:
     and the binary verdict against the report's closed origin-in-P - Q test.
 
     Also prints, per regime, how often each ``Termination`` of ``distance``
-    and each ``CollisionExit`` of ``intersects`` ended a query."""
+    and each ``CollisionExit`` of ``intersects`` ended a query, and the mean
+    support calls of each query."""
     _, cases = read_dataset(args.dataset)
     stats = {
-        r: {"cases": 0, "failures": 0, "worst": 0.0, "distance": [], "intersects": []}
+        r: {
+            "cases": 0, "failures": 0, "worst": 0.0, "distance": [], "intersects": [],
+            "calls": {"distance": 0, "intersects": 0},
+        }
         for r in Regime
     }
     touch_binary_disagreements = 0
@@ -71,12 +75,14 @@ def _cmd_check(args) -> int:
         ok = verify_regime(case, report)
         result = distance(case.p, case.q)
         entry["distance"].append(result.termination)
+        entry["calls"]["distance"] += result.support_calls
         err = abs(result.distance - report.distance)
         entry["worst"] = max(entry["worst"], err)
         if err > REL_TOL * max(1.0, report.distance) + ABS_TOL:
             ok = False
         collision = intersects(case.p, case.q)
         entry["intersects"].append(collision.exit)
+        entry["calls"]["intersects"] += collision.support_calls
         if collision.colliding != report.intersecting:
             # exact-touching inputs sit on a numerical knife edge, so the
             # binary answer is reported there rather than asserted
@@ -99,6 +105,10 @@ def _cmd_check(args) -> int:
             exits = entry[label]
             counts = [f"{m.value}={exits.count(m)}" for m in members if m in exits]
             parts.append(" ".join([label] + counts))
+        means = " ".join(
+            f"{label} {calls / entry['cases']:.3f}" for label, calls in entry["calls"].items()
+        )
+        parts.append(f"mean support calls {means}")
         print(f"{regime.value} exits: {'; '.join(parts)}")
     if touch_binary_disagreements:
         print(

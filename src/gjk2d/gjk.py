@@ -14,9 +14,13 @@ covers the first support point, taken against the start direction.
 The start point d0, the difference of the two vertex centroids, is a
 point of P - Q, so both modes run the portal step of Minkowski Portal
 Refinement (Snethen, "XenoCollide: Complex Collision Made Simple", Game
-Programming Gems 7, 2008) as their first pass: the second support call
-searches along the normal of the line through d0 and the first support
-point w1, on the origin's side, and both modes then ask whether the
+Programming Gems 7, 2008) as their first pass. The second support call
+is aimed at the contact: while the chord from the first support point w1
+to the origin lies within 45 degrees of the tangent at w1, it searches
+along d0 reflected in the line through the origin and w1, which hits the
+contact exactly where the boundary of P - Q is locally a circle; for a
+steeper chord, a deep overlap, it searches along the normal of the line
+through d0 and w1, on the origin's side. Both modes then ask whether the
 origin is strictly inside triangle (d0, w1, w2). If it is, the binary
 mode answers VerticalAngleEnclosure and the distance mode ContainsOrigin,
 with witness points from the origin's barycentric coordinates in that
@@ -192,11 +196,23 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
 
     The first pass, peeled out of the loop, is the portal step when w1
     does not separate (d0.w1 <= 0) and the origin is off the line through
-    d0 and w1 (cross(d0, w1) != 0): its support call searches along that
-    line's normal m on the origin's side, not along -w1. In binary mode
-    m.w2 < 0 separates. In both modes the origin strictly inside triangle
-    (d0, w1, w2), by the strict signs of its three cross products, ends
-    the query: w2 lies in the vertical angle opposite cone(d0, w1). The
+    d0 and w1 (cross(d0, w1) != 0): its support call searches along a
+    direction m other than -w1. The line through w1 perpendicular to d0
+    is tangent to P - Q at w1. When the chord from w1 to the origin lies
+    within 45 degrees of it, |cross(d0, w1)| >= -d0.w1, m is d0 reflected
+    in the line through the origin and w1: -d0 turned toward the origin's
+    side by twice the chord angle, where the tangent-chord angle puts the
+    outward normal at the origin of a circle through w1 and the origin.
+    With r = -d0.w1 / |cross(d0, w1)| <= 1, the tangent of the chord
+    angle, m = -d0*(1 - r*r) + t*(r + r), t being d0 turned a quarter
+    toward the origin's side; that is degree 1 in the coordinates, where
+    a product form such as w1**2 * conj(d0) overflows near
+    ``MAX_COORDINATE``. For a steeper chord the origin lies deep inside
+    P - Q and m is the normal of the line through d0 and w1 on the
+    origin's side, which puts w2 across the origin from w1. In binary
+    mode m.w2 < 0 separates, whatever m is. In both modes the origin
+    strictly inside triangle (d0, w1, w2), by the strict signs of its
+    three cross products, ends the query: w2 lies in the vertical angle opposite cone(d0, w1). The
     binary mode reports a VerticalAngleEnclosure; the distance mode
     returns ``_EXIT_PORTAL`` with ``verts`` the support points
     ``(w1, w2)`` and ``lambdas`` the origin's barycentric coordinates
@@ -258,12 +274,28 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     k = 0
     side = d0x * vy - d0y * vx if d0_dot_w <= 0.0 else 0.0
     if side != 0.0:
-        # The portal pass: search along the normal m of the line through d0
-        # and w1, on the origin's side, where side = cross(d0, w1).
+        # The portal pass, where side = cross(d0, w1). While |side| >= -d0.w1
+        # search along d0 reflected in the line through the origin and w1,
+        # -d0*c2 + t*s2 with (c2, s2) twice the chord angle of tangent r;
+        # otherwise along the normal of the line through d0 and w1, on the
+        # origin's side.
         k = 1
         if side > 0.0:
-            mx = d0y - vy
-            my = vx - d0x
+            if side >= -d0_dot_w:
+                r = -d0_dot_w / side
+                c2 = 1.0 - r * r
+                s2 = r + r
+                mx = d0y * s2 - d0x * c2
+                my = -d0x * s2 - d0y * c2
+            else:
+                mx = d0y - vy
+                my = vx - d0x
+        elif side <= d0_dot_w:
+            r = d0_dot_w / side
+            c2 = 1.0 - r * r
+            s2 = r + r
+            mx = -d0y * s2 - d0x * c2
+            my = d0x * s2 - d0y * c2
         else:
             mx = vy - d0y
             my = d0x - vx

@@ -264,12 +264,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Seed-7 fingerprint and counters of every workload in both trace modes.
 PERFBENCH_PINS = [
-    ("small-polys", 0, "28adbf09a1bde9dc", "1975a7f60154c9ba"),
-    ("small-polys", 1, "28adbf09a1bde9dc", "91b9379312cf032a"),
-    ("large-polys", 0, "d1c82372829d257e", "449189a9376172ae"),
-    ("large-polys", 1, "d1c82372829d257e", "c8b9014e704db7c1"),
-    ("gen-check", 0, "8c4f99c31a48dc27", "f85924ad1f711967"),
-    ("gen-check", 1, "8c4f99c31a48dc27", "1bcef11ddee4e337"),
+    ("small-polys", 0, "28adbf09a1bde9dc", "2f2aad5b570104d6"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "fe797db760af96a2"),
+    ("large-polys", 0, "d1c82372829d257e", "f72c9b8bfeff68c7"),
+    ("large-polys", 1, "d1c82372829d257e", "71c8a042574ddfa7"),
+    ("gen-check", 0, "8c4f99c31a48dc27", "7d7743255e1d2223"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "20f33833118ed463"),
 ]
 
 

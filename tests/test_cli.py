@@ -156,12 +156,15 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         assert capsys.readouterr().out == (
             "distant: 3/3 pass, worst abs distance error 0.000e+00\n"
-            "distant exits: distance Converged=3; intersects SeparatingHyperplane=3\n"
+            "distant exits: distance Converged=3; intersects SeparatingHyperplane=3; "
+            "mean support calls distance 2.333 intersects 1.000\n"
             "touching: 3/3 pass, worst abs distance error 2.082e-16\n"
             "touching exits: distance ContainsOrigin=3; "
-            "intersects VerticalAngleEnclosure=1 SubdistanceEnclosure=2\n"
+            "intersects VerticalAngleEnclosure=1 SubdistanceEnclosure=2; "
+            "mean support calls distance 3.667 intersects 3.667\n"
             "overlap: 3/3 pass, worst abs distance error 0.000e+00\n"
-            "overlap exits: distance ContainsOrigin=3; intersects VerticalAngleEnclosure=3\n"
+            "overlap exits: distance ContainsOrigin=3; intersects VerticalAngleEnclosure=3; "
+            "mean support calls distance 2.000 intersects 2.000\n"
             "note: 2 knife-edge touching case(s) with binary/oracle disagreement "
             "(reported, not asserted)\n"
             "all checks passed\n"
@@ -331,18 +334,40 @@ class TestCheck:
         assert main(["gen", "--vertices", "6", "--cases", "20", "--seed", "3", str(path)]) == 0
         capsys.readouterr()
         _, cases = read_dataset(path)
-        counts = {r: (Counter(), Counter()) for r in Regime}
+        counts = {r: (Counter(), Counter(), Counter()) for r in Regime}
         for c in cases:
-            counts[c.regime][0][distance(c.p, c.q).termination] += 1
-            counts[c.regime][1][intersects(c.p, c.q).exit] += 1
+            dist, hit = distance(c.p, c.q), intersects(c.p, c.q)
+            counts[c.regime][0][dist.termination] += 1
+            counts[c.regime][1][hit.exit] += 1
+            counts[c.regime][2].update(distance=dist.support_calls, intersects=hit.support_calls)
         assert main(["check", str(path)]) == 0
         out = capsys.readouterr().out
-        for regime, (terminations, exits) in counts.items():
-            # nonzero counts only, in declaration order
+        for regime, (terminations, exits, calls) in counts.items():
+            # nonzero counts only, in declaration order, then the mean
+            # support calls per query over the regime's 20 cases
             d = " ".join(f"{m.value}={terminations[m]}" for m in Termination if terminations[m])
             i = " ".join(f"{m.value}={exits[m]}" for m in CollisionExit if exits[m])
-            assert f"{regime.value} exits: distance {d}; intersects {i}\n" in out
-        assert len(set().union(*(e for _, e in counts.values()))) >= 3
+            means = " ".join(f"{label} {calls[label] / 20:.3f}" for label in ("distance", "intersects"))
+            assert (
+                f"{regime.value} exits: distance {d}; intersects {i}; mean support calls {means}\n"
+            ) in out
+        assert len(set().union(*(e for _, e, _ in counts.values()))) >= 3
+
+    def test_binary_mean_support_calls_never_exceed_distance(self, tmp_path, capsys):
+        # intersects runs the distance loop with extra exits, so in every
+        # regime its mean support calls are at most those of distance
+        for vertices, seed in ((4, 3), (24, 5), (128, 7)):
+            path = tmp_path / f"n{vertices}.jsonl"
+            argv = ["gen", "--vertices", str(vertices), "--cases", "10", "--seed", str(seed)]
+            assert main(argv + [str(path)]) == 0
+            capsys.readouterr()
+            assert main(["check", str(path)]) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines() if " exits: " in line]
+            assert len(lines) == len(Regime)
+            for line in lines:
+                label, d, label_i, i = line.rsplit("; ", 1)[1].split()[-4:]
+                assert (label, label_i) == ("distance", "intersects"), line
+                assert float(i) <= float(d), line
 
     @pytest.mark.parametrize("command", ["check", "bench"])
     @pytest.mark.parametrize(

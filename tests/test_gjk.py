@@ -349,10 +349,72 @@ def thin_pairs(count, seed):
 
 
 class TestPortalStep:
-    # The first pass searches along the normal of the line through d0 and
-    # w1, on the origin's side, when w1 does not separate and the origin is
-    # off that line; both queries then exit on triangle (d0, w1, w2) when it
-    # encloses the origin.
+    # The first pass takes a second direction other than -w1 when w1 does
+    # not separate and the origin is off the line through d0 and w1: d0
+    # reflected in the line through the origin and w1 while the chord from
+    # w1 to the origin is within 45 degrees of the tangent at w1, otherwise
+    # the normal of the line through d0 and w1, on the origin's side. Both
+    # queries then exit on triangle (d0, w1, w2) when it encloses the origin.
+
+    def test_second_call_searches_along_d0_reflected_in_w1(self):
+        pairs = tie_rectangles(1000) + thin_pairs(300, 5)
+        for n in (4, 8, 24):
+            pairs += [(c.p, c.q) for c in generate_dataset(DatasetSpec(n, 50, 3))]
+        taken = {"reflected": 0, "normal": 0, "minus w1": 0}
+        for p, q in pairs:
+            for hcs in (True, False):
+                for query in (distance, intersects):
+                    with recorded_layers() as recorded:
+                        query(p, q, use_hill_climbing=hcs)
+                    (d0x, d0y), = [out for name, _, out in recorded if name == "initial_direction"]
+                    calls = [(args, out) for name, args, out in recorded if name in SUPPORT_LAYERS]
+                    if len(calls) < 2:
+                        continue
+                    (w1x, w1y, *_), (args, _) = calls[0][1], calls[1]
+                    mx, my = args[2], args[3]
+                    dot = d0x * w1x + d0y * w1y
+                    side = d0x * w1y - d0y * w1x
+                    where = (vertices(p), vertices(q), hcs, query.__name__)
+                    if dot > 0.0 or side == 0.0:
+                        taken["minus w1"] += 1
+                        assert (mx, my) == (-w1x, -w1y), where
+                    elif abs(side) >= -dot:
+                        taken["reflected"] += 1
+                        scale = 2.0 * dot / (w1x * w1x + w1y * w1y)
+                        rx, ry = scale * w1x - d0x, scale * w1y - d0y
+                        along = mx * rx + my * ry
+                        assert along > 0.0, where
+                        cos = along / (math.hypot(mx, my) * math.hypot(rx, ry))
+                        assert 1.0 - cos <= 1e-12, where
+                    else:
+                        taken["normal"] += 1
+                        normal = (d0y - w1y, w1x - d0x) if side > 0.0 else (w1y - d0y, d0x - w1x)
+                        assert (mx, my) == normal, where
+        assert all(taken.values()), taken
+
+    @pytest.mark.parametrize("n, most", [(32, 3.3), (128, 5.0), (512, 6.8)])
+    def test_touching_pairs_take_fewer_support_calls(self, n, most):
+        # Near a touching contact the boundary of P - Q is locally a circle,
+        # on which d0 reflected in w1 hits the contact itself, while the
+        # normal of line (d0, w1) is nearly tangent there. The bounds sit
+        # between the reflection's 3.00 / 4.70 / 6.33 intersects calls and
+        # the normal's 4.83 / 7.42 / 9.38 at n = 32 / 128 / 512.
+        spec = DatasetSpec(n, 40, 5)
+        touching = [
+            make_pair(spec, Regime.TOUCHING, derive_case_seed(5, n, Regime.TOUCHING, i))
+            for i in range(40)
+        ]
+        for hcs in (True, False):
+            calls = 0
+            for case in touching:
+                hit = intersects(case.p, case.q, use_hill_climbing=hcs)
+                calls += hit.support_calls
+                oracle = oracle_distance(case.p, case.q).distance
+                res = distance(case.p, case.q, use_hill_climbing=hcs)
+                assert abs(res.distance - oracle) <= REL_TOL * max(1.0, oracle) + ABS_TOL, case.seed
+                if n == 32 and not hit.colliding:
+                    assert not exact_sat_intersects(case.p, case.q), case.seed
+            assert calls / len(touching) <= most, hcs
 
     @pytest.mark.parametrize("n", [4, 8, 24, 64])
     def test_overlap_pairs_close_in_two_support_calls(self, n):
@@ -652,6 +714,22 @@ class TestScale:
                     moved = queries(scaled(case.p, factor), scaled(case.q, factor))
                     assert list(moved) == [scaled_result(res, factor) for res in base], (cap, k)
 
+    def test_extreme_power_of_two_scales_are_exact(self):
+        # Near MAX_COORDINATE = 2**500 a product of three coordinates
+        # overflows, and near 2**-300 one of four underflows, so every
+        # search direction, the portal step's reflection of d0 included, is
+        # formed at degree 1 in the coordinates: each answer scales bit for
+        # bit and every counter, exit and verdict is unchanged.
+        for n in (4, 8, 24):
+            for case in generate_dataset(DatasetSpec(n, 100, 3)):
+                base = list(queries(case.p, case.q))
+                for k in (490, -300):
+                    factor = 2.0**k
+                    moved = queries(scaled(case.p, factor), scaled(case.q, factor))
+                    assert list(moved) == [scaled_result(res, factor) for res in base], (
+                        k, vertices(case.p), vertices(case.q),
+                    )
+
     def test_intersects_is_unchanged_by_extreme_power_of_two_scales(self):
         # Crosses of coordinates near 2**-280 are about 2**-560: their
         # product underflows to zero, so the enclosure tests compare the
@@ -816,10 +894,15 @@ class TestGolden:
     # counters; no distance or termination) and 160 overlap and 52
     # touching intersects answers (counters only). The distance query's own
     # exit on the portal triangle moved the 160 overlap distance answers
-    # (witness points and counters; no distance or termination).
+    # (witness points and counters; no distance or termination). Aiming
+    # the portal call along d0 reflected in w1 moved 116 touching and 2
+    # overlap distance answers (witness points and counters; no distance
+    # or termination) and 112 touching intersects answers: counters, and
+    # on one pair in both variants the verdict, from colliding to the
+    # exact SAT's "apart".
     DIGESTS = {
-        "distance": "26f9494a952de7e945d909682533714b1a48f1fd147943b53bfcb4d7f1515ef7",
-        "intersects": "1c05ce63e81aba8de0355d928b0993c1ec9b54d6035e864e8fffcd73cd554373",
+        "distance": "4f05681deca958e553bae13b65b466590e049f1ea3d439c7cd9aaa612818f7b2",
+        "intersects": "7d35bddf4db79e67c3881b46cf66e1af4960a516d7b879dd36ce83b98dbb2616",
     }
 
     @staticmethod
