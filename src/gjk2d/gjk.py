@@ -182,17 +182,17 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
 
     Returns ``(exit, iterations, verts, lambdas, vx, vy, tol_sq)``: the
     final simplex, its barycentric coordinates, closest point v (zeroed at
-    the ContainsOrigin and SimplexFull exits), and the squared norm at or
-    below which v counts as the origin, ``_EPSILON**2`` times the largest
-    |w|^2 over the query's support points. ``hcs`` picks the support
-    function once: ``_cso_support_xy``, which climbs both polygons inline,
-    or ``_cso_scan_xy``, the brute-force scan. Every support call passes
+    ContainsOrigin, and at SimplexFull, which only a rebound ``s2d``
+    reaches), and the squared norm at or below which v counts as the
+    origin, ``_EPSILON**2`` times the largest |w|^2 over the query's
+    support points. ``hcs`` picks the support function once:
+    ``_cso_support_xy``, which climbs both polygons inline, or
+    ``_cso_scan_xy``, the brute-force scan. Every support call passes
     ``None`` as its warm pair, so each climb starts cold, at the polygons'
     recorded starts nearest its direction, and the scan has no start.
-    ``binary`` only adds the SeparatingHyperplane and
-    VerticalAngleEnclosure exits; every other exit is a ``Termination``,
-    or in distance mode ``_EXIT_PORTAL`` (below).
-    It makes ``iterations + 1`` support calls.
+    ``binary`` only adds the SeparatingHyperplane and VerticalAngleEnclosure
+    exits; every other exit is a ``Termination``, or in distance mode
+    ``_EXIT_PORTAL`` (below). It makes ``iterations + 1`` support calls.
 
     The first pass, peeled out of the loop, is the portal step when w1
     does not separate (d0.w1 <= 0) and the origin is off the line through
@@ -389,22 +389,22 @@ def distance(
     closest simplex point lies within ``_EPSILON`` times the largest
     support-point norm of the origin (ContainsOrigin; a first support
     point exactly at the origin, an exact vertex contact, ends the query
-    there after one support call), when the simplex fills up, which means
-    the origin is enclosed (SimplexFull), or at the iteration cap
-    (MaxIterations, reporting the best known estimate). The first pass,
-    the portal step, also ends the query as ContainsOrigin when the origin
+    there after one support call), or at the iteration cap (MaxIterations,
+    reporting the best known estimate). A three-vertex ``s2d`` answer has
+    v = 0 (ContainsOrigin); only a rebound ``gjk2d.gjk.s2d`` reaches
+    SimplexFull, which reports contact all the same. The first pass, the
+    portal step, also ends the query as ContainsOrigin when the origin
     lies strictly inside triangle (d0, w1, w2), d0 = cP - cQ, after two
     support calls and no solve; its witnesses are l0*cP + l1*P[ip1] +
     l2*P[ip2] and the same for Q, with (l0, l1, l2) the origin's
-    barycentric coordinates in that triangle, or cP and cQ themselves
-    when the centroids are equal. At ContainsOrigin
-    and SimplexFull the distance is 0.0 and the separating vector is one
-    shared ``Vec2(0.0, 0.0)``, built once at import rather than per
-    query. A support point from a vertex pair already in the simplex is
-    treated as convergence; it cannot make progress and would otherwise
-    cycle. Every test is relative, so scaling both polygons by a power of
-    two scales every length in the result exactly, barring underflow and
-    overflow.
+    barycentric coordinates in that triangle, or cP and cQ themselves when
+    the centroids are equal. At ContainsOrigin and SimplexFull the
+    distance is 0.0 and the separating vector is one shared
+    ``Vec2(0.0, 0.0)``, built once at import. A support point from a
+    vertex pair already in the simplex is treated as convergence; it
+    cannot make progress and would otherwise cycle. Every test is relative, so scaling
+    both polygons by a power of two scales every length in the result
+    exactly, barring underflow and overflow.
     ``support_calls`` counts Minkowski-difference support evaluations;
     ``use_hill_climbing`` picks hill-climbing support, each climb started
     cold from the polygons' recorded starts nearest its direction, over

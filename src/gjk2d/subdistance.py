@@ -8,9 +8,9 @@ barycentric coordinates, and that closest point, returned flat as
 by the signs of the origin's barycentric coordinates, and each sign is
 recovered from whether the corresponding sub-area cross product agrees
 in sign with the total. Codes 1/2/4 are vertex regions, 3/5/6 are edge
-regions, and 7 means the triangle encloses the origin. A code other
-than 7 is kept only when its signs clear their rounding bounds; it is
-then exact, names the minimal simplex, and costs one solve.
+regions, and 7 means the triangle encloses the origin. A code is kept
+only when its signs clear their rounding bounds; every code is then
+exact, names the minimal simplex, and costs one solve, or none for 7.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ _SIGN_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
 
 class DegenerateTriangle(ArithmeticError):
-    """The area computes to 0, or a code other than 7 has a sign within rounding of 0."""
+    """The code is 0, or one of the four signs is within rounding of 0."""
 
 
 def s1d(a: SimplexVertex, b: SimplexVertex) -> Solve:
@@ -82,10 +82,10 @@ def compute_barycode(
     cross(b - a, c - a), their sum. Bit 2/1/0 is set iff sigma_u/v/w has
     the same strict positivity as ``total``: the sign of the origin's
     barycentric coordinate for vertex a/b/c. Raises ``DegenerateTriangle``
-    when ``total`` is 0, or when the code is not 7 and ``total`` is within
-    its ``_SIGN_ERR`` bound or a sub-area below its own. Otherwise every
+    when the code is 0, ``total`` is within its ``_SIGN_ERR`` bound (a
+    zero total always is) or a sub-area below its own. Otherwise every
     sign is exact (an exact 0 disagrees with a positive total and agrees
-    with a negative one), so the code is exact; code 0 cannot pass.
+    with a negative one), so the code is exact, 7 included.
     """
     (ax, ay), (bx, by), (cx, cy) = a, b, c
     pu, qu = bx * (cy - by), by * (cx - bx)
@@ -95,7 +95,7 @@ def compute_barycode(
     su, sv, sw, total = pu - qu, pv - qv, pw - qw, pt - qt
     pos = total > 0.0
     code = ((su > 0.0) == pos) << 2 | ((sv > 0.0) == pos) << 1 | ((sw > 0.0) == pos)
-    if total == 0.0 or code != 7 and (
+    if (
         code == 0
         or abs(total) <= _SIGN_ERR * abs(pt + qt)
         or abs(su) < _SIGN_ERR * abs(pu + qu)
@@ -118,17 +118,19 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
 
     The vertices are flat ``SimplexVertex`` records whose coordinates are
     read by index, as in ``s1d``, and ``_SIGN_ERR`` is bound once to a
-    local; the answer's sub-simplex holds them as given.
-    One solve per region code, computed inline as ``compute_barycode``
-    does: 7 keeps the full simplex with the origin's barycentric
-    coordinates; 6/5/3 solve the edge that drops c/b/a; 4/2/1 solve one
-    edge at vertex a/b/c. The origin then lies in the angle opposite the
-    triangle there, so at most one of the two edges has the foot of the
-    perpendicular inside it (both would need a cosine above 1): the first
-    edge (toward b, a, a) when the vertex dotted with it is negative, else
-    the second. A triangle ``compute_barycode`` rejects keeps the nearest
-    of its three edges, the first of (a, b), (b, c), (c, a) on a tie: a
-    code read from rounding noise could name a far edge.
+    local; the answer's sub-simplex holds them as given. The region code
+    is computed and certified inline as ``compute_barycode`` does. A
+    triangle it rejects keeps the nearest of its three edges, the first of
+    (a, b), (b, c), (c, a) on a tie: a code read from rounding noise could
+    name a far edge, or an enclosure whose barycentric point is far off.
+    Otherwise every sign is exact. Code 7 then puts the origin in the
+    closed triangle: it keeps the full simplex with the origin's
+    barycentric coordinates and answers the origin itself, with no solve.
+    6/5/3 solve the edge that drops c/b/a. 4/2/1 solve one edge at vertex
+    a/b/c. The origin then lies in the angle opposite the triangle there,
+    so at most one of the two edges has the foot of the perpendicular
+    inside it (both would need a cosine above 1): the first edge (toward
+    b, a, a) when the vertex dotted with it is negative, else the second.
     """
     ax = a[0]
     ay = a[1]
@@ -146,11 +148,6 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     sw, total = pw - qw, pt - qt
     pos = total > 0.0
     bit_u, bit_v, bit_w = (su > 0.0) == pos, (sv > 0.0) == pos, (sw > 0.0) == pos
-    if bit_u and bit_v and bit_w and total != 0.0:
-        lam_u, lam_v = su / total, sv / total
-        lam_w = 1.0 - lam_u - lam_v
-        return ([a, b, c], [lam_u, lam_v, lam_w],
-                lam_u * ax + lam_v * bx + lam_w * cx, lam_u * ay + lam_v * by + lam_w * cy)
     err = _SIGN_ERR
     if (
         not (bit_u or bit_v or bit_w)
@@ -162,6 +159,9 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
         return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
     if bit_u:
         if bit_v:
+            if bit_w:
+                lam_u, lam_v = su / total, sv / total
+                return [a, b, c], [lam_u, lam_v, 1.0 - lam_u - lam_v], 0.0, 0.0  # code 7
             return s1d(a, b)  # code 6
         if bit_w:
             return s1d(a, c)  # code 5

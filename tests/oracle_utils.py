@@ -399,9 +399,9 @@ def reference_validate(vertices):
 def reference_s2d(a, b, c):
     """``s2d`` written as a dispatch through ``compute_barycode``.
 
-    ``compute_barycode`` (which raises on a zero area, or on a code other
-    than 7 whose signs are within rounding of 0) and then one solve per
-    region code, reading the points through
+    ``compute_barycode`` (which raises on code 0, or on a code whose
+    signs are within rounding of 0) and then one solve per region code,
+    code 7 answering the origin itself, reading the points through
     ``.w``; the vertex-region dot products are taken as written in
     ``s2d``'s docstring. ``s2d`` is tested against it for the same vertex
     objects and bit-identical lambdas and closest point.
@@ -421,13 +421,7 @@ def reference_s2d(a, b, c):
     if code == 7:
         lam_u = su / total
         lam_v = sv / total
-        lam_w = 1.0 - lam_u - lam_v
-        return (
-            [a, b, c],
-            [lam_u, lam_v, lam_w],
-            lam_u * ax + lam_v * bx + lam_w * cx,
-            lam_u * ay + lam_v * by + lam_w * cy,
-        )
+        return [a, b, c], [lam_u, lam_v, 1.0 - lam_u - lam_v], 0.0, 0.0
     if code == 6:
         return s1d(a, b)
     if code == 5:

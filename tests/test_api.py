@@ -265,11 +265,11 @@ REPO = Path(__file__).resolve().parent.parent
 # Seed-7 fingerprint and counters of every workload in both trace modes.
 PERFBENCH_PINS = [
     ("small-polys", 0, "28adbf09a1bde9dc", "2f2aad5b570104d6"),
-    ("small-polys", 1, "28adbf09a1bde9dc", "fe797db760af96a2"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "27464622b987507c"),
     ("large-polys", 0, "d1c82372829d257e", "f72c9b8bfeff68c7"),
-    ("large-polys", 1, "d1c82372829d257e", "71c8a042574ddfa7"),
+    ("large-polys", 1, "d1c82372829d257e", "464e829e627615f9"),
     ("gen-check", 0, "8c4f99c31a48dc27", "7d7743255e1d2223"),
-    ("gen-check", 1, "8c4f99c31a48dc27", "20f33833118ed463"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "b4f7001fee4e5d3d"),
 ]
 
 
