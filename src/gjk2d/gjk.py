@@ -25,7 +25,10 @@ origin is strictly inside triangle (d0, w1, w2). If it is, the binary
 mode answers VerticalAngleEnclosure and the distance mode ContainsOrigin,
 with witness points from the origin's barycentric coordinates in that
 triangle and no solve. An overlapping pair is then answered after two
-support calls instead of three.
+support calls instead of three. Where P - Q bends less than the circle,
+w2 lands short of a touching contact, on w1's side of the ray from d0
+through the origin; then both modes take exactly one more portal step,
+from w2 as from w1, and ask the same of triangle (d0, w2, w3).
 """
 
 from __future__ import annotations
@@ -151,12 +154,13 @@ def _portal_witnesses(
     ends: Sequence[tuple],
     lambdas: Sequence[float],
 ) -> Tuple[Vec2, Vec2]:
-    """Witness pair of the origin inside the portal triangle (d0, w1, w2).
+    """Witness pair of the origin inside a portal triangle (d0, a, b).
 
-    ``ends`` holds the support points w1 and w2, ``(wx, wy, ip, iq)``, and
-    ``lambdas`` the origin's barycentric coordinates against d0, w1 and
-    w2. Since d0 = cP - cQ, the witnesses are l0*cP + l1*P[ip1] + l2*P[ip2]
-    and the same for Q. When the centroids are equal, d0 is
+    ``ends`` holds the triangle's support points a and b, ``(wx, wy, ip,
+    iq)``: w1 and w2, or w2 and w3 after the second portal step. ``lambdas``
+    holds the origin's barycentric coordinates against d0, a and b. Since
+    d0 = cP - cQ, the witnesses are l0*cP + l1*P[ip1] + l2*P[ip2] and the
+    same for Q. When the centroids are equal, d0 is
     ``initial_direction``'s (1, 0) fallback, but then cP - cQ is the origin
     itself, so the witnesses are cP and cQ.
     """
@@ -221,10 +225,28 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     w2 joins the simplex like any support point; only the convergence
     test (progress, or a repeated vertex pair) is skipped on that pass,
     since w2 is no support point along -v; a repeat of w1 gives ``s1d`` a
-    zero-length segment, which it answers with the one point. The
-    separating exit holds for any search direction; the enclosure needs
-    d0 in P - Q, which the centroids give up to their rounding, far below
-    the loop's tolerance. When the centroids are equal, d0 is the
+    zero-length segment, which it answers with the one point.
+
+    The second portal step follows when w2 lands short of the contact:
+    the triangle test fails with cross(d0, w2) of the strict sign of
+    cross(d0, w1), m.w2 >= 0, and w2's vertex pair differs from w1's.
+    The third support call then searches from w2, whose outward normal
+    is m, by the first step's rule with m for -d0: while |cross(w2, m)|
+    >= m.w2 along -m reflected in the line through the origin and w2,
+    m' = m*(1 - r*r) + t*(r + r) with r = m.w2 / |cross(w2, m)| and t the
+    quarter turn of m toward the origin, again degree 1; otherwise along
+    the normal of the line through d0 and w2 on the origin's side. In
+    binary mode m'.w3 < 0 separates; in both modes the origin strictly
+    inside (d0, w2, w3) ends the query as on the first triangle, with
+    ``verts`` ``(w2, w3)`` in distance mode. Otherwise w1 is dropped and
+    ``s1d(w3, w2)`` starts the loop, again with no convergence test on
+    w3. The step is taken once, never repeated, and only this
+    fall-through branch runs it, so an overlap enclosed by (d0, w1, w2)
+    and a distant pair run nothing of it.
+
+    The separating exit holds for any search direction; the enclosure
+    needs d0 in P - Q, which the centroids give up to their rounding, far
+    below the loop's tolerance. When the centroids are equal, d0 is the
     fallback (1, 0), perhaps no point of P - Q, but the origin itself is
     then one, so an enclosure verdict is still right. Every later pass
     searches along -v.
@@ -321,9 +343,62 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
+        a = verts[0]
+        dot = mx * wx + my * wy
+        if (c2 < 0.0 if side > 0.0 else c2 > 0.0) and dot >= 0.0 and w != a:
+            # The second portal step: w2 landed on w1's side of the ray from
+            # d0 through the origin, short of the contact, with a vertex pair
+            # of its own. Step once more, from w2 with its outward normal m
+            # as from w1 with -d0: along -m reflected in the line through
+            # the origin and w2, m*c + t*s with t the quarter turn of m
+            # toward the origin, while |cross(w2, m)| >= m.w2; otherwise
+            # along the normal of the line through d0 and w2 on the
+            # origin's side.
+            k = 2
+            cu = wx * my - wy * mx
+            if cu > 0.0 and cu >= dot:
+                r = dot / cu
+                c = 1.0 - r * r
+                s = r + r
+                mx, my = mx * c - my * s, my * c + mx * s
+            elif cu < 0.0 and -cu >= dot:
+                r = -dot / cu
+                c = 1.0 - r * r
+                s = r + r
+                mx, my = mx * c + my * s, my * c - mx * s
+            elif side > 0.0:
+                mx, my = d0y - wy, wx - d0x
+            else:
+                mx, my = wy - d0y, d0x - wx
+            b = w
+            bx = wx
+            by = wy
+            w = support(p_poly, q_poly, mx, my, None)
+            wx = w[0]
+            wy = w[1]
+            if binary and mx * wx + my * wy < 0.0:
+                return _EXIT_SEPARATING, k, verts, lambdas, vx, vy, tol_sq
+            # The same strict-sign test on (d0, w2, w3), cross(d0, w2) = -c2.
+            side = -c2
+            c1 = bx * wy - by * wx
+            c2 = wx * d0y - wy * d0x
+            if (0.0 < c1 and 0.0 < c2) if side > 0.0 else (c1 < 0.0 and c2 < 0.0):
+                if binary:
+                    return _EXIT_VERTICAL_ANGLE, k, verts, lambdas, vx, vy, tol_sq
+                total = side + c1 + c2
+                return (
+                    _EXIT_PORTAL, k, (b, w), (c1 / total, c2 / total, side / total),
+                    0.0, 0.0, tol_sq,
+                )
+            w_tol_sq = eps_sq * (wx * wx + wy * wy)
+            if w_tol_sq > tol_sq:
+                tol_sq = w_tol_sq
+            # w1 is dropped: the segment (w3, w2) is nearer the contact.
+            a = _new(SimplexVertex, b)
         # w came from m, not -v: it proves no convergence, and a repeat of
-        # w1 gives s1d a zero-length segment, answered with the one point.
-        verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), verts[0])
+        # the other point gives s1d a zero-length segment, answered with
+        # that one point.
+        verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), a)
         size = len(verts)
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
@@ -395,12 +470,14 @@ def distance(
     SimplexFull, which reports contact all the same. The first pass, the
     portal step, also ends the query as ContainsOrigin when the origin
     lies strictly inside triangle (d0, w1, w2), d0 = cP - cQ, after two
-    support calls and no solve; its witnesses are l0*cP + l1*P[ip1] +
-    l2*P[ip2] and the same for Q, with (l0, l1, l2) the origin's
-    barycentric coordinates in that triangle, or cP and cQ themselves when
-    the centroids are equal. At ContainsOrigin and SimplexFull the
-    distance is 0.0 and the separating vector is one shared
-    ``Vec2(0.0, 0.0)``, built once at import. A support point from a
+    support calls and no solve, or, when w2 lands short of the contact,
+    inside the second portal step's triangle (d0, w2, w3) after three;
+    its witnesses are l0*cP + l1*P[ip1] + l2*P[ip2] and the same for Q,
+    with (l0, l1, l2) the origin's barycentric coordinates in that
+    triangle and ip1, ip2 its two support points' indices, or cP and cQ
+    themselves when the centroids are equal. At ContainsOrigin and
+    SimplexFull the distance is 0.0 and the separating vector is one
+    shared ``Vec2(0.0, 0.0)``, built once at import. A support point from a
     vertex pair already in the simplex is treated as convergence; it
     cannot make progress and would otherwise cycle. Every test is relative, so scaling
     both polygons by a power of two scales every length in the result
@@ -436,11 +513,14 @@ def intersects(
     reads as SubdistanceEnclosure. On the first pass, the portal step, the
     origin strictly inside triangle (d0, w1, w2) reads as
     VerticalAngleEnclosure, so an overlapping pair is usually answered
-    after two support calls and one iteration. That triangle test, the
-    portal step's search direction and every exit other than the
-    separating tests and the two-vertex vertical-angle test are shared
-    with ``distance``, so this never performs more support evaluations
-    than ``distance`` on the same input and ``use_hill_climbing`` setting.
+    after two support calls and one iteration; when w2 lands short of a
+    touching contact, the second portal step's triangle (d0, w2, w3) can
+    end it the same way after three calls and two iterations. Those
+    triangle tests, both portal steps' search directions and every exit
+    other than the separating tests and the two-vertex vertical-angle
+    test are shared with ``distance``, so this never performs more
+    support evaluations than ``distance`` on the same input and
+    ``use_hill_climbing`` setting.
     """
     exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:

@@ -5,9 +5,11 @@ expensive, so they are built once per session and reused by every
 criterion that needs them. ``sweep_triangles`` rebuilds criterion 3's
 triangle set, which the exact oracle check samples too.
 ``recorded_layers`` traces a query through the layers ``gjk2d.gjk``
-looks up at call time, and ``descent_trace`` reads the query's |v|
-after each step from that record. ``vertex`` builds a simplex vertex,
-so the tests name its layout in one place. ``starts`` lists a polygon's
+looks up at call time, ``descent_trace`` reads the query's |v| after
+each step from that record, ``split_queries`` cuts a record of many
+queries into one per query, and ``second_portal_step`` says whether a
+query took the portal pass's second step. ``vertex`` builds a simplex
+vertex, so the tests name its layout in one place. ``starts`` lists a polygon's
 eight recorded climb starts and ``nearest_extremes`` names where a cold
 climb may start. ``symmetric_regular_ring`` builds regular polygons
 whose axis-parallel edges tie exactly, and ``tie_rectangles`` integer
@@ -102,6 +104,36 @@ def descent_trace(calls) -> List[float]:
             continue
         trace.append(math.sqrt(vx * vx + vy * vy))
     return trace
+
+
+def split_queries(calls) -> List[list]:
+    """One record per query from a record of many: each query makes
+    exactly one ``initial_direction`` call, its first."""
+    queries: List[list] = []
+    for call in calls:
+        if call[0] == "initial_direction":
+            queries.append([])
+        queries[-1].append(call)
+    return queries
+
+
+def second_portal_step(calls) -> bool:
+    """Whether one recorded query took the portal pass's second step.
+
+    Every other path solves before its third support call: the portal
+    pass that falls through solves the segment (w1, w2), and a first pass
+    along -w1 solves (w1, w2) in the loop. Only the second portal step
+    makes its third support call first.
+    """
+    supports = 0
+    for name, _, _ in calls:
+        if name in SUPPORT_LAYERS:
+            supports += 1
+            if supports == 3:
+                return True
+        elif name == "s1d" or name == "s2d":
+            return False
+    return False
 
 
 # A polygon's eight recorded climb starts in ring order, and their directions.

@@ -28,7 +28,15 @@ from gjk2d.geometry import Vec2, apply_transform
 from gjk2d.gjk import CollisionResult, DistanceResult
 from gjk2d.support import SimplexVertex
 
-from conftest import LOOP_LAYERS, SUPPORT_LAYERS, recorded_layers, tie_rectangles, vertex
+from conftest import (
+    LOOP_LAYERS,
+    SUPPORT_LAYERS,
+    recorded_layers,
+    second_portal_step,
+    split_queries,
+    tie_rectangles,
+    vertex,
+)
 
 BENCHMARK_NAMES = (
     "cso_support",
@@ -177,7 +185,8 @@ def test_query_loop_calls_layers_through_module_globals(query):
 def test_no_query_passes_a_zero_direction_to_a_support_layer():
     # Two unit squares that share a corner exactly: the first support point
     # is the origin itself, which ends both queries after one support call,
-    # before any support call along the zero direction.
+    # before any support call along the zero direction. Some of the other
+    # queries take the portal pass's second step, so its call is watched too.
     p = gjk2d.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     q = gjk2d.ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
     pairs = [(p, q)] + tie_rectangles() + list(random_pairs(74, 300))
@@ -193,6 +202,7 @@ def test_no_query_passes_a_zero_direction_to_a_support_layer():
                 gjk2d.intersects(a, b, use_hill_climbing=hill_climbing)
         directions = [args[2:4] for name, args, _ in recorded if name in SUPPORT_LAYERS]
         assert len(directions) > 2 * len(pairs)
+        assert any(map(second_portal_step, split_queries(recorded)))
         assert [d for d in directions if d == (0.0, 0.0)] == []
 
 
@@ -264,12 +274,12 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Seed-7 fingerprint and counters of every workload in both trace modes.
 PERFBENCH_PINS = [
-    ("small-polys", 0, "28adbf09a1bde9dc", "2f2aad5b570104d6"),
-    ("small-polys", 1, "28adbf09a1bde9dc", "27464622b987507c"),
-    ("large-polys", 0, "d1c82372829d257e", "f72c9b8bfeff68c7"),
-    ("large-polys", 1, "d1c82372829d257e", "464e829e627615f9"),
-    ("gen-check", 0, "8c4f99c31a48dc27", "7d7743255e1d2223"),
-    ("gen-check", 1, "8c4f99c31a48dc27", "b4f7001fee4e5d3d"),
+    ("small-polys", 0, "28adbf09a1bde9dc", "ee523c2e5a68912c"),
+    ("small-polys", 1, "28adbf09a1bde9dc", "8f4ffc5e30046fbf"),
+    ("large-polys", 0, "d1c82372829d257e", "5baae3043bec91d8"),
+    ("large-polys", 1, "d1c82372829d257e", "4b1ab19de744fc7a"),
+    ("gen-check", 0, "8c4f99c31a48dc27", "91d4e9d10c3b0187"),
+    ("gen-check", 1, "8c4f99c31a48dc27", "aff0ab8893468d77"),
 ]
 
 

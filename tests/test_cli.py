@@ -161,7 +161,7 @@ class TestCheck:
             "touching: 3/3 pass, worst abs distance error 2.082e-16\n"
             "touching exits: distance ContainsOrigin=3; "
             "intersects VerticalAngleEnclosure=1 SubdistanceEnclosure=2; "
-            "mean support calls distance 3.667 intersects 3.667\n"
+            "mean support calls distance 3.333 intersects 3.333\n"
             "overlap: 3/3 pass, worst abs distance error 0.000e+00\n"
             "overlap exits: distance ContainsOrigin=3; intersects VerticalAngleEnclosure=3; "
             "mean support calls distance 2.000 intersects 2.000\n"

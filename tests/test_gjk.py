@@ -42,6 +42,8 @@ from conftest import (
     SUPPORT_LAYERS,
     descent_trace,
     recorded_layers,
+    second_portal_step,
+    split_queries,
     symmetric_regular_ring,
     tie_rectangles,
     vertex,
@@ -336,13 +338,14 @@ def portal_calls(p, q, hcs):
 
 
 def distance_portal_exit(p, q, hcs):
-    """``distance(p, q)`` and whether it ended on the portal triangle: in
-    contact after two support calls, with no solve."""
+    """``distance(p, q)`` and whether it ended on a portal triangle: in
+    contact with no solve, after two support calls, or three after the
+    second portal step."""
     with recorded_layers() as recorded:
         res = distance(p, q, use_hill_climbing=hcs)
     solved = any(name in ("s1d", "s2d") for name, _, _ in recorded)
     contact = res.termination is Termination.CONTAINS_ORIGIN
-    return res, contact and res.support_calls == 2 and not solved
+    return res, contact and res.support_calls in (2, 3) and not solved
 
 
 def thin_pairs(count, seed):
@@ -360,6 +363,31 @@ def thin_pairs(count, seed):
     return pairs
 
 
+def touching_pairs(count, sizes, seed=5):
+    """The first ``count`` touching ``make_pair`` cases of each size: their
+    first portal point often lands short of the contact."""
+    pairs = []
+    for n in sizes:
+        spec = DatasetSpec(n, count, seed)
+        for i in range(count):
+            case = make_pair(spec, Regime.TOUCHING, derive_case_seed(seed, n, Regime.TOUCHING, i))
+            pairs.append((case.p, case.q))
+    return pairs
+
+
+def reflected(u, w):
+    """u reflected in the line through the origin perpendicular to w, that
+    is -u reflected in the line through the origin and w."""
+    scale = 2.0 * (u[0] * w[0] + u[1] * w[1]) / (w[0] * w[0] + w[1] * w[1])
+    return (u[0] - scale * w[0], u[1] - scale * w[1])
+
+
+def parallel(a, b):
+    """a and b point the same way, to within rounding."""
+    along = a[0] * b[0] + a[1] * b[1]
+    return along > 0.0 and 1.0 - along / (math.hypot(*a) * math.hypot(*b)) <= 1e-12
+
+
 class TestPortalStep:
     # The first pass takes a second direction other than -w1 when w1 does
     # not separate and the origin is off the line through d0 and w1: d0
@@ -367,12 +395,23 @@ class TestPortalStep:
     # w1 to the origin is within 45 degrees of the tangent at w1, otherwise
     # the normal of the line through d0 and w1, on the origin's side. Both
     # queries then exit on triangle (d0, w1, w2) when it encloses the origin.
+    # When w2 lands short of the contact, one more portal step from w2 asks
+    # the same of triangle (d0, w2, w3).
 
     def test_second_call_searches_along_d0_reflected_in_w1(self):
-        pairs = tie_rectangles(1000) + thin_pairs(300, 5)
+        # The second call as above. The third is the second portal step's
+        # exactly when w2 misses triangle (d0, w1, w2) on w1's side of the
+        # ray from d0 through the origin, m.w2 >= 0 and w2 has its own
+        # vertex pair: -m reflected in the line through the origin and w2
+        # while |cross(w2, m)| >= m.w2, otherwise the normal of the line
+        # through d0 and w2 on the origin's side. Any other third call
+        # searches along -v of the solved segment (w1, w2).
+        pairs = tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(40, (24, 64))
         for n in (4, 8, 24):
             pairs += [(c.p, c.q) for c in generate_dataset(DatasetSpec(n, 50, 3))]
-        taken = {"reflected": 0, "normal": 0, "minus w1": 0}
+        taken = dict.fromkeys(
+            ("reflected", "normal", "minus w1", "second reflected", "second normal", "minus v"), 0
+        )
         for p, q in pairs:
             for hcs in (True, False):
                 for query in (distance, intersects):
@@ -390,27 +429,55 @@ class TestPortalStep:
                     if dot > 0.0 or side == 0.0:
                         taken["minus w1"] += 1
                         assert (mx, my) == (-w1x, -w1y), where
+                        assert not second_portal_step(recorded), where
+                        continue
                     elif abs(side) >= -dot:
                         taken["reflected"] += 1
-                        scale = 2.0 * dot / (w1x * w1x + w1y * w1y)
-                        rx, ry = scale * w1x - d0x, scale * w1y - d0y
-                        along = mx * rx + my * ry
-                        assert along > 0.0, where
-                        cos = along / (math.hypot(mx, my) * math.hypot(rx, ry))
-                        assert 1.0 - cos <= 1e-12, where
+                        assert parallel((mx, my), reflected((-d0x, -d0y), (w1x, w1y))), where
                     else:
                         taken["normal"] += 1
                         normal = (d0y - w1y, w1x - d0x) if side > 0.0 else (w1y - d0y, d0x - w1x)
                         assert (mx, my) == normal, where
+                    w1, w2 = calls[0][1], calls[1][1]
+                    w2x, w2y = w2[0], w2[1]
+                    turns = (side, w1x * w2y - w1y * w2x, w2x * d0y - w2y * d0x)
+                    enclosed = all(t > 0.0 for t in turns) or all(t < 0.0 for t in turns)
+                    short = (
+                        not enclosed
+                        and (turns[2] < 0.0 if side > 0.0 else turns[2] > 0.0)
+                        and mx * w2x + my * w2y >= 0.0
+                        and w2[2:] != w1[2:]
+                    )
+                    assert second_portal_step(recorded) == short, where
+                    if len(calls) < 3:
+                        continue
+                    ux, uy = calls[2][0][2:4]
+                    if short:
+                        cross = w2x * my - w2y * mx
+                        if abs(cross) >= mx * w2x + my * w2y and cross != 0.0:
+                            taken["second reflected"] += 1
+                            assert parallel((ux, uy), reflected((mx, my), (w2x, w2y))), where
+                        else:
+                            taken["second normal"] += 1
+                            normal = (
+                                (d0y - w2y, w2x - d0x) if side > 0.0 else (w2y - d0y, d0x - w2x)
+                            )
+                            assert (ux, uy) == normal, where
+                    else:
+                        taken["minus v"] += 1
+                        _, _, vx, vy = next(out for name, _, out in recorded if name == "s1d")
+                        assert (ux, uy) == (-vx, -vy), where
         assert all(taken.values()), taken
 
-    @pytest.mark.parametrize("n, most", [(32, 3.3), (128, 5.0), (512, 6.8)])
+    @pytest.mark.parametrize("n, most", [(32, 2.8), (128, 4.0), (512, 5.5)])
     def test_touching_pairs_take_fewer_support_calls(self, n, most):
         # Near a touching contact the boundary of P - Q is locally a circle,
         # on which d0 reflected in w1 hits the contact itself, while the
-        # normal of line (d0, w1) is nearly tangent there. The bounds sit
-        # between the reflection's 3.00 / 4.70 / 6.33 intersects calls and
-        # the normal's 4.83 / 7.42 / 9.38 at n = 32 / 128 / 512.
+        # normal of line (d0, w1) is nearly tangent there. When w2 still
+        # lands short, the second portal step aims once more from w2. The
+        # bounds sit between the two steps' 2.63 / 3.45 / 4.75 intersects
+        # calls and one step's 3.00 / 4.70 / 6.33 at n = 32 / 128 / 512 (the
+        # normal alone took 4.83 / 7.42 / 9.38).
         spec = DatasetSpec(n, 40, 5)
         touching = [
             make_pair(spec, Regime.TOUCHING, derive_case_seed(5, n, Regime.TOUCHING, i))
@@ -440,51 +507,77 @@ class TestPortalStep:
             assert sum(res.support_calls for res in results) / len(results) <= 2.05, hcs
 
     def test_distance_ends_on_the_portal_triangle_when_intersects_does(self):
-        # The enclosure test is shared, so distance ends on the portal
+        # The enclosure tests are shared, so distance ends on a portal
         # triangle exactly when intersects ends there, on VerticalAngleEnclosure
-        # at iteration 1 (the one-vertex simplex has no other vertical-angle
-        # test). The answer is contact, with barycentric witnesses of the
-        # origin in (d0, w1, w2) that lie in their polygons and coincide.
-        pairs = tie_rectangles(1000) + thin_pairs(300, 5)
+        # with no solve: (d0, w1, w2) at iteration 1, or (d0, w2, w3) at
+        # iteration 2 after the second portal step (the loop's own
+        # vertical-angle test needs a solved segment). The answer is
+        # contact, with barycentric witnesses of the origin in that triangle
+        # that lie in their polygons and coincide.
+        pairs = tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(40, (24, 64))
         for n in (4, 8, 24):
             pairs += [(c.p, c.q) for c in generate_dataset(DatasetSpec(n, 50, 3))]
-        ended = 0
+        ended = {1: 0, 2: 0}
         for p, q in pairs:
             for hcs in (True, False):
                 res, portal = distance_portal_exit(p, q, hcs)
-                hit = intersects(p, q, use_hill_climbing=hcs)
-                enclosure = hit.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE
-                assert portal == (enclosure and hit.iterations == 1), (vertices(p), vertices(q))
+                with recorded_layers() as recorded:
+                    hit = intersects(p, q, use_hill_climbing=hcs)
+                solved = any(name in ("s1d", "s2d") for name, _, _ in recorded)
+                enclosure = hit.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE and not solved
+                assert portal == enclosure, (vertices(p), vertices(q))
                 if not portal:
                     continue
-                ended += 1
-                assert (res.distance, res.iterations) == (0.0, 1)
+                ended[res.iterations] += 1
+                assert res.iterations == hit.iterations
+                assert second_portal_step(recorded) == (hit.iterations == 2)
+                assert res.distance == 0.0
                 assert res.separating_vector is gjk2d.gjk._ZERO_VECTOR
                 wp, wq = res.witness_p, res.witness_q
                 assert contains_point(p, wp, tolerance=1e-9), (vertices(p), wp)
                 assert contains_point(q, wq, tolerance=1e-9), (vertices(q), wq)
                 assert math.hypot(wp.x - wq.x, wp.y - wq.y) <= 1e-12, (wp, wq)
-        assert ended
+        assert all(ended.values()), ended
 
     def test_portal_exits_are_exactly_sound(self):
-        # Enclosure: the origin strictly inside (d0, w1, w2) by exact
-        # orientations of the doubles. Separation: the exact SAT finds the
-        # pair disjoint.
-        fired = {CollisionExit.SEPARATING_HYPERPLANE: 0, CollisionExit.VERTICAL_ANGLE_ENCLOSURE: 0}
-        for p, q in tie_rectangles(1000) + thin_pairs(300, 5):
+        # Enclosure: the origin strictly inside (d0, w1, w2), or (d0, w2, w3)
+        # after the second portal step, by exact orientations of the
+        # doubles. Separation: the exact SAT finds the pair disjoint.
+        pairs = tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(100, (24, 64))
+        fired = dict.fromkeys(
+            (
+                (step, exit)
+                for step in (1, 2)
+                for exit in (
+                    CollisionExit.SEPARATING_HYPERPLANE, CollisionExit.VERTICAL_ANGLE_ENCLOSURE,
+                )
+            ),
+            0,
+        )
+        for p, q in pairs:
             for hcs in (True, False):
                 res, d0, w1, w2, portal = portal_calls(p, q, hcs)
+                with recorded_layers() as recorded:
+                    intersects(p, q, use_hill_climbing=hcs)
+                second = second_portal_step(recorded)
                 if res.iterations == 1 and res.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE:
                     # at iteration 1 the simplex has one vertex, so only the
                     # portal's triangle test can end there this way
                     assert portal
-                if not (portal and res.iterations == 1 and res.exit in fired):
+                if not portal or (res.exit, res.iterations) not in (
+                    (exit, 1 + second) for _, exit in fired
+                ):
                     continue
-                fired[res.exit] += 1
+                fired[1 + second, res.exit] += 1
+                if second:
+                    w3 = [out for name, _, out in recorded if name in SUPPORT_LAYERS][2]
+                    corners = (d0, w2, w3)
+                else:
+                    corners = (d0, w1, w2)
                 if res.exit is CollisionExit.VERTICAL_ANGLE_ENCLOSURE:
-                    a, b, c = [(Fraction(x), Fraction(y)) for x, y, *_ in (d0, w1, w2)]
+                    a, b, c = [(Fraction(x), Fraction(y)) for x, y, *_ in corners]
                     turns = [u[0] * v[1] - u[1] * v[0] for u, v in ((a, b), (b, c), (c, a))]
-                    assert all(t > 0 for t in turns) or all(t < 0 for t in turns), (d0, w1, w2)
+                    assert all(t > 0 for t in turns) or all(t < 0 for t in turns), corners
                     assert res.colliding
                 else:
                     assert not res.colliding
@@ -729,35 +822,46 @@ class TestScale:
     def test_extreme_power_of_two_scales_are_exact(self):
         # Near MAX_COORDINATE = 2**500 a product of three coordinates
         # overflows, and near 2**-300 one of four underflows, so every
-        # search direction, the portal step's reflection of d0 included, is
+        # search direction, both portal steps' reflections included, is
         # formed at degree 1 in the coordinates: each answer scales bit for
-        # bit and every counter, exit and verdict is unchanged.
+        # bit and every counter, exit and verdict is unchanged. Some of
+        # these queries take the second portal step at each scale.
+        second = {490: 0, -300: 0}
         for n in (4, 8, 24):
             for case in generate_dataset(DatasetSpec(n, 100, 3)):
                 base = list(queries(case.p, case.q))
-                for k in (490, -300):
+                for k in second:
                     factor = 2.0**k
-                    moved = queries(scaled(case.p, factor), scaled(case.q, factor))
-                    assert list(moved) == [scaled_result(res, factor) for res in base], (
+                    with recorded_layers() as recorded:
+                        moved = list(queries(scaled(case.p, factor), scaled(case.q, factor)))
+                    assert moved == [scaled_result(res, factor) for res in base], (
                         k, vertices(case.p), vertices(case.q),
                     )
+                    second[k] += sum(map(second_portal_step, split_queries(recorded)))
+        assert all(second.values()), second
 
     def test_intersects_is_unchanged_by_extreme_power_of_two_scales(self):
         # Crosses of coordinates near 2**-280 are about 2**-560: their
         # product underflows to zero, so the enclosure tests compare the
-        # signs of the crosses, never their product. Scaling by 2**k is
-        # exact, so every verdict and every support call must stay.
+        # signs of the crosses, never their product, both portal steps'
+        # included. Scaling by 2**k is exact, so every verdict and every
+        # support call must stay. Some of these queries take the second
+        # portal step at each scale.
+        second = {-280: 0, -300: 0, 280: 0}
         for n in (4, 8, 24):
             for case in generate_dataset(DatasetSpec(n, 100, 3)):
                 for hcs in (True, False):
                     base = intersects(case.p, case.q, use_hill_climbing=hcs)
-                    for k in (-280, -300, 280):
+                    for k in second:
                         factor = 2.0**k
                         p, q = scaled(case.p, factor), scaled(case.q, factor)
-                        res = intersects(p, q, use_hill_climbing=hcs)
+                        with recorded_layers() as recorded:
+                            res = intersects(p, q, use_hill_climbing=hcs)
                         assert (res.colliding, res.support_calls) == (
                             base.colliding, base.support_calls,
                         ), (k, hcs, vertices(case.p), vertices(case.q))
+                        second[k] += second_portal_step(recorded)
+        assert all(second.values()), second
 
     def test_underflowing_scales_are_rejected_or_answered(self):
         # Below about 1e-153 the turns of a unit-sized polygon fall under the
@@ -911,9 +1015,12 @@ class TestGolden:
     # on one pair in both variants the verdict, from colliding to the
     # exact SAT's "apart". Certifying code 7 by the sign bounds moved 8
     # touching distance answers, in witness points only, by at most 6e-16.
+    # The second portal step moved 10 touching answers of each query, in
+    # counters (8 by 2 to 5 fewer support calls, 2 by 2 more) and, on 2
+    # distance answers, the witness on P; no distance, verdict or exit.
     DIGESTS = {
-        "distance": "c1b92abf2a26146ff958dd3f19a4a7bf1b5adc8b8deb8aa27fddd6bd3b493508",
-        "intersects": "7d35bddf4db79e67c3881b46cf66e1af4960a516d7b879dd36ce83b98dbb2616",
+        "distance": "d8b46fdbcb6d28e3bcd5fd879992c011c6c023eaae77c99229223194aa61b37e",
+        "intersects": "1cdb833ec660ef5e9c93497d76e1e852852365b692b1be30f2a0efbece2716e3",
     }
 
     @staticmethod
