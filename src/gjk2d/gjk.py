@@ -11,24 +11,8 @@ angle vertically opposite the current 2-simplex as seen from the origin,
 so the new triangle must enclose the origin). The separating test also
 covers the first support point, taken against the start direction.
 
-The start point d0, the difference of the two vertex centroids, is a
-point of P - Q, so both modes run the portal step of Minkowski Portal
-Refinement (Snethen, "XenoCollide: Complex Collision Made Simple", Game
-Programming Gems 7, 2008) as their first pass. The second support call
-is aimed at the contact: while the chord from the first support point w1
-to the origin lies within 45 degrees of the tangent at w1, it searches
-along d0 reflected in the line through the origin and w1, which hits the
-contact exactly where the boundary of P - Q is locally a circle; for a
-steeper chord, a deep overlap, it searches along the normal of the line
-through d0 and w1, on the origin's side. Both modes then ask whether the
-origin is strictly inside triangle (d0, w1, w2). If it is, the binary
-mode answers VerticalAngleEnclosure and the distance mode ContainsOrigin,
-with witness points from the origin's barycentric coordinates in that
-triangle and no solve. An overlapping pair is then answered after two
-support calls instead of three. Where P - Q bends less than the circle,
-w2 lands short of a touching contact, on w1's side of the ray from d0
-through the origin; then both modes take exactly one more portal step,
-from w2 as from w1, and ask the same of triangle (d0, w2, w3).
+Both modes open with the portal step of Minkowski Portal Refinement, from
+the start point d0, a point of P - Q; ``_gjk``'s docstring states its rule.
 """
 
 from __future__ import annotations
@@ -154,13 +138,12 @@ def _portal_witnesses(
     ends: Sequence[tuple],
     lambdas: Sequence[float],
 ) -> Tuple[Vec2, Vec2]:
-    """Witness pair of the origin inside a portal triangle (d0, a, b).
+    """Witness pair of the origin inside a portal triangle (d0, a, w).
 
-    ``ends`` holds the triangle's support points a and b, ``(wx, wy, ip,
-    iq)``: w1 and w2, or w2 and w3 after the second portal step. ``lambdas``
-    holds the origin's barycentric coordinates against d0, a and b. Since
-    d0 = cP - cQ, the witnesses are l0*cP + l1*P[ip1] + l2*P[ip2] and the
-    same for Q. When the centroids are equal, d0 is
+    ``ends`` holds the triangle's support points a and w, ``(wx, wy, ip,
+    iq)``. ``lambdas`` holds the origin's barycentric coordinates against
+    d0, a and w. Since d0 = cP - cQ, the witnesses are l0*cP + l1*P[ip1] +
+    l2*P[ip2] and the same for Q. When the centroids are equal, d0 is
     ``initial_direction``'s (1, 0) fallback, but then cP - cQ is the origin
     itself, so the witnesses are cP and cQ.
     """
@@ -169,13 +152,13 @@ def _portal_witnesses(
     if pc[0] == qc[0] and pc[1] == qc[1]:
         return pc, qc
     l0, l1, l2 = lambdas
-    a, b = ends
+    a, w = ends
     xs, ys = p_poly.xs, p_poly.ys
-    i, j = a[2], b[2]
+    i, j = a[2], w[2]
     px = l0 * pc[0] + l1 * xs[i] + l2 * xs[j]
     py = l0 * pc[1] + l1 * ys[i] + l2 * ys[j]
     xs, ys = q_poly.xs, q_poly.ys
-    i, j = a[3], b[3]
+    i, j = a[3], w[3]
     qx = l0 * qc[0] + l1 * xs[i] + l2 * xs[j]
     qy = l0 * qc[1] + l1 * ys[i] + l2 * ys[j]
     return _new(Vec2, (px, py)), _new(Vec2, (qx, qy))
@@ -198,58 +181,61 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     exits; every other exit is a ``Termination``, or in distance mode
     ``_EXIT_PORTAL`` (below). It makes ``iterations + 1`` support calls.
 
-    The first pass, peeled out of the loop, is the portal step when w1
-    does not separate (d0.w1 <= 0) and the origin is off the line through
-    d0 and w1 (cross(d0, w1) != 0): its support call searches along a
-    direction m other than -w1. The line through w1 perpendicular to d0
-    is tangent to P - Q at w1. When the chord from w1 to the origin lies
-    within 45 degrees of it, |cross(d0, w1)| >= -d0.w1, m is d0 reflected
-    in the line through the origin and w1: -d0 turned toward the origin's
-    side by twice the chord angle, where the tangent-chord angle puts the
-    outward normal at the origin of a circle through w1 and the origin.
-    With r = -d0.w1 / |cross(d0, w1)| <= 1, the tangent of the chord
-    angle, m = -d0*(1 - r*r) + t*(r + r), t being d0 turned a quarter
-    toward the origin's side; that is degree 1 in the coordinates, where
-    a product form such as w1**2 * conj(d0) overflows near
-    ``MAX_COORDINATE``. For a steeper chord the origin lies deep inside
-    P - Q and m is the normal of the line through d0 and w1 on the
-    origin's side, which puts w2 across the origin from w1. In binary
-    mode m.w2 < 0 separates, whatever m is. In both modes the origin
-    strictly inside triangle (d0, w1, w2), by the strict signs of its
-    three cross products, ends the query: w2 lies in the vertical angle opposite cone(d0, w1). The
-    binary mode reports a VerticalAngleEnclosure; the distance mode
-    returns ``_EXIT_PORTAL`` with ``verts`` the support points
-    ``(w1, w2)`` and ``lambdas`` the origin's barycentric coordinates
-    against d0, w1 and w2: cross(w1, w2), cross(w2, d0) and cross(d0, w1)
-    over their sum. ``distance`` turns them into witness points. Otherwise
-    w2 joins the simplex like any support point; only the convergence
-    test (progress, or a repeated vertex pair) is skipped on that pass,
-    since w2 is no support point along -v; a repeat of w1 gives ``s1d`` a
-    zero-length segment, which it answers with the one point.
+    The first support call searches along -d0, d0 = cP - cQ the start
+    point, a point of P - Q. When w1 does not separate (d0.w1 <= 0) and
+    the origin is off the line through d0 and w1 (cross(d0, w1) != 0), the
+    first pass, peeled out of the loop, is the portal step of Minkowski
+    Portal Refinement (Snethen, "XenoCollide: Complex Collision Made
+    Simple", Game Programming Gems 7, 2008). One step goes from a support
+    point a, where P - Q has the outward normal n and the portal the
+    orientation side = cross(d0, a), and makes one support call along m,
+    aimed at the contact:
 
-    The second portal step follows when w2 lands short of the contact:
-    the triangle test fails with cross(d0, w2) of the strict sign of
-    cross(d0, w1), m.w2 >= 0, and w2's vertex pair differs from w1's.
-    The third support call then searches from w2, whose outward normal
-    is m, by the first step's rule with m for -d0: while |cross(w2, m)|
-    >= m.w2 along -m reflected in the line through the origin and w2,
-    m' = m*(1 - r*r) + t*(r + r) with r = m.w2 / |cross(w2, m)| and t the
-    quarter turn of m toward the origin, again degree 1; otherwise along
-    the normal of the line through d0 and w2 on the origin's side. In
-    binary mode m'.w3 < 0 separates; in both modes the origin strictly
-    inside (d0, w2, w3) ends the query as on the first triangle, with
-    ``verts`` ``(w2, w3)`` in distance mode. Otherwise w1 is dropped and
-    ``s1d(w3, w2)`` starts the loop, again with no convergence test on
-    w3. The step is taken once, never repeated, and only this
-    fall-through branch runs it, so an overlap enclosed by (d0, w1, w2)
-    and a distant pair run nothing of it.
+    - While the chord from a to the origin lies within 45 degrees of the
+      tangent at a, |cross(a, n)| >= n.a with cross(a, n) != 0, m is -n
+      reflected in the line through the origin and a: n turned toward the
+      origin's side by twice the chord angle, where the tangent-chord
+      angle puts the outward normal at the origin of a circle through a
+      and the origin. With r = n.a / |cross(a, n)| <= 1, the tangent of
+      the chord angle, m = n*(1 - r*r) + t*(r + r), t being n turned a
+      quarter toward the origin; that is degree 1 in the coordinates,
+      where a product form such as a**2 * conj(n) overflows near
+      ``MAX_COORDINATE``.
+    - For a steeper chord the origin lies deep inside P - Q, and m is the
+      normal of the line through d0 and a on the origin's side, which puts
+      the new point w across the origin from a.
+
+    In binary mode m.w < 0 separates, whatever m is. In both modes the
+    origin strictly inside triangle (d0, a, w), by the strict signs of its
+    three cross products, ends the query: w lies in the vertical angle
+    opposite cone(d0, a). The binary mode reports a VerticalAngleEnclosure;
+    the distance mode returns ``_EXIT_PORTAL`` with ``verts`` the support
+    points ``(a, w)`` and ``lambdas`` the origin's barycentric coordinates
+    against d0, a and w: cross(a, w), cross(w, d0) and side over their
+    sum. ``distance`` turns them into witness points. Both binary exits
+    return ``verts`` and ``lambdas`` None, which ``intersects`` does not
+    read.
+
+    The first step is (a, n) = (w1, -d0): the line through w1
+    perpendicular to d0 is tangent to P - Q there. Where P - Q bends less
+    than the circle, w2 lands short of the contact: on w1's side of the
+    ray from d0 through the origin, cross(d0, w2) of the strict sign of
+    side. Then, if m.w2 >= 0 and w2's vertex pair differs from w1's, the
+    same block runs once more as the second step, (a, n) = (w2, m); it is
+    never repeated. Otherwise, or after the second step, the segment
+    ``s1d(w, a)`` of the step's two support points starts the loop, and
+    w1 is dropped after a second step. The convergence test (progress, or
+    a repeated vertex pair) is skipped on that pass, since w is no support
+    point along -v; a repeat of a gives ``s1d`` a zero-length segment,
+    which it answers with the one point. An overlap enclosed by (d0, w1,
+    w2) and a distant pair run nothing of the second step. Every later
+    pass searches along -v.
 
     The separating exit holds for any search direction; the enclosure
     needs d0 in P - Q, which the centroids give up to their rounding, far
     below the loop's tolerance. When the centroids are equal, d0 is the
     fallback (1, 0), perhaps no point of P - Q, but the origin itself is
-    then one, so an enclosure verdict is still right. Every later pass
-    searches along -v.
+    then one, so an enclosure verdict is still right.
 
     Every enclosure test compares the signs of cross products, never
     their product: the product of two crosses underflows once the
@@ -260,13 +246,15 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     is wrapped as a ``SimplexVertex`` (``tuple.__new__``) only when it
     joins the simplex, so every vertex a solve receives or
     ``witness_points`` reads is one, and the binary query's deciding point
-    never is. The separating test also covers the first support point,
-    against the start direction d0, and that exit returns before the
-    simplex lists exist (with ``verts`` and ``lambdas`` None and
-    ``tol_sq`` 0.0, which ``intersects`` does not read there). The
-    ContainsOrigin test also covers the one-point simplex, so a first
-    support point exactly at the origin ends the query after one call.
-    The binary exits never read ``tol_sq``, so its update follows them.
+    never is. The simplex lists are built only where something reads
+    them: the first one-point simplex at the ContainsOrigin exit and on
+    the path that skips the portal, and otherwise by the first solve. The
+    separating test also covers the first support point, against the
+    start direction d0, and that exit also returns ``tol_sq`` 0.0, which
+    ``intersects`` does not read there. The ContainsOrigin test also
+    covers the one-point simplex, so a first support point exactly at the
+    origin ends the query after one call. The binary exits never read
+    ``tol_sq``, so its update follows them.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound; wrapping the layers is how a query is traced.
@@ -277,128 +265,94 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     solve_triangle = s2d
 
     d0x, d0y = initial_direction(p_poly, q_poly)
-    w = support(p_poly, q_poly, -d0x, -d0y, None)
-    vx = w[0]
-    vy = w[1]
+    a = support(p_poly, q_poly, -d0x, -d0y, None)
+    vx = a[0]
+    vy = a[1]
     d0_dot_w = d0x * vx + d0y * vy
     if binary and d0_dot_w > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
         return _EXIT_SEPARATING, 0, None, None, vx, vy, 0.0
-    verts = [_new(SimplexVertex, w)]
-    lambdas = [1.0]
-    size = 1
     v_sq = vx * vx + vy * vy
     tol_sq = eps_sq * v_sq
     if v_sq <= tol_sq:
         # w1 is the origin itself, exact contact: P[ip] = Q[iq].
-        return _TERM_CONTAINS_ORIGIN, 0, verts, lambdas, 0.0, 0.0, tol_sq
+        return _TERM_CONTAINS_ORIGIN, 0, [_new(SimplexVertex, a)], [1.0], 0.0, 0.0, tol_sq
 
     k = 0
     side = d0x * vy - d0y * vx if d0_dot_w <= 0.0 else 0.0
-    if side != 0.0:
-        # The portal pass, where side = cross(d0, w1). While |side| >= -d0.w1
-        # search along d0 reflected in the line through the origin and w1,
-        # -d0*c2 + t*s2 with (c2, s2) twice the chord angle of tangent r;
-        # otherwise along the normal of the line through d0 and w1, on the
-        # origin's side.
-        k = 1
-        if side > 0.0:
-            if side >= -d0_dot_w:
-                r = -d0_dot_w / side
-                c2 = 1.0 - r * r
-                s2 = r + r
-                mx = d0y * s2 - d0x * c2
-                my = -d0x * s2 - d0y * c2
-            else:
-                mx = d0y - vy
-                my = vx - d0x
-        elif side <= d0_dot_w:
-            r = d0_dot_w / side
-            c2 = 1.0 - r * r
-            s2 = r + r
-            mx = -d0y * s2 - d0x * c2
-            my = d0x * s2 - d0y * c2
-        else:
-            mx = vy - d0y
-            my = d0x - vx
-        w = support(p_poly, q_poly, mx, my, None)
-        wx = w[0]
-        wy = w[1]
-        if binary and mx * wx + my * wy < 0.0:
-            # The line through the origin perpendicular to m separates.
-            return _EXIT_SEPARATING, k, verts, lambdas, vx, vy, tol_sq
-        c1 = vx * wy - vy * wx
-        c2 = wx * d0y - wy * d0x
-        if (0.0 < c1 and 0.0 < c2) if side > 0.0 else (c1 < 0.0 and c2 < 0.0):
-            # cross(d0, w1), cross(w1, w) and cross(w, d0) share a strict
-            # sign: the origin is strictly inside (d0, w1, w), and each cross
-            # is twice the area of the sub-triangle opposite one corner.
-            if binary:
-                return _EXIT_VERTICAL_ANGLE, k, verts, lambdas, vx, vy, tol_sq
-            total = side + c1 + c2
-            return (
-                _EXIT_PORTAL, k, (verts[0], w), (c1 / total, c2 / total, side / total),
-                0.0, 0.0, tol_sq,
-            )
-        w_tol_sq = eps_sq * (wx * wx + wy * wy)
-        if w_tol_sq > tol_sq:
-            tol_sq = w_tol_sq
-        a = verts[0]
-        dot = mx * wx + my * wy
-        if (c2 < 0.0 if side > 0.0 else c2 > 0.0) and dot >= 0.0 and w != a:
-            # The second portal step: w2 landed on w1's side of the ray from
-            # d0 through the origin, short of the contact, with a vertex pair
-            # of its own. Step once more, from w2 with its outward normal m
-            # as from w1 with -d0: along -m reflected in the line through
-            # the origin and w2, m*c + t*s with t the quarter turn of m
-            # toward the origin, while |cross(w2, m)| >= m.w2; otherwise
-            # along the normal of the line through d0 and w2 on the
-            # origin's side.
-            k = 2
-            cu = wx * my - wy * mx
+    if side == 0.0:
+        verts = [_new(SimplexVertex, a)]
+        lambdas = [1.0]
+        size = 1
+    else:
+        # The portal step from a = (vx, vy) with outward normal n, cu =
+        # cross(a, n), dot = n.a and the portal's orientation side =
+        # cross(d0, a): first from (w1, -d0), then at most once more from
+        # (w2, m).
+        nx = -d0x
+        ny = -d0y
+        cu = side
+        dot = -d0_dot_w
+        while True:
+            k += 1
             if cu > 0.0 and cu >= dot:
+                # -n reflected in the line through the origin and a.
                 r = dot / cu
                 c = 1.0 - r * r
                 s = r + r
-                mx, my = mx * c - my * s, my * c + mx * s
+                mx = nx * c - ny * s
+                my = ny * c + nx * s
             elif cu < 0.0 and -cu >= dot:
                 r = -dot / cu
                 c = 1.0 - r * r
                 s = r + r
-                mx, my = mx * c + my * s, my * c - mx * s
+                mx = nx * c + ny * s
+                my = ny * c - nx * s
             elif side > 0.0:
-                mx, my = d0y - wy, wx - d0x
+                # The normal of the line through d0 and a, on the origin's side.
+                mx = d0y - vy
+                my = vx - d0x
             else:
-                mx, my = wy - d0y, d0x - wx
-            b = w
-            bx = wx
-            by = wy
+                mx = vy - d0y
+                my = d0x - vx
             w = support(p_poly, q_poly, mx, my, None)
             wx = w[0]
             wy = w[1]
-            if binary and mx * wx + my * wy < 0.0:
-                return _EXIT_SEPARATING, k, verts, lambdas, vx, vy, tol_sq
-            # The same strict-sign test on (d0, w2, w3), cross(d0, w2) = -c2.
-            side = -c2
-            c1 = bx * wy - by * wx
+            dot = mx * wx + my * wy
+            if binary and dot < 0.0:
+                # The line through the origin perpendicular to m separates.
+                return _EXIT_SEPARATING, k, None, None, vx, vy, tol_sq
+            c1 = vx * wy - vy * wx
             c2 = wx * d0y - wy * d0x
             if (0.0 < c1 and 0.0 < c2) if side > 0.0 else (c1 < 0.0 and c2 < 0.0):
+                # cross(d0, a), cross(a, w) and cross(w, d0) share a strict
+                # sign: the origin is strictly inside (d0, a, w), and each
+                # cross is twice the area of the sub-triangle opposite one
+                # corner.
                 if binary:
-                    return _EXIT_VERTICAL_ANGLE, k, verts, lambdas, vx, vy, tol_sq
+                    return _EXIT_VERTICAL_ANGLE, k, None, None, vx, vy, tol_sq
                 total = side + c1 + c2
                 return (
-                    _EXIT_PORTAL, k, (b, w), (c1 / total, c2 / total, side / total),
+                    _EXIT_PORTAL, k, (a, w), (c1 / total, c2 / total, side / total),
                     0.0, 0.0, tol_sq,
                 )
             w_tol_sq = eps_sq * (wx * wx + wy * wy)
             if w_tol_sq > tol_sq:
                 tol_sq = w_tol_sq
-            # w1 is dropped: the segment (w3, w2) is nearer the contact.
-            a = _new(SimplexVertex, b)
-        # w came from m, not -v: it proves no convergence, and a repeat of
-        # the other point gives s1d a zero-length segment, answered with
-        # that one point.
-        verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), a)
+            # Step once more only from a w that landed short of the contact,
+            # on a's side of the ray from d0 through the origin.
+            if k == 2 or not (dot >= 0.0 and (c2 < 0.0 if side > 0.0 else c2 > 0.0)) or w == a:
+                break
+            a = w
+            vx = wx
+            vy = wy
+            nx = mx
+            ny = my
+            cu = wx * my - wy * mx
+            side = -c2
+        # w came from m, not -v: it proves no convergence, and a repeat of a
+        # gives s1d a zero-length segment, answered with that one point.
+        verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), _new(SimplexVertex, a))
         size = len(verts)
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
@@ -467,15 +421,11 @@ def distance(
     there after one support call), or at the iteration cap (MaxIterations,
     reporting the best known estimate). A three-vertex ``s2d`` answer has
     v = 0 (ContainsOrigin); only a rebound ``gjk2d.gjk.s2d`` reaches
-    SimplexFull, which reports contact all the same. The first pass, the
-    portal step, also ends the query as ContainsOrigin when the origin
-    lies strictly inside triangle (d0, w1, w2), d0 = cP - cQ, after two
-    support calls and no solve, or, when w2 lands short of the contact,
-    inside the second portal step's triangle (d0, w2, w3) after three;
-    its witnesses are l0*cP + l1*P[ip1] + l2*P[ip2] and the same for Q,
-    with (l0, l1, l2) the origin's barycentric coordinates in that
-    triangle and ip1, ip2 its two support points' indices, or cP and cQ
-    themselves when the centroids are equal. At ContainsOrigin and
+    SimplexFull, which reports contact all the same. The portal step
+    (``_gjk``) also ends the query as ContainsOrigin, with no solve, when
+    its triangle encloses the origin; the witnesses then come from the
+    origin's barycentric coordinates in that triangle
+    (``_portal_witnesses``). At ContainsOrigin and
     SimplexFull the distance is 0.0 and the separating vector is one
     shared ``Vec2(0.0, 0.0)``, built once at import. A support point from a
     vertex pair already in the simplex is treated as convergence; it
@@ -510,17 +460,13 @@ def intersects(
     The separating-hyperplane exit covers every support point, the first
     one included, which can end the query after one support call and zero
     iterations; so can a first support point exactly at the origin, which
-    reads as SubdistanceEnclosure. On the first pass, the portal step, the
-    origin strictly inside triangle (d0, w1, w2) reads as
-    VerticalAngleEnclosure, so an overlapping pair is usually answered
-    after two support calls and one iteration; when w2 lands short of a
-    touching contact, the second portal step's triangle (d0, w2, w3) can
-    end it the same way after three calls and two iterations. Those
-    triangle tests, both portal steps' search directions and every exit
-    other than the separating tests and the two-vertex vertical-angle
-    test are shared with ``distance``, so this never performs more
-    support evaluations than ``distance`` on the same input and
-    ``use_hill_climbing`` setting.
+    reads as SubdistanceEnclosure. A portal triangle (``_gjk``) that
+    encloses the origin reads as VerticalAngleEnclosure, so an overlapping
+    pair is usually answered after two support calls and one iteration.
+    The portal step and every exit other than the separating tests and
+    the two-vertex vertical-angle test are shared with ``distance``, so
+    this never performs more support evaluations than ``distance`` on the
+    same input and ``use_hill_climbing`` setting.
     """
     exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:

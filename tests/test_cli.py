@@ -548,6 +548,49 @@ class TestQuery:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["colliding"] is True
 
+    # Hand-written partners of the unit square and the lines ``query``
+    # prints for them in each mode: two squares that share the corner (1, 1)
+    # exactly, whose first support point is the origin; a square moved by
+    # (0.5, 0.25), enclosed by the first portal triangle; a triangle over
+    # the corner (1, 1) that the portal triangle misses, answered by the
+    # triangle solve's certified enclosure (region code 7) in `distance`;
+    # and a thin triangle across the corner (1, 0), whose first portal
+    # point lands short of the contact, enclosed by the second portal
+    # step's triangle. New hand-written pairs go into this table.
+    HAND_WRITTEN = {
+        "corner-contact": (
+            [[1, 1], [2, 1], [2, 2], [1, 2]],
+            ["iterations: 0, support calls: 1", "termination: ContainsOrigin"],
+            ["iterations: 0, support calls: 1", "collision (SubdistanceEnclosure)"],
+        ),
+        "overlap": (
+            [[0.5, 0.25], [1.5, 0.25], [1.5, 1.25], [0.5, 1.25]],
+            ["iterations: 1, support calls: 2", "termination: ContainsOrigin"],
+            ["iterations: 1, support calls: 2", "collision (VerticalAngleEnclosure)"],
+        ),
+        "code-7-enclosure": (
+            [[0.8, 1.1], [0.9, 0.9], [2.5, 0.3]],
+            ["iterations: 3, support calls: 4", "termination: ContainsOrigin"],
+            ["iterations: 3, support calls: 4", "collision (VerticalAngleEnclosure)"],
+        ),
+        "second-step-contact": (
+            [[-0.5, -0.75], [0.75, -0.25], [1.25, 0.25]],
+            ["iterations: 2, support calls: 3", "termination: ContainsOrigin"],
+            ["iterations: 2, support calls: 3", "collision (VerticalAngleEnclosure)"],
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["distance", "binary"])
+    @pytest.mark.parametrize("pair", list(HAND_WRITTEN))
+    def test_hand_written_pairs(self, tmp_path, capsys, pair, mode):
+        vertices, distance_lines, binary_lines = self.HAND_WRITTEN[pair]
+        p = write_polygon(tmp_path, "p.json", SQUARE)
+        q = write_polygon(tmp_path, "q.json", {"vertices": vertices})
+        assert main(["query", str(p), str(q), "--mode", mode]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for line in distance_lines if mode == "distance" else binary_lines:
+            assert line in lines, (pair, mode, lines)
+
     def test_invalid_polygon_file_fails(self, tmp_path, capsys):
         p = write_polygon(tmp_path, "p.json", {"vertices": [[0, 0], [0, 1], [1, 0]]})
         q = write_polygon(tmp_path, "q.json", SQUARE)

@@ -375,6 +375,14 @@ def touching_pairs(count, sizes, seed=5):
     return pairs
 
 
+def portal_corpus(touching=40, sizes=(24, 64)):
+    """The pairs that reach both portal steps: axis-aligned rectangles
+    with tied support values, thin pairs whose portal call often
+    separates, and the first ``touching`` touching pairs of each size,
+    whose first portal point often lands short of the contact."""
+    return tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(touching, sizes)
+
+
 def reflected(u, w):
     """u reflected in the line through the origin perpendicular to w, that
     is -u reflected in the line through the origin and w."""
@@ -388,86 +396,99 @@ def parallel(a, b):
     return along > 0.0 and 1.0 - along / (math.hypot(*a) * math.hypot(*b)) <= 1e-12
 
 
+def portal_direction(a, n, side, d0):
+    """The portal step's search direction from support point a with outward
+    normal n, on a portal of orientation ``side`` = cross(d0, a), and the
+    branch that gives it, by the rule in ``_gjk``'s docstring: ``reflected``
+    (-n reflected in the line through the origin and a, up to length) or
+    ``normal`` (of the line through d0 and a, on the origin's side)."""
+    cross = a[0] * n[1] - a[1] * n[0]
+    if cross != 0.0 and abs(cross) >= n[0] * a[0] + n[1] * a[1]:
+        return "reflected", reflected(n, a)
+    if side > 0.0:
+        return "normal", (d0[1] - a[1], a[0] - d0[0])
+    return "normal", (a[1] - d0[1], d0[0] - a[0])
+
+
 class TestPortalStep:
-    # The first pass takes a second direction other than -w1 when w1 does
-    # not separate and the origin is off the line through d0 and w1: d0
-    # reflected in the line through the origin and w1 while the chord from
-    # w1 to the origin is within 45 degrees of the tangent at w1, otherwise
-    # the normal of the line through d0 and w1, on the origin's side. Both
-    # queries then exit on triangle (d0, w1, w2) when it encloses the origin.
-    # When w2 lands short of the contact, one more portal step from w2 asks
-    # the same of triangle (d0, w2, w3).
+    # The portal step, whose rule ``_gjk``'s docstring states once: from
+    # (w1, -d0) when w1 does not separate and the origin is off the line
+    # through d0 and w1, then once more from (w2, m) when w2 lands short of
+    # the contact, each ending both queries on its triangle when that
+    # encloses the origin.
 
     def test_second_call_searches_along_d0_reflected_in_w1(self):
-        # The second call as above. The third is the second portal step's
-        # exactly when w2 misses triangle (d0, w1, w2) on w1's side of the
-        # ray from d0 through the origin, m.w2 >= 0 and w2 has its own
-        # vertex pair: -m reflected in the line through the origin and w2
-        # while |cross(w2, m)| >= m.w2, otherwise the normal of the line
-        # through d0 and w2 on the origin's side. Any other third call
-        # searches along -v of the solved segment (w1, w2).
-        pairs = tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(40, (24, 64))
+        # The second call is the first step's, (a, n) = (w1, -d0), or -w1
+        # without a portal step. The third is the second step's, (a, n) =
+        # (w2, m), exactly when w2 misses triangle (d0, w1, w2) on w1's side
+        # of the ray from d0 through the origin, m.w2 >= 0 and w2 has its
+        # own vertex pair; any other third call searches along -v of the
+        # solved segment (w1, w2). After a second step, a fourth call
+        # searches along -v of the solved segment (w3, w2): no third step.
+        pairs = portal_corpus()
         for n in (4, 8, 24):
             pairs += [(c.p, c.q) for c in generate_dataset(DatasetSpec(n, 50, 3))]
         taken = dict.fromkeys(
             ("reflected", "normal", "minus w1", "second reflected", "second normal", "minus v"), 0
         )
+        after_second = 0
         for p, q in pairs:
             for hcs in (True, False):
                 for query in (distance, intersects):
                     with recorded_layers() as recorded:
                         query(p, q, use_hill_climbing=hcs)
-                    (d0x, d0y), = [out for name, _, out in recorded if name == "initial_direction"]
+                    d0, = [out for name, _, out in recorded if name == "initial_direction"]
                     calls = [(args, out) for name, args, out in recorded if name in SUPPORT_LAYERS]
                     if len(calls) < 2:
                         continue
-                    (w1x, w1y, *_), (args, _) = calls[0][1], calls[1]
-                    mx, my = args[2], args[3]
-                    dot = d0x * w1x + d0y * w1y
+                    d0x, d0y = d0
+                    w1, w2 = calls[0][1], calls[1][1]
+                    m = calls[1][0][2:4]
+                    w1x, w1y, w2x, w2y = w1[0], w1[1], w2[0], w2[1]
                     side = d0x * w1y - d0y * w1x
                     where = (vertices(p), vertices(q), hcs, query.__name__)
-                    if dot > 0.0 or side == 0.0:
+                    if d0x * w1x + d0y * w1y > 0.0 or side == 0.0:
                         taken["minus w1"] += 1
-                        assert (mx, my) == (-w1x, -w1y), where
+                        assert m == (-w1x, -w1y), where
                         assert not second_portal_step(recorded), where
                         continue
-                    elif abs(side) >= -dot:
-                        taken["reflected"] += 1
-                        assert parallel((mx, my), reflected((-d0x, -d0y), (w1x, w1y))), where
-                    else:
-                        taken["normal"] += 1
-                        normal = (d0y - w1y, w1x - d0x) if side > 0.0 else (w1y - d0y, d0x - w1x)
-                        assert (mx, my) == normal, where
-                    w1, w2 = calls[0][1], calls[1][1]
-                    w2x, w2y = w2[0], w2[1]
+                    branch, expected = portal_direction(w1, (-d0x, -d0y), side, d0)
+                    taken[branch] += 1
+                    assert (
+                        parallel(m, expected) if branch == "reflected" else m == expected
+                    ), where
                     turns = (side, w1x * w2y - w1y * w2x, w2x * d0y - w2y * d0x)
                     enclosed = all(t > 0.0 for t in turns) or all(t < 0.0 for t in turns)
                     short = (
                         not enclosed
                         and (turns[2] < 0.0 if side > 0.0 else turns[2] > 0.0)
-                        and mx * w2x + my * w2y >= 0.0
+                        and m[0] * w2x + m[1] * w2y >= 0.0
                         and w2[2:] != w1[2:]
                     )
                     assert second_portal_step(recorded) == short, where
                     if len(calls) < 3:
                         continue
-                    ux, uy = calls[2][0][2:4]
-                    if short:
-                        cross = w2x * my - w2y * mx
-                        if abs(cross) >= mx * w2x + my * w2y and cross != 0.0:
-                            taken["second reflected"] += 1
-                            assert parallel((ux, uy), reflected((mx, my), (w2x, w2y))), where
-                        else:
-                            taken["second normal"] += 1
-                            normal = (
-                                (d0y - w2y, w2x - d0x) if side > 0.0 else (w2y - d0y, d0x - w2x)
-                            )
-                            assert (ux, uy) == normal, where
-                    else:
+                    u = calls[2][0][2:4]
+                    if not short:
                         taken["minus v"] += 1
                         _, _, vx, vy = next(out for name, _, out in recorded if name == "s1d")
-                        assert (ux, uy) == (-vx, -vy), where
+                        assert u == (-vx, -vy), where
+                        continue
+                    branch, expected = portal_direction(w2, m, d0x * w2y - d0y * w2x, d0)
+                    taken["second " + branch] += 1
+                    assert (
+                        parallel(u, expected) if branch == "reflected" else u == expected
+                    ), where
+                    if len(calls) < 4:
+                        continue
+                    after_second += 1
+                    args, (_, _, vx, vy) = next(
+                        (args, out) for name, args, out in recorded if name == "s1d"
+                    )
+                    assert args == (calls[2][1], w2), where
+                    assert calls[3][0][2:4] == (-vx, -vy), where
         assert all(taken.values()), taken
+        assert after_second, taken
 
     @pytest.mark.parametrize("n, most", [(32, 2.8), (128, 4.0), (512, 5.5)])
     def test_touching_pairs_take_fewer_support_calls(self, n, most):
@@ -514,7 +535,7 @@ class TestPortalStep:
         # vertical-angle test needs a solved segment). The answer is
         # contact, with barycentric witnesses of the origin in that triangle
         # that lie in their polygons and coincide.
-        pairs = tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(40, (24, 64))
+        pairs = portal_corpus()
         for n in (4, 8, 24):
             pairs += [(c.p, c.q) for c in generate_dataset(DatasetSpec(n, 50, 3))]
         ended = {1: 0, 2: 0}
@@ -543,7 +564,7 @@ class TestPortalStep:
         # Enclosure: the origin strictly inside (d0, w1, w2), or (d0, w2, w3)
         # after the second portal step, by exact orientations of the
         # doubles. Separation: the exact SAT finds the pair disjoint.
-        pairs = tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(100, (24, 64))
+        pairs = portal_corpus(touching=100)
         fired = dict.fromkeys(
             (
                 (step, exit)
@@ -1018,9 +1039,24 @@ class TestGolden:
     # The second portal step moved 10 touching answers of each query, in
     # counters (8 by 2 to 5 fewer support calls, 2 by 2 more) and, on 2
     # distance answers, the witness on P; no distance, verdict or exit.
+    # The portal corpus (``portal_corpus`` with touching 128- and 512-gons)
+    # adds the tie rectangles, and its intersects queries take the second
+    # portal step 44 times over both support variants, against 10 for the
+    # make_pair cases. Its digests were taken while the two portal steps
+    # were still two copies of the rule in ``_gjk``.
     DIGESTS = {
-        "distance": "d8b46fdbcb6d28e3bcd5fd879992c011c6c023eaae77c99229223194aa61b37e",
-        "intersects": "1cdb833ec660ef5e9c93497d76e1e852852365b692b1be30f2a0efbece2716e3",
+        ("make_pair", "distance"): (
+            "d8b46fdbcb6d28e3bcd5fd879992c011c6c023eaae77c99229223194aa61b37e"
+        ),
+        ("make_pair", "intersects"): (
+            "1cdb833ec660ef5e9c93497d76e1e852852365b692b1be30f2a0efbece2716e3"
+        ),
+        ("portal", "distance"): (
+            "9e2afab6f82ac40e92bc8c028e00b37e2de588a1b9db690361abd736d8c4b1f0"
+        ),
+        ("portal", "intersects"): (
+            "798ef31f43f3948431234576d460c5bcc75ded6690ff0e7f78a529e3bd259380"
+        ),
     }
 
     @staticmethod
@@ -1035,19 +1071,36 @@ class TestGolden:
         else:
             yield repr(value)
 
-    @pytest.mark.parametrize("query", [distance, intersects], ids=lambda q: q.__name__)
-    def test_query_results_are_pinned(self, query):
-        h = hashlib.sha256()
+    @staticmethod
+    def make_pair_cases():
         for n in (4, 8, 24, 64):
             spec = DatasetSpec(vertex_count=n, cases_per_regime=20, seed=5)
             for regime in Regime:
                 for i in range(20):
                     case = make_pair(spec, regime, derive_case_seed(5, n, regime, i))
-                    for hcs in (True, False):
-                        res = query(case.p, case.q, use_hill_climbing=hcs)
-                        h.update(" ".join(self._fields(res)).encode())
-                        h.update(b"\n")
-        assert h.hexdigest() == self.DIGESTS[query.__name__]
+                    yield case.p, case.q
+
+    @pytest.mark.parametrize(
+        "corpus, query",
+        [
+            pytest.param("make_pair", distance, id="distance"),
+            pytest.param("make_pair", intersects, id="intersects"),
+            pytest.param("portal", distance, id="portal-distance"),
+            pytest.param("portal", intersects, id="portal-intersects"),
+        ],
+    )
+    def test_query_results_are_pinned(self, corpus, query):
+        if corpus == "make_pair":
+            pairs = self.make_pair_cases()
+        else:
+            pairs = portal_corpus(touching=40, sizes=(128, 512))
+        h = hashlib.sha256()
+        for p, q in pairs:
+            for hcs in (True, False):
+                res = query(p, q, use_hill_climbing=hcs)
+                h.update(" ".join(self._fields(res)).encode())
+                h.update(b"\n")
+        assert h.hexdigest() == self.DIGESTS[corpus, query.__name__]
 
 
 class TestTouchingClassifier:
