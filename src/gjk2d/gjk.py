@@ -39,6 +39,8 @@ _new = tuple.__new__
 
 class Termination(Enum):
     CONVERGED = "Converged"
+    # Never returned: a three-vertex solve answers v = 0, so ContainsOrigin
+    # ends the query first. Kept while the benchmark counts it by name.
     SIMPLEX_FULL = "SimplexFull"
     CONTAINS_ORIGIN = "ContainsOrigin"
     MAX_ITERATIONS = "MaxIterations"
@@ -79,13 +81,12 @@ _EXIT_CONVERGED = CollisionExit.CONVERGED
 _EXIT_MAX_ITERATIONS = CollisionExit.MAX_ITERATIONS
 _TERM_CONVERGED = Termination.CONVERGED
 _TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
-_TERM_SIMPLEX_FULL = Termination.SIMPLEX_FULL
 _TERM_MAX_ITERATIONS = Termination.MAX_ITERATIONS
 # The loop's exit, in distance mode, for the origin strictly inside its portal
 # triangle; ``distance`` answers it as ContainsOrigin.
 _EXIT_PORTAL = object()
-# The separating vector of every answer whose loop zeroed v (ContainsOrigin,
-# SimplexFull); a Vec2 is immutable, so all of them share this one.
+# The separating vector of every ContainsOrigin answer; a Vec2 is
+# immutable, so all of them share this one.
 _ZERO_VECTOR = Vec2(0.0, 0.0)
 
 
@@ -169,8 +170,7 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
 
     Returns ``(exit, iterations, verts, lambdas, vx, vy, tol_sq)``: the
     final simplex, its barycentric coordinates, closest point v (zeroed at
-    ContainsOrigin, and at SimplexFull, which only a rebound ``s2d``
-    reaches), and the squared norm at or below which v counts as the
+    ContainsOrigin), and the squared norm at or below which v counts as the
     origin, ``_EPSILON**2`` times the largest |w|^2 over the query's
     support points. ``hcs`` picks the support function once:
     ``_cso_support_xy``, which climbs both polygons inline, or
@@ -196,11 +196,13 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
       reflected in the line through the origin and a: n turned toward the
       origin's side by twice the chord angle, where the tangent-chord
       angle puts the outward normal at the origin of a circle through a
-      and the origin. With r = n.a / |cross(a, n)| <= 1, the tangent of
-      the chord angle, m = n*(1 - r*r) + t*(r + r), t being n turned a
-      quarter toward the origin; that is degree 1 in the coordinates,
-      where a product form such as a**2 * conj(n) overflows near
-      ``MAX_COORDINATE``.
+      and the origin. With r = n.a / cross(a, n), whose magnitude <= 1 is
+      the tangent of the chord angle and whose sign is the origin's side,
+      m = n*(1 - r*r) + t*(r + r), t being n turned a quarter
+      counterclockwise; that is degree 1 in the coordinates, where a
+      product form such as a**2 * conj(n) overflows near
+      ``MAX_COORDINATE``. n.a >= 0 on both steps, so the gate is
+      cross(a, n) >= n.a or cross(a, n) <= -n.a.
     - For a steeper chord the origin lies deep inside P - Q, and m is the
       normal of the line through d0 and a on the origin's side, which puts
       the new point w across the origin from a.
@@ -295,19 +297,13 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         dot = -d0_dot_w
         while True:
             k += 1
-            if cu > 0.0 and cu >= dot:
+            if cu != 0.0 and (cu >= dot or cu <= -dot):
                 # -n reflected in the line through the origin and a.
                 r = dot / cu
                 c = 1.0 - r * r
                 s = r + r
                 mx = nx * c - ny * s
                 my = ny * c + nx * s
-            elif cu < 0.0 and -cu >= dot:
-                r = -dot / cu
-                c = 1.0 - r * r
-                s = r + r
-                mx = nx * c + ny * s
-                my = ny * c - nx * s
             elif side > 0.0:
                 # The normal of the line through d0 and a, on the origin's side.
                 mx = d0y - vy
@@ -397,10 +393,6 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
             exit = _TERM_CONTAINS_ORIGIN
             vx = vy = 0.0
             break
-        if size == 3:
-            exit = _TERM_SIMPLEX_FULL
-            vx = vy = 0.0
-            break
     else:
         exit = _TERM_MAX_ITERATIONS
     return exit, k, verts, lambdas, vx, vy, tol_sq
@@ -420,18 +412,17 @@ def distance(
     point exactly at the origin, an exact vertex contact, ends the query
     there after one support call), or at the iteration cap (MaxIterations,
     reporting the best known estimate). A three-vertex ``s2d`` answer has
-    v = 0 (ContainsOrigin); only a rebound ``gjk2d.gjk.s2d`` reaches
-    SimplexFull, which reports contact all the same. The portal step
+    v = 0, so it ends the query as ContainsOrigin. The portal step
     (``_gjk``) also ends the query as ContainsOrigin, with no solve, when
     its triangle encloses the origin; the witnesses then come from the
     origin's barycentric coordinates in that triangle
-    (``_portal_witnesses``). At ContainsOrigin and
-    SimplexFull the distance is 0.0 and the separating vector is one
-    shared ``Vec2(0.0, 0.0)``, built once at import. A support point from a
-    vertex pair already in the simplex is treated as convergence; it
-    cannot make progress and would otherwise cycle. Every test is relative, so scaling
-    both polygons by a power of two scales every length in the result
-    exactly, barring underflow and overflow.
+    (``_portal_witnesses``). At ContainsOrigin the distance is 0.0 and
+    the separating vector is one shared ``Vec2(0.0, 0.0)``, built once at
+    import. A support point from a vertex pair already in the simplex is
+    treated as convergence; it cannot make progress and would otherwise
+    cycle. Every test is relative, so scaling both polygons by a power of
+    two scales every length in the result exactly, barring underflow and
+    overflow.
     ``support_calls`` counts Minkowski-difference support evaluations;
     ``use_hill_climbing`` picks hill-climbing support, each climb started
     cold from the polygons' recorded starts nearest its direction, over
@@ -442,7 +433,7 @@ def distance(
         wp, wq = _portal_witnesses(p_poly, q_poly, verts, lambdas)
         return _new(DistanceResult, (0.0, wp, wq, _ZERO_VECTOR, k, k + 1, _TERM_CONTAINS_ORIGIN))
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)
-    if termination is _TERM_CONTAINS_ORIGIN or termination is _TERM_SIMPLEX_FULL:
+    if termination is _TERM_CONTAINS_ORIGIN:
         return _new(DistanceResult, (0.0, wp, wq, _ZERO_VECTOR, k, k + 1, termination))
     dist = math.sqrt(vx * vx + vy * vy)
     return _new(
@@ -473,7 +464,7 @@ def intersects(
         colliding = False
     elif exit is _EXIT_VERTICAL_ANGLE:
         colliding = True
-    elif exit is _TERM_CONTAINS_ORIGIN or exit is _TERM_SIMPLEX_FULL:
+    elif exit is _TERM_CONTAINS_ORIGIN:
         exit = _EXIT_SUBDISTANCE
         colliding = True
     else:

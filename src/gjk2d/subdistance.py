@@ -10,7 +10,11 @@ recovered from whether the corresponding sub-area cross product agrees
 in sign with the total. Codes 1/2/4 are vertex regions, 3/5/6 are edge
 regions, and 7 means the triangle encloses the origin. A code is kept
 only when its signs clear their rounding bounds; every code is then
-exact, names the minimal simplex, and costs one solve, or none for 7.
+exact and names the minimal simplex. ``s2d`` solves only the codes that
+keep its first vertex, the loop's new support point, which GJK's lemma
+puts in every new minimum simplex (Gilbert, Johnson & Keerthi, 1988):
+4, 5 and 6 cost one solve and 7 none. Every other triangle keeps the
+nearest of its three edges, which is right for any triangle.
 """
 
 from __future__ import annotations
@@ -119,18 +123,25 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     The vertices are flat ``SimplexVertex`` records whose coordinates are
     read by index, as in ``s1d``, and ``_SIGN_ERR`` is bound once to a
     local; the answer's sub-simplex holds them as given. The region code
-    is computed and certified inline as ``compute_barycode`` does. A
-    triangle it rejects keeps the nearest of its three edges, the first of
-    (a, b), (b, c), (c, a) on a tie: a code read from rounding noise could
-    name a far edge, or an enclosure whose barycentric point is far off.
-    Otherwise every sign is exact. Code 7 then puts the origin in the
-    closed triangle: it keeps the full simplex with the origin's
-    barycentric coordinates and answers the origin itself, with no solve.
-    6/5/3 solve the edge that drops c/b/a. 4/2/1 solve one edge at vertex
-    a/b/c. The origin then lies in the angle opposite the triangle there,
-    so at most one of the two edges has the foot of the perpendicular
-    inside it (both would need a cosine above 1): the first edge (toward
-    b, a, a) when the vertex dotted with it is negative, else the second.
+    is computed and certified inline as ``compute_barycode`` does.
+
+    ``a`` is the loop's new support point w, found along -v with v the
+    closest point of the segment (b, c), so the new minimum simplex holds
+    it (GJK's lemma): the loop reaches codes 4 to 7 only. Only these are
+    solved. Code 7 puts the origin in the closed triangle: it keeps the
+    full simplex with the origin's barycentric coordinates and answers the
+    origin itself, with no solve. 6/5 solve the edge that drops c/b. 4
+    solves one edge at a. The origin then lies in the angle opposite the
+    triangle there, so at most one of the two edges has the foot of the
+    perpendicular inside it (both would need a cosine above 1): (a, b)
+    when a dotted with b - a is negative, else (a, c).
+
+    Every other triangle keeps the nearest of its three edges, the first
+    of (a, b), (b, c), (c, a) on a tie, which is right for any triangle:
+    one without a certified positive coordinate for a (codes 0 to 3), and
+    one whose signs are not all beyond rounding, where a code read from
+    noise could name a far edge, or an enclosure whose barycentric point
+    is far off.
     """
     ax = a[0]
     ay = a[1]
@@ -147,27 +158,20 @@ def s2d(a: SimplexVertex, b: SimplexVertex, c: SimplexVertex) -> Solve:
     su, sv = pu - qu, pv - qv
     sw, total = pw - qw, pt - qt
     pos = total > 0.0
-    bit_u, bit_v, bit_w = (su > 0.0) == pos, (sv > 0.0) == pos, (sw > 0.0) == pos
     err = _SIGN_ERR
     if (
-        not (bit_u or bit_v or bit_w)
+        (su > 0.0) != pos
         or abs(total) <= err * abs(pt + qt)
         or abs(su) < err * abs(pu + qu)
         or abs(sv) < err * abs(pv + qv)
         or abs(sw) < err * abs(pw + qw)
     ):
         return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
-    if bit_u:
-        if bit_v:
-            if bit_w:
-                lam_u, lam_v = su / total, sv / total
-                return [a, b, c], [lam_u, lam_v, 1.0 - lam_u - lam_v], 0.0, 0.0  # code 7
-            return s1d(a, b)  # code 6
-        if bit_w:
-            return s1d(a, c)  # code 5
-        return s1d(a, b) if ax * abx + ay * aby < 0.0 else s1d(a, c)  # code 4
-    if bit_v:
-        if bit_w:
-            return s1d(b, c)  # code 3
-        return s1d(b, a) if bx * abx + by * aby > 0.0 else s1d(b, c)  # code 2: b·(a - b) < 0
-    return s1d(c, a) if cx * cax + cy * cay < 0.0 else s1d(c, b)  # code 1
+    if (sv > 0.0) == pos:
+        if (sw > 0.0) == pos:
+            lam_u, lam_v = su / total, sv / total
+            return [a, b, c], [lam_u, lam_v, 1.0 - lam_u - lam_v], 0.0, 0.0  # code 7
+        return s1d(a, b)  # code 6
+    if (sw > 0.0) == pos:
+        return s1d(a, c)  # code 5
+    return s1d(a, b) if ax * abx + ay * aby < 0.0 else s1d(a, c)  # code 4

@@ -400,11 +400,12 @@ def reference_s2d(a, b, c):
     """``s2d`` written as a dispatch through ``compute_barycode``.
 
     ``compute_barycode`` (which raises on code 0, or on a code whose
-    signs are within rounding of 0) and then one solve per region code,
-    code 7 answering the origin itself, reading the points through
-    ``.w``; the vertex-region dot products are taken as written in
-    ``s2d``'s docstring. ``s2d`` is tested against it for the same vertex
-    objects and bit-identical lambdas and closest point.
+    signs are within rounding of 0) and then one solve per region code
+    that keeps a, code 7 answering the origin itself, reading the points
+    through ``.w``; the code-4 dot product is taken as written in
+    ``s2d``'s docstring. Codes 1-3 keep the nearest of the three edges,
+    as a rejected triangle does. ``s2d`` is tested against it for the
+    same vertex objects and bit-identical lambdas and closest point.
     """
     from gjk2d.subdistance import DegenerateTriangle, _nearer, compute_barycode, s1d
 
@@ -414,10 +415,11 @@ def reference_s2d(a, b, c):
     try:
         code, su, sv, _sw, total = compute_barycode(aw, bw, cw)
     except DegenerateTriangle:
+        code = 0
+    if code < 4:
         return _nearer(_nearer(s1d(a, b), s1d(b, c)), s1d(c, a))
     ax, ay = aw
     bx, by = bw
-    cx, cy = cw
     if code == 7:
         lam_u = su / total
         lam_v = sv / total
@@ -426,13 +428,7 @@ def reference_s2d(a, b, c):
         return s1d(a, b)
     if code == 5:
         return s1d(a, c)
-    if code == 3:
-        return s1d(b, c)
-    if code == 4:
-        return s1d(a, b) if ax * (bx - ax) + ay * (by - ay) < 0.0 else s1d(a, c)
-    if code == 2:
-        return s1d(b, a) if bx * (ax - bx) + by * (ay - by) < 0.0 else s1d(b, c)
-    return s1d(c, a) if cx * (ax - cx) + cy * (ay - cy) < 0.0 else s1d(c, b)  # code 1
+    return s1d(a, b) if ax * (bx - ax) + ay * (by - ay) < 0.0 else s1d(a, c)  # code 4
 
 
 def reference_witness_points(p_poly, q_poly, verts, lambdas):

@@ -12,6 +12,7 @@ import time
 
 from gjk2d.baseline import oracle_distance
 from gjk2d.bench import Algorithm, run_benchmark
+from gjk2d.cli import ABS_TOL, REL_TOL
 from gjk2d.datasets import (
     DatasetSpec,
     Regime,
@@ -27,9 +28,6 @@ from oracle_utils import (
     origin_inside_triangle,
     triangle_distance_to_origin,
 )
-
-REL_TOL = 1e-7
-ABS_TOL = 1e-9
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import math
 import random
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from gjk2d.gjk import (
     intersects,
     witness_points,
 )
+from gjk2d.subdistance import DegenerateTriangle, compute_barycode
 
 from conftest import (
     SUPPORT_LAYERS,
@@ -159,39 +161,60 @@ class TestDistance:
         assert res.termination is Termination.MAX_ITERATIONS
         assert res.distance >= oracle_distance(p, q).distance
 
-    def test_simplex_full_exit_reports_contact(self, monkeypatch):
-        # s2d keeps all three vertices only for a certified code 7, and then
-        # answers the origin itself, so ContainsOrigin exits first. Only a
-        # rebound solver that keeps the whole triangle with v far off the
-        # origin reaches SimplexFull, which must report contact all the
-        # same. The triangle of the portal pass (d0, w1, w2) misses the
-        # origin on this pair, so both queries reach the triangle solve.
-        q = ConvexPolygon([(0.8, 1.1), (0.9, 0.9), (2.5, 0.3)])
-        assert intersects(UNIT_SQUARE, q).colliding
-        solves = []
-
-        def full_triangle(w, a, b):
-            solves.append(w)
-            return [w, a, b], [1 / 3, 1 / 3, 1 / 3], 1.0, 0.0
-
-        monkeypatch.setattr(gjk2d.gjk, "s2d", full_triangle)
-        for hcs in (True, False):
-            del solves[:]
-            res = distance(UNIT_SQUARE, q, use_hill_climbing=hcs)
-            assert res.termination is Termination.SIMPLEX_FULL
-            assert res.distance == 0.0
-            assert tuple(res.separating_vector) == (0.0, 0.0)
-            hit = intersects(UNIT_SQUARE, q, use_hill_climbing=hcs)
-            assert hit.exit is CollisionExit.SUBDISTANCE_ENCLOSURE
-            assert hit.colliding
-            assert len(solves) == 2
+    def test_every_triangle_solve_keeps_the_new_point(self, monkeypatch):
+        # The loop's s2d(w, a, b) gets w, found along -v with v the closest
+        # point of (a, b), and GJK's lemma puts w in the new minimum
+        # simplex: every answer holds it, and every certified code is 4 to
+        # 7, the only ones s2d solves. A three-vertex answer is code 7,
+        # whose v is exactly the origin, so ContainsOrigin ends the query
+        # and no simplex is ever full, however tight the tolerance: the
+        # last set runs at 1e-14, where touching pair 115 has an
+        # uncertified code 7 whose barycentric point lies farther from the
+        # origin than 1e-14 * max|w|. The portal corpus holds
+        # tie_rectangles(1000). The hand pair's portal triangle misses the
+        # origin, so both queries reach the triangle solve.
+        generated = [
+            (case.p, case.q)
+            for n in (3, 4, 6, 8, 16, 32, 64)
+            for case in generate_dataset(DatasetSpec(n, 20, 5))
+        ]
+        sets = {
+            "generated": generated,
+            "portal": portal_corpus(),
+            "hand": [(UNIT_SQUARE, ConvexPolygon([(0.8, 1.1), (0.9, 0.9), (2.5, 0.3)]))],
+            "tight": [(case.p, case.q) for case in generate_dataset(DatasetSpec(64, 116, 11))],
+        }
+        for k in (-280, 280):
+            factor = 2.0**k
+            sets[k] = [(scaled(p, factor), scaled(q, factor)) for p, q in generated]
+        codes = Counter()
+        for name, pairs in sets.items():
+            with monkeypatch.context() as m:
+                if name == "tight":
+                    m.setattr(gjk2d.gjk, "_EPSILON", 1e-14)
+                with recorded_layers() as recorded:
+                    for p, q in pairs:
+                        list(queries(p, q))
+            solves = [(args, out) for layer, args, out in recorded if layer == "s2d"]
+            assert solves, name
+            for (w, a, b), (verts, _, vx, vy) in solves:
+                assert any(v is w for v in verts), (name, w, a, b)
+                try:
+                    code = compute_barycode(w.w, a.w, b.w)[0]
+                except DegenerateTriangle:
+                    code = "rejected"
+                assert code in (4, 5, 6, 7, "rejected"), (name, w, a, b)
+                assert len(verts) < 3 or (vx, vy) == (0.0, 0.0), (name, w, a, b)
+                codes[code] += 1
+        assert all(codes[code] for code in (4, 5, 6, 7)), codes
 
     def test_tight_epsilon_never_fills_the_simplex(self, monkeypatch):
-        # A triangle solve keeps three vertices only for a certified code 7
-        # and then answers v = 0, so ContainsOrigin exits first however
-        # tight the tolerance. An uncertified code 7 on touching pair 115
-        # of this set has a barycentric point farther from the origin than
-        # 1e-14 * max|w|, and would end SimplexFull.
+        # The public side of the invariant above: a triangle solve keeps
+        # three vertices only for a certified code 7 and then answers
+        # v = 0, so ContainsOrigin ends the query however tight the
+        # tolerance, and no query reports SimplexFull. An uncertified
+        # code 7 on touching pair 115 of this set has a barycentric point
+        # farther from the origin than 1e-14 * max|w|.
         monkeypatch.setattr(gjk2d.gjk, "_EPSILON", 1e-14)
         for case in generate_dataset(DatasetSpec(64, 116, 11)):
             for hcs in (True, False):

@@ -334,8 +334,9 @@ class TestS2d:
     def test_vertex_region_keeps_at_most_one_edge(self):
         # In the angle opposite a vertex, the foot of the perpendicular falls
         # inside at most one of that vertex's edges: inside both would need
-        # the cosine of the angle at the vertex to exceed 1. So s2d solves
-        # only the edge whose foot may lie past the vertex.
+        # the cosine of the angle at the vertex to exceed 1. So at code 4,
+        # the one vertex region s2d solves, it solves only the edge at a
+        # whose foot may lie past a; the lemma is checked at every vertex.
         edges_at = {4: (0, 1, 2), 2: (1, 0, 2), 1: (2, 0, 1)}
         rng = random.Random(2025)
         families = {"pinned": pinned_triangles(), "thin": thin_triangles(rng, 10_000)}
@@ -364,8 +365,9 @@ class TestS2d:
         assert both == []
 
     def test_one_solve_per_region_code(self, monkeypatch):
-        # Each code names its simplex: one s1d call for codes 1-6, none for
-        # 7, and the three-edge solve only where compute_barycode raises.
+        # Each code that keeps a names its simplex: one s1d call for codes
+        # 4-6 and none for 7. Codes 1-3, which the loop never builds, and
+        # every triangle compute_barycode rejects take the three-edge solve.
         calls = []
 
         def counting(a, b):
@@ -392,7 +394,7 @@ class TestS2d:
                 codes[code] += 1
                 calls.clear()
                 s2d(a, b, c)
-                assert len(calls) == {7: 0, "rejected": 3}.get(code, 1), (family, tri)
+                assert len(calls) == {7: 0, 6: 1, 5: 1, 4: 1}.get(code, 3), (family, tri)
             assert all(codes[code] for code in range(1, 7)), (family, codes)
             if family != "random":
                 assert codes["rejected"], (family, codes)
@@ -461,7 +463,7 @@ class TestS2d:
             answer = ([v.ip for v in verts], [l.hex() for l in lambdas], vx.hex(), vy.hex())
             h.update(repr(answer).encode())
         assert set(codes) == {1, 2, 3, 4, 5, 6, 7, "degenerate"}
-        assert h.hexdigest() == "fdcb07b78a714b39170d0c66b7062f0cb252f2ea093bc5c83e4efea389cc5dc2"
+        assert h.hexdigest() == "71b579c93302fd2372cc6bf4a16dfcef86580221b73b8ae1e9842d1cd26d179e"
 
     def test_matches_reference_bit_for_bit(self):
         # the dispatch through compute_barycode that s2d inlines
