@@ -17,25 +17,13 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, List, Sequence
 
 from .baseline import sat_intersects
 from .datasets import PairCase, Regime, group_by_regime
 from .gjk import distance, intersects
-
-CSV_COLUMNS = (
-    "algorithm",
-    "regime",
-    "vertex_count",
-    "mean_ns",
-    "p50_ns",
-    "p99_ns",
-    "mean_iterations",
-    "mean_support_calls",
-)
-
 
 class Algorithm(Enum):
     DISTANCE_GJK = "DistanceGjk"
@@ -55,6 +43,10 @@ class BenchRecord:
     p99_ns: float
     mean_iterations: float
     mean_support_calls: float
+
+
+# The CSV header: one column per record field, in field order.
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def _runner(algorithm: Algorithm):

@@ -234,8 +234,9 @@ def main(argv=None) -> int:
     ):
         if args.command == command and getattr(args, option) < least:
             parser.error(f"--{option} must be at least {least}")
-    # the script references its own path with the extension made .csv
-    if args.command == "bench" and os.path.splitext(args.gnuplot or "")[1] == ".csv":
+    # the script references its own path with the extension made .csv, the
+    # same file as plot.CSV on a case-insensitive filesystem
+    if args.command == "bench" and os.path.splitext(args.gnuplot or "")[1].lower() == ".csv":
         parser.error(f"--gnuplot {args.gnuplot} is the CSV path its script references")
     try:
         return args.func(args)

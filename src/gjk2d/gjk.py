@@ -13,6 +13,10 @@ covers the first support point, taken against the start direction.
 
 Both modes open with the portal step of Minkowski Portal Refinement, from
 the start point d0, a point of P - Q; ``_gjk``'s docstring states its rule.
+The portal reads the origin's side once, and its triangle enclosing the
+origin is one exit, VerticalAngleEnclosure, in both modes: the distance
+mode returns it with the triangle's crosses in the portal's orientation,
+and ``distance`` answers it as ContainsOrigin.
 """
 
 from __future__ import annotations
@@ -82,9 +86,6 @@ _EXIT_MAX_ITERATIONS = CollisionExit.MAX_ITERATIONS
 _TERM_CONVERGED = Termination.CONVERGED
 _TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
 _TERM_MAX_ITERATIONS = Termination.MAX_ITERATIONS
-# The loop's exit, in distance mode, for the origin strictly inside its portal
-# triangle; ``distance`` answers it as ContainsOrigin.
-_EXIT_PORTAL = object()
 # The separating vector of every ContainsOrigin answer; a Vec2 is
 # immutable, so all of them share this one.
 _ZERO_VECTOR = Vec2(0.0, 0.0)
@@ -137,22 +138,27 @@ def _portal_witnesses(
     p_poly: ConvexPolygon,
     q_poly: ConvexPolygon,
     ends: Sequence[tuple],
-    lambdas: Sequence[float],
+    crosses: Sequence[float],
 ) -> Tuple[Vec2, Vec2]:
     """Witness pair of the origin inside a portal triangle (d0, a, w).
 
     ``ends`` holds the triangle's support points a and w, ``(wx, wy, ip,
-    iq)``. ``lambdas`` holds the origin's barycentric coordinates against
-    d0, a and w. Since d0 = cP - cQ, the witnesses are l0*cP + l1*P[ip1] +
-    l2*P[ip2] and the same for Q. When the centroids are equal, d0 is
-    ``initial_direction``'s (1, 0) fallback, but then cP - cQ is the origin
-    itself, so the witnesses are cP and cQ.
+    iq)``. ``crosses`` holds cross(a, w), cross(w, d0) and cross(d0, a),
+    as ``_gjk`` returns them in the portal's orientation, all positive;
+    over their sum they are the origin's barycentric coordinates l0, l1
+    and l2 against d0, a and w. Since d0 = cP - cQ, the witnesses are
+    l0*cP + l1*P[ip1] + l2*P[ip2] and the same for Q. When the centroids
+    are equal, d0 is ``initial_direction``'s (1, 0) fallback, but then
+    cP - cQ is the origin itself, so the witnesses are cP and cQ, and no
+    coordinate is formed.
     """
     pc = p_poly.centroid
     qc = q_poly.centroid
     if pc[0] == qc[0] and pc[1] == qc[1]:
         return pc, qc
-    l0, l1, l2 = lambdas
+    c0, c1, c2 = crosses
+    total = c2 + c0 + c1
+    l0, l1, l2 = c0 / total, c1 / total, c2 / total
     a, w = ends
     xs, ys = p_poly.xs, p_poly.ys
     i, j = a[2], w[2]
@@ -169,17 +175,20 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     """The loop behind ``distance`` and ``intersects``.
 
     Returns ``(exit, iterations, verts, lambdas, vx, vy, tol_sq)``: the
-    final simplex, its barycentric coordinates, closest point v (zeroed at
-    ContainsOrigin), and the squared norm at or below which v counts as the
-    origin, ``_EPSILON**2`` times the largest |w|^2 over the query's
-    support points. ``hcs`` picks the support function once:
+    final simplex and its barycentric coordinates (at the distance mode's
+    portal enclosure, the triangle's support points and crosses instead,
+    below), closest point v (zeroed at ContainsOrigin and that enclosure),
+    and the squared norm at or below which v counts as the origin,
+    ``_EPSILON**2`` times the largest |w|^2 over the query's support
+    points. ``hcs`` picks the support function once:
     ``_cso_support_xy``, which climbs both polygons inline, or
     ``_cso_scan_xy``, the brute-force scan. Every support call passes
     ``None`` as its warm pair, so each climb starts cold, at the polygons'
     recorded starts nearest its direction, and the scan has no start.
-    ``binary`` only adds the SeparatingHyperplane and VerticalAngleEnclosure
-    exits; every other exit is a ``Termination``, or in distance mode
-    ``_EXIT_PORTAL`` (below). It makes ``iterations + 1`` support calls.
+    ``binary`` only adds the SeparatingHyperplane exits and the two-vertex
+    VerticalAngleEnclosure test; the portal's VerticalAngleEnclosure
+    (below) ends both modes, and every other exit is a ``Termination``.
+    It makes ``iterations + 1`` support calls.
 
     The first support call searches along -d0, d0 = cP - cQ the start
     point, a point of P - Q. When w1 does not separate (d0.w1 <= 0) and
@@ -207,22 +216,26 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
       normal of the line through d0 and a on the origin's side, which puts
       the new point w across the origin from a.
 
-    In binary mode m.w < 0 separates, whatever m is. In both modes the
-    origin strictly inside triangle (d0, a, w), by the strict signs of its
-    three cross products, ends the query: w lies in the vertical angle
-    opposite cone(d0, a). The binary mode reports a VerticalAngleEnclosure;
-    the distance mode returns ``_EXIT_PORTAL`` with ``verts`` the support
-    points ``(a, w)`` and ``lambdas`` the origin's barycentric coordinates
-    against d0, a and w: cross(a, w), cross(w, d0) and side over their
-    sum. ``distance`` turns them into witness points. Both binary exits
-    return ``verts`` and ``lambdas`` None, which ``intersects`` does not
-    read.
+    The portal reads the origin's side once, before its first step: with
+    o = 1 if side > 0 else -1, side, the crosses c1 = cross(a, w) and
+    c2 = cross(w, d0) and the fallback normal are all taken times o, so
+    side > 0 on both steps and no test mirrors on it; cu keeps its sign,
+    which the reflection reads. In binary mode m.w < 0 separates, whatever
+    m is. In both modes the origin strictly inside triangle (d0, a, w),
+    0 < c1 and 0 < c2, ends the query with VerticalAngleEnclosure: w lies
+    in the vertical angle opposite cone(d0, a). The binary mode returns
+    ``verts`` and ``lambdas`` None, as at its separating exits, which
+    ``intersects`` does not read; the distance mode returns ``verts`` the
+    support points ``(a, w)`` and ``lambdas`` the crosses ``(c1, c2,
+    side)``, all positive, which ``distance`` turns into witness points
+    (``_portal_witnesses``). In distance mode no other exit is a
+    ``CollisionExit``.
 
     The first step is (a, n) = (w1, -d0): the line through w1
     perpendicular to d0 is tangent to P - Q there. Where P - Q bends less
     than the circle, w2 lands short of the contact: on w1's side of the
     ray from d0 through the origin, cross(d0, w2) of the strict sign of
-    side. Then, if m.w2 >= 0 and w2's vertex pair differs from w1's, the
+    cross(d0, w1), that is c2 < 0. Then, if m.w2 >= 0 and w2's vertex pair differs from w1's, the
     same block runs once more as the second step, (a, n) = (w2, m); it is
     never repeated. Otherwise, or after the second step, the segment
     ``s1d(w, a)`` of the step's two support points starts the loop, and
@@ -285,16 +298,19 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     if side == 0.0:
         verts = [_new(SimplexVertex, a)]
         lambdas = [1.0]
-        size = 1
     else:
         # The portal step from a = (vx, vy) with outward normal n, cu =
         # cross(a, n), dot = n.a and the portal's orientation side =
         # cross(d0, a): first from (w1, -d0), then at most once more from
-        # (w2, m).
+        # (w2, m). The origin's side o is read once: side, c1, c2 and the
+        # fallback normal are taken times o, so side > 0 on both steps; cu
+        # keeps its sign for the reflection.
         nx = -d0x
         ny = -d0y
         cu = side
         dot = -d0_dot_w
+        o = 1.0 if side > 0.0 else -1.0
+        side *= o
         while True:
             k += 1
             if cu != 0.0 and (cu >= dot or cu <= -dot):
@@ -304,13 +320,10 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                 s = r + r
                 mx = nx * c - ny * s
                 my = ny * c + nx * s
-            elif side > 0.0:
-                # The normal of the line through d0 and a, on the origin's side.
-                mx = d0y - vy
-                my = vx - d0x
             else:
-                mx = vy - d0y
-                my = d0x - vx
+                # The normal of the line through d0 and a, on the origin's side.
+                mx = o * (d0y - vy)
+                my = o * (vx - d0x)
             w = support(p_poly, q_poly, mx, my, None)
             wx = w[0]
             wy = w[1]
@@ -318,26 +331,22 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
             if binary and dot < 0.0:
                 # The line through the origin perpendicular to m separates.
                 return _EXIT_SEPARATING, k, None, None, vx, vy, tol_sq
-            c1 = vx * wy - vy * wx
-            c2 = wx * d0y - wy * d0x
-            if (0.0 < c1 and 0.0 < c2) if side > 0.0 else (c1 < 0.0 and c2 < 0.0):
+            c1 = o * (vx * wy - vy * wx)
+            c2 = o * (wx * d0y - wy * d0x)
+            if 0.0 < c1 and 0.0 < c2:
                 # cross(d0, a), cross(a, w) and cross(w, d0) share a strict
                 # sign: the origin is strictly inside (d0, a, w), and each
                 # cross is twice the area of the sub-triangle opposite one
                 # corner.
                 if binary:
                     return _EXIT_VERTICAL_ANGLE, k, None, None, vx, vy, tol_sq
-                total = side + c1 + c2
-                return (
-                    _EXIT_PORTAL, k, (a, w), (c1 / total, c2 / total, side / total),
-                    0.0, 0.0, tol_sq,
-                )
+                return _EXIT_VERTICAL_ANGLE, k, (a, w), (c1, c2, side), 0.0, 0.0, tol_sq
             w_tol_sq = eps_sq * (wx * wx + wy * wy)
             if w_tol_sq > tol_sq:
                 tol_sq = w_tol_sq
             # Step once more only from a w that landed short of the contact,
             # on a's side of the ray from d0 through the origin.
-            if k == 2 or not (dot >= 0.0 and (c2 < 0.0 if side > 0.0 else c2 > 0.0)) or w == a:
+            if k == 2 or not (dot >= 0.0 and c2 < 0.0) or w == a:
                 break
             a = w
             vx = wx
@@ -349,7 +358,6 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         # w came from m, not -v: it proves no convergence, and a repeat of a
         # gives s1d a zero-length segment, answered with that one point.
         verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), _new(SimplexVertex, a))
-        size = len(verts)
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
             return _TERM_CONTAINS_ORIGIN, k, verts, lambdas, 0.0, 0.0, tol_sq
@@ -366,7 +374,7 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                 # the origin from the whole Minkowski difference.
                 exit = _EXIT_SEPARATING
                 break
-            if size == 2:
+            if len(verts) == 2:
                 a = verts[0]
                 b = verts[1]
                 ca = a[0] * wy - a[1] * wx
@@ -383,11 +391,10 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
             exit = _TERM_CONVERGED
             break
         w = _new(SimplexVertex, w)
-        if size == 1:
+        if len(verts) == 1:
             verts, lambdas, vx, vy = solve_segment(w, verts[0])
         else:
             verts, lambdas, vx, vy = solve_triangle(w, verts[0], verts[1])
-        size = len(verts)
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
             exit = _TERM_CONTAINS_ORIGIN
@@ -414,8 +421,10 @@ def distance(
     reporting the best known estimate). A three-vertex ``s2d`` answer has
     v = 0, so it ends the query as ContainsOrigin. The portal step
     (``_gjk``) also ends the query as ContainsOrigin, with no solve, when
-    its triangle encloses the origin; the witnesses then come from the
-    origin's barycentric coordinates in that triangle
+    its triangle encloses the origin: the loop returns that as its one
+    VerticalAngleEnclosure exit, with the triangle's crosses in the
+    portal's orientation, and the witnesses come from the origin's
+    barycentric coordinates in that triangle, formed from those crosses
     (``_portal_witnesses``). At ContainsOrigin the distance is 0.0 and
     the separating vector is one shared ``Vec2(0.0, 0.0)``, built once at
     import. A support point from a vertex pair already in the simplex is
@@ -429,7 +438,8 @@ def distance(
     the brute-force scan (same support values).
     """
     termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)
-    if termination is _EXIT_PORTAL:
+    # In distance mode only the portal triangle returns this exit.
+    if termination is _EXIT_VERTICAL_ANGLE:
         wp, wq = _portal_witnesses(p_poly, q_poly, verts, lambdas)
         return _new(DistanceResult, (0.0, wp, wq, _ZERO_VECTOR, k, k + 1, _TERM_CONTAINS_ORIGIN))
     wp, wq = witness_points(p_poly, q_poly, verts, lambdas)

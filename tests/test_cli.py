@@ -488,7 +488,7 @@ class TestBench:
         with pytest.raises(ValueError):
             run_benchmark(cases, [Algorithm.SAT], repetitions=repetitions, warmup=warmup)
 
-    @pytest.mark.parametrize("script", ["plot.csv", "out/plot.csv"])
+    @pytest.mark.parametrize("script", ["plot.csv", "out/plot.csv", "plot.CSV", "plot.Csv"])
     def test_gnuplot_script_over_its_own_csv_is_usage_error(
         self, small_dataset, tmp_path, capsys, monkeypatch, script
     ):

@@ -1080,7 +1080,24 @@ class TestGolden:
         ("portal", "intersects"): (
             "798ef31f43f3948431234576d460c5bcc75ded6690ff0e7f78a529e3bd259380"
         ),
+        ("portal-tiny", "distance"): (
+            "c3edea79667280ea53bd93b8bc39957a0a4d8a31bdef9f34f4cd1532cdbf8a4e"
+        ),
+        ("portal-tiny", "intersects"): (
+            "798ef31f43f3948431234576d460c5bcc75ded6690ff0e7f78a529e3bd259380"
+        ),
+        ("portal-huge", "distance"): (
+            "e2a7e7bb42363c5e60441506d6ddd2af0316a39d6d3b22ae179ed13973834012"
+        ),
+        ("portal-huge", "intersects"): (
+            "798ef31f43f3948431234576d460c5bcc75ded6690ff0e7f78a529e3bd259380"
+        ),
     }
+    # The portal corpus again, scaled by 2^-280 and by 2^480, where the
+    # portal's crosses are tiny or huge and its zeros carry a sign. Every
+    # test is relative, so an intersects result, which holds no length,
+    # hashes as the unscaled corpus's.
+    SCALES = {"portal-tiny": 2.0**-280, "portal-huge": 2.0**480}
 
     @staticmethod
     def _fields(value):
@@ -1110,6 +1127,10 @@ class TestGolden:
             pytest.param("make_pair", intersects, id="intersects"),
             pytest.param("portal", distance, id="portal-distance"),
             pytest.param("portal", intersects, id="portal-intersects"),
+            pytest.param("portal-tiny", distance, id="portal-tiny-distance"),
+            pytest.param("portal-tiny", intersects, id="portal-tiny-intersects"),
+            pytest.param("portal-huge", distance, id="portal-huge-distance"),
+            pytest.param("portal-huge", intersects, id="portal-huge-intersects"),
         ],
     )
     def test_query_results_are_pinned(self, corpus, query):
@@ -1117,6 +1138,9 @@ class TestGolden:
             pairs = self.make_pair_cases()
         else:
             pairs = portal_corpus(touching=40, sizes=(128, 512))
+            if corpus in self.SCALES:
+                factor = self.SCALES[corpus]
+                pairs = [(scaled(p, factor), scaled(q, factor)) for p, q in pairs]
         h = hashlib.sha256()
         for p, q in pairs:
             for hcs in (True, False):
