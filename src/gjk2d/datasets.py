@@ -315,8 +315,14 @@ def read_dataset(path) -> Tuple[DatasetSpec, List[PairCase]]:
     regime, i)``, as ``generate_dataset`` makes them. A missing case is
     named at the line past the end of the file.
     """
+    # Lines end at "\n" alone (text mode reads "\r\n" and "\r" as "\n"):
+    # str.splitlines also breaks at "\x0c", "\x1e", U+2028 and others, which
+    # would pass a case line that is not JSON and shift every later line
+    # number. The final newline ends the last line and starts no new one.
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
     if not lines:
         raise DatasetError("line 1: missing header")
     try:

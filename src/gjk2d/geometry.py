@@ -243,7 +243,9 @@ def contains_point(poly: ConvexPolygon, point: Vec2, tolerance: float = 0.0) -> 
     """Point-in-convex-polygon test with a signed-distance slack.
 
     A positive ``tolerance`` admits points up to that distance outside the
-    boundary; a negative one requires that much clearance inside.
+    boundary; a negative one requires that much clearance inside. A NaN
+    coordinate or tolerance is never inside: each edge test asks for the
+    point on the inner side, and every comparison with NaN is false.
     """
     px, py = point
     xs, ys = poly.xs, poly.ys
@@ -253,7 +255,7 @@ def contains_point(poly: ConvexPolygon, point: Vec2, tolerance: float = 0.0) -> 
         ex = xs[j] - xs[i]
         ey = ys[j] - ys[i]
         # signed area cross; scale slack by edge length to compare distances
-        if ex * (py - ys[i]) - ey * (px - xs[i]) < -tolerance * math.hypot(ex, ey):
+        if not ex * (py - ys[i]) - ey * (px - xs[i]) >= -tolerance * math.hypot(ex, ey):
             return False
     return True
 

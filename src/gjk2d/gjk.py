@@ -182,9 +182,9 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     ``_EPSILON**2`` times the largest |w|^2 over the query's support
     points. ``hcs`` picks the support function once:
     ``_cso_support_xy``, which climbs both polygons inline, or
-    ``_cso_scan_xy``, the brute-force scan. Every support call passes
-    ``None`` as its warm pair, so each climb starts cold, at the polygons'
-    recorded starts nearest its direction, and the scan has no start.
+    ``_cso_scan_xy``, the brute-force scan. Each climb starts cold, at
+    the polygons' recorded starts nearest its direction, and the scan has
+    no start; both take a fifth argument, ``None``, that they ignore.
     ``binary`` only adds the SeparatingHyperplane exits and the two-vertex
     VerticalAngleEnclosure test; the portal's VerticalAngleEnclosure
     (below) ends both modes, and every other exit is a ``Termination``.

@@ -10,12 +10,10 @@ at the first tied vertex it reaches.
 
 The query loop calls ``_cso_scan_xy`` (brute) or ``_cso_support_xy``,
 which runs ``support_hill_climb``'s walk inline for both polygons in one
-frame. The loop passes no warm pair, so every climb starts cold, at the
-polygon's recorded start (one of eight, ``ConvexPolygon.bottom`` to
-``lower_left``) for the 45-degree sector of its direction. The public
-``support_hill_climb`` and ``cso_support`` check the starts they are
-given; ``_cso_support_xy`` takes its starts from the polygons and checks
-none.
+frame. Every such climb starts cold, at the polygon's recorded start
+(one of eight, ``ConvexPolygon.bottom`` to ``lower_left``) for the
+45-degree sector of its direction. ``support_hill_climb`` alone climbs
+from a given start, and checks it.
 """
 
 from __future__ import annotations
@@ -133,81 +131,81 @@ def _cso_support_xy(
     dy: float,
     warm: Optional[Tuple[int, int]],
 ) -> Tuple[float, float, int, int]:
-    """``cso_support`` on a flat direction: the hill-climbing query's support call.
+    """Cold ``cso_support`` on a flat direction: the hill-climbing query's support call.
 
     Returns the plain tuple ``(wx, wy, ip, iq)``, the fields of a
     ``SimplexVertex`` but no ``NamedTuple`` and no ``Vec2``: the query
     loop runs its exit tests on it and wraps it only if it joins the
     simplex, so a point that only decides an exit costs no wrap (about a
     fifth of a small-polygon support call). P climbs along d and Q along
-    -d from the (index in P, index in Q) pair ``warm``, unchecked, with
-    ``support_hill_climb``'s walk run inline in this one frame.
-    ``warm=None``, which the query loop passes on every call, starts
-    cold: d falls in one of eight 45-degree sectors, around an axis or a
-    diagonal, and P starts at its recorded start for that sector (``ConvexPolygon.bottom``, ``lower_right``, ``right``,
+    -d, with ``support_hill_climb``'s walk run inline in this one frame.
+    d falls in one of eight 45-degree sectors, around an axis or a
+    diagonal, and P starts at its recorded start for that sector
+    (``ConvexPolygon.bottom``, ``lower_right``, ``right``,
     ``upper_right``, ``top``, ``upper_left``, ``left`` or ``lower_left``),
     Q at its start for the opposite sector. A direction on a sector edge
     takes the axis sector; a zero or NaN one starts P at ``right`` and Q at
     ``left``. Q's climb minimizes d.q instead of maximizing (-d).q:
     float negation is exact, so every dot product and comparison is the
     exact mirror of the two-call form and the indices are the same.
+
+    ``warm`` is ignored, as by ``_cso_scan_xy``, and the loop passes
+    ``None``. It stays because perfbench (``perfbench/run.py``) captures
+    the loop's calls here and unpacks five arguments from each.
     """
     pxs = p_poly.xs
     pys = p_poly.ys
     qxs = q_poly.xs
     qys = q_poly.ys
-    if warm is None:
-        # The diagonals dx = dy and dx = -dy bound the quarter around each
-        # axis; lines at 22.5 degrees from the axis, |dy| = _TAN_22_5 * |dx|
-        # or its mirror, split the quarter into its axis sector and two
-        # diagonal ones. A zero or NaN direction fails every test: right.
-        if dy > dx:
-            if -dx > dy:
-                t = _TAN_22_5 * dx
-                if dy > -t:
-                    pstart = p_poly.upper_left
-                    qstart = q_poly.lower_right
-                elif dy < t:
-                    pstart = p_poly.lower_left
-                    qstart = q_poly.upper_right
-                else:
-                    pstart = p_poly.left
-                    qstart = q_poly.right
-            else:
-                t = _TAN_22_5 * dy
-                if dx > t:
-                    pstart = p_poly.upper_right
-                    qstart = q_poly.lower_left
-                elif dx < -t:
-                    pstart = p_poly.upper_left
-                    qstart = q_poly.lower_right
-                else:
-                    pstart = p_poly.top
-                    qstart = q_poly.bottom
-        elif -dx > dy:
-            t = _TAN_22_5 * dy
-            if dx > -t:
-                pstart = p_poly.lower_right
-                qstart = q_poly.upper_left
-            elif dx < t:
+    # The diagonals dx = dy and dx = -dy bound the quarter around each
+    # axis; lines at 22.5 degrees from the axis, |dy| = _TAN_22_5 * |dx|
+    # or its mirror, split the quarter into its axis sector and two
+    # diagonal ones. A zero or NaN direction fails every test: right.
+    if dy > dx:
+        if -dx > dy:
+            t = _TAN_22_5 * dx
+            if dy > -t:
+                pstart = p_poly.upper_left
+                qstart = q_poly.lower_right
+            elif dy < t:
                 pstart = p_poly.lower_left
                 qstart = q_poly.upper_right
             else:
-                pstart = p_poly.bottom
-                qstart = q_poly.top
+                pstart = p_poly.left
+                qstart = q_poly.right
         else:
-            t = _TAN_22_5 * dx
-            if dy > t:
+            t = _TAN_22_5 * dy
+            if dx > t:
                 pstart = p_poly.upper_right
                 qstart = q_poly.lower_left
-            elif dy < -t:
-                pstart = p_poly.lower_right
-                qstart = q_poly.upper_left
+            elif dx < -t:
+                pstart = p_poly.upper_left
+                qstart = q_poly.lower_right
             else:
-                pstart = p_poly.right
-                qstart = q_poly.left
+                pstart = p_poly.top
+                qstart = q_poly.bottom
+    elif -dx > dy:
+        t = _TAN_22_5 * dy
+        if dx > -t:
+            pstart = p_poly.lower_right
+            qstart = q_poly.upper_left
+        elif dx < t:
+            pstart = p_poly.lower_left
+            qstart = q_poly.upper_right
+        else:
+            pstart = p_poly.bottom
+            qstart = q_poly.top
     else:
-        pstart, qstart = warm
+        t = _TAN_22_5 * dx
+        if dy > t:
+            pstart = p_poly.upper_right
+            qstart = q_poly.lower_left
+        elif dy < -t:
+            pstart = p_poly.lower_right
+            qstart = q_poly.upper_left
+        else:
+            pstart = p_poly.right
+            qstart = q_poly.left
     # P: maximize d.p
     n = len(pxs)
     ip = pstart
@@ -291,17 +289,17 @@ def cso_support(
     It wraps the plain tuple of ``_cso_support_xy``, a wrap the query loop
     pays only for the points it keeps.
 
-    ``warm`` is the (index in P, index in Q) pair to climb from, such as a
-    previous call's answer; an index outside its polygon's ``[0, n)``
-    raises ``ValueError``. ``None`` starts cold, as every call of the query
-    loop does (see ``_cso_support_xy``). Where several vertices tie, the
-    climb stops on the first tied vertex it reaches.
+    ``warm=None`` starts cold, as every call of the query loop does (see
+    ``_cso_support_xy``). A pair ``(ip, iq)`` is two ``support_hill_climb``
+    calls, P along d from ``ip`` and Q along -d from ``iq``, which raise
+    ``ValueError`` for a start that is not a vertex index. Where several
+    vertices tie, the climb stops on the first tied vertex it reaches.
     """
-    if warm is not None:
-        ip, iq = warm
-        if not (0 <= ip < len(p_poly.xs) and 0 <= iq < len(q_poly.xs)):
-            raise ValueError(f"warm pair {warm!r} is not a pair of vertex indices of P and Q")
-    return _new(SimplexVertex, _cso_support_xy(p_poly, q_poly, direction.x, direction.y, warm))
+    if warm is None:
+        return _new(SimplexVertex, _cso_support_xy(p_poly, q_poly, direction.x, direction.y, None))
+    (px, py), ip = support_hill_climb(p_poly, direction, warm[0])
+    (qx, qy), iq = support_hill_climb(q_poly, _new(Vec2, (-direction.x, -direction.y)), warm[1])
+    return _new(SimplexVertex, (px - qx, py - qy, ip, iq))
 
 
 def initial_direction(p_poly: ConvexPolygon, q_poly: ConvexPolygon) -> Tuple[float, float]:

@@ -353,6 +353,27 @@ class TestDatasetFiles:
         with pytest.raises(DatasetError, match="line 3: 'q' has 3 vertices, not the header's vertex_count 4"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("end", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newline_alone(self, tmp_path, end):
+        # str.splitlines breaks at each of these too: a case line ending in
+        # one would pass, and every later line number would be one too far
+        spec = DatasetSpec(vertex_count=4, cases_per_regime=2, seed=3)
+        path = tmp_path / "separators.jsonl"
+        write_dataset(path, spec, generate_dataset(spec))
+        lines = path.read_text().splitlines()
+        marked = [lines[0], lines[1] + end] + lines[2:]
+        path.write_text("\n".join(marked) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="line 2: invalid JSON"):
+            read_dataset(path)
+        marked = [lines[0], lines[1], " " + end] + lines[2:4] + ["{not json"] + lines[5:]
+        path.write_text("\n".join(marked) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="line 6: invalid JSON"):
+            read_dataset(path)
+        # Windows and old Mac line ends still end lines
+        for newline in ("\r\n", "\r"):
+            path.write_text(newline.join(lines) + newline, encoding="utf-8")
+            assert read_dataset(path)[0] == spec
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "headerless.jsonl"
         path.write_text("")

@@ -609,6 +609,22 @@ class TestContainsPoint:
         assert contains_point(poly, just_outside, tolerance=1e-9)
         assert not contains_point(poly, Vec2(1.0, 0.5), tolerance=-1e-9)
 
+    def test_nan_and_infinite_points_and_nan_tolerance_are_outside(self):
+        # every comparison with NaN is false, so a NaN cross must fail its
+        # edge test rather than pass it; on the square (inf, inf) crosses
+        # every edge as NaN (0 * inf). A finite slack admits no infinite
+        # point, and no slack admits a NaN.
+        nan, inf = math.nan, math.inf
+        points = [(nan, 0.5), (0.5, nan), (nan, nan)]
+        points += [(x, y) for x in (inf, -inf, 0.5) for y in (inf, -inf, 0.5) if (x, y) != (0.5, 0.5)]
+        for poly in (ConvexPolygon(UNIT_SQUARE), random_convex_polygon(9, random.Random(8))):
+            for tolerance in (0.0, 1e-9, -1e-9, 1e300):
+                for x, y in points:
+                    assert not contains_point(poly, Vec2(x, y), tolerance)
+            assert contains_point(poly, Vec2(*poly.centroid), inf)
+            for tolerance in (nan, -nan, -inf):
+                assert not contains_point(poly, Vec2(*poly.centroid), tolerance)
+
 
 class TestJsonShape:
     def test_round_trip(self):

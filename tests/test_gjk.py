@@ -1134,20 +1134,78 @@ class TestGolden:
         ],
     )
     def test_query_results_are_pinned(self, corpus, query):
-        if corpus == "make_pair":
-            pairs = self.make_pair_cases()
-        else:
-            pairs = portal_corpus(touching=40, sizes=(128, 512))
-            if corpus in self.SCALES:
-                factor = self.SCALES[corpus]
-                pairs = [(scaled(p, factor), scaled(q, factor)) for p, q in pairs]
         h = hashlib.sha256()
-        for p, q in pairs:
+        for p, q in self.pairs(corpus):
             for hcs in (True, False):
                 res = query(p, q, use_hill_climbing=hcs)
                 h.update(" ".join(self._fields(res)).encode())
                 h.update(b"\n")
         assert h.hexdigest() == self.DIGESTS[corpus, query.__name__]
+
+    @classmethod
+    def pairs(cls, corpus):
+        if corpus == "make_pair":
+            return cls.make_pair_cases()
+        pairs = portal_corpus(touching=40, sizes=(128, 512))
+        if corpus in cls.SCALES:
+            factor = cls.SCALES[corpus]
+            pairs = [(scaled(p, factor), scaled(q, factor)) for p, q in pairs]
+        return pairs
+
+    # sha256 over every layer call the same queries make, as
+    # ``recorded_layers`` records it: the layer's name, the direction of a
+    # support call or the simplex vertices of a solve, and the answer, with
+    # floats as float.hex. A change that keeps every answer but moves a
+    # support direction, a start or a solve changes it. Taken before the
+    # warm-pair branch left ``_cso_support_xy``.
+    TRACE_DIGESTS = {
+        ("make_pair", "distance"): (
+            "3a7394957ca436af073720d5c51e8dbcc9d5d8bbe8a368ade943743f7a9b0db5"
+        ),
+        ("make_pair", "intersects"): (
+            "bb8a99722fc32fa1e5c9f22addd11b544d82ca927b3e9d28ab60ed6b416efe52"
+        ),
+        ("portal", "distance"): (
+            "7d0ec374cdecec3ec6be6068bef3564c5a6209730bf80e8755e6d27e7a635082"
+        ),
+        ("portal", "intersects"): (
+            "63b3ce21008245d49594d31b66f056af35c0c4cf718718dcc3aad698903b1d8c"
+        ),
+    }
+
+    @classmethod
+    def _call_fields(cls, name, args, out):
+        yield name
+        if name in SUPPORT_LAYERS:
+            # the direction; the polygons are the query's own
+            args = args[2:4]
+        elif name == "initial_direction":
+            args = ()
+        for value in (args, out):
+            if isinstance(value, tuple):
+                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+            yield from cls._fields(value)
+
+    @pytest.mark.parametrize(
+        "corpus, query",
+        [
+            pytest.param("make_pair", distance, id="distance"),
+            pytest.param("make_pair", intersects, id="intersects"),
+            pytest.param("portal", distance, id="portal-distance"),
+            pytest.param("portal", intersects, id="portal-intersects"),
+        ],
+    )
+    def test_traced_layer_calls_are_pinned(self, corpus, query):
+        h = hashlib.sha256()
+        for p, q in self.pairs(corpus):
+            for hcs in (True, False):
+                with recorded_layers() as calls:
+                    query(p, q, use_hill_climbing=hcs)
+                for call in calls:
+                    h.update(" ".join(self._call_fields(*call)).encode())
+                    h.update(b"\n")
+                h.update(b"--\n")
+        assert h.hexdigest() == self.TRACE_DIGESTS[corpus, query.__name__]
 
 
 class TestTouchingClassifier:

@@ -134,8 +134,9 @@ def edge_normals(poly):
 
 
 class TestHillClimbWalk:
-    # support_hill_climb holds the standalone walk, and is the reference for
-    # the two climbs that the warm path of _cso_support_xy runs inline.
+    # support_hill_climb holds the standalone walk. It is the reference for
+    # the two cold climbs that _cso_support_xy runs inline (TestColdStart),
+    # and cso_support given a start pair is two calls of it.
 
     def test_every_start_reaches_the_brute_value(self):
         rng = random.Random(12)
@@ -211,6 +212,17 @@ class TestCsoSupport:
             res = cso_support(UNIT_SQUARE, UNIT_SQUARE, d, warm=(i, 3 - i))
             assert 0 <= res.ip < 4 and 0 <= res.iq < 4
 
+    def test_zero_or_nan_direction_keeps_the_start_pair(self):
+        nan = float("nan")
+        rng = random.Random(43)
+        p = random_convex_polygon(7, rng)
+        q = random_convex_polygon(5, rng)
+        for dx, dy in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (nan, nan), (nan, 1.0), (1.0, nan)):
+            for i in range(len(p)):
+                for j in range(len(q)):
+                    res = cso_support(p, q, Vec2(dx, dy), (i, j))
+                    assert res == (p.xs[i] - q.xs[j], p.ys[i] - q.ys[j], i, j)
+
     def test_w_equals_p_minus_q_exactly(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -240,22 +252,12 @@ class TestCsoSupport:
             assert fwd2.w == Vec2(-rev2.w.x, -rev2.w.y)
 
 
-def two_climbs(p, q, dx, dy, warm):
-    """The warm support as two ``support_hill_climb`` calls: P along d, Q along -d."""
-    ip = support_hill_climb(p, Vec2(dx, dy), warm[0]).index
-    iq = support_hill_climb(q, Vec2(-dx, -dy), warm[1]).index
+def two_climbs(p, q, dx, dy, pair):
+    """The support from the start pair ``(ip, iq)`` as two ``support_hill_climb``
+    calls: P along d, Q along -d."""
+    ip = support_hill_climb(p, Vec2(dx, dy), pair[0]).index
+    iq = support_hill_climb(q, Vec2(-dx, -dy), pair[1]).index
     return (p.xs[ip] - q.xs[iq], p.ys[ip] - q.ys[iq], ip, iq)
-
-
-def assert_fused_matches(p, q, dx, dy, warm):
-    """Check the warm support against two climbs, and return it as ``cso_support``
-    wraps it."""
-    res = _cso_support_xy(p, q, dx, dy, warm)
-    assert res == two_climbs(p, q, dx, dy, warm)
-    wrapped = cso_support(p, q, Vec2(dx, dy), warm)
-    assert type(wrapped) is SimplexVertex and type(wrapped.w) is Vec2
-    assert wrapped == res
-    return wrapped
 
 
 class TestSimplexVertexLayout:
@@ -276,61 +278,19 @@ class TestSimplexVertexLayout:
             assert type(v.w) is Vec2 and v.w == Vec2(flat[0], flat[1])
 
     def test_cso_support_is_the_flat_call(self):
+        # cold, the loop's inline climb; from a start pair, two climbs
         rng = random.Random(46)
         for _ in range(200):
             p = random_convex_polygon(rng.randint(3, 16), rng)
             q = random_convex_polygon(rng.randint(3, 16), rng)
             d = Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            for warm in (None, (rng.randrange(len(p)), rng.randrange(len(q)))):
-                assert cso_support(p, q, d, warm) == _cso_support_xy(p, q, d.x, d.y, warm)
-
-
-class TestFusedWarmSupport:
-    # _cso_support_xy climbs P and Q in one frame; Q's climb minimizes d.q,
-    # the exact mirror of maximizing (-d).q.
-
-    def test_random_pairs_match_two_climbs(self):
-        rng = random.Random(41)
-        for _ in range(400):
-            p = random_convex_polygon(rng.randint(4, 64), rng)
-            q = random_convex_polygon(rng.randint(4, 64), rng)
-            for _ in range(5):
-                dx, dy = rng.uniform(-2, 2), rng.uniform(-2, 2)
-                warm = (rng.randrange(len(p)), rng.randrange(len(q)))
-                assert_fused_matches(p, q, dx, dy, warm)
-
-    def test_every_start_pair_on_small_polygons(self):
-        rng = random.Random(42)
-        for _ in range(40):
-            p = random_convex_polygon(rng.randint(3, 8), rng)
-            q = random_convex_polygon(rng.randint(3, 8), rng)
-            dx, dy = rng.uniform(-2, 2), rng.uniform(-2, 2)
-            for i in range(len(p)):
-                for j in range(len(q)):
-                    assert_fused_matches(p, q, dx, dy, (i, j))
-
-    def test_axis_directions_on_squares_stop_on_the_same_tied_vertex(self):
-        other = ConvexPolygon([(2, -1), (4, -1), (4, 1), (2, 1)])
-        moved = set()
-        for p, q in ((UNIT_SQUARE, UNIT_SQUARE), (UNIT_SQUARE, other), (other, UNIT_SQUARE)):
-            for dx, dy in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (-0.0, 2.0)):
-                for i in range(4):
-                    for j in range(4):
-                        res = assert_fused_matches(p, q, dx, dy, (i, j))
-                        moved.add((res.ip != i, res.iq != j))
-        # every side of a square ties two vertices; some climbs stay, some move
-        assert moved == {(False, False), (False, True), (True, False), (True, True)}
-
-    def test_zero_or_nan_direction_returns_the_warm_pair(self):
-        nan = float("nan")
-        rng = random.Random(43)
-        p = random_convex_polygon(7, rng)
-        q = random_convex_polygon(5, rng)
-        for dx, dy in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (nan, nan), (nan, 1.0), (1.0, nan)):
-            for i in range(len(p)):
-                for j in range(len(q)):
-                    res = assert_fused_matches(p, q, dx, dy, (i, j))
-                    assert (res.ip, res.iq) == (i, j)
+            pair = (rng.randrange(len(p)), rng.randrange(len(q)))
+            cold = cso_support(p, q, d)
+            warm = cso_support(p, q, d, pair)
+            for v in (cold, warm):
+                assert type(v) is SimplexVertex and type(v.w) is Vec2
+            assert cold == _cso_support_xy(p, q, d.x, d.y, None)
+            assert warm == two_climbs(p, q, d.x, d.y, pair)
 
 
 def extremes(poly):
@@ -404,8 +364,8 @@ class TestExtremes:
                 _, _, bp, bq = _cso_scan_xy(poly, poly, dx, dy, None)
                 top = xs[bp] * dx + ys[bp] * dy
                 low = xs[bq] * dx + ys[bq] * dy
-                for warm in pairs:
-                    _, _, ip, iq = _cso_support_xy(poly, poly, dx, dy, warm)
+                for pair in pairs:
+                    _, _, ip, iq = two_climbs(poly, poly, dx, dy, pair)
                     assert xs[ip] * dx + ys[ip] * dy == top
                     assert xs[iq] * dx + ys[iq] * dy == low
 
@@ -456,8 +416,9 @@ def logged(poly):
 
 
 class TestColdStart:
-    # A climb given no warm pair starts at P's recorded start nearest d and
-    # Q's nearest -d, the start every call of the query loop relies on.
+    # A cold climb starts at P's recorded start nearest d and Q's nearest
+    # -d, the start every call of the query loop relies on, and walks as
+    # support_hill_climb does from there.
 
     def test_cold_climb_reads_the_nearest_extremes_first(self):
         # The first vertex each climb reads is its start, so a wrong start
@@ -474,8 +435,10 @@ class TestColdStart:
                 dx, dy = math.cos(t), math.sin(t)
                 lp, lq = logged(p), logged(q)
                 res = _cso_support_xy(lp, lq, dx, dy, None)
-                assert (lp.xs.reads[0], lq.xs.reads[0]) in nearest_extremes(p, q, dx, dy)
+                pair = (lp.xs.reads[0], lq.xs.reads[0])
+                assert pair in nearest_extremes(p, q, dx, dy)
                 assert res == _cso_support_xy(p, q, dx, dy, None)
+                assert res == two_climbs(p, q, dx, dy, pair)
                 for poly, log in ((p, lp), (q, lq)):
                     if poly is ring:
                         assert len(log.xs.reads) <= 256 // 16 + 4
@@ -491,7 +454,7 @@ class TestColdStart:
             for dx, dy in directions:
                 pairs = nearest_extremes(p, q, dx, dy)
                 edge += len(pairs) > 1
-                climbs = [_cso_support_xy(p, q, dx, dy, warm) for warm in pairs]
+                climbs = [two_climbs(p, q, dx, dy, pair) for pair in pairs]
                 assert _cso_support_xy(p, q, dx, dy, None) in climbs
         assert edge > 0
 
