@@ -21,7 +21,6 @@ from .datasets import (
     Regime,
     RegimeConstructionFailed,
     generate_dataset,
-    group_by_regime,
     read_dataset,
     verify_regime,
     write_dataset,
@@ -44,9 +43,9 @@ def _cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     write_dataset(args.out, spec, cases)
-    groups = group_by_regime(cases)
+    # generate_dataset makes exactly cases_per_regime of each regime or raises
     for regime in Regime:
-        print(f"{regime.value}: {len(groups[regime])} cases")
+        print(f"{regime.value}: {spec.cases_per_regime} cases")
     print(f"wrote {len(cases)} cases to {args.out}")
     return 0
 

@@ -3,9 +3,12 @@
 Pairs come in three regimes named after their collision status: distant
 (positive gap), touching (within ``TOUCHING_MAX_GAP`` of contact on
 either side, built by shifting a distant pair along its separating
-vector), and overlap (interiors intersect). A placed pair is accepted
-only when ``verify_regime`` holds on it, so the datasets are checked by
-the independent baseline oracles and not circularly trusted.
+vector), and overlap (interiors intersect). The touching placement takes
+that vector from ``gjk.distance``, so a change to ``distance`` can move
+the touching pairs and every digest pinned on them. Acceptance does not
+rest on it: a placed pair is accepted only when ``verify_regime`` holds
+on it, so the datasets are checked by the independent baseline oracles
+alone and not circularly trusted.
 
 Generation is deterministic: each case owns a seed derived by hashing
 (dataset seed, vertex count, regime, case index), and the polygon
@@ -355,7 +358,9 @@ def read_dataset(path) -> Tuple[DatasetSpec, List[PairCase]]:
     n = spec.vertex_count
     per_regime = spec.cases_per_regime
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        # blank means JSON whitespace alone: str.strip() would also drop
+        # "\x0c", "\x1e" and others that json.loads rejects
+        if not line.strip(" \t\r"):
             continue
         try:
             obj = json.loads(line)

@@ -12,7 +12,6 @@ import time
 
 from gjk2d.baseline import oracle_distance
 from gjk2d.bench import Algorithm, run_benchmark
-from gjk2d.cli import ABS_TOL, REL_TOL
 from gjk2d.datasets import (
     DatasetSpec,
     Regime,
@@ -22,7 +21,8 @@ from gjk2d.datasets import (
 from gjk2d.gjk import CollisionExit
 from gjk2d.subdistance import DegenerateTriangle, compute_barycode, s2d
 
-from conftest import CASES_PER_REGIME, VERTEX_COUNTS, sweep_triangles, vertex
+from conftest import CASES_PER_REGIME, VERTEX_COUNTS
+from corpora import check_band, sweep_triangles, vertex
 from oracle_utils import (
     cso_origin_clearance,
     origin_inside_triangle,
@@ -44,7 +44,7 @@ def test_criterion_1_distance_matches_oracle_on_all_datasets(case_evaluations):
         for row in rows:
             err = abs(row.dist.distance - row.oracle)
             worst = max(worst, err)
-            if err > REL_TOL * max(1.0, row.oracle) + ABS_TOL:
+            if err > check_band(row.oracle):
                 failures.append((n, row.case.seed, row.oracle, row.dist.distance))
             checked += 1
     elapsed = time.perf_counter() - started

@@ -23,8 +23,7 @@ import gjk2d.cli
 import gjk2d.datasets
 import gjk2d.gjk
 import gjk2d.subdistance
-from gjk2d.datasets import random_convex_polygon
-from gjk2d.geometry import Vec2, apply_transform
+from gjk2d.geometry import Vec2
 from gjk2d.gjk import CollisionResult, DistanceResult
 from gjk2d.support import SimplexVertex
 
@@ -34,9 +33,8 @@ from conftest import (
     recorded_layers,
     second_portal_step,
     split_queries,
-    tie_rectangles,
-    vertex,
 )
+from corpora import UNIT_SQUARE, random_pairs, rectangle, tie_rectangles, vertex
 
 BENCHMARK_NAMES = (
     "cso_support",
@@ -103,20 +101,6 @@ TIMED_PIPELINE_CALLS = {
         "polygon_from_jsonable",
     ),
 }
-
-
-def random_pairs(seed, count):
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield tuple(
-            apply_transform(
-                random_convex_polygon(rng.choice([4, 8, 16]), rng),
-                rng.uniform(0, 7),
-                rng.uniform(-1, 1),
-                rng.uniform(-1, 1),
-            )
-            for _ in range(2)
-        )
 
 
 def test_benchmark_names_stay_exported():
@@ -187,8 +171,7 @@ def test_no_query_passes_a_zero_direction_to_a_support_layer():
     # is the origin itself, which ends both queries after one support call,
     # before any support call along the zero direction. Some of the other
     # queries take the portal pass's second step, so its call is watched too.
-    p = gjk2d.ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    q = gjk2d.ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
+    p, q = UNIT_SQUARE, rectangle(1, 1, 1, 1)
     pairs = [(p, q)] + tie_rectangles() + list(random_pairs(74, 300))
     for hill_climbing in (True, False):
         dist = gjk2d.distance(p, q, use_hill_climbing=hill_climbing)

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 import gjk2d.baseline
 from gjk2d.baseline import cso_contains_origin, oracle_distance, sat_intersects
-from gjk2d.datasets import (
-    DatasetSpec,
-    Regime,
-    derive_case_seed,
-    make_pair,
-    random_convex_polygon,
-)
+from gjk2d.datasets import Regime
 from gjk2d.geometry import ConvexPolygon, Vec2, apply_transform
+
+from corpora import (
+    FAR_SQUARE,
+    TOUCH_SQUARE,
+    UNIT_SQUARE,
+    random_placed,
+    rectangle,
+    regime_cases,
+)
 from oracle_utils import (
     brute_cso_contains_origin,
     brute_oracle_distance,
@@ -25,17 +28,6 @@ from oracle_utils import (
     exact_sat_intersects,
     point_segment_distance,
 )
-
-UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
-TOUCH_SQUARE = ConvexPolygon([(1, 0), (2, 0), (2, 1), (1, 1)])
-
-
-def random_placed(rng, n, span):
-    poly = random_convex_polygon(n, rng)
-    return apply_transform(
-        poly, rng.uniform(0, 7), rng.uniform(-span, span), rng.uniform(-span, span)
-    )
 
 
 class TestSatIntersects:
@@ -76,12 +68,8 @@ class TestExactSatIntersects:
             assert exact_sat_intersects(UNIT_SQUARE, q) is hit
 
     def test_follows_the_regime_off_contact(self):
-        spec = DatasetSpec(vertex_count=8, cases_per_regime=20, seed=1)
-        for regime in (Regime.DISTANT, Regime.OVERLAP):
-            for index in range(spec.cases_per_regime):
-                seed = derive_case_seed(spec.seed, spec.vertex_count, regime, index)
-                case = make_pair(spec, regime, seed)
-                assert exact_sat_intersects(case.p, case.q) is (regime is Regime.OVERLAP)
+        for case in regime_cases(8, 20, 1, (Regime.DISTANT, Regime.OVERLAP)):
+            assert exact_sat_intersects(case.p, case.q) is (case.regime is Regime.OVERLAP)
 
     def test_oracle_containment_is_nearer_the_truth_than_float_sat(self):
         # On exact-touching pairs the origin lies on the boundary of P - Q
@@ -89,11 +77,8 @@ class TestExactSatIntersects:
         # oracle's closed containment because it rounds that call less
         # often than the float SAT does.
         sat_wrong = oracle_wrong = 0
-        for n, cases in ((4, 60), (8, 60), (24, 20)):
-            spec = DatasetSpec(vertex_count=n, cases_per_regime=cases, seed=1)
-            for index in range(cases):
-                seed = derive_case_seed(spec.seed, n, Regime.TOUCHING, index)
-                case = make_pair(spec, Regime.TOUCHING, seed)
+        for n, count in ((4, 60), (8, 60), (24, 20)):
+            for case in regime_cases(n, count, 1, (Regime.TOUCHING,)):
                 truth = exact_sat_intersects(case.p, case.q)
                 closed = oracle_distance(case.p, case.q).intersecting
                 sat_wrong += sat_intersects(case.p, case.q) is not truth
@@ -123,7 +108,7 @@ class TestOracleDistance:
         assert report.depth == 0.0
 
     def test_vertex_against_edge_interior(self):
-        offset = ConvexPolygon([(3, 0.5), (4, 0.5), (4, 1.5), (3, 1.5)])
+        offset = rectangle(3, 0.5, 1, 1)
         report = oracle_distance(UNIT_SQUARE, offset)
         assert report.distance == 2.0
 
@@ -162,7 +147,7 @@ class TestCsoContainsOrigin:
         assert cso_contains_origin(UNIT_SQUARE, UNIT_SQUARE)
 
     def test_touching_is_boundary_only(self):
-        corner = ConvexPolygon([(1, 1), (2, 1), (2, 2), (1, 2)])
+        corner = rectangle(1, 1, 1, 1)
         for q in (TOUCH_SQUARE, corner):
             report = oracle_distance(UNIT_SQUARE, q)
             assert (report.intersecting, report.distance, report.depth) == (True, 0.0, 0.0)
@@ -189,7 +174,7 @@ class TestPenetrationDepth:
     def test_squares(self):
         assert oracle_distance(UNIT_SQUARE, UNIT_SQUARE).depth == 1.0
         assert oracle_distance(UNIT_SQUARE, TOUCH_SQUARE).depth == 0.0
-        shifted = ConvexPolygon([(0.75, 0.25), (1.75, 0.25), (1.75, 1.25), (0.75, 1.25)])
+        shifted = rectangle(0.75, 0.25, 1, 1)
         assert oracle_distance(UNIT_SQUARE, shifted).depth == 0.25
         assert oracle_distance(shifted, UNIT_SQUARE).depth == 0.25
 
@@ -318,10 +303,7 @@ class TestAgainstBruteReferences:
 
     def test_touching_cases(self):
         for n in self.SIZES:
-            spec = DatasetSpec(vertex_count=n, cases_per_regime=4, seed=58)
-            for index in range(4 if n < 64 else 2):
-                seed = derive_case_seed(spec.seed, n, Regime.TOUCHING, index)
-                case = make_pair(spec, Regime.TOUCHING, seed)
+            for case in regime_cases(n, 4 if n < 64 else 2, 58, (Regime.TOUCHING,)):
                 assert_matches_brute(case.p, case.q)
 
 

@@ -22,8 +22,8 @@ from gjk2d.geometry import ConvexPolygon
 from gjk2d.gjk import CollisionExit, Termination, distance, intersects
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SQUARE = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
-FAR_SQUARE = {"vertices": [[3, 0], [4, 0], [4, 1], [3, 1]]}
+SQUARE_JSON = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+FAR_SQUARE_JSON = {"vertices": [[3, 0], [4, 0], [4, 1], [3, 1]]}
 
 
 @pytest.fixture
@@ -523,8 +523,8 @@ class TestBench:
 
 class TestQuery:
     def test_distance_mode(self, tmp_path, capsys):
-        p = write_polygon(tmp_path, "p.json", SQUARE)
-        q = write_polygon(tmp_path, "q.json", FAR_SQUARE)
+        p = write_polygon(tmp_path, "p.json", SQUARE_JSON)
+        q = write_polygon(tmp_path, "q.json", FAR_SQUARE_JSON)
         assert main(["query", str(p), str(q), "--mode", "distance"]) == 0
         out = capsys.readouterr().out
         assert "distance: 2.0" in out
@@ -533,15 +533,15 @@ class TestQuery:
         assert payload["termination"] == "Converged"
 
     def test_binary_mode_distant(self, tmp_path, capsys):
-        p = write_polygon(tmp_path, "p.json", SQUARE)
-        q = write_polygon(tmp_path, "q.json", FAR_SQUARE)
+        p = write_polygon(tmp_path, "p.json", SQUARE_JSON)
+        q = write_polygon(tmp_path, "q.json", FAR_SQUARE_JSON)
         assert main(["query", str(p), str(q), "--mode", "binary"]) == 0
         out = capsys.readouterr().out
         assert "no collision (SeparatingHyperplane)" in out
 
     def test_binary_mode_overlap(self, tmp_path, capsys):
-        p = write_polygon(tmp_path, "p.json", SQUARE)
-        q = write_polygon(tmp_path, "q.json", SQUARE)
+        p = write_polygon(tmp_path, "p.json", SQUARE_JSON)
+        q = write_polygon(tmp_path, "q.json", SQUARE_JSON)
         assert main(["query", str(p), str(q), "--mode", "binary"]) == 0
         out = capsys.readouterr().out
         assert "collision" in out
@@ -584,7 +584,7 @@ class TestQuery:
     @pytest.mark.parametrize("pair", list(HAND_WRITTEN))
     def test_hand_written_pairs(self, tmp_path, capsys, pair, mode):
         vertices, distance_lines, binary_lines = self.HAND_WRITTEN[pair]
-        p = write_polygon(tmp_path, "p.json", SQUARE)
+        p = write_polygon(tmp_path, "p.json", SQUARE_JSON)
         q = write_polygon(tmp_path, "q.json", {"vertices": vertices})
         assert main(["query", str(p), str(q), "--mode", mode]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -593,19 +593,19 @@ class TestQuery:
 
     def test_invalid_polygon_file_fails(self, tmp_path, capsys):
         p = write_polygon(tmp_path, "p.json", {"vertices": [[0, 0], [0, 1], [1, 0]]})
-        q = write_polygon(tmp_path, "q.json", SQUARE)
+        q = write_polygon(tmp_path, "q.json", SQUARE_JSON)
         assert main(["query", str(p), str(q)]) == 1
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["a", None, "0", " 1 ", True, False])
     def test_non_numeric_coordinate_fails(self, tmp_path, capsys, bad):
         p = write_polygon(tmp_path, "p.json", {"vertices": [[bad, 0], [1, 0], [1, 1]]})
-        q = write_polygon(tmp_path, "q.json", SQUARE)
+        q = write_polygon(tmp_path, "q.json", SQUARE_JSON)
         assert main(["query", str(p), str(q)]) == 1
         assert "error: invalid polygon: vertex 0" in capsys.readouterr().err
 
     def test_missing_file_fails(self, tmp_path):
-        q = write_polygon(tmp_path, "q.json", SQUARE)
+        q = write_polygon(tmp_path, "q.json", SQUARE_JSON)
         assert main(["query", str(tmp_path / "missing.json"), str(q)]) == 1
 
 
@@ -621,8 +621,8 @@ def run_module(*args):
 
 class TestModuleEntryPoint:
     def test_binary_query(self, tmp_path):
-        p = write_polygon(tmp_path, "p.json", SQUARE)
-        q = write_polygon(tmp_path, "q.json", FAR_SQUARE)
+        p = write_polygon(tmp_path, "p.json", SQUARE_JSON)
+        q = write_polygon(tmp_path, "q.json", FAR_SQUARE_JSON)
         proc = run_module("query", str(p), str(q), "--mode", "binary")
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout.splitlines()[-1])

@@ -365,10 +365,14 @@ class TestDatasetFiles:
         path.write_text("\n".join(marked) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="line 2: invalid JSON"):
             read_dataset(path)
-        marked = [lines[0], lines[1], " " + end] + lines[2:4] + ["{not json"] + lines[5:]
-        path.write_text("\n".join(marked) + "\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 6: invalid JSON"):
-            read_dataset(path)
+        # a line of the separator and a space is no JSON, not a blank line;
+        # a line of JSON whitespace alone is skipped, and later lines keep
+        # their numbers
+        for blank, error in ((" " + end, "line 3"), (" ", "line 6")):
+            marked = [lines[0], lines[1], blank] + lines[2:4] + ["{not json"] + lines[5:]
+            path.write_text("\n".join(marked) + "\n", encoding="utf-8")
+            with pytest.raises(DatasetError, match=error + ": invalid JSON"):
+                read_dataset(path)
         # Windows and old Mac line ends still end lines
         for newline in ("\r\n", "\r"):
             path.write_text(newline.join(lines) + newline, encoding="utf-8")

@@ -34,7 +34,7 @@ from oracle_utils import (
 )
 
 UNIT_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
-UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+UNIT_SQUARE_RING = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
 def star_vertex(k, n, rotation=0.3):
@@ -109,7 +109,7 @@ class TestValidatePolygon:
             ConvexPolygon([(0, 0), (1, 0), (1, 0), (0, 1)])
 
     def test_all_consecutive_crosses_positive(self):
-        poly = ConvexPolygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE_RING)
         verts = vertices(poly)
         n = len(verts)
         for i in range(n):
@@ -117,7 +117,7 @@ class TestValidatePolygon:
             assert cross(sub(b, a), sub(c, b)) > 0.0
 
     def test_centroid_is_vertex_mean(self):
-        poly = ConvexPolygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE_RING)
         assert poly.centroid == Vec2(0.5, 0.5)
 
     def test_centroid_sums_fold_left_on_every_python(self):
@@ -301,7 +301,7 @@ def _corpus_far_translated():
 
 def _corpus_collinear_and_reflex():
     out = []
-    for verts in _generated(3, sizes=(3, 4, 6, 9)) + [UNIT_SQUARE]:
+    for verts in _generated(3, sizes=(3, 4, 6, 9)) + [UNIT_SQUARE_RING]:
         n = len(verts)
         cx = sum(x for x, _ in verts) / n
         cy = sum(y for _, y in verts) / n
@@ -506,14 +506,14 @@ class TestRepresentation:
         assert poly.centroid == Vec2(1.0, 1.75)
 
     def test_equality_and_hash_follow_the_coordinates(self):
-        a = ConvexPolygon(UNIT_SQUARE)
+        a = ConvexPolygon(UNIT_SQUARE_RING)
         b = ConvexPolygon([(0.0, 0.0), [1, 0], Vec2(1, 1), (0, 1)])
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert hash(a) == hash((a.xs, a.ys))
         # same xs, other ys; and the same ring started at another vertex
         assert a != ConvexPolygon([(0, 0), (1, 0), (1, 2), (0, 1)])
-        assert a != ConvexPolygon(UNIT_SQUARE[1:] + UNIT_SQUARE[:1])
-        assert a != UNIT_SQUARE and a != (a.xs, a.ys)
+        assert a != ConvexPolygon(UNIT_SQUARE_RING[1:] + UNIT_SQUARE_RING[:1])
+        assert a != UNIT_SQUARE_RING and a != (a.xs, a.ys)
 
     def test_repr_shows_the_coordinates(self):
         poly = ConvexPolygon([(0, 0), (1, 0), (0, 1)])
@@ -521,7 +521,7 @@ class TestRepresentation:
         assert eval(repr(poly)) == poly
 
     def test_holds_no_per_vertex_copy(self):
-        poly = ConvexPolygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE_RING)
         assert ConvexPolygon.__slots__ == (
             "xs", "ys", "centroid",
             "bottom", "lower_right", "right", "upper_right",
@@ -578,7 +578,7 @@ class TestTransforms:
 
     def test_preserves_signed_area(self):
         rng = random.Random(2024)
-        poly = ConvexPolygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE_RING)
         for _ in range(200):
             moved = apply_transform(
                 poly, rng.uniform(-10, 10), rng.uniform(-100, 100), rng.uniform(-100, 100)
@@ -598,12 +598,12 @@ class TestTransforms:
 
 class TestContainsPoint:
     def test_inside_and_outside(self):
-        poly = ConvexPolygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE_RING)
         assert contains_point(poly, Vec2(0.5, 0.5))
         assert not contains_point(poly, Vec2(1.5, 0.5))
 
     def test_boundary_with_slack(self):
-        poly = ConvexPolygon(UNIT_SQUARE)
+        poly = ConvexPolygon(UNIT_SQUARE_RING)
         just_outside = Vec2(1.0 + 1e-10, 0.5)
         assert not contains_point(poly, just_outside)
         assert contains_point(poly, just_outside, tolerance=1e-9)
@@ -617,7 +617,7 @@ class TestContainsPoint:
         nan, inf = math.nan, math.inf
         points = [(nan, 0.5), (0.5, nan), (nan, nan)]
         points += [(x, y) for x in (inf, -inf, 0.5) for y in (inf, -inf, 0.5) if (x, y) != (0.5, 0.5)]
-        for poly in (ConvexPolygon(UNIT_SQUARE), random_convex_polygon(9, random.Random(8))):
+        for poly in (ConvexPolygon(UNIT_SQUARE_RING), random_convex_polygon(9, random.Random(8))):
             for tolerance in (0.0, 1e-9, -1e-9, 1e300):
                 for x, y in points:
                     assert not contains_point(poly, Vec2(x, y), tolerance)
@@ -660,4 +660,4 @@ class TestJsonShape:
         with pytest.raises(PolygonError, match="vertex 0 has a non-numeric coordinate"):
             polygon_from_jsonable({"vertices": verts})
         # the constructor still converts whatever float() takes
-        assert ConvexPolygon(verts) == ConvexPolygon(UNIT_SQUARE)
+        assert ConvexPolygon(verts) == ConvexPolygon(UNIT_SQUARE_RING)

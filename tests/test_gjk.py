@@ -13,15 +13,7 @@ from hypothesis import strategies as st
 import gjk2d.gjk
 import gjk2d.support
 from gjk2d.baseline import oracle_distance, sat_intersects
-from gjk2d.cli import ABS_TOL, REL_TOL
-from gjk2d.datasets import (
-    DatasetSpec,
-    Regime,
-    derive_case_seed,
-    generate_dataset,
-    make_pair,
-    random_convex_polygon,
-)
+from gjk2d.datasets import DatasetSpec, Regime, generate_dataset, random_convex_polygon
 from gjk2d.geometry import (
     ConvexPolygon,
     PolygonError,
@@ -46,23 +38,24 @@ from conftest import (
     recorded_layers,
     second_portal_step,
     split_queries,
-    symmetric_regular_ring,
+)
+from corpora import (
+    FAR_SQUARE,
+    TOUCH_SQUARE,
+    UNIT_SQUARE,
+    assert_sound,
+    check_band,
+    parallel_edge_pairs,
+    portal_corpus,
+    random_pair,
+    rectangle,
+    regime_cases,
+    regular_polygon,
     tie_rectangles,
+    tie_regular_polygons,
     vertex,
 )
 from oracle_utils import exact_sat_intersects, reference_witness_points, sub, vertices
-
-UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-FAR_SQUARE = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
-
-
-def random_pair(rng, n=None, span=3.0, m=None):
-    n = n or rng.choice([3, 4, 8, 12, 16, 20, 24])
-    a = random_convex_polygon(n, rng)
-    b = random_convex_polygon(m or n, rng)
-    p = apply_transform(a, rng.uniform(0, 7), rng.uniform(-span, span), rng.uniform(-span, span))
-    q = apply_transform(b, rng.uniform(0, 7), rng.uniform(-span, span), rng.uniform(-span, span))
-    return p, q
 
 
 def scaled(poly, factor):
@@ -101,7 +94,7 @@ class TestDistance:
             p, q = random_pair(rng)
             res = distance(p, q)
             oracle = oracle_distance(p, q).distance
-            assert abs(res.distance - oracle) <= 1e-7 * max(1.0, oracle) + 1e-9
+            assert abs(res.distance - oracle) <= check_band(oracle)
             assert res.distance == pytest.approx(
                 math.hypot(*res.separating_vector), abs=1e-12
             )
@@ -284,40 +277,34 @@ class TestIntersects:
         # SAT runs only on the pairs that exit there.
         fired = {CollisionExit.SEPARATING_HYPERPLANE: 0, CollisionExit.SUBDISTANCE_ENCLOSURE: 0}
         for n, count in ((4, 60), (8, 60), (24, 20), (64, 20)):
-            spec = DatasetSpec(vertex_count=n, cases_per_regime=count, seed=1)
-            for regime in (Regime.TOUCHING, Regime.OVERLAP):
-                for i in range(count):
-                    case = make_pair(spec, regime, derive_case_seed(1, n, regime, i))
-                    with recorded_layers() as recorded:
-                        res = intersects(case.p, case.q)
-                    if res.iterations == 0:
-                        assert res.exit in fired, res
-                        fired[res.exit] += 1
-                        if res.exit is CollisionExit.SEPARATING_HYPERPLANE:
-                            assert not res.colliding
-                            assert not exact_sat_intersects(case.p, case.q), (n, regime, i)
-                        else:
-                            first = next(out for name, _, out in recorded if name in SUPPORT_LAYERS)
-                            assert (first[0], first[1]) == (0.0, 0.0)
-                            assert res.colliding
-                            assert exact_sat_intersects(case.p, case.q), (n, regime, i)
+            for case in regime_cases(n, count, 1, (Regime.TOUCHING, Regime.OVERLAP)):
+                with recorded_layers() as recorded:
+                    res = intersects(case.p, case.q)
+                if res.iterations == 0:
+                    assert res.exit in fired, res
+                    fired[res.exit] += 1
+                    if res.exit is CollisionExit.SEPARATING_HYPERPLANE:
+                        assert not res.colliding
+                        assert not exact_sat_intersects(case.p, case.q), (n, case.seed)
+                    else:
+                        first = next(out for name, _, out in recorded if name in SUPPORT_LAYERS)
+                        assert (first[0], first[1]) == (0.0, 0.0)
+                        assert res.colliding
+                        assert exact_sat_intersects(case.p, case.q), (n, case.seed)
         assert all(fired.values()), fired
 
     @pytest.mark.parametrize("n", [4, 8, 24, 64])
     def test_distant_pairs_exit_on_the_first_support_point(self, n):
-        spec = DatasetSpec(vertex_count=n, cases_per_regime=30, seed=6)
-        for regime in Regime:
-            for i in range(30):
-                case = make_pair(spec, regime, derive_case_seed(6, n, regime, i))
-                for hcs in (True, False):
-                    res = intersects(case.p, case.q, use_hill_climbing=hcs)
-                    dist = distance(case.p, case.q, use_hill_climbing=hcs)
-                    assert res.support_calls <= dist.support_calls
-                    assert res.support_calls == res.iterations + 1
-                    if regime is Regime.DISTANT:
-                        assert res.exit is CollisionExit.SEPARATING_HYPERPLANE
-                        assert (res.support_calls, res.iterations) == (1, 0)
-                        assert not res.colliding
+        for case in regime_cases(n, 30, 6, Regime):
+            for hcs in (True, False):
+                res = intersects(case.p, case.q, use_hill_climbing=hcs)
+                dist = distance(case.p, case.q, use_hill_climbing=hcs)
+                assert res.support_calls <= dist.support_calls
+                assert res.support_calls == res.iterations + 1
+                if case.regime is Regime.DISTANT:
+                    assert res.exit is CollisionExit.SEPARATING_HYPERPLANE
+                    assert (res.support_calls, res.iterations) == (1, 0)
+                    assert not res.colliding
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -369,41 +356,6 @@ def distance_portal_exit(p, q, hcs):
     solved = any(name in ("s1d", "s2d") for name, _, _ in recorded)
     contact = res.termination is Termination.CONTAINS_ORIGIN
     return res, contact and res.support_calls in (2, 3) and not solved
-
-
-def thin_pairs(count, seed):
-    """Long thin polygons near short ones: P - Q is long and thin, so the
-    origin often lies beside it, where the portal call separates."""
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(count):
-        a = random_convex_polygon(rng.choice([4, 8, 16]), rng)
-        b = random_convex_polygon(rng.choice([4, 8, 16]), rng)
-        a = ConvexPolygon((8 * x, 0.5 * y) for x, y in zip(a.xs, a.ys))
-        p = apply_transform(a, rng.uniform(0, 7), 0.0, 0.0)
-        q = apply_transform(b, rng.uniform(0, 7), rng.uniform(-5, 5), rng.uniform(-5, 5))
-        pairs.append((p, q))
-    return pairs
-
-
-def touching_pairs(count, sizes, seed=5):
-    """The first ``count`` touching ``make_pair`` cases of each size: their
-    first portal point often lands short of the contact."""
-    pairs = []
-    for n in sizes:
-        spec = DatasetSpec(n, count, seed)
-        for i in range(count):
-            case = make_pair(spec, Regime.TOUCHING, derive_case_seed(seed, n, Regime.TOUCHING, i))
-            pairs.append((case.p, case.q))
-    return pairs
-
-
-def portal_corpus(touching=40, sizes=(24, 64)):
-    """The pairs that reach both portal steps: axis-aligned rectangles
-    with tied support values, thin pairs whose portal call often
-    separates, and the first ``touching`` touching pairs of each size,
-    whose first portal point often lands short of the contact."""
-    return tie_rectangles(1000) + thin_pairs(300, 5) + touching_pairs(touching, sizes)
 
 
 def reflected(u, w):
@@ -522,19 +474,12 @@ class TestPortalStep:
         # bounds sit between the two steps' 2.63 / 3.45 / 4.75 intersects
         # calls and one step's 3.00 / 4.70 / 6.33 at n = 32 / 128 / 512 (the
         # normal alone took 4.83 / 7.42 / 9.38).
-        spec = DatasetSpec(n, 40, 5)
-        touching = [
-            make_pair(spec, Regime.TOUCHING, derive_case_seed(5, n, Regime.TOUCHING, i))
-            for i in range(40)
-        ]
+        touching = regime_cases(n, 40, 5, (Regime.TOUCHING,))
         for hcs in (True, False):
             calls = 0
             for case in touching:
-                hit = intersects(case.p, case.q, use_hill_climbing=hcs)
+                _, _, hit = assert_sound(case.p, case.q, False, hcs)
                 calls += hit.support_calls
-                oracle = oracle_distance(case.p, case.q).distance
-                res = distance(case.p, case.q, use_hill_climbing=hcs)
-                assert abs(res.distance - oracle) <= REL_TOL * max(1.0, oracle) + ABS_TOL, case.seed
                 if n == 32 and not hit.colliding:
                     assert not exact_sat_intersects(case.p, case.q), case.seed
             assert calls / len(touching) <= most, hcs
@@ -634,7 +579,7 @@ class TestPortalStep:
         # searches along -w1 as before the portal step, and the segment
         # (w1, w2) through the origin ends both queries after two calls.
         for dx in (0.5, -0.5):
-            q = ConvexPolygon([(dx, 0), (1 + dx, 0), (1 + dx, 1), (dx, 1)])
+            q = rectangle(dx, 0, 1, 1)
             for hcs in (True, False):
                 res, d0, w1, _, portal = portal_calls(UNIT_SQUARE, q, hcs)
                 assert d0 == (-dx, 0.0) and w1[1] == 0.0, (d0, w1)
@@ -647,7 +592,7 @@ class TestPortalStep:
         # Equal centroids make initial_direction fall back to (1, 0), which
         # is no point of these small P - Q; the origin is one, so an
         # enclosure verdict cannot be wrong, and every verdict is colliding.
-        square = ConvexPolygon([(-0.25, -0.25), (0.25, -0.25), (0.25, 0.25), (-0.25, 0.25)])
+        square = rectangle(-0.25, -0.25, 0.5, 0.5)
         diamond = ConvexPolygon([(0.3, 0.0), (0.0, 0.3), (-0.3, 0.0), (0.0, -0.3)])
         rng = random.Random(17)
         pairs = [(square, diamond), (diamond, square), (square, square)]
@@ -722,20 +667,6 @@ class TestClimbStarts:
             assert calls > 2 * len(pairs)
 
 
-def tie_regular_polygons():
-    """Regular 8- to 64-gons with a copy centred on each half-axis, at
-    distances that keep them apart, touching or overlapping."""
-    pairs = []
-    for n in range(8, 65, 8):
-        for half_step in (False, True):
-            ring = symmetric_regular_ring(n, half_step)
-            p = ConvexPolygon(ring)
-            for gap in (3.0, 2.0, 1.0, 0.5):
-                for cx, cy in ((gap, 0.0), (0.0, gap), (-gap, 0.0), (0.0, -gap)):
-                    pairs.append((p, ConvexPolygon((x + cx, y + cy) for x, y in ring)))
-    return pairs
-
-
 class TestTieCorpus:
     # Exactly tied support vertices, where the start of a climb picks the
     # tied vertex it stops on. Mean support calls per query, with every
@@ -751,29 +682,12 @@ class TestTieCorpus:
         pairs = corpus()
         calls_d = calls_i = 0
         for p, q in pairs:
-            d = distance(p, q)
-            hit = intersects(p, q)
-            assert d.termination is not Termination.MAX_ITERATIONS
-            assert hit.exit is not CollisionExit.MAX_ITERATIONS
-            oracle = oracle_distance(p, q).distance
-            assert abs(d.distance - oracle) <= REL_TOL * max(1.0, oracle) + ABS_TOL
+            _, d, hit = assert_sound(p, q)
             calls_d += d.support_calls
             calls_i += hit.support_calls
         want_d, want_i = self.VERTEX_ZERO_MEANS[corpus.__name__]
         assert calls_d / len(pairs) <= want_d + 0.1
         assert calls_i / len(pairs) <= want_i + 0.1
-
-
-def regular_polygon(n, center, phase=0.0):
-    cx, cy = center
-    return ConvexPolygon(
-        (cx + math.cos(phase + 2 * math.pi * k / n), cy + math.sin(phase + 2 * math.pi * k / n))
-        for k in range(n)
-    )
-
-
-def rectangle(x, y, w, h):
-    return ConvexPolygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
 
 
 def scaled_result(res, factor):
@@ -802,12 +716,7 @@ class TestScale:
 
     @pytest.fixture(scope="class")
     def eight_gon_cases(self):
-        spec = DatasetSpec(vertex_count=8, cases_per_regime=200, seed=5)
-        return [
-            make_pair(spec, regime, derive_case_seed(5, 8, regime, i))
-            for regime in Regime
-            for i in range(200)
-        ]
+        return regime_cases(8, 200, 5, Regime)
 
     @pytest.mark.parametrize(
         "factor", [1e-12, 1e-11, 1e-9, 1e-6, 1e6, 1e9, 1e12], ids=lambda f: f"{f:g}"
@@ -818,14 +727,9 @@ class TestScale:
         worst = 0.0
         for case in eight_gon_cases:
             p, q = scaled(case.p, factor), scaled(case.q, factor)
-            res = distance(p, q)
-            assert res.termination is not Termination.MAX_ITERATIONS
-            worst = max(worst, abs(res.distance - oracle_distance(p, q).distance))
-            hit = intersects(p, q)
-            assert hit.exit is not CollisionExit.MAX_ITERATIONS
-            # touching pairs sit on the knife edge where SAT may disagree
-            if case.regime is not Regime.TOUCHING:
-                assert hit.colliding == sat_intersects(p, q)
+            # touching pairs sit on the knife edge where the verdict may differ
+            report, res, _ = assert_sound(p, q, case.regime is not Regime.TOUCHING, scale=factor)
+            worst = max(worst, abs(res.distance - report.distance))
         assert worst <= 1e-7 * factor
 
     @pytest.mark.parametrize("offset", [1e3, 1e6], ids=lambda t: f"{t:g}")
@@ -846,14 +750,7 @@ class TestScale:
         # scales bit for bit and every counter, exit and verdict is unchanged;
         # a cap of one iteration adds MaxIterations exits, whose intersects
         # verdict is the containment test on the last v
-        cases = []
-        for n in (3, 4, 8, 24):
-            spec = DatasetSpec(vertex_count=n, cases_per_regime=10, seed=5)
-            cases += [
-                make_pair(spec, regime, derive_case_seed(5, n, regime, i))
-                for regime in Regime
-                for i in range(10)
-            ]
+        cases = [case for n in (3, 4, 8, 24) for case in regime_cases(n, 10, 5, Regime)]
         for cap in (64, 1):
             monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", cap)
             for case in cases:
@@ -912,14 +809,11 @@ class TestScale:
         # smallest normal double and the polygon is rejected; above it, every
         # answer must pass `gjk2d check`'s band scaled with the polygons.
         # Accepting such polygons gave wrong distances at 1e-159..1e-161.
-        cases = []
-        for n in (3, 4, 8, 24):
-            spec = DatasetSpec(vertex_count=n, cases_per_regime=20, seed=5)
-            for regime in Regime:
-                for i in range(20):
-                    case = make_pair(spec, regime, derive_case_seed(5, n, regime, i))
-                    oracle = oracle_distance(case.p, case.q).distance
-                    cases.append((case, oracle, sat_intersects(case.p, case.q)))
+        cases = [
+            (case, oracle_distance(case.p, case.q).distance, sat_intersects(case.p, case.q))
+            for n in (3, 4, 8, 24)
+            for case in regime_cases(n, 20, 5, Regime)
+        ]
         accepted = set()
         for e in range(140, 167):
             factor = 7e-166 if e == 166 else 10.0**-e
@@ -930,7 +824,7 @@ class TestScale:
                     continue
                 accepted.add(e)
                 err = abs(distance(p, q).distance - oracle * factor)
-                assert err <= (REL_TOL * max(1.0, oracle) + ABS_TOL) * factor, (factor, case.seed)
+                assert err <= check_band(oracle) * factor, (factor, case.seed)
                 if case.regime is not Regime.TOUCHING:
                     assert intersects(p, q).colliding == sat, (factor, case.seed)
         assert min(accepted) == 140 and max(accepted) < 159
@@ -939,27 +833,10 @@ class TestScale:
         # translated copies of one polygon and integer rectangles have
         # parallel edges, so support points are often collinear with the
         # simplex; the progress test must still fire
-        rng = random.Random(73)
-        pairs = []
-        for _ in range(150):
-            n = rng.choice([4, 6, 8])
-            phase = rng.choice([0.0, math.pi / n])
-            offset = (rng.randint(-3, 3), rng.randint(-3, 3))
-            pairs.append((regular_polygon(n, (0, 0), phase), regular_polygon(n, offset, phase)))
-        for _ in range(150):
-            p, q = (
-                rectangle(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3), rng.randint(1, 3))
-                for _ in range(2)
-            )
-            pairs.append((p, q))
-        for p, q in pairs:
-            oracle = oracle_distance(p, q).distance
+        for p, q in parallel_edge_pairs():
             for hcs in (True, False):
-                res = distance(p, q, use_hill_climbing=hcs)
-                assert res.termination is not Termination.MAX_ITERATIONS
-                assert abs(res.distance - oracle) <= 1e-12 * max(1.0, oracle)
-                hit = intersects(p, q, use_hill_climbing=hcs)
-                assert hit.exit is not CollisionExit.MAX_ITERATIONS
+                report, res, _ = assert_sound(p, q, False, hcs)
+                assert abs(res.distance - report.distance) <= 1e-12 * max(1.0, report.distance)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -991,35 +868,21 @@ class TestScale:
         oracle = oracle_distance(p, q).distance
         for res in base[::2]:
             assert res.termination is not Termination.MAX_ITERATIONS
-            assert abs(res.distance - oracle) <= 1e-7 * max(1.0, oracle) + 1e-9
+            assert abs(res.distance - oracle) <= check_band(oracle)
         factor = 2.0**k
         moved = list(queries(scaled(p, factor), scaled(q, factor)))
         assert moved == [scaled_result(res, factor) for res in base]
 
 
 class TestHugePolygons:
-    # Huge inputs: every query ends on a documented exit, never the
-    # iteration cap, and `distance` stays inside `gjk2d check`'s band of
-    # the oracle. Binary verdicts are judged off the contact knife edge.
-    @staticmethod
-    def assert_answers(p, q, judge_binary):
-        """The oracle's report on (p, q), once the queries are judged against it."""
-        report = oracle_distance(p, q)
-        result = distance(p, q)
-        assert result.termination in (Termination.CONVERGED, Termination.CONTAINS_ORIGIN)
-        assert abs(result.distance - report.distance) <= REL_TOL * max(1.0, report.distance) + ABS_TOL
-        collision = intersects(p, q)
-        assert collision.exit is not CollisionExit.MAX_ITERATIONS
-        if judge_binary:
-            assert collision.colliding == report.intersecting
-        return report
-
+    # Huge inputs pass the shared soundness check; binary verdicts are
+    # judged off the contact knife edge.
     @pytest.mark.parametrize("n", [1024, 4096])
     @pytest.mark.parametrize("regime", list(Regime), ids=lambda r: r.value)
     def test_generated_pairs(self, n, regime):
-        case = make_pair(DatasetSpec(n, 1, 1), regime, derive_case_seed(1, n, regime, 0))
+        case, = regime_cases(n, 1, 1, (regime,))
         assert len(case.p) == len(case.q) == n
-        self.assert_answers(case.p, case.q, regime is not Regime.TOUCHING)
+        assert_sound(case.p, case.q, regime is not Regime.TOUCHING)
 
     @pytest.mark.parametrize("n", [16384, 65536])
     @pytest.mark.parametrize(
@@ -1033,7 +896,7 @@ class TestHugePolygons:
         p = regular_polygon(n, (0.0, 0.0), rng.uniform(0.0, 1.0))
         center = (separation * math.cos(phi), separation * math.sin(phi))
         q = regular_polygon(n, center, rng.uniform(0.0, 1.0))
-        report = self.assert_answers(p, q, separation != 2.0)
+        report, _, _ = assert_sound(p, q, separation != 2.0)
         if separation == 2.0:
             assert 0.0 <= report.distance < 1e-6
 
@@ -1114,11 +977,8 @@ class TestGolden:
     @staticmethod
     def make_pair_cases():
         for n in (4, 8, 24, 64):
-            spec = DatasetSpec(vertex_count=n, cases_per_regime=20, seed=5)
-            for regime in Regime:
-                for i in range(20):
-                    case = make_pair(spec, regime, derive_case_seed(5, n, regime, i))
-                    yield case.p, case.q
+            for case in regime_cases(n, 20, 5, Regime):
+                yield case.p, case.q
 
     @pytest.mark.parametrize(
         "corpus, query",
@@ -1213,8 +1073,7 @@ class TestTouchingClassifier:
         # contact reads as a distance within 1e-9 of zero
         assert distance(UNIT_SQUARE, UNIT_SQUARE).distance <= 1e-9
         assert distance(UNIT_SQUARE, FAR_SQUARE).distance > 1e-9
-        touching = ConvexPolygon([(1, 0), (2, 0), (2, 1), (1, 1)])
-        assert distance(UNIT_SQUARE, touching).distance <= 1e-9
+        assert distance(UNIT_SQUARE, TOUCH_SQUARE).distance <= 1e-9
 
 
 class TestWitnessPoints:

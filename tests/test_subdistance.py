@@ -11,7 +11,7 @@ from gjk2d.geometry import Vec2
 import gjk2d.subdistance
 from gjk2d.subdistance import DegenerateTriangle, compute_barycode, s1d, s2d
 
-from conftest import sweep_triangles, vertex
+from corpora import sweep_triangles, vertex
 from oracle_utils import (
     ORIGIN,
     TRIANGLE_ORACLE_ERROR,
@@ -26,13 +26,8 @@ from oracle_utils import (
 )
 
 
-def sv(x, y):
-    """Simplex vertex whose originating vertex indices are irrelevant here."""
-    return vertex(x, y)
-
-
 def random_sv(rng, lo=-10.0, hi=10.0):
-    return sv(rng.uniform(lo, hi), rng.uniform(lo, hi))
+    return vertex(rng.uniform(lo, hi), rng.uniform(lo, hi))
 
 
 def check_lambdas(result):
@@ -141,7 +136,7 @@ def tiny_far_triangles(rng, count):
 
 class TestS1d:
     def test_perpendicular_foot_inside_segment(self):
-        res = s1d(sv(1, -1), sv(1, 1))
+        res = s1d(vertex(1, -1), vertex(1, 1))
         verts, lambdas, vx, vy = res
         assert len(verts) == 2
         assert lambdas == pytest.approx([0.5, 0.5])
@@ -149,20 +144,20 @@ class TestS1d:
         check_lambdas(res)
 
     def test_origin_in_first_vertex_region(self):
-        verts, lambdas, vx, vy = s1d(sv(1, 1), sv(2, 2))
+        verts, lambdas, vx, vy = s1d(vertex(1, 1), vertex(2, 2))
         assert len(verts) == 1
         assert lambdas == [1.0]
         assert (vx, vy) == (1.0, 1.0)
 
     def test_origin_in_second_vertex_region(self):
-        verts, _, vx, vy = s1d(sv(2, 2), sv(1, 1))
+        verts, _, vx, vy = s1d(vertex(2, 2), vertex(1, 1))
         assert (vx, vy) == (1.0, 1.0)
         assert len(verts) == 1
 
     def test_interior_foot_against_segment_oracle(self):
         # derived: the clamped projection gives distance 4 at (0, 4)
         assert point_segment_distance(ORIGIN, (-3, 4), (2, 4)) == pytest.approx(4.0)
-        res = s1d(sv(-3, 4), sv(2, 4))
+        res = s1d(vertex(-3, 4), vertex(2, 4))
         _, lambdas, vx, vy = res
         assert vx == pytest.approx(0.0, abs=1e-12)
         assert vy == pytest.approx(4.0)
@@ -170,7 +165,7 @@ class TestS1d:
         check_lambdas(res)
 
     def test_coincident_endpoints_return_vertex(self):
-        verts, _, vx, vy = s1d(sv(1, 1), sv(1, 1))
+        verts, _, vx, vy = s1d(vertex(1, 1), vertex(1, 1))
         assert len(verts) == 1
         assert (vx, vy) == (1.0, 1.0)
 
@@ -300,7 +295,7 @@ class TestComputeBarycode:
 
 class TestS2d:
     def test_enclosing_triangle_returns_origin(self):
-        res = s2d(sv(1, 0), sv(-1, 1), sv(-1, -1))
+        res = s2d(vertex(1, 0), vertex(-1, 1), vertex(-1, -1))
         verts, lambdas, _, _ = res
         assert len(verts) == 3
         assert norm(res) == pytest.approx(0.0, abs=1e-15)
@@ -311,21 +306,21 @@ class TestS2d:
     def test_vertex_region(self):
         # right angle at the vertex: both edge solves return the vertex
         assert triangle_distance_to_origin((1, 0), (2, 1), (2, -1)) == pytest.approx(1.0)
-        verts, _, vx, vy = s2d(sv(1, 0), sv(2, 1), sv(2, -1))
+        verts, _, vx, vy = s2d(vertex(1, 0), vertex(2, 1), vertex(2, -1))
         assert (vx, vy) == (1.0, 0.0)
         assert [v.w for v in verts] == [Vec2(1.0, 0.0)]
 
     def test_vertex_region_obtuse_angle_resolves_through_edge(self):
         # derived: triangle oracle puts the minimum on edge VM at V itself
         assert triangle_distance_to_origin((0, 1), (-2, 1.5), (2, 3)) == pytest.approx(1.0)
-        a, b, c = sv(0, 1), sv(-2, 1.5), sv(2, 3)
+        a, b, c = vertex(0, 1), vertex(-2, 1.5), vertex(2, 3)
         assert compute_barycode(a.w, b.w, c.w)[0] == 4
         assert norm(s2d(a, b, c)) == pytest.approx(1.0)
 
     def test_vertex_region_obtuse_angle_between_edges_keeps_vertex(self):
         # derived: triangle oracle confirms the vertex carries the minimum
         assert triangle_distance_to_origin((0, 2), (-4, 2.1), (4, 2.1)) == pytest.approx(2.0)
-        a, b, c = sv(0, 2), sv(-4, 2.1), sv(4, 2.1)
+        a, b, c = vertex(0, 2), vertex(-4, 2.1), vertex(4, 2.1)
         assert compute_barycode(a.w, b.w, c.w)[0] == 4
         verts, _, vx, vy = s2d(a, b, c)
         assert (vx, vy) == (0.0, 2.0)
@@ -350,7 +345,7 @@ class TestS2d:
         for family, tris in families.items():
             codes = Counter()
             for tri in tris:
-                tau = [sv(float(x), float(y)) for x, y in tri]
+                tau = [vertex(float(x), float(y)) for x, y in tri]
                 try:
                     code = compute_barycode(*(v.w for v in tau))[0]
                 except DegenerateTriangle:
@@ -386,7 +381,7 @@ class TestS2d:
         for family, tris in families.items():
             codes = Counter()
             for tri in tris:
-                a, b, c = (sv(float(x), float(y)) for x, y in tri)
+                a, b, c = (vertex(float(x), float(y)) for x, y in tri)
                 try:
                     code = compute_barycode(a.w, b.w, c.w)[0]
                 except DegenerateTriangle:
@@ -406,14 +401,14 @@ class TestS2d:
         # point is far from it; compute_barycode rejects it, and the
         # nearest of the three edges is right.
         for points in (NEAR_LINE_CODE_4, NEAR_LINE_CODE_7):
-            got = s2d(*(sv(p.x, p.y) for p in points))
+            got = s2d(*(vertex(p.x, p.y) for p in points))
             tri = [tuple(p) for p in points]
             assert len(got[0]) < 3
             assert within_oracle_error(math.hypot(got[2], got[3]), exact_triangle_distance_sq(*tri), *tri)
         off = []
         enclosing = 0
         for tri in near_line_triangles(random.Random(1), 5000):
-            verts, _, vx, vy = s2d(*(sv(x, y) for x, y in tri))
+            verts, _, vx, vy = s2d(*(vertex(x, y) for x, y in tri))
             enclosing += len(verts) == 3
             if not within_oracle_error(math.hypot(vx, vy), exact_triangle_distance_sq(*tri), *tri):
                 off.append(tri)
@@ -428,7 +423,7 @@ class TestS2d:
         tol = Fraction(1, 10**12)
         off = []
         for tri in tiny_far_triangles(random.Random(5), 10_000):
-            res = s2d(*(sv(x, y) for x, y in tri))
+            res = s2d(*(vertex(x, y) for x, y in tri))
             exact_sq = exact_triangle_distance_sq(*tri)
             got_sq = Fraction(res[2]) ** 2 + Fraction(res[3]) ** 2
             if not (1 - tol) ** 2 * exact_sq <= got_sq <= (1 + tol) ** 2 * exact_sq:
@@ -437,13 +432,13 @@ class TestS2d:
 
     def test_edge_region(self):
         assert triangle_distance_to_origin((1, 1), (1, -1), (3, 0)) == pytest.approx(1.0)
-        verts, lambdas, vx, vy = s2d(sv(1, 1), sv(1, -1), sv(3, 0))
+        verts, lambdas, vx, vy = s2d(vertex(1, 1), vertex(1, -1), vertex(3, 0))
         assert (vx, vy) == (1.0, 0.0)
         assert len(verts) == 2
         assert lambdas == pytest.approx([0.5, 0.5])
 
     def test_collinear_points_keep_the_nearest_edge(self):
-        res = s2d(sv(0, 1), sv(2, 1), sv(4, 1))
+        res = s2d(vertex(0, 1), vertex(2, 1), vertex(4, 1))
         assert norm(res) == pytest.approx(1.0)
         check_lambdas(res)
 

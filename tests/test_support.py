@@ -1,6 +1,7 @@
 import math
 import random
 from types import SimpleNamespace
+from typing import List, Tuple
 
 import pytest
 
@@ -17,25 +18,50 @@ from gjk2d.support import (
     support_hill_climb,
 )
 
-from conftest import (
-    START_NAMES,
-    nearest_extremes,
-    starts,
+from corpora import (
+    FAR_SQUARE,
+    UNIT_SQUARE,
+    cold_start_corpus,
+    extremes_corpus,
+    rectangle,
+    regular_polygon,
     symmetric_regular_ring,
     tie_rectangles,
 )
 from oracle_utils import convex_hull, dot, sub, vertices
 
-UNIT_SQUARE = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+# A polygon's eight recorded climb starts in ring order, and their directions.
+START_NAMES = (
+    "bottom", "lower_right", "right", "upper_right", "top", "upper_left", "left", "lower_left"
+)
+_H = math.sqrt(0.5)
+START_DIRECTIONS = (
+    (0.0, -1.0), (_H, -_H), (1.0, 0.0), (_H, _H),
+    (0.0, 1.0), (-_H, _H), (-1.0, 0.0), (-_H, -_H),
+)
 
 
-def regular_polygon(n, radius=1.0):
-    return ConvexPolygon(
-        [
-            (radius * math.cos(2 * math.pi * k / n), radius * math.sin(2 * math.pi * k / n))
-            for k in range(n)
-        ]
-    )
+def starts(poly) -> Tuple[int, ...]:
+    """A polygon's eight recorded climb starts, in ``START_NAMES`` order."""
+    return tuple(getattr(poly, name) for name in START_NAMES)
+
+
+def nearest_extremes(p, q, ux, uy) -> List[Tuple[int, int]]:
+    """Every start pair of a cold climb of P along u and of Q along -u.
+
+    Each polygon starts at the recorded start whose direction, an axis or
+    a diagonal, has the largest dot with its climb direction. On a sector
+    edge, 22.5 degrees off an axis, two dots tie to within rounding, so
+    either start may be taken.
+    """
+
+    def nearest(poly, dx, dy):
+        dots = [ax * dx + ay * dy for ax, ay in START_DIRECTIONS]
+        least = max(dots) - 1e-12 * math.hypot(dx, dy)
+        return [s for s, dot in zip(starts(poly), dots) if dot >= least]
+
+    return [(ip, iq) for ip in nearest(p, ux, uy) for iq in nearest(q, -ux, -uy)]
 
 
 class TestSupportBrute:
@@ -116,7 +142,7 @@ def lattice_polygons(rng, count):
     for _ in range(count):
         x, y = rng.randint(-5, 5), rng.randint(-5, 5)
         w, h = rng.randint(1, 4), rng.randint(1, 4)
-        yield ConvexPolygon([(x, y), (x + w, y), (x + w, y + h), (x, y + h)])
+        yield rectangle(x, y, w, h)
         hull = convex_hull((rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(12))
         if len(hull) >= 3:
             yield ConvexPolygon(hull)
@@ -187,8 +213,7 @@ class TestCsoSupport:
         assert res.w == sub(verts[res.ip], verts[res.iq])
 
     def test_translation_adds_to_support(self):
-        shifted = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
-        res = cso_support(shifted, UNIT_SQUARE, Vec2(1, 0))
+        res = cso_support(FAR_SQUARE, UNIT_SQUARE, Vec2(1, 0))
         assert res.w.x == 4.0  # 1 + 3
 
     def test_zero_direction_uses_first_vertices(self):
@@ -298,21 +323,6 @@ def extremes(poly):
     return starts(poly)[::2]
 
 
-def extremes_corpus():
-    """Generated 3- to 128-gons; rectangles and regular n-gons at every ring start."""
-    rng = random.Random(47)
-    polys = [random_convex_polygon(n, rng) for n in (3, 4, 5, 7, 12, 24, 48, 128)]
-    rings = [
-        [(0, 0), (3, 0), (3, 1), (0, 1)],
-        [(-2, -5), (1, -5), (1, 4), (-2, 4)],
-    ]
-    rings += [vertices(regular_polygon(n)) for n in (3, 4, 6, 8)]
-    for ring in rings:
-        for start in range(len(ring)):
-            polys.append(ConvexPolygon(ring[start:] + ring[:start]))
-    return polys
-
-
 class TestExtremes:
     # ConvexPolygon records eight vertex indices that cold climbs start
     # from; any start reaches the support value.
@@ -379,18 +389,6 @@ SECTOR_EDGES = [
 ]
 ZEROS = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
 NANS = [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)]
-
-
-def cold_start_corpus():
-    """Pairs from ``extremes_corpus`` and the symmetric regular rings at
-    every ring start, each polygon with itself and with the next."""
-    polys = extremes_corpus()
-    rings = [symmetric_regular_ring(n, half) for n in (8, 16) for half in (False, True)]
-    for ring in rings:
-        for start in range(len(ring)):
-            polys.append(ConvexPolygon(ring[start:] + ring[:start]))
-    polys += [ConvexPolygon(symmetric_regular_ring(64, half)) for half in (False, True)]
-    return [(p, p) for p in polys] + list(zip(polys, polys[1:] + polys[:1]))
 
 
 class ReadLog:
@@ -500,8 +498,7 @@ class TestSectorChoice:
 
 class TestInitialDirection:
     def test_centroid_difference(self):
-        shifted = ConvexPolygon([(3, 0), (4, 0), (4, 1), (3, 1)])
-        assert initial_direction(UNIT_SQUARE, shifted) == Vec2(-3.0, 0.0)
+        assert initial_direction(UNIT_SQUARE, FAR_SQUARE) == Vec2(-3.0, 0.0)
 
     def test_identical_polygons_fall_back_to_unit_x(self):
         assert initial_direction(UNIT_SQUARE, UNIT_SQUARE) == Vec2(1.0, 0.0)
