@@ -3,13 +3,15 @@ subroutine with two extra early exits, both run by one loop.
 
 The loop starts from a heuristic direction, pulls Minkowski-difference
 support points toward the origin, and shrinks the working simplex with
-the subdistance solver. Its binary mode only adds two exits, tested
-before the shared ones: a separating-hyperplane test (the new support
-point stays on the far side of the origin, so the shapes cannot
-intersect) and a vertical-angle test (the new support point lands in the
-angle vertically opposite the current 2-simplex as seen from the origin,
-so the new triangle must enclose the origin). The separating test also
+the subdistance solver. Its binary mode adds two exits, tested before
+the shared ones: a separating-hyperplane test (the new support point
+stays on the far side of the origin, so the shapes cannot intersect) and
+a vertical-angle test (the new support point lands in the angle
+vertically opposite the current 2-simplex as seen from the origin, so
+the new triangle must enclose the origin). The separating test also
 covers the first support point, taken against the start direction.
+These two exits leave the convergence test nothing to catch, so the
+binary mode does not run it.
 
 Both modes open with the portal step of Minkowski Portal Refinement, from
 the start point d0, a point of P - Q; ``_gjk``'s docstring states its rule.
@@ -54,6 +56,9 @@ class CollisionExit(Enum):
     SEPARATING_HYPERPLANE = "SeparatingHyperplane"
     VERTICAL_ANGLE_ENCLOSURE = "VerticalAngleEnclosure"
     SUBDISTANCE_ENCLOSURE = "SubdistanceEnclosure"
+    # Never returned: the binary query cannot pass the Converged test, so
+    # it does not run it (``_gjk``). Kept while the benchmark counts it by
+    # name.
     CONVERGED = "Converged"
     MAX_ITERATIONS = "MaxIterations"
 
@@ -81,7 +86,6 @@ class CollisionResult(NamedTuple):
 _EXIT_SEPARATING = CollisionExit.SEPARATING_HYPERPLANE
 _EXIT_VERTICAL_ANGLE = CollisionExit.VERTICAL_ANGLE_ENCLOSURE
 _EXIT_SUBDISTANCE = CollisionExit.SUBDISTANCE_ENCLOSURE
-_EXIT_CONVERGED = CollisionExit.CONVERGED
 _EXIT_MAX_ITERATIONS = CollisionExit.MAX_ITERATIONS
 _TERM_CONVERGED = Termination.CONVERGED
 _TERM_CONTAINS_ORIGIN = Termination.CONTAINS_ORIGIN
@@ -174,21 +178,22 @@ def _portal_witnesses(
 def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) -> tuple:
     """The loop behind ``distance`` and ``intersects``.
 
-    Returns ``(exit, iterations, verts, lambdas, vx, vy, tol_sq)``: the
-    final simplex and its barycentric coordinates (at the distance mode's
-    portal enclosure, the triangle's support points and crosses instead,
-    below), closest point v (zeroed at ContainsOrigin and that enclosure),
-    and the squared norm at or below which v counts as the origin,
-    ``_EPSILON**2`` times the largest |w|^2 over the query's support
-    points. ``hcs`` picks the support function once:
+    Returns ``(exit, iterations, verts, lambdas, vx, vy)``: the final
+    simplex and its barycentric coordinates (at the distance mode's portal
+    enclosure, the triangle's support points and crosses instead, below)
+    and the closest point v, which ``distance`` reads only at Converged
+    and MaxIterations. v counts as the origin (ContainsOrigin) once |v|^2
+    <= tol_sq, ``_EPSILON**2`` times the largest |w|^2 over the query's
+    support points. ``hcs`` picks the support function once:
     ``_cso_support_xy``, which climbs both polygons inline, or
     ``_cso_scan_xy``, the brute-force scan. Each climb starts cold, at
     the polygons' recorded starts nearest its direction, and the scan has
     no start; both take a fifth argument, ``None``, that they ignore.
-    ``binary`` only adds the SeparatingHyperplane exits and the two-vertex
-    VerticalAngleEnclosure test; the portal's VerticalAngleEnclosure
-    (below) ends both modes, and every other exit is a ``Termination``.
-    It makes ``iterations + 1`` support calls.
+    ``binary`` adds the SeparatingHyperplane exits and the two-vertex
+    VerticalAngleEnclosure test, and drops the Converged test, which no
+    binary query can pass (below); the portal's VerticalAngleEnclosure
+    ends both modes, and every other exit is a ``Termination``. It makes
+    ``iterations + 1`` support calls.
 
     The first support call searches along -d0, d0 = cP - cQ the start
     point, a point of P - Q. When w1 does not separate (d0.w1 <= 0) and
@@ -265,11 +270,25 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     them: the first one-point simplex at the ContainsOrigin exit and on
     the path that skips the portal, and otherwise by the first solve. The
     separating test also covers the first support point, against the
-    start direction d0, and that exit also returns ``tol_sq`` 0.0, which
-    ``intersects`` does not read there. The ContainsOrigin test also
-    covers the one-point simplex, so a first support point exactly at the
-    origin ends the query after one call. The binary exits never read
-    ``tol_sq``, so its update follows them.
+    start direction d0. The ContainsOrigin test also covers the one-point
+    simplex, so a first support point exactly at the origin ends the
+    query after one call; there it reads v_sq == 0.0, the same test,
+    since eps_sq * v_sq < v_sq for any v_sq > 0. No exit before a solve
+    reads ``tol_sq``, so its update follows the binary exits and the
+    Converged test.
+
+    The binary mode runs no Converged test (progress, or w's vertex pair
+    already in the simplex), since it cannot pass there. The mode reaches
+    that test only past the separating one, so v.w <= 0, and every path
+    into the loop has found |v|^2 > tol_sq >= 0, so |v|^2 - v.w >= |v|^2
+    > eps * |v|^2 in floats: no progress stop. A repeated pair in a
+    one-vertex simplex is w = v exactly, and v.w is then the same float
+    expression as |v|^2 > 0, so the separating exit has fired. A repeat
+    of one vertex of a two-vertex simplex has cross product exactly 0
+    with it, so the vertical-angle exit has fired. A three-vertex solve
+    answers v = 0, which ends the query as ContainsOrigin. So a binary
+    query that reaches the cap has failed the ContainsOrigin test on its
+    last v, and ``intersects`` answers it not colliding.
     """
     # Layers and constants are looked up per call, not bound at import, so
     # they can be rebound; wrapping the layers is how a query is traced.
@@ -286,12 +305,12 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
     d0_dot_w = d0x * vx + d0y * vy
     if binary and d0_dot_w > 0.0:
         # v = w1 minimizes d0.w over P - Q, so d0 separates it from the origin.
-        return _EXIT_SEPARATING, 0, None, None, vx, vy, 0.0
+        return _EXIT_SEPARATING, 0, None, None, vx, vy
     v_sq = vx * vx + vy * vy
-    tol_sq = eps_sq * v_sq
-    if v_sq <= tol_sq:
+    if v_sq == 0.0:
         # w1 is the origin itself, exact contact: P[ip] = Q[iq].
-        return _TERM_CONTAINS_ORIGIN, 0, [_new(SimplexVertex, a)], [1.0], 0.0, 0.0, tol_sq
+        return _TERM_CONTAINS_ORIGIN, 0, [_new(SimplexVertex, a)], [1.0], 0.0, 0.0
+    tol_sq = eps_sq * v_sq
 
     k = 0
     side = d0x * vy - d0y * vx if d0_dot_w <= 0.0 else 0.0
@@ -330,7 +349,7 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
             dot = mx * wx + my * wy
             if binary and dot < 0.0:
                 # The line through the origin perpendicular to m separates.
-                return _EXIT_SEPARATING, k, None, None, vx, vy, tol_sq
+                return _EXIT_SEPARATING, k, None, None, vx, vy
             c1 = o * (vx * wy - vy * wx)
             c2 = o * (wx * d0y - wy * d0x)
             if 0.0 < c1 and 0.0 < c2:
@@ -339,8 +358,8 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                 # cross is twice the area of the sub-triangle opposite one
                 # corner.
                 if binary:
-                    return _EXIT_VERTICAL_ANGLE, k, None, None, vx, vy, tol_sq
-                return _EXIT_VERTICAL_ANGLE, k, (a, w), (c1, c2, side), 0.0, 0.0, tol_sq
+                    return _EXIT_VERTICAL_ANGLE, k, None, None, vx, vy
+                return _EXIT_VERTICAL_ANGLE, k, (a, w), (c1, c2, side), 0.0, 0.0
             w_tol_sq = eps_sq * (wx * wx + wy * wy)
             if w_tol_sq > tol_sq:
                 tol_sq = w_tol_sq
@@ -360,7 +379,7 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         verts, lambdas, vx, vy = solve_segment(_new(SimplexVertex, w), _new(SimplexVertex, a))
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
-            return _TERM_CONTAINS_ORIGIN, k, verts, lambdas, 0.0, 0.0, tol_sq
+            return _TERM_CONTAINS_ORIGIN, k, verts, lambdas, 0.0, 0.0
 
     while k < _MAX_ITERATIONS:
         k += 1
@@ -384,12 +403,12 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
                     # triangle (a, b, w) encloses the origin.
                     exit = _EXIT_VERTICAL_ANGLE
                     break
+        elif v_sq - v_dot_w <= eps * v_sq or w in verts:
+            exit = _TERM_CONVERGED
+            break
         w_tol_sq = eps_sq * (wx * wx + wy * wy)
         if w_tol_sq > tol_sq:
             tol_sq = w_tol_sq
-        if v_sq - v_dot_w <= eps * v_sq or w in verts:
-            exit = _TERM_CONVERGED
-            break
         w = _new(SimplexVertex, w)
         if len(verts) == 1:
             verts, lambdas, vx, vy = solve_segment(w, verts[0])
@@ -398,11 +417,10 @@ def _gjk(p_poly: ConvexPolygon, q_poly: ConvexPolygon, hcs: bool, binary: bool) 
         v_sq = vx * vx + vy * vy
         if v_sq <= tol_sq:
             exit = _TERM_CONTAINS_ORIGIN
-            vx = vy = 0.0
             break
     else:
         exit = _TERM_MAX_ITERATIONS
-    return exit, k, verts, lambdas, vx, vy, tol_sq
+    return exit, k, verts, lambdas, vx, vy
 
 
 def distance(
@@ -437,7 +455,7 @@ def distance(
     cold from the polygons' recorded starts nearest its direction, over
     the brute-force scan (same support values).
     """
-    termination, k, verts, lambdas, vx, vy, _ = _gjk(p_poly, q_poly, use_hill_climbing, False)
+    termination, k, verts, lambdas, vx, vy = _gjk(p_poly, q_poly, use_hill_climbing, False)
     # In distance mode only the portal triangle returns this exit.
     if termination is _EXIT_VERTICAL_ANGLE:
         wp, wq = _portal_witnesses(p_poly, q_poly, verts, lambdas)
@@ -465,11 +483,15 @@ def intersects(
     encloses the origin reads as VerticalAngleEnclosure, so an overlapping
     pair is usually answered after two support calls and one iteration.
     The portal step and every exit other than the separating tests and
-    the two-vertex vertical-angle test are shared with ``distance``, so
+    the two-vertex vertical-angle test are shared with ``distance``, but
+    for the Converged test, which no binary query can pass (``_gjk``), so
     this never performs more support evaluations than ``distance`` on the
-    same input and ``use_hill_climbing`` setting.
+    same input and ``use_hill_climbing`` setting. A query that reaches the
+    iteration cap ends MaxIterations, not colliding: its last
+    ContainsOrigin test failed. ``CollisionExit.CONVERGED`` is never
+    returned.
     """
-    exit, k, _, _, vx, vy, tol_sq = _gjk(p_poly, q_poly, use_hill_climbing, True)
+    exit, k, _, _, _, _ = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:
         colliding = False
     elif exit is _EXIT_VERTICAL_ANGLE:
@@ -478,7 +500,7 @@ def intersects(
         exit = _EXIT_SUBDISTANCE
         colliding = True
     else:
-        # Converged or MaxIterations: the ContainsOrigin test on the last v.
-        exit = _EXIT_CONVERGED if exit is _TERM_CONVERGED else _EXIT_MAX_ITERATIONS
-        colliding = vx * vx + vy * vy <= tol_sq
+        # MaxIterations: the last ContainsOrigin test failed on the last v.
+        exit = _EXIT_MAX_ITERATIONS
+        colliding = False
     return _new(CollisionResult, (colliding, k, k + 1, exit))

@@ -56,6 +56,7 @@ from corpora import (
     vertex,
 )
 from oracle_utils import exact_sat_intersects, reference_witness_points, sub, vertices
+from test_corpora import PAIR_FAMILIES
 
 
 def scaled(poly, factor):
@@ -305,6 +306,37 @@ class TestIntersects:
                     assert res.exit is CollisionExit.SEPARATING_HYPERPLANE
                     assert (res.support_calls, res.iterations) == (1, 0)
                     assert not res.colliding
+
+    def test_a_repeated_vertex_pair_ends_the_query_at_a_binary_exit(self):
+        # Why the binary loop runs no convergence test: a support point drawn
+        # along -v whose vertex pair is already in the simplex is the query's
+        # last layer call, and the separating or the vertical-angle exit has
+        # taken it. The simplex and v are the last solve's, or w1 before any
+        # solve; a portal call searches along another direction.
+        pairs = [pair for build, _ in PAIR_FAMILIES.values() for pair in build()]
+        for n in (4, 8, 24, 64):
+            pairs += [(case.p, case.q) for case in generate_dataset(DatasetSpec(n, 100, 7))]
+        binary_exits = (CollisionExit.SEPARATING_HYPERPLANE, CollisionExit.VERTICAL_ANGLE_ENCLOSURE)
+        repeats = 0
+        for p, q in pairs:
+            for hcs in (True, False):
+                with recorded_layers() as recorded:
+                    res = intersects(p, q, use_hill_climbing=hcs)
+                simplex = None
+                for i, (name, args, out) in enumerate(recorded):
+                    if name == "s1d" or name == "s2d":
+                        simplex = {vert[2:] for vert in out[0]}
+                        v = out[2:]
+                    elif name not in SUPPORT_LAYERS:
+                        continue
+                    elif simplex is None:
+                        simplex = {out[2:]}
+                        v = out[:2]
+                    elif args[2:4] == (-v[0], -v[1]) and out[2:] in simplex:
+                        repeats += 1
+                        assert i == len(recorded) - 1, (hcs, vertices(p), vertices(q))
+                        assert res.exit in binary_exits, (hcs, vertices(p), vertices(q))
+        assert repeats
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -748,8 +780,8 @@ class TestScale:
     def test_power_of_two_scaling_is_exact(self, monkeypatch):
         # multiplying by 2**k is exact, so every length in every answer
         # scales bit for bit and every counter, exit and verdict is unchanged;
-        # a cap of one iteration adds MaxIterations exits, whose intersects
-        # verdict is the containment test on the last v
+        # a cap of one iteration adds MaxIterations exits, which intersects
+        # answers not colliding, since the last containment test failed
         cases = [case for n in (3, 4, 8, 24) for case in regime_cases(n, 10, 5, Regime)]
         for cap in (64, 1):
             monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", cap)
@@ -874,6 +906,60 @@ class TestScale:
         assert moved == [scaled_result(res, factor) for res in base]
 
 
+def mapped(poly, move):
+    """``poly`` with ``move`` applied to each vertex, in ring order."""
+    return ConvexPolygon(move(x, y) for x, y in zip(poly.xs, poly.ys))
+
+
+def quarter_turn(x, y):
+    return -y, x
+
+
+def half_turn(x, y):
+    return -x, -y
+
+
+class TestExactSymmetry:
+    # A rotation by a multiple of 90 degrees only swaps and negates
+    # coordinates, and swapping P and Q negates P - Q; point-reflecting
+    # both polygons as well gives P - Q back. None of these rounds, and on
+    # these pairs every answer's length, counters and exit stay bit for
+    # bit, a check that needs no oracle. (The axis reflection is left out:
+    # under it a tie between vertices breaks by ring index, and support
+    # calls differ on a few tied pairs.)
+    MOVES = {
+        "quarter turn": lambda p, q: (mapped(p, quarter_turn), mapped(q, quarter_turn)),
+        "half turn": lambda p, q: (mapped(p, half_turn), mapped(q, half_turn)),
+        "swap": lambda p, q: (q, p),
+        "swap and point reflection": lambda p, q: (mapped(q, half_turn), mapped(p, half_turn)),
+    }
+    # The portal corpus holds ``tie_rectangles(1000)``.
+    CORPORA = {
+        "generated": lambda: [
+            (case.p, case.q)
+            for n in (4, 8, 24, 64)
+            for case in generate_dataset(DatasetSpec(n, 60, 3))
+        ],
+        "portal": portal_corpus,
+    }
+
+    @staticmethod
+    def invariants(res):
+        if isinstance(res, CollisionResult):
+            return res.colliding, res.support_calls, res.exit
+        return res.distance.hex(), res.support_calls, res.termination
+
+    @pytest.mark.parametrize("corpus", list(CORPORA))
+    def test_answers_are_unchanged_by_the_square_group_and_the_swap(self, corpus):
+        for p, q in self.CORPORA[corpus]():
+            base = [self.invariants(res) for res in queries(p, q)]
+            for name, move in self.MOVES.items():
+                moved = queries(*move(p, q))
+                assert [self.invariants(res) for res in moved] == base, (
+                    name, vertices(p), vertices(q),
+                )
+
+
 class TestHugePolygons:
     # Huge inputs pass the shared soundness check; binary verdicts are
     # judged off the contact knife edge.
@@ -955,12 +1041,35 @@ class TestGolden:
         ("portal-huge", "intersects"): (
             "798ef31f43f3948431234576d460c5bcc75ded6690ff0e7f78a529e3bd259380"
         ),
+        ("make_pair-cap1", "distance"): (
+            "241e47885ebc61fa6f09d94e4bb353b08c58a1d2cdce013cdd30861dd8919417"
+        ),
+        ("make_pair-cap1", "intersects"): (
+            "039d9dd2f8f98d701da05560e09485e2c9b367436b082e32792bb529ce0e428b"
+        ),
+        ("make_pair-cap2", "distance"): (
+            "8eb18872581b827399d6c7ea056d83fd272cbde44126052a75c3b23301036775"
+        ),
+        ("make_pair-cap2", "intersects"): (
+            "af442819f40503155f23509acd6aa20954da859a36f7b6f23d0e7eeb94d06fee"
+        ),
+        ("make_pair-cap3", "distance"): (
+            "70d77516507c6d15f658f066cc1800bd1ff2353317617a2d621d33f67b29d078"
+        ),
+        ("make_pair-cap3", "intersects"): (
+            "cf515f5ddaac35b09ee1feec9ae2e1c5cf29213270611a2e92e903eb6b5f671b"
+        ),
     }
     # The portal corpus again, scaled by 2^-280 and by 2^480, where the
     # portal's crosses are tiny or huge and its zeros carry a sign. Every
     # test is relative, so an intersects result, which holds no length,
     # hashes as the unscaled corpus's.
     SCALES = {"portal-tiny": 2.0**-280, "portal-huge": 2.0**480}
+    # The make_pair cases again, built at the default cap and queried at a
+    # cap of one to three iterations, where MaxIterations answers are
+    # common: the capped digests were taken while the binary query still
+    # ran the convergence test and formed its capped verdict from the last v.
+    CAPS = {"make_pair-cap1": 1, "make_pair-cap2": 2, "make_pair-cap3": 3}
 
     @staticmethod
     def _fields(value):
@@ -991,11 +1100,19 @@ class TestGolden:
             pytest.param("portal-tiny", intersects, id="portal-tiny-intersects"),
             pytest.param("portal-huge", distance, id="portal-huge-distance"),
             pytest.param("portal-huge", intersects, id="portal-huge-intersects"),
+        ]
+        + [
+            pytest.param(corpus, query, id=f"cap{cap}-{query.__name__}")
+            for corpus, cap in CAPS.items()
+            for query in (distance, intersects)
         ],
     )
-    def test_query_results_are_pinned(self, corpus, query):
+    def test_query_results_are_pinned(self, corpus, query, monkeypatch):
+        pairs = list(self.pairs(corpus))
+        if corpus in self.CAPS:
+            monkeypatch.setattr(gjk2d.gjk, "_MAX_ITERATIONS", self.CAPS[corpus])
         h = hashlib.sha256()
-        for p, q in self.pairs(corpus):
+        for p, q in pairs:
             for hcs in (True, False):
                 res = query(p, q, use_hill_climbing=hcs)
                 h.update(" ".join(self._fields(res)).encode())
@@ -1004,7 +1121,7 @@ class TestGolden:
 
     @classmethod
     def pairs(cls, corpus):
-        if corpus == "make_pair":
+        if corpus.startswith("make_pair"):
             return cls.make_pair_cases()
         pairs = portal_corpus(touching=40, sizes=(128, 512))
         if corpus in cls.SCALES:

@@ -363,6 +363,8 @@ class TestExtremes:
         for _ in range(4000 - len(directions)):
             t = rng.uniform(0.0, 2.0 * math.pi)
             directions.append((math.cos(t), math.sin(t)))
+        # each direction and its opposite as the climb takes them, built once
+        directions = [(dx, dy, Vec2(dx, dy), Vec2(-dx, -dy)) for dx, dy in directions]
         for poly in extremes_corpus():
             xs, ys = poly.xs, poly.ys
             ring = starts(poly)
@@ -370,12 +372,13 @@ class TestExtremes:
             # right, Q along -d from the four opposite ones: each start in
             # one role, over directions of both signs
             pairs = [(ring[k], ring[k + 4]) for k in range(4)]
-            for dx, dy in directions:
+            for dx, dy, d, minus_d in directions:
                 _, _, bp, bq = _cso_scan_xy(poly, poly, dx, dy, None)
                 top = xs[bp] * dx + ys[bp] * dy
                 low = xs[bq] * dx + ys[bq] * dy
-                for pair in pairs:
-                    _, _, ip, iq = two_climbs(poly, poly, dx, dy, pair)
+                for start_p, start_q in pairs:
+                    ip = support_hill_climb(poly, d, start_p).index
+                    iq = support_hill_climb(poly, minus_d, start_q).index
                     assert xs[ip] * dx + ys[ip] * dy == top
                     assert xs[iq] * dx + ys[iq] * dy == low
 
