@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, List, Sequence
@@ -69,6 +70,20 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
+@contextmanager
+def gc_paused():
+    """Cyclic GC off for the block, after a full collection; its state is
+    restored after. Timed passes run inside it."""
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def run_benchmark(
     cases: Iterable[PairCase],
     algorithms: Sequence[Algorithm],
@@ -99,18 +114,12 @@ def run_benchmark(
                 for p, q in pairs:
                     sink[0] = fn(p, q)
             samples = []
-            gc.collect()
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
+            with gc_paused():
                 for _ in range(repetitions):
                     t0 = time.perf_counter_ns()
                     for p, q in pairs:
                         sink[0] = fn(p, q)
                     samples.append((time.perf_counter_ns() - t0) / len(pairs))
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
             samples.sort()
             if algorithm is Algorithm.SAT:
                 mean_iter = 0.0

@@ -36,7 +36,9 @@ from .support import SimplexVertex, _cso_scan_xy, _cso_support_xy, initial_direc
 # of |v|^2, and |v| <= _EPSILON * max|w| over the query's support points
 # counts as the origin.
 _EPSILON = 1e-10
-# Iteration cap; a query that reaches it reports MaxIterations.
+# Iteration cap; a query that reaches it reports MaxIterations. The binary
+# answers below are built up to it at import, so it may be lowered later,
+# never raised.
 _MAX_ITERATIONS = 64
 
 # Hot-path tuples skip the generated NamedTuple.__new__ frame, about half their cost.
@@ -93,6 +95,19 @@ _TERM_MAX_ITERATIONS = Termination.MAX_ITERATIONS
 # The separating vector of every ContainsOrigin answer; a Vec2 is
 # immutable, so all of them share this one.
 _ZERO_VECTOR = Vec2(0.0, 0.0)
+
+
+def _answers(colliding: bool, exit: CollisionExit) -> Tuple[CollisionResult, ...]:
+    """``CollisionResult(colliding, k, k + 1, exit)`` for k = 0 ... the cap."""
+    return tuple(CollisionResult(colliding, k, k + 1, exit) for k in range(_MAX_ITERATIONS + 1))
+
+
+# Every binary answer, built once; ``intersects`` returns ``answers[k]``
+# of its exit's table.
+_SEPARATED = _answers(False, _EXIT_SEPARATING)
+_ENCLOSED = _answers(True, _EXIT_VERTICAL_ANGLE)
+_SOLVED = _answers(True, _EXIT_SUBDISTANCE)
+_CAPPED = _answers(False, _EXIT_MAX_ITERATIONS)
 
 
 def witness_points(
@@ -490,17 +505,23 @@ def intersects(
     iteration cap ends MaxIterations, not colliding: its last
     ContainsOrigin test failed. ``CollisionExit.CONVERGED`` is never
     returned.
+
+    The answer is prebuilt: an exit and an iteration count fix every
+    field, so each possible ``CollisionResult`` is built once, at import,
+    and a query returns that shared, immutable answer instead of building
+    a tuple. Two queries that end at the same exit after the same count
+    return the same object. The answers run up to the iteration cap read
+    at import, which bounds every count while it is not raised; the cap
+    may be lowered later, never raised.
     """
     exit, k, _, _, _, _ = _gjk(p_poly, q_poly, use_hill_climbing, True)
     if exit is _EXIT_SEPARATING:
-        colliding = False
+        answers = _SEPARATED
     elif exit is _EXIT_VERTICAL_ANGLE:
-        colliding = True
+        answers = _ENCLOSED
     elif exit is _TERM_CONTAINS_ORIGIN:
-        exit = _EXIT_SUBDISTANCE
-        colliding = True
+        answers = _SOLVED
     else:
         # MaxIterations: the last ContainsOrigin test failed on the last v.
-        exit = _EXIT_MAX_ITERATIONS
-        colliding = False
-    return _new(CollisionResult, (colliding, k, k + 1, exit))
+        answers = _CAPPED
+    return answers[k]

@@ -52,7 +52,7 @@ class SimplexVertex(NamedTuple):
 
     The record stays a ``NamedTuple`` only for ``w``, which perfbench's
     region-code replay reads on captured ``s2d`` arguments (ROADMAP item
-    7); the wrap of each stored point is what that read still costs.
+    1); the wrap of each stored point is what that read still costs.
     """
 
     wx: float

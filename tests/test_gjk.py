@@ -363,6 +363,52 @@ class TestIntersects:
             assert res.colliding == sat_intersects(p, q)
 
 
+class TestPrebuiltAnswers:
+    # ``intersects`` returns a shared answer prebuilt at import for every
+    # iteration count up to the cap, one per exit, so a query ending at the
+    # same exit and count returns the same object. Each loop exit maps to
+    # the binary exit and verdict here.
+    LOOP_EXITS = {
+        CollisionExit.SEPARATING_HYPERPLANE: (False, CollisionExit.SEPARATING_HYPERPLANE),
+        CollisionExit.VERTICAL_ANGLE_ENCLOSURE: (True, CollisionExit.VERTICAL_ANGLE_ENCLOSURE),
+        Termination.CONTAINS_ORIGIN: (True, CollisionExit.SUBDISTANCE_ENCLOSURE),
+        Termination.MAX_ITERATIONS: (False, CollisionExit.MAX_ITERATIONS),
+    }
+    VERDICTS = {exit: colliding for colliding, exit in LOOP_EXITS.values()}
+
+    @staticmethod
+    def pairs():
+        generated = [
+            (case.p, case.q)
+            for n in (4, 8, 24, 64)
+            for case in generate_dataset(DatasetSpec(n, 20, 3))
+        ]
+        return portal_corpus() + generated
+
+    @pytest.mark.parametrize("hcs", [True, False], ids=["hill-climb", "scan"])
+    def test_answers_are_shared_collision_results(self, hcs):
+        for p, q in self.pairs():
+            res = intersects(p, q, use_hill_climbing=hcs)
+            assert type(res) is CollisionResult
+            k = res.iterations
+            assert res == CollisionResult(self.VERDICTS[res.exit], k, k + 1, res.exit)
+            assert intersects(p, q, use_hill_climbing=hcs) is res
+
+    @pytest.mark.parametrize("k", [0, 64])
+    def test_every_loop_exit_maps_to_its_answer(self, monkeypatch, k):
+        # 0 and 64, the cap, are the first and last counts a loop returns.
+        for loop_exit, (colliding, exit) in self.LOOP_EXITS.items():
+            monkeypatch.setattr(
+                gjk2d.gjk, "_gjk", lambda p, q, hcs, binary: (loop_exit, k, None, None, 0.0, 0.0)
+            )
+            res = intersects(UNIT_SQUARE, FAR_SQUARE)
+            assert type(res) is CollisionResult
+            assert res.colliding is colliding
+            assert (res.iterations, res.support_calls) == (k, k + 1)
+            assert res.exit is exit
+            assert intersects(UNIT_SQUARE, FAR_SQUARE) is res
+
+
 def portal_calls(p, q, hcs):
     """``intersects(p, q)`` and its first three recorded layer outputs:
     ``(result, d0, w1, w2, portal)``, where ``portal`` says whether the
@@ -919,14 +965,21 @@ def half_turn(x, y):
     return -x, -y
 
 
+def mirrored(poly):
+    """``poly`` reflected in the x axis, (x, y) -> (x, -y), its ring
+    reversed so that it stays counter-clockwise."""
+    return ConvexPolygon([(x, -y) for x, y in zip(poly.xs, poly.ys)][::-1])
+
+
 class TestExactSymmetry:
     # A rotation by a multiple of 90 degrees only swaps and negates
     # coordinates, and swapping P and Q negates P - Q; point-reflecting
     # both polygons as well gives P - Q back. None of these rounds, and on
     # these pairs every answer's length, counters and exit stay bit for
-    # bit, a check that needs no oracle. (The axis reflection is left out:
-    # under it a tie between vertices breaks by ring index, and support
-    # calls differ on a few tied pairs.)
+    # bit, a check that needs no oracle. The axis reflection does not round
+    # either, but it reverses each ring, and a tie between vertices breaks
+    # by ring index: on the tied pairs below the scan takes another support
+    # point, so only the distance and the verdict are kept there.
     MOVES = {
         "quarter turn": lambda p, q: (mapped(p, quarter_turn), mapped(q, quarter_turn)),
         "half turn": lambda p, q: (mapped(p, half_turn), mapped(q, half_turn)),
@@ -958,6 +1011,30 @@ class TestExactSymmetry:
                 assert [self.invariants(res) for res in moved] == base, (
                     name, vertices(p), vertices(q),
                 )
+
+    # ``portal_corpus()`` pairs 642 and 729, both from ``tie_rectangles``,
+    # whose brute-force queries take another support call and exit under
+    # the axis reflection.
+    REFLECTION_TIES = {"generated": set(), "portal": {642, 729}}
+
+    @staticmethod
+    def answer(res):
+        if isinstance(res, CollisionResult):
+            return res.colliding
+        return res.distance.hex()
+
+    @pytest.mark.parametrize("corpus", list(CORPORA))
+    def test_answers_are_unchanged_by_the_axis_reflection(self, corpus):
+        ties = set()
+        for i, (p, q) in enumerate(self.CORPORA[corpus]()):
+            base = list(queries(p, q))
+            moved = list(queries(mirrored(p), mirrored(q)))
+            assert [self.answer(res) for res in moved] == [self.answer(res) for res in base], (
+                i, vertices(p), vertices(q),
+            )
+            if [self.invariants(res) for res in moved] != [self.invariants(res) for res in base]:
+                ties.add(i)
+        assert ties == self.REFLECTION_TIES[corpus]
 
 
 class TestHugePolygons:
